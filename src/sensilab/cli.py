@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arities", type=_int_list)
     p.add_argument("--fn")
     p.add_argument("--certs")
-    p.add_argument("--method", choices=sorted(_METHODS))
+    p.add_argument("--method", choices=sorted(_METHODS), default="auto")
     p.add_argument("--csv", help="also write a CSV summary here")
 
     p = sub.add_parser("export-graph", parents=[common], help="emit the sensitivity graph")
@@ -258,7 +258,7 @@ def _cmd_measure(args, config: RunConfig) -> int:
 
 def _cmd_verify(args, config: RunConfig) -> int:
     suite = args.suite
-    method = _METHODS[args.method] if args.method else None
+    method = _METHODS[args.method]
     if suite == "theorem1":
         claims = verify_mod.verify_theorem1(
             args.r if args.r is not None else 2,

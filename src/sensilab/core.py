@@ -32,11 +32,6 @@ class CapExceeded(ValueError):
     """The requested computation exceeds its configured arity or size cap."""
 
 
-def flip(x: int, i: int) -> int:
-    """Flip variable i (0-indexed) of the encoded input x."""
-    return x ^ (1 << i)
-
-
 def point_from_bits(bits: Iterable[int]) -> int:
     """Encode a bit sequence (x1 first) as an integer input."""
     v = 0
@@ -360,11 +355,6 @@ class PartialAssignment:
 
     def __iter__(self) -> Iterator[int]:
         return iter(int(p) for p in self.points())
-
-
-def satisfies(x: int, assignment: PartialAssignment) -> bool:
-    """True iff input x lies in the assignment's subcube."""
-    return assignment.contains(x)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Everything here works on a BooleanFunction or a TruthTable. Exact measures
 (sensitivity, certificates, degree) come from full scans of the table;
 spectral sensitivity is the operator norm of the sensitivity graph's
-adjacency matrix, available as a dense solve, a matrix-free power iteration,
-a per-component solve, or the closed form a construction claims for itself.
+adjacency matrix, built once as a sparse matrix: an exact dense solve per
+connected component, a matrix-free power iteration, or the closed form a
+construction claims for itself.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .core import (
     TruthTable,
 )
 
-DENSE_CAP = 13
-MATFREE_CAP = 26
-COMPONENTS_CAP = 16
+# bytes any one array of the spectral solvers may take: the sparse
+# adjacency, or one batch of dense component blocks
+MEMORY_BUDGET = 512 << 20
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
 
@@ -321,12 +322,14 @@ class SensitivityGraph:
     """Graph on inputs with an edge where one flipped coordinate changes f.
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
-    same integer encoding as the table.
+    same integer encoding as the table. The adjacency is built once, as a
+    sparse matrix, and every edge, component and eigenvalue query reads it.
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
         self.table = _table_of(fn, cap)
         self.arity = self.table.arity
+        self._adj: sp.csr_matrix | None = None
 
     def degree_counts(self) -> np.ndarray:
         return _sens_counts(self.table.values, self.arity)
@@ -340,67 +343,66 @@ class SensitivityGraph:
             return False
         return self.table[x] != self.table[y]
 
-    def edges(self, cap: int = COMPONENTS_CAP) -> np.ndarray:
-        """All edges as an (E, 2) int64 array with x < y, sorted."""
-        if self.arity > cap:
-            raise CapExceeded(f"edge listing capped at arity {cap}, got {self.arity}")
-        vals = self.table.values
-        parts = []
-        for i in range(self.arity):
-            diff = vals != _swap_axis(vals, i)
-            # keep only the endpoint with bit i clear so each edge appears once
-            low = diff.copy().reshape(-1, 2, 1 << i)
-            low[:, 1, :] = False
-            xs = np.flatnonzero(low.reshape(diff.shape))
-            parts.append(np.stack([xs, xs | (1 << i)], axis=1))
-        if not parts:
-            return np.empty((0, 2), dtype=np.int64)
-        e = np.concatenate(parts).astype(np.int64)
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        return e[order]
+    def adjacency(self) -> sp.csr_matrix:
+        """Symmetric 0/1 adjacency as CSR with int32 indices, sorted per row.
 
-    def components(self, cap: int = COMPONENTS_CAP) -> list[Component]:
+        Raises CapExceeded when the matrix would take more than MEMORY_BUDGET
+        bytes.
+        """
+        if self._adj is not None:
+            return self._adj
+        vals = self.table.values
+        size = 1 << self.arity
+        # lows[i]: inputs with bit i clear whose flip along i changes f
+        lows = []
+        n_edges = 0
+        for i in range(self.arity):
+            half = vals.reshape(-1, 2, 1 << i)
+            diff = half[:, 0, :] != half[:, 1, :]
+            j = np.flatnonzero(diff).astype(np.int32)
+            # put bit i (clear) back into the half-table index
+            lows.append(((j >> i) << (i + 1)) | (j & ((1 << i) - 1)))
+            n_edges += len(j)
+            nbytes = 4 * (size + 1) + 24 * n_edges
+            if nbytes > MEMORY_BUDGET:
+                raise CapExceeded(
+                    f"sparse adjacency needs over {nbytes} bytes, "
+                    f"budget {MEMORY_BUDGET}"
+                )
+        highs = [low | (1 << i) for i, low in enumerate(lows)]
+        rows = np.concatenate(lows + highs)
+        cols = np.concatenate(highs + lows)
+        # the conversion sorts each row's indices
+        self._adj = sp.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(size, size)
+        )
+        return self._adj
+
+    def edges(self) -> np.ndarray:
+        """All edges as an (E, 2) int64 array with x < y, sorted."""
+        a = self.adjacency()
+        rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
+        upper = a.indices > rows
+        return np.stack([rows[upper], a.indices[upper].astype(np.int64)], axis=1)
+
+    def components(self) -> list[Component]:
         """Connected components ordered by smallest vertex."""
-        e = self.edges(cap)
+        e = self.edges()
         if len(e) == 0:
             return []
-        n_total = 1 << self.arity
-        adj = sp.coo_matrix(
-            (np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n_total, n_total)
-        )
-        _, labels = _cc(adj, directed=False)
-        deg = self.degree_counts()
-        active = np.flatnonzero(deg > 0)
-        order = np.argsort(labels[active], kind="stable")
-        verts = active[order]
-        labs = labels[active][order]
-        cuts = np.flatnonzero(np.diff(labs)) + 1
-        vertex_groups = np.split(verts, cuts)
+        _, labels = _cc(self.adjacency(), directed=False)
+        active = np.flatnonzero(np.diff(self.adjacency().indptr))
 
-        edge_labels = labels[e[:, 0]]
-        eorder = np.argsort(edge_labels, kind="stable")
-        esorted = e[eorder]
-        elabs = edge_labels[eorder]
-        ecuts = np.flatnonzero(np.diff(elabs)) + 1
-        edge_groups = np.split(esorted, ecuts)
+        def by_label(items: np.ndarray, labs: np.ndarray) -> list[np.ndarray]:
+            order = np.argsort(labs, kind="stable")
+            return np.split(items[order], np.flatnonzero(np.diff(labs[order])) + 1)
 
         comps = [
-            Component(v, eg) for v, eg in zip(vertex_groups, edge_groups)
+            Component(v, eg)
+            for v, eg in zip(by_label(active, labels[active]), by_label(e, labels[e[:, 0]]))
         ]
         comps.sort(key=lambda comp: int(comp.vertices[0]))
         return comps
-
-    def adjacency(self, cap: int = DENSE_CAP) -> np.ndarray:
-        if self.arity > cap:
-            raise CapExceeded(
-                f"dense adjacency capped at arity {cap}, got {self.arity}"
-            )
-        n_total = 1 << self.arity
-        a = np.zeros((n_total, n_total), dtype=np.float64)
-        e = self.edges(cap=max(cap, COMPONENTS_CAP))
-        a[e[:, 0], e[:, 1]] = 1.0
-        a[e[:, 1], e[:, 0]] = 1.0
-        return a
 
 
 def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
@@ -485,35 +487,64 @@ class SpectralResult:
     iterations: int
 
 
-def _lambda_dense(table: TruthTable, cap: int) -> float:
-    g = SensitivityGraph(table)
-    a = g.adjacency(cap)
-    if not a.any():
-        return 0.0
-    return float(np.linalg.eigvalsh(a)[-1])
+def _lambda_exact(graph: SensitivityGraph) -> float:
+    """Largest adjacency eigenvalue from a dense eigensolve of each
+    connected component's block; the adjacency is block-diagonal by
+    component, so this is its whole spectrum. Components of equal size are
+    solved in batches."""
+    a = graph.adjacency()
+    _, labels = _cc(a, directed=False)
+    sizes = np.bincount(labels)
+    # each vertex's position inside its component, in vertex order
+    order = np.argsort(labels, kind="stable")
+    local = np.empty_like(labels)
+    local[order] = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[labels[order]]
+    coo = a.tocoo()
+    rows, cols = coo.row, coo.col
+    edge_size = sizes[labels[rows]]
+    best = 0.0
+    for k in np.unique(sizes[sizes > 1]):
+        k = int(k)
+        per_batch = MEMORY_BUDGET // (8 * k * k)
+        if per_batch == 0:
+            raise CapExceeded(
+                f"component with {k} vertices exceeds the dense solve budget "
+                f"of {MEMORY_BUDGET} bytes"
+            )
+        comps = np.flatnonzero(sizes == k)
+        slot = np.empty(len(sizes), dtype=np.int64)
+        slot[comps] = np.arange(len(comps))
+        sel = edge_size == k
+        e_slot = slot[labels[rows[sel]]]
+        e_row, e_col = local[rows[sel]], local[cols[sel]]
+        for lo in range(0, len(comps), per_batch):
+            hi = min(lo + per_batch, len(comps))
+            blocks = np.zeros((hi - lo, k, k))
+            inside = (e_slot >= lo) & (e_slot < hi)
+            blocks[e_slot[inside] - lo, e_row[inside], e_col[inside]] = 1.0
+            best = max(best, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
+    return best
 
 
 def _lambda_matfree(
-    table: TruthTable, tol: float, seed: int, max_iter: int
+    graph: SensitivityGraph, tol: float, seed: int, max_iter: int
 ) -> tuple[float, float, int]:
-    vals = table.values
-    n = table.arity
+    vals, n = graph.table.values, graph.arity
     size = 1 << n
-    # cache per-direction difference masks when they fit comfortably
-    cache = None
-    if n * size <= 400_000_000:
-        cache = [vals != _swap_axis(vals, i) for i in range(n)]
-    if (cache is not None and not any(m.any() for m in cache)) or (
-        cache is None and _sens_counts(vals, n).max() == 0
-    ):
-        return 0.0, 0.0, 0
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for i in range(n):
-            mask = cache[i] if cache is not None else vals != _swap_axis(vals, i)
-            out += np.where(mask, _swap_axis(v, i), 0.0)
-        return out
+    try:
+        a = graph.adjacency()
+    except CapExceeded:
+        # too large to hold as a sparse matrix, which also means it has
+        # edges: compute each product from the table instead
+        def matvec(v: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(v)
+            for i in range(n):
+                out += np.where(vals != _swap_axis(vals, i), _swap_axis(v, i), 0.0)
+            return out
+    else:
+        if a.nnz == 0:
+            return 0.0, 0.0, 0
+        matvec = a.dot
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(size)
@@ -562,62 +593,35 @@ def _lambda_matfree(
     return lam, residual, iterations
 
 
-def _lambda_components(table: TruthTable, cap: int) -> float:
-    g = SensitivityGraph(table)
-    comps = g.components(cap)
-    best = 0.0
-    for comp in comps:
-        k = len(comp.vertices)
-        if k > (1 << DENSE_CAP):
-            raise CapExceeded(
-                f"component with {k} vertices exceeds the dense solve cap"
-            )
-        index = {int(v): j for j, v in enumerate(comp.vertices)}
-        a = np.zeros((k, k), dtype=np.float64)
-        for x, y in comp.edges:
-            i, j = index[int(x)], index[int(y)]
-            a[i, j] = a[j, i] = 1.0
-        best = max(best, float(np.linalg.eigvalsh(a)[-1]))
-    return best
-
-
 def spectral_sensitivity(
     fn,
     method: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     max_iter: int = DEFAULT_MAX_ITER,
-    dense_cap: int = DENSE_CAP,
-    matfree_cap: int = MATFREE_CAP,
-    components_cap: int = COMPONENTS_CAP,
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
-    method: "dense" (exact eigensolve, small arity), "matrix-free" (power
-    iteration on the squared adjacency, medium arity), "component-wise"
-    (dense per connected component), "analytic" (closed form recorded by the
-    construction), or "auto" to pick dense when it fits and matrix-free
-    otherwise.
+    method: "dense" or "component-wise" (the same exact eigensolve, one
+    dense block per connected component), "matrix-free" (power iteration on
+    the squared adjacency), "analytic" (closed form recorded by the
+    construction), or "auto" to pick the exact solve when a full dense
+    adjacency would fit in MEMORY_BUDGET and matrix-free otherwise.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)
         if meta is None or meta.predicted_lambda_sq is None:
             raise ValueError("analytic method needs construction metadata")
         return SpectralResult(math.sqrt(meta.predicted_lambda_sq), "analytic", 0.0, 0)
-    arity = fn.arity
     if method == "auto":
-        method = "dense" if arity <= dense_cap else "matrix-free"
-    if method == "dense":
-        table = _table_of(fn, dense_cap)
-        return SpectralResult(_lambda_dense(table, dense_cap), "dense", 0.0, 0)
+        method = "dense" if 8 * 4 ** fn.arity <= MEMORY_BUDGET else "matrix-free"
+    if method not in ("dense", "component-wise", "matrix-free"):
+        raise ValueError(f"unknown spectral method {method!r}")
+    graph = SensitivityGraph(fn)
     if method == "matrix-free":
-        table = _table_of(fn, matfree_cap)
-        value, residual, iters = _lambda_matfree(table, tol, seed, max_iter)
-        return SpectralResult(value, "matrix-free", residual, iters)
-    if method == "component-wise":
-        table = _table_of(fn, components_cap)
-        return SpectralResult(_lambda_components(table, components_cap), "component-wise", 0.0, 0)
-    raise ValueError(f"unknown spectral method {method!r}")
+        value, residual, iters = _lambda_matfree(graph, tol, seed, max_iter)
+        return SpectralResult(value, method, residual, iters)
+    return SpectralResult(_lambda_exact(graph), method, 0.0, 0)
 
 
 def two_layer_star_lambda(s0_val: int, s1_val: int) -> float:
@@ -738,11 +742,11 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
     if name == "deg":
         return MeasureEntry(name, degree(fn, cap=materialize_cap), True, method="mobius")
     if name in ("c0", "c1"):
-        res = {"c0": c0, "c1": c1}[name](fn)
+        res = {"c0": c0, "c1": c1}[name](fn, cap=min(materialize_cap, CERT_SEARCH_CAP))
         bits = _bin_label(res.witness, n) if res.witness is not None else None
         return MeasureEntry(name, res.value, True, res.witness, bits, "search")
     if name == "uc1":
-        res = uc1(fn)
+        res = uc1(fn, cap=min(materialize_cap, UC_EXACT_CAP))
         if res.status == "exact":
             return MeasureEntry(name, res.value, True, method="exact-cover")
         return MeasureEntry(
@@ -753,7 +757,17 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
             skipped=f"exhausted after {res.nodes} nodes (lower bound {res.lower_bound})",
         )
     if name == "lambda":
-        spec = spectral_sensitivity(fn, method=method, tol=tol, seed=seed)
+        try:
+            spec = spectral_sensitivity(fn, method=method, tol=tol, seed=seed)
+        except ConvergenceError as exc:
+            return MeasureEntry(
+                name,
+                None,
+                False,
+                method="matrix-free",
+                skipped=f"no convergence in {DEFAULT_MAX_ITER} iterations "
+                f"(best estimate {exc.best:.4f})",
+            )
         exact = spec.method in ("dense", "component-wise", "analytic")
         return MeasureEntry(name, spec.value, exact, method=spec.method)
     raise AssertionError(name)

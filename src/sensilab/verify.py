@@ -122,7 +122,7 @@ def claims_to_csv(claims: Sequence[ClaimResult]) -> str:
 
 def verify_theorem1(
     r: int,
-    lambda_method: str | None = None,
+    lambda_method: str = "auto",
     tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimResult]:
@@ -168,10 +168,8 @@ def verify_theorem1(
         _claim("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact", t0)
     )
     t0 = time.perf_counter()
-    if lambda_method is None:
-        lambda_method = "dense" if r == 2 else "matrix-free"
-    lam_tol = 1e-9 if lambda_method == "dense" else tol
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
+    lam_tol = 1e-9 if spec.method == "dense" else tol
     claims.append(
         _claim(
             "thm1.lambda",
@@ -527,17 +525,16 @@ def verify_desensitization(
     target = 3 * certs.max_codim()
     claims.append(_claim(f"desens.{label}.s1", target, s1(prime).value, "exact", t0))
     t0 = time.perf_counter()
-    method = "dense" if prime.arity <= 13 else "matrix-free"
-    lam = spectral_sensitivity(prime, method=method).value
+    spec = spectral_sensitivity(prime)
     claims.append(
         _claim(
             f"desens.{label}.lambda",
             math.sqrt(target),
-            lam,
+            spec.value,
             "within-tol",
             t0,
             tol=tol,
-            note=f"sqrt(s1) since s0=1; method={method}",
+            note=f"sqrt(s1) since s0=1; method={spec.method}",
         )
     )
     if prime.arity <= 8:
@@ -562,7 +559,7 @@ def verify_tradeoff(
     as_: Sequence[int],
     bs_: Sequence[int],
     tol: float = 1e-6,
-    lambda_method: str | None = None,
+    lambda_method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimResult]:
     """Closed-form profile of the composed family plus a census of its
@@ -580,8 +577,6 @@ def verify_tradeoff(
     t0 = time.perf_counter()
     claims.append(_claim("thm3.s1", profile["s1"], s1(fn).value, "exact", t0))
     t0 = time.perf_counter()
-    if lambda_method is None:
-        lambda_method = "dense" if fn.arity <= 13 else "matrix-free"
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
     claims.append(
         _claim(

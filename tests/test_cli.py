@@ -149,6 +149,37 @@ class TestMeasure:
         assert by_name["uc1"]["value"] is None
         assert by_name["uc1"]["skipped"]
 
+    def test_no_convergence_is_a_skip_not_a_failure(self, tmp_path, capsys):
+        # row 298 of default_rng(1).integers(0, 2, (2000, 64)): power
+        # iteration stalls on this table within the default budget
+        path = tmp_path / "stall.tt"
+        TruthTable.from_hex(6, "228a39929e744819").save(str(path))
+        code, stdout, _ = run(
+            capsys, "measure", "--fn", str(path), "--measures", "s0,lambda",
+            "--method", "matfree",
+        )
+        assert code == 0
+        lam = {e["name"]: e for e in json.loads(stdout)["entries"]}["lambda"]
+        assert lam["value"] is None
+        assert lam["exact"] is False
+        assert lam["method"] == "matrix-free"
+        assert lam["skipped"] == (
+            "no convergence in 10000 iterations (best estimate 3.9293)"
+        )
+
+    def test_materialize_cap_applies_to_certificates(self, tmp_path, capsys):
+        path = tmp_path / "r5.tt"
+        rng = np.random.default_rng(5)
+        TruthTable(5, rng.integers(0, 2, 32, dtype=np.uint8)).save(str(path))
+        code, stdout, _ = run(
+            capsys, "measure", "--fn", str(path), "--measures", "s0,c0,c1,uc1",
+            "--materialize-cap", "3",
+        )
+        assert code == 0
+        for entry in json.loads(stdout)["entries"]:
+            assert entry["value"] is None
+            assert entry["skipped"].startswith("cap:")
+
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run(
             capsys, "measure", "--fn", "/nonexistent.tt", "--measures", "s0"

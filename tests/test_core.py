@@ -8,10 +8,8 @@ from sensilab import (
     CertificateCollection,
     PartialAssignment,
     TruthTable,
-    flip,
     point_bits,
     point_from_bits,
-    satisfies,
 )
 
 
@@ -24,10 +22,6 @@ class TestEncoding:
     def test_round_trip(self):
         for x in range(32):
             assert point_from_bits(point_bits(x, 5)) == x
-
-    def test_flip(self):
-        assert flip(0b101, 1) == 0b111
-        assert flip(flip(9, 3), 3) == 9
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
@@ -152,10 +146,6 @@ class TestPartialAssignment:
         assert not p.contains(0b000) and not p.contains(0b101)
         xs = np.arange(8, dtype=np.int64)
         assert list(np.flatnonzero(p.contains_batch(xs))) == [1, 3]
-
-    def test_satisfies_helper(self):
-        p = PartialAssignment.from_string("*1")
-        assert satisfies(2, p) and not satisfies(1, p)
 
     def test_points_enumerates_subcube(self):
         p = PartialAssignment.from_string("*1*")

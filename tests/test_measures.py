@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sensilab import measures
 from sensilab import (
     BooleanFunction,
     CapExceeded,
@@ -334,6 +336,29 @@ class TestSpectral:
     def test_auto_prefers_dense_when_small(self, and2):
         assert spectral_sensitivity(and2).method == "dense"
 
+    def test_auto_switches_above_arity_13(self):
+        for n, method in ((13, "dense"), (14, "matrix-free")):
+            const = TruthTable(n, np.zeros(1 << n, dtype=np.uint8))
+            res = spectral_sensitivity(const)
+            assert (res.method, res.value) == (method, 0.0)
+
+    def test_matrix_free_without_sparse_matrix(self, monkeypatch):
+        f = chaf([2, 2])
+        exact = spectral_sensitivity(f, method="dense").value
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1000)
+        with pytest.raises(CapExceeded, match="sparse adjacency"):
+            SensitivityGraph(f).adjacency()
+        free = spectral_sensitivity(f, method="matrix-free", tol=1e-9)
+        assert free.value == pytest.approx(exact, abs=1e-6)
+
+    def test_exact_solve_refuses_oversized_component(self, monkeypatch):
+        xs = np.arange(64, dtype=np.uint64)
+        parity6 = TruthTable(6, np.bitwise_count(xs).astype(np.uint8) & 1)
+        # the sparse matrix (under 5 kB) fits, the 64 x 64 block does not
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 10_000)
+        with pytest.raises(CapExceeded, match="component with 64 vertices"):
+            spectral_sensitivity(parity6, method="component-wise")
+
     def test_empty_graph(self):
         res = spectral_sensitivity(table_fn([0, 0, 0, 0]), method="dense")
         assert res.value == 0.0
@@ -341,6 +366,60 @@ class TestSpectral:
     def test_bad_method(self, and2):
         with pytest.raises(ValueError):
             spectral_sensitivity(and2, method="nope")
+
+
+def dense_reference_lambda(table: TruthTable) -> float:
+    """Largest eigenvalue of the full n x n adjacency, built independently of
+    SensitivityGraph."""
+    xs = np.arange(1 << table.arity)
+    a = np.zeros((len(xs), len(xs)))
+    for i in range(table.arity):
+        ys = xs ^ (1 << i)
+        a[xs, ys] = table.values != table.values[ys]
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+@st.composite
+def random_tables(draw, n):
+    p_one = draw(st.sampled_from([0.05, 0.3, 0.5, 0.95]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TruthTable(n, (rng.random(1 << n) < p_one).astype(np.uint8))
+
+
+class TestSolversAgainstDenseReference:
+    def test_every_equal_size_component_is_solved(self):
+        # two 7-vertex components; the one with the larger vertices has the
+        # larger eigenvalue
+        table = TruthTable.from_hex(4, "3053")
+        ref = dense_reference_lambda(table)
+        assert ref == pytest.approx(2.334, abs=1e-3)
+        assert spectral_sensitivity(table, method="dense").value == pytest.approx(
+            ref, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_exact_solve(self, n, data):
+        table = data.draw(random_tables(n))
+        ref = dense_reference_lambda(table)
+        for method in ("dense", "component-wise"):
+            res = spectral_sensitivity(table, method=method)
+            assert res.value == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matrix_free(self, n, data):
+        table = data.draw(random_tables(n))
+        ref = dense_reference_lambda(table)
+        try:
+            res = spectral_sensitivity(table, method="matrix-free")
+        except ConvergenceError as exc:
+            # a Rayleigh quotient of A^2 never exceeds lambda^2
+            assert exc.best <= ref + 1e-9
+        else:
+            assert res.value == pytest.approx(ref, abs=1e-6)
 
 
 class TestTwoLayerStar:
