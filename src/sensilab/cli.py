@@ -16,14 +16,10 @@ import numpy as np
 
 from . import verify as verify_mod
 from .constructions import (
-    address_fn,
-    chaf,
+    FAMILIES,
     desensitize,
     from_descriptor,
-    haf,
-    maf,
     to_descriptor,
-    tradeoff,
     tradeoff_profile,
 )
 from .core import (
@@ -49,9 +45,6 @@ _METHODS = {
     "components": "component-wise",
     "analytic": "analytic",
 }
-
-# sweep rows are closed-form; reject parameters whose arity leaves int64
-MAX_SWEEP_ARITY = 1 << 62
 
 
 @dataclass
@@ -111,16 +104,25 @@ def load_function(path: str) -> BooleanFunction:
     raise ValueError(f"unrecognized function file {path!r} (expected .tt or .json)")
 
 
-def _load_certificates(path: str, arity: int) -> CertificateCollection:
+def _certificates(fn: BooleanFunction, path: str | None, label: str) -> CertificateCollection:
+    """The 1-certificates in the --certs file at path (a JSON list of 0/1/*
+    strings), else the collection fn's construction carries."""
+    if path is None:
+        if fn.meta is None or fn.meta.certificates is None:
+            raise ValueError(
+                f"{label} needs --certs unless the function carries its own collection"
+            )
+        return fn.meta.certificates
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, list) or not all(isinstance(e, str) for e in obj):
         raise ValueError("certificate file must be a JSON list of 0/1/* strings")
     members = tuple(PartialAssignment.from_string(e) for e in obj)
     for memb in members:
-        if memb.arity != arity:
+        if memb.arity != fn.arity:
             raise ValueError(
-                f"certificate {memb.to_string()!r} has arity {memb.arity}, function has {arity}"
+                f"certificate {memb.to_string()!r} has arity {memb.arity}, "
+                f"function has {fn.arity}"
             )
     return CertificateCollection(1, members, unambiguous=True)
 
@@ -140,15 +142,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[common], help="build a function and write it out")
-    p.add_argument(
-        "family",
-        choices=["haf", "chaf", "maf", "address", "tradeoff", "desensitized"],
-    )
+    p.add_argument("family", choices=list(FAMILIES))
+    # each flag's dest is the descriptor key it fills
     p.add_argument("--r", type=int)
     p.add_argument("--rs", type=_int_list)
     p.add_argument("--k", type=int)
-    p.add_argument("--as", dest="as_", type=_int_list)
-    p.add_argument("--bs", dest="bs_", type=_int_list)
+    p.add_argument("--as", dest="as", type=_int_list)
+    p.add_argument("--bs", dest="bs", type=_int_list)
     p.add_argument("--base", help="function file the desensitized family wraps")
     p.add_argument("--certs", help="JSON list of 0/1/* strings for desensitized")
     p.add_argument("--out", required=True)
@@ -192,40 +192,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args, config: RunConfig) -> int:
-    family = args.family
-    if family == "haf":
-        if args.r is None:
-            raise ValueError("haf needs --r")
-        fn = haf(args.r)
-    elif family == "chaf":
-        if args.rs is None:
-            raise ValueError("chaf needs --rs")
-        fn = chaf(args.rs)
-    elif family == "maf":
-        if args.k is None:
-            raise ValueError("maf needs --k")
-        fn = maf(args.k)
-    elif family == "address":
-        if args.k is None:
-            raise ValueError("address needs --k")
-        fn = address_fn(args.k)
-    elif family == "tradeoff":
-        if args.as_ is None:
-            raise ValueError("tradeoff needs --as (and optionally --bs)")
-        fn = tradeoff(args.as_, args.bs_ or [])
-    else:
+    family = FAMILIES[args.family]
+    if any(kind == "descriptor" for _, kind in family.params):
+        # a family that wraps another function reads it from the --base file
         if args.base is None:
-            raise ValueError("desensitized needs --base")
+            raise ValueError(f"{args.family} needs --base")
         base = load_function(args.base)
-        if args.certs is not None:
-            certs = _load_certificates(args.certs, base.arity)
-        else:
-            certs = base.meta.certificates if base.meta is not None else None
-            if certs is None:
-                raise ValueError(
-                    "desensitized needs --certs unless the base carries its own collection"
-                )
-        fn = desensitize(base, certs)
+        fn = desensitize(base, _certificates(base, args.certs, args.family))
+    else:
+        flags = vars(args)
+        params = {key: flags[key] for key, _ in family.params if flags[key] is not None}
+        fn = from_descriptor({"family": args.family, "params": params})
 
     out = args.out
     if out.endswith(".tt"):
@@ -290,12 +267,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
     elif suite == "desens":
         if args.fn is not None:
             fn = load_function(args.fn)
-            if args.certs is not None:
-                certs = _load_certificates(args.certs, fn.arity)
-            elif fn.meta is not None and fn.meta.certificates is not None:
-                certs = fn.meta.certificates
-            else:
-                raise ValueError("desens needs --certs unless the function carries a collection")
+            certs = _certificates(fn, args.certs, suite)
             claims = verify_mod.verify_desensitization(fn, certs, name=os.path.basename(args.fn))
         else:
             # default instance: OR on two bits with its standard partition
@@ -376,9 +348,10 @@ def _cmd_sweep(args, config: RunConfig) -> int:
             raise ValueError("g must be non-negative (code orders start at 2)")
         as_ = [2 + g] * l
         bs_ = [2 + g] * m
-        prof = tradeoff_profile(as_, bs_)
-        if prof["arity"] > MAX_SWEEP_ARITY:
-            raise ValueError(f"g={g} overflows the sweep arity budget")
+        try:
+            prof = tradeoff_profile(as_, bs_)
+        except ValueError as exc:
+            raise ValueError(f"g={g}: {exc}") from None
         c_hat = prof["s0"] / (prof["s0"] + prof["s1"])
         lines.append(
             f"{prof['arity']},{prof['s0']},{prof['s1']},{prof['lambda_sq']},{c_hat!r}"

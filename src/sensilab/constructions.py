@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ MAX_EAGER_CERTIFICATES = 4096
 
 # desensitize checks its certificate collection exhaustively up to here.
 DESENS_VALIDATION_CAP = 20
+
+# Closed-form profiles are refused once their arity leaves int64.
+MAX_PROFILE_ARITY = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,38 @@ class ConstructionMeta:
         )
 
 
-def _check_budget(arity: int) -> int:
-    if arity > MAX_CONSTRUCTION_ARITY:
-        raise ValueError(
-            f"parameters give arity {arity}, over the budget {MAX_CONSTRUCTION_ARITY}"
-        )
+def _check_budget(arity: int, budget: int = MAX_CONSTRUCTION_ARITY) -> int:
+    if arity > budget:
+        raise ValueError(f"parameters give arity {arity}, over the budget {budget}")
     return arity
+
+
+def _check_exponent(e: int, budget: int) -> None:
+    """Refuse a data section of 2^e bits over budget without forming 2^e."""
+    if e >= budget.bit_length():
+        raise ValueError(
+            f"parameters give a data section of 2^{e} bits, over the arity budget {budget}"
+        )
+
+
+def _code_sections(orders: Sequence[int], budget: int) -> tuple[int, int]:
+    """(K, e) for distance-3 codes of the given orders: K codeword bits in
+    all and a data section of 2^e bits, e = sum(2^r - r - 1).
+
+    The exponent is checked against budget before any code or 2^e is
+    formed; at order 40 that number alone would take 128 GiB.
+    """
+    for r in orders:
+        if r < 2:
+            raise ValueError(f"code order must be an integer >= 2, got {r!r}")
+        if r >= budget.bit_length():
+            raise ValueError(
+                f"code order {r} gives a data section of 2^(2^{r} - {r} - 1) bits, "
+                f"over the arity budget {budget}"
+            )
+    e = sum((1 << r) - r - 1 for r in orders)
+    _check_exponent(e, budget)
+    return sum((1 << r) - 1 for r in orders), e
 
 
 def _chaf_certificates(codes: list[HammingCode], offsets: list[int], K: int, t: int):
@@ -121,14 +150,13 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
     rs = [int(r) for r in rs]
     if not rs:
         raise ValueError("need at least one code order")
-    codes = [HammingCode(r) for r in rs]
-    offsets = []
-    K = 0
-    for code in codes:
-        offsets.append(K)
-        K += code.codeword_len
-    t = math.prod(code.size for code in codes)
+    K, e = _code_sections(rs, MAX_CONSTRUCTION_ARITY)
+    t = 1 << e
     arity = _check_budget(K + t)
+    codes = [HammingCode(r) for r in rs]
+    offsets = [0]
+    for code in codes[:-1]:
+        offsets.append(offsets[-1] + code.codeword_len)
 
     def point(x: int) -> int:
         m0 = 0
@@ -178,6 +206,7 @@ def address_fn(k: int) -> BooleanFunction:
     where a is the integer read from the k address bits."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"address width must be a positive integer, got {k!r}")
+    _check_exponent(k, MAX_CONSTRUCTION_ARITY)
     arity = _check_budget(k + (1 << k))
     amask = (1 << k) - 1
 
@@ -231,6 +260,11 @@ def maf(k: int) -> BooleanFunction:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"address width must be an integer >= 2, got {k!r}")
     w = k // 2
+    if w >= MAX_CONSTRUCTION_ARITY.bit_length():
+        raise ValueError(
+            f"address width {k} gives a data section of C({k}, {w}) >= 2^{w} bits, "
+            f"over the arity budget {MAX_CONSTRUCTION_ARITY}"
+        )
     m = math.comb(k, w)
     arity = _check_budget(k + m)
     amask = (1 << k) - 1
@@ -416,31 +450,28 @@ def data_compose(outer: BooleanFunction, inner: BooleanFunction) -> BooleanFunct
     )
 
 
-def tradeoff_profile(as_: Sequence[int], bs_: Sequence[int]) -> dict:
-    """Closed-form predictions for tradeoff(as_, bs_)."""
-    as_ = [int(a) for a in as_]
-    bs_ = [int(b) for b in bs_]
+def _profile(as_: list[int], bs_: list[int], budget: int) -> dict:
     if not as_:
         raise ValueError("need at least one outer code order")
-    k_out = sum((1 << a) - 1 for a in as_)
-    t_out = math.prod(1 << ((1 << a) - a - 1) for a in as_)
-    s1 = sum(1 << a for a in as_) - len(as_) + 1
-    if not bs_:
-        return {
-            "arity": k_out + t_out,
-            "s0": 1,
-            "s1": s1,
-            "lambda_sq": s1,
-        }
-    k_in = sum((1 << b) - 1 for b in bs_)
-    t_in = math.prod(1 << ((1 << b) - b - 1) for b in bs_)
-    s0 = sum(1 << b for b in bs_) - len(bs_) + 1
+    k_out, e_out = _code_sections(as_, budget)
+    s0, s1 = 1, sum(1 << a for a in as_) - len(as_) + 1
+    arity = k_out + (1 << e_out)
+    if bs_:
+        k_in, e_in = _code_sections(bs_, budget)
+        s0 = sum(1 << b for b in bs_) - len(bs_) + 1
+        arity = k_out + (1 << e_out) * (k_in + (1 << e_in))
     return {
-        "arity": k_out + t_out * (k_in + t_in),
+        "arity": _check_budget(arity, budget),
         "s0": s0,
         "s1": s1,
         "lambda_sq": s0 + s1 - 1,
     }
+
+
+def tradeoff_profile(as_: Sequence[int], bs_: Sequence[int]) -> dict:
+    """Closed-form predictions for tradeoff(as_, bs_), for any parameters
+    whose arity stays within MAX_PROFILE_ARITY."""
+    return _profile([int(a) for a in as_], [int(b) for b in bs_], MAX_PROFILE_ARITY)
 
 
 def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
@@ -448,7 +479,7 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     by a negated chaf over bs_. Empty bs_ gives plain chaf over as_."""
     as_ = [int(a) for a in as_]
     bs_ = [int(b) for b in bs_]
-    profile = tradeoff_profile(as_, bs_)
+    profile = _profile(as_, bs_, MAX_CONSTRUCTION_ARITY)
     params = {"as": as_, "bs": bs_}
     tag = f"tradeoff({','.join(map(str, as_))};{','.join(map(str, bs_))})"
     if not bs_:
@@ -471,7 +502,59 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     return BooleanFunction(fn.arity, fn._point, fn._batch, meta=meta, name=tag)
 
 
-FAMILIES = ("haf", "chaf", "address", "maf", "tradeoff", "desensitized")
+def _desensitized(base: BooleanFunction, certificates: list[str]) -> BooleanFunction:
+    members = tuple(PartialAssignment.from_string(c) for c in certificates)
+    return desensitize(base, CertificateCollection(1, members, unambiguous=True))
+
+
+@dataclass(frozen=True)
+class Family:
+    """A construction family: its factory and the descriptor parameters the
+    factory takes, in argument order, as (key, kind) pairs. A key listed in
+    optional may be left out, and the factory's default then applies."""
+
+    factory: Callable[..., BooleanFunction]
+    params: tuple[tuple[str, str], ...]
+    optional: tuple[str, ...] = ()
+
+
+# The one list of construction families: the descriptor format and the
+# CLI's construct command both read it.
+FAMILIES: dict[str, Family] = {
+    "haf": Family(haf, (("r", "int"),)),
+    "chaf": Family(chaf, (("rs", "ints"),)),
+    "maf": Family(maf, (("k", "int"),)),
+    "address": Family(address_fn, (("k", "int"),)),
+    "tradeoff": Family(tradeoff, (("as", "ints"), ("bs", "ints")), optional=("bs",)),
+    "desensitized": Family(
+        _desensitized, (("base", "descriptor"), ("certificates", "strings"))
+    ),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# descriptor parameter kinds: how an error names them, and their check
+_KINDS = {
+    "int": ("integer", _is_int),
+    "ints": ("integer list", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "string": ("string", lambda v: isinstance(v, str)),
+    "strings": (
+        "string list",
+        lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
+    ),
+    "descriptor": ("object", lambda v: isinstance(v, dict)),
+}
+
+
+def _param(family: str, params: dict, key: str, kind: str):
+    what, ok = _KINDS[kind]
+    value = params.get(key)
+    if not ok(value):
+        raise ValueError(f"{family} descriptor needs {what} {key!r}")
+    return value
 
 
 def to_descriptor(fn: BooleanFunction) -> dict:
@@ -483,56 +566,25 @@ def to_descriptor(fn: BooleanFunction) -> dict:
 
 
 def from_descriptor(obj: dict) -> BooleanFunction:
-    """Rebuild a constructed function from its descriptor."""
+    """Rebuild a constructed function, or a serialized table, from its
+    descriptor."""
     if not isinstance(obj, dict):
         raise ValueError("descriptor must be a JSON object")
     family = obj.get("family")
     params = obj.get("params")
     if not isinstance(family, str) or not isinstance(params, dict):
         raise ValueError("descriptor needs string 'family' and object 'params'")
-
-    def _int(key):
-        v = params.get(key)
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{family} descriptor needs integer {key!r}")
-        return v
-
-    def _int_list(key):
-        v = params.get(key)
-        if not isinstance(v, list) or any(
-            not isinstance(e, int) or isinstance(e, bool) for e in v
-        ):
-            raise ValueError(f"{family} descriptor needs integer list {key!r}")
-        return v
-
-    if family == "haf":
-        return haf(_int("r"))
-    if family == "chaf":
-        return chaf(_int_list("rs"))
-    if family == "address":
-        return address_fn(_int("k"))
-    if family == "maf":
-        return maf(_int("k"))
-    if family == "tradeoff":
-        return tradeoff(_int_list("as"), _int_list("bs"))
     if family == "table":
-        hexdigits = params.get("hex")
-        if not isinstance(hexdigits, str):
-            raise ValueError("table descriptor needs string 'hex'")
-        return BooleanFunction.from_table(TruthTable.from_hex(_int("n"), hexdigits))
-    if family == "desensitized":
-        base_obj = params.get("base")
-        cert_strings = params.get("certificates")
-        if not isinstance(base_obj, dict) or not isinstance(cert_strings, list):
-            raise ValueError(
-                "desensitized descriptor needs 'base' object and 'certificates' list"
-            )
-        base = from_descriptor(base_obj)
-        members = []
-        for s in cert_strings:
-            if not isinstance(s, str):
-                raise ValueError("certificates must be strings of 0/1/*")
-            members.append(PartialAssignment.from_string(s))
-        collection = CertificateCollection(1, tuple(members), unambiguous=True)
-        return desensitize(base, collection)
-    raise ValueError(f"unknown construction family {family!r}")
+        hexdigits = _param(family, params, "hex", "string")
+        n = _param(family, params, "n", "int")
+        return BooleanFunction.from_table(TruthTable.from_hex(n, hexdigits))
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown construction family {family!r}")
+    args = []
+    for key, kind in spec.params:
+        if key in spec.optional and key not in params:
+            continue
+        value = _param(family, params, key, kind)
+        args.append(from_descriptor(value) if kind == "descriptor" else value)
+    return spec.factory(*args)

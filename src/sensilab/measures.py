@@ -757,8 +757,10 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
             skipped=f"exhausted after {res.nodes} nodes (lower bound {res.lower_bound})",
         )
     if name == "lambda":
+        # analytic reads the construction's closed form, so only it runs past the cap
+        target = fn if method == "analytic" else _table_of(fn, materialize_cap)
         try:
-            spec = spectral_sensitivity(fn, method=method, tol=tol, seed=seed)
+            spec = spectral_sensitivity(target, method=method, tol=tol, seed=seed)
         except ConvergenceError as exc:
             return MeasureEntry(
                 name,

@@ -19,14 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BooleanFunction, CertificateCollection, PartialAssignment, TruthTable
-from .constructions import (
-    chaf,
-    desensitize,
-    haf,
-    maf,
-    tradeoff,
-    tradeoff_profile,
-)
+from .constructions import desensitize, haf, maf, tradeoff, tradeoff_profile
 from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -81,26 +74,45 @@ def _passes(predicted, computed, mode: str, tol: float | None) -> bool:
     raise ValueError(f"unknown comparison mode {mode!r}")
 
 
-def _claim(
-    claim: str,
-    predicted,
-    computed,
-    mode: str,
-    t_start: float,
-    tol: float | None = None,
-    note: str = "",
-) -> ClaimResult:
-    ok = _passes(predicted, computed, mode, tol)
-    return ClaimResult(
-        claim=claim,
-        predicted=predicted,
-        computed=computed,
-        mode=mode,
-        status="pass" if ok else "fail",
-        runtime=round(time.perf_counter() - t_start, 6),
-        tolerance=tol,
-        note=note,
-    )
+class _Claims:
+    """The claim rows of one suite run. A row's runtime is the time since
+    the previous row, or since the recorder was made for the first, so a
+    suite's runtimes add up to its wall time."""
+
+    def __init__(self) -> None:
+        self.rows: list[ClaimResult] = []
+        self._mark = 0.0
+        self._lap()
+
+    def _lap(self) -> float:
+        """Seconds since the previous lap, which this call ends."""
+        now = time.perf_counter()
+        elapsed, self._mark = now - self._mark, now
+        return elapsed
+
+    def add(
+        self,
+        claim: str,
+        predicted,
+        computed,
+        mode: str,
+        tol: float | None = None,
+        note: str = "",
+    ) -> None:
+        runtime = round(self._lap(), 6)
+        ok = _passes(predicted, computed, mode, tol)
+        self.rows.append(
+            ClaimResult(
+                claim=claim,
+                predicted=predicted,
+                computed=computed,
+                mode=mode,
+                status="pass" if ok else "fail",
+                runtime=runtime,
+                tolerance=tol,
+                note=note,
+            )
+        )
 
 
 def all_pass(claims: Sequence[ClaimResult]) -> bool:
@@ -130,58 +142,37 @@ def verify_theorem1(
     exactly, arity formula, non-degeneracy, and lambda = sqrt(s1)."""
     if r not in (2, 3):
         raise ValueError(f"suite runs at r in {{2, 3}}, got {r}")
+    claims = _Claims()
     fn = haf(r)
-    claims = []
-    t0 = time.perf_counter()
     mlen = (1 << r) - r - 1
-    claims.append(
-        _claim("thm1.arity", (1 << r) - 1 + (1 << mlen), fn.arity, "exact", t0)
+    claims.add("thm1.arity", (1 << r) - 1 + (1 << mlen), fn.arity, "exact")
+    claims.add(
+        "thm1.arity_bound",
+        1 << mlen,
+        fn.arity,
+        "ge",
+        note="arity grows at least as fast as the data section",
     )
-    t0 = time.perf_counter()
-    claims.append(
-        _claim(
-            "thm1.arity_bound",
-            1 << mlen,
-            fn.arity,
-            "ge",
-            t0,
-            note="arity grows at least as fast as the data section",
-        )
+    claims.add("thm1.s0", 1, s0(fn).value, "exact")
+    claims.add(
+        "thm1.s1",
+        1 << r,
+        s1(fn).value,
+        "exact",
+        note="claimed as an upper bound; equality observed and asserted",
     )
-    t0 = time.perf_counter()
-    res0 = s0(fn)
-    claims.append(_claim("thm1.s0", 1, res0.value, "exact", t0))
-    t0 = time.perf_counter()
-    res1 = s1(fn)
-    claims.append(
-        _claim(
-            "thm1.s1",
-            1 << r,
-            res1.value,
-            "exact",
-            t0,
-            note="claimed as an upper bound; equality observed and asserted",
-        )
-    )
-    t0 = time.perf_counter()
-    claims.append(
-        _claim("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact", t0)
-    )
-    t0 = time.perf_counter()
+    claims.add("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact")
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
     lam_tol = 1e-9 if spec.method == "dense" else tol
-    claims.append(
-        _claim(
-            "thm1.lambda",
-            math.sqrt(1 << r),
-            spec.value,
-            "within-tol",
-            t0,
-            tol=lam_tol,
-            note=f"method={spec.method}, residual={spec.residual:.3e}",
-        )
+    claims.add(
+        "thm1.lambda",
+        math.sqrt(1 << r),
+        spec.value,
+        "within-tol",
+        tol=lam_tol,
+        note=f"method={spec.method}, residual={spec.residual:.3e}",
     )
-    return claims
+    return claims.rows
 
 
 def _simon_masks(n: int) -> list[tuple[int, int, int]]:
@@ -248,7 +239,7 @@ def verify_simon(n: int, threads: int = 1) -> list[ClaimResult]:
     exactly n variables. n = 1 is excluded: log log 1 is undefined."""
     if n not in (2, 3, 4):
         raise ValueError(f"exhaustive enumeration runs at n in {{2, 3, 4}}, got {n}")
-    t0 = time.perf_counter()
+    claims = _Claims()
     bound = math.log2(n) - math.log2(math.log2(n)) + 2
     total = 1 << (1 << n)
     workers = max(1, int(threads))
@@ -278,44 +269,33 @@ def verify_simon(n: int, threads: int = 1) -> list[ClaimResult]:
         violations += v
         branch_violations += bv
         checked += ck
-    claims = [
-        _claim(
-            f"thm2.n{n}",
-            round(bound, 12),
-            min_sum,
-            "ge",
-            t0,
-            note=(
-                f"{checked} non-degenerate tables of {total}; zero below the bound "
-                f"({violations} violations); minimum attained by table "
-                f"0x{min_table:x}; n=1 excluded (log log 1 undefined)"
-            ),
-        )
-    ]
-    t0 = time.perf_counter()
-    claims.append(
-        _claim(
-            f"thm2.n{n}.branch",
-            0,
-            branch_violations,
-            "exact",
-            t0,
-            note="tables with s > log n all satisfy the bound outright",
-        )
+    claims.add(
+        f"thm2.n{n}",
+        round(bound, 12),
+        min_sum,
+        "ge",
+        note=(
+            f"{checked} non-degenerate tables of {total}; zero below the bound "
+            f"({violations} violations); minimum attained by table "
+            f"0x{min_table:x}; n=1 excluded (log log 1 undefined)"
+        ),
+    )
+    claims.add(
+        f"thm2.n{n}.branch",
+        0,
+        branch_violations,
+        "exact",
+        note="tables with s > log n all satisfy the bound outright",
     )
     if n == 2:
-        t0 = time.perf_counter()
-        claims.append(
-            _claim(
-                "thm2.n2.min",
-                3,
-                min_sum,
-                "exact",
-                t0,
-                note=f"minimum 3 attained, e.g. by AND (table 0x{min_table:x})",
-            )
+        claims.add(
+            "thm2.n2.min",
+            3,
+            min_sum,
+            "exact",
+            note=f"minimum 3 attained, e.g. by AND (table 0x{min_table:x})",
         )
-    return claims
+    return claims.rows
 
 
 def _subgraph_exhaustive(n: int) -> tuple[int, int]:
@@ -383,7 +363,9 @@ def verify_subgraph_lemma(
     above (or when a sample count is requested)."""
     if n < 1:
         raise ValueError("cube dimension must be positive")
-    t0 = time.perf_counter()
+    if samples is not None and samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    claims = _Claims()
     if samples is None and n <= 4:
         violations, checked = _subgraph_exhaustive(n)
         note = f"all {checked} non-empty induced subgraphs of the {n}-cube"
@@ -394,73 +376,38 @@ def verify_subgraph_lemma(
             raise ValueError(f"cube dimension {n} too large to sample")
         violations, checked = _subgraph_sampled(n, samples, seed)
         note = f"{checked} random non-empty subsets of the {n}-cube, seed {seed:#x}"
-    return [_claim(f"sub.n{n}", 0, violations, "exact", t0, note=note)]
+    claims.add(f"sub.n{n}", 0, violations, "exact", note=note)
+    return claims.rows
 
 
 def verify_edge_bound(fn: BooleanFunction, name: str | None = None) -> list[ClaimResult]:
     """|E(G_f)| <= s(f) * 2^(n-1)."""
-    t0 = time.perf_counter()
+    claims = _Claims()
     label = name or getattr(fn, "name", "f")
-    g = SensitivityGraph(fn)
-    edges = g.edge_count()
+    edges = SensitivityGraph(fn).edge_count()
     smax = s(fn).value
     limit = smax * (1 << (fn.arity - 1))
-    return [
-        _claim(
-            f"edge.{label}",
-            limit,
-            edges,
-            "le",
-            t0,
-            note=f"s={smax}, n={fn.arity}",
-        )
-    ]
+    claims.add(f"edge.{label}", limit, edges, "le", note=f"s={smax}, n={fn.arity}")
+    return claims.rows
 
 
 def verify_lemma_chain(
     fn, tol: float = 1e-6, name: str | None = None, method: str = "auto"
 ) -> list[ClaimResult]:
     """sqrt(s) <= lambda <= sqrt(s0*s1) and deg <= lambda^2."""
+    claims = _Claims()
     label = name or getattr(fn, "name", "f")
-    t0 = time.perf_counter()
     v0 = s0(fn).value
     v1 = s1(fn).value
     smax = max(v0, v1)
     lam = spectral_sensitivity(fn, method=method, tol=DEFAULT_TOL).value
     deg = degree(fn)
-    claims = [
-        _claim(
-            f"chain.{label}.sqrt_s_le_lambda",
-            math.sqrt(smax),
-            lam,
-            "ge",
-            t0,
-            tol=tol,
-        )
-    ]
-    t0 = time.perf_counter()
-    claims.append(
-        _claim(
-            f"chain.{label}.lambda_le_sqrt_s0s1",
-            math.sqrt(v0 * v1),
-            lam,
-            "le",
-            t0,
-            tol=tol,
-        )
+    claims.add(f"chain.{label}.sqrt_s_le_lambda", math.sqrt(smax), lam, "ge", tol=tol)
+    claims.add(
+        f"chain.{label}.lambda_le_sqrt_s0s1", math.sqrt(v0 * v1), lam, "le", tol=tol
     )
-    t0 = time.perf_counter()
-    claims.append(
-        _claim(
-            f"chain.{label}.deg_le_lambda_sq",
-            lam * lam,
-            deg,
-            "le",
-            t0,
-            tol=tol,
-        )
-    )
-    return claims
+    claims.add(f"chain.{label}.deg_le_lambda_sq", lam * lam, deg, "le", tol=tol)
+    return claims.rows
 
 
 def verify_lemma_chain_random(
@@ -471,10 +418,11 @@ def verify_lemma_chain_random(
 ) -> list[ClaimResult]:
     """Random-function sweep of the lemma chain; one claim per arity counting
     violations beyond tol."""
-    claims = []
+    if count < 1:
+        raise ValueError(f"need at least one random table per arity, got {count}")
+    claims = _Claims()
     rng = np.random.default_rng(seed)
     for n in arities:
-        t0 = time.perf_counter()
         violations = 0
         worst = -math.inf
         tables = rng.integers(0, 2, size=(count, 1 << n), dtype=np.uint8)
@@ -493,18 +441,15 @@ def verify_lemma_chain_random(
             worst = max(worst, slack)
             if slack > tol:
                 violations += 1
-        claims.append(
-            _claim(
-                f"chain.random.n{n}",
-                0,
-                violations,
-                "exact",
-                t0,
-                tol=tol,
-                note=f"{count} random tables, seed {seed:#x}, worst slack {worst:.3e}",
-            )
+        claims.add(
+            f"chain.random.n{n}",
+            0,
+            violations,
+            "exact",
+            tol=tol,
+            note=f"{count} random tables, seed {seed:#x}, worst slack {worst:.3e}",
         )
-    return claims
+    return claims.rows
 
 
 def verify_desensitization(
@@ -517,42 +462,33 @@ def verify_desensitization(
     lambda = sqrt(s1), and the unambiguous certificate size at most triples."""
     if 3 * fn.arity > 20:
         raise ValueError(f"suite scans 2^(3n) inputs; 3*{fn.arity} > 20")
+    claims = _Claims()
     label = name or getattr(fn, "name", "f")
     prime = desensitize(fn, certs)
-    t0 = time.perf_counter()
-    claims = [_claim(f"desens.{label}.s0", 1, s0(prime).value, "exact", t0)]
-    t0 = time.perf_counter()
+    claims.add(f"desens.{label}.s0", 1, s0(prime).value, "exact")
     target = 3 * certs.max_codim()
-    claims.append(_claim(f"desens.{label}.s1", target, s1(prime).value, "exact", t0))
-    t0 = time.perf_counter()
+    claims.add(f"desens.{label}.s1", target, s1(prime).value, "exact")
     spec = spectral_sensitivity(prime)
-    claims.append(
-        _claim(
-            f"desens.{label}.lambda",
-            math.sqrt(target),
-            spec.value,
-            "within-tol",
-            t0,
-            tol=tol,
-            note=f"sqrt(s1) since s0=1; method={spec.method}",
-        )
+    claims.add(
+        f"desens.{label}.lambda",
+        math.sqrt(target),
+        spec.value,
+        "within-tol",
+        tol=tol,
+        note=f"sqrt(s1) since s0=1; method={spec.method}",
     )
     if prime.arity <= 8:
-        t0 = time.perf_counter()
         base = uc1(fn)
         lifted = uc1(prime)
         if base.status == "exact" and lifted.status == "exact":
-            claims.append(
-                _claim(
-                    f"desens.{label}.uc1",
-                    3 * base.value,
-                    lifted.value,
-                    "le",
-                    t0,
-                    note=f"UC1 of the base is {base.value}",
-                )
+            claims.add(
+                f"desens.{label}.uc1",
+                3 * base.value,
+                lifted.value,
+                "le",
+                note=f"UC1 of the base is {base.value}",
             )
-    return claims
+    return claims.rows
 
 
 def verify_tradeoff(
@@ -565,32 +501,24 @@ def verify_tradeoff(
     """Closed-form profile of the composed family plus a census of its
     sensitivity-graph components: only stars and the center-degree-s0,
     middle-degree-s1 two-layer stars may appear."""
+    claims = _Claims()
     fn = tradeoff(as_, bs_)
     profile = tradeoff_profile(as_, bs_)
     if fn.arity > 26:
         raise ValueError(f"arity {fn.arity} beyond the iterative cap 26")
-    claims = []
-    t0 = time.perf_counter()
-    claims.append(_claim("thm3.arity", profile["arity"], fn.arity, "exact", t0))
-    t0 = time.perf_counter()
-    claims.append(_claim("thm3.s0", profile["s0"], s0(fn).value, "exact", t0))
-    t0 = time.perf_counter()
-    claims.append(_claim("thm3.s1", profile["s1"], s1(fn).value, "exact", t0))
-    t0 = time.perf_counter()
+    claims.add("thm3.arity", profile["arity"], fn.arity, "exact")
+    claims.add("thm3.s0", profile["s0"], s0(fn).value, "exact")
+    claims.add("thm3.s1", profile["s1"], s1(fn).value, "exact")
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
-    claims.append(
-        _claim(
-            "thm3.lambda",
-            math.sqrt(profile["lambda_sq"]),
-            spec.value,
-            "within-tol",
-            t0,
-            tol=tol,
-            note=f"method={spec.method}, residual={spec.residual:.3e}",
-        )
+    claims.add(
+        "thm3.lambda",
+        math.sqrt(profile["lambda_sq"]),
+        spec.value,
+        "within-tol",
+        tol=tol,
+        note=f"method={spec.method}, residual={spec.residual:.3e}",
     )
     if fn.arity <= 16:
-        t0 = time.perf_counter()
         comps = SensitivityGraph(fn).components()
         shape_counts: dict = {}
         bad = 0
@@ -603,34 +531,20 @@ def verify_tradeoff(
         census = ", ".join(
             f"{v} x {k}" for k, v in sorted(shape_counts.items(), key=lambda kv: kv[0])
         )
-        claims.append(
-            _claim(
-                "thm3.census",
-                0,
-                bad,
-                "exact",
-                t0,
-                note=f"component shapes: {census}",
-            )
-        )
+        claims.add("thm3.census", 0, bad, "exact", note=f"component shapes: {census}")
         if bs_:
-            t0 = time.perf_counter()
             want = ("two-layer-star", profile["s0"], profile["s1"])
-            fig1 = shape_counts.get(want, 0)
-            claims.append(
-                _claim(
-                    "thm3.fig1",
-                    1,
-                    fig1,
-                    "ge",
-                    t0,
-                    note=(
-                        f"two-layer stars with center degree {profile['s0']} and "
-                        f"middle degree {profile['s1']}"
-                    ),
-                )
+            claims.add(
+                "thm3.fig1",
+                1,
+                shape_counts.get(want, 0),
+                "ge",
+                note=(
+                    f"two-layer stars with center degree {profile['s0']} and "
+                    f"middle degree {profile['s1']}"
+                ),
             )
-    return claims
+    return claims.rows
 
 
 def verify_maf_proposition(k: int, tol: float = 1e-6) -> list[ClaimResult]:
@@ -639,38 +553,27 @@ def verify_maf_proposition(k: int, tol: float = 1e-6) -> list[ClaimResult]:
     sensitivity ceil(k/2) + 1."""
     if not 2 <= k <= 4:
         raise ValueError(f"suite runs at k in {{2, 3, 4}}, got {k}")
+    claims = _Claims()
     fn = maf(k)
-    claims = []
-    t0 = time.perf_counter()
     deg = degree(fn)
-    claims.append(_claim(f"maf.k{k}.deg", k, deg, "ge", t0, note=f"exact degree {deg}"))
-    t0 = time.perf_counter()
+    claims.add(f"maf.k{k}.deg", k, deg, "ge", note=f"exact degree {deg}")
     m = fn.arity - k
     # pin the data section to zero: what remains is the strict weight
     # threshold on the k address bits, whose degree is exactly k
     data_mask = ((1 << m) - 1) << k
     thr = fn.restrict(PartialAssignment(fn.arity, data_mask, 0))
-    claims.append(_claim(f"maf.k{k}.threshold_deg", k, degree(thr), "exact", t0))
-    t0 = time.perf_counter()
-    claims.append(
-        _claim(f"maf.k{k}.s", (k + 1) // 2 + 1, s(fn).value, "exact", t0)
-    )
+    claims.add(f"maf.k{k}.threshold_deg", k, degree(thr), "exact")
+    claims.add(f"maf.k{k}.s", (k + 1) // 2 + 1, s(fn).value, "exact")
     if k == 2:
-        t0 = time.perf_counter()
-        claims.append(_claim("maf.k2.s0", 2, s0(fn).value, "exact", t0))
-        t0 = time.perf_counter()
-        claims.append(_claim("maf.k2.s1", 2, s1(fn).value, "exact", t0))
-        t0 = time.perf_counter()
+        claims.add("maf.k2.s0", 2, s0(fn).value, "exact")
+        claims.add("maf.k2.s1", 2, s1(fn).value, "exact")
         lam = spectral_sensitivity(fn, method="dense").value
-        claims.append(
-            _claim(
-                "maf.k2.lambda",
-                MAF2_LAMBDA,
-                lam,
-                "within-tol",
-                t0,
-                tol=tol,
-                note="reference value from a dense eigensolve",
-            )
+        claims.add(
+            "maf.k2.lambda",
+            MAF2_LAMBDA,
+            lam,
+            "within-tol",
+            tol=tol,
+            note="reference value from a dense eigensolve",
         )
-    return claims
+    return claims.rows

@@ -1,16 +1,38 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from sensilab import TruthTable
 from sensilab.cli import main, resolve_threads
+from sensilab.constructions import FAMILIES
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fast(capsys, *argv):
+    """run, asserting the command returns within a second."""
+    t0 = time.perf_counter()
+    result = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    return result
+
+
+# construct flags for each family built from flags alone, and the s0 the
+# result must measure
+CONSTRUCT_CASES = [
+    ("haf", ["--r", "2"], 1),
+    ("chaf", ["--rs", "2,2"], 1),
+    ("maf", ["--k", "3"], 3),
+    ("address", ["--k", "2"], 3),
+    ("tradeoff", ["--as", "2", "--bs", "2"], 4),
+    ("tradeoff", ["--as", "2"], 1),
+]
 
 
 def write_and2(tmp_path):
@@ -90,6 +112,34 @@ class TestConstruct:
         )
         assert code == 2
         assert ".tt or .json" in err
+
+    def test_cases_cover_every_flag_family(self):
+        families = {family for family, _, _ in CONSTRUCT_CASES}
+        assert families | {"desensitized"} == set(FAMILIES)
+
+    @pytest.mark.parametrize("family,flags,want_s0", CONSTRUCT_CASES)
+    def test_descriptor_reads_back(self, tmp_path, capsys, family, flags, want_s0):
+        out = tmp_path / "x.json"
+        code, _, _ = run(capsys, "construct", family, *flags, "--out", str(out))
+        assert code == 0
+        code, stdout, _ = run(capsys, "measure", "--fn", str(out), "--measures", "s0")
+        assert code == 0
+        (entry,) = json.loads(stdout)["entries"]
+        assert entry["value"] == want_s0
+
+    def test_missing_parameter_reads_like_the_descriptor(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "construct", "tradeoff", "--out", str(tmp_path / "x.json")
+        )
+        assert code == 2
+        assert "tradeoff descriptor needs integer list 'as'" in err
+
+    def test_oversized_order_is_refused_at_once(self, tmp_path, capsys):
+        code, _, err = run_fast(
+            capsys, "construct", "haf", "--r", "40", "--out", str(tmp_path / "h.json")
+        )
+        assert code == 2
+        assert "code order 40" in err
 
     def test_materialize_cap_is_enforced(self, tmp_path, capsys):
         code, _, err = run(
@@ -180,6 +230,31 @@ class TestMeasure:
             assert entry["value"] is None
             assert entry["skipped"].startswith("cap:")
 
+    def test_materialize_cap_applies_to_lambda(self, tmp_path, capsys):
+        path = tmp_path / "r5.tt"
+        rng = np.random.default_rng(5)
+        TruthTable(5, rng.integers(0, 2, 32, dtype=np.uint8)).save(str(path))
+        code, stdout, _ = run(
+            capsys, "measure", "--fn", str(path), "--measures", "s0,lambda",
+            "--materialize-cap", "3",
+        )
+        assert code == 0
+        for entry in json.loads(stdout)["entries"]:
+            assert entry["value"] is None
+            assert entry["skipped"].startswith("cap:")
+
+    def test_analytic_lambda_runs_past_the_cap(self, tmp_path, capsys):
+        desc = tmp_path / "h5.json"
+        desc.write_text('{"family": "haf", "params": {"r": 5}}\n')
+        code, stdout, _ = run(
+            capsys, "measure", "--fn", str(desc), "--measures", "lambda",
+            "--method", "analytic",
+        )
+        assert code == 0
+        (entry,) = json.loads(stdout)["entries"]
+        assert entry["value"] == pytest.approx(32 ** 0.5)
+        assert entry["method"] == "analytic"
+
     def test_missing_file_is_exit_2(self, capsys):
         code, _, err = run(
             capsys, "measure", "--fn", "/nonexistent.tt", "--measures", "s0"
@@ -264,6 +339,27 @@ class TestVerify:
         assert code == 0
         ids = [c["claim"] for c in json.loads(stdout)]
         assert "thm3.lambda" in ids
+
+    def test_lemmas_reject_zero_count(self, capsys):
+        code, stdout, err = run(
+            capsys, "verify", "lemmas", "--arities", "4", "--count", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "at least one" in err
+
+    def test_subgraph_rejects_zero_samples(self, capsys):
+        code, stdout, err = run(
+            capsys, "verify", "subgraph", "--n", "5", "--samples", "0"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "at least one" in err
+
+    def test_tradeoff_oversized_order_is_refused_at_once(self, capsys):
+        code, _, err = run_fast(capsys, "verify", "tradeoff", "--as", "2", "--bs", "40")
+        assert code == 2
+        assert "code order 40" in err
 
     def test_bad_suite_parameter_is_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "theorem1", "--r", "9")
@@ -371,6 +467,14 @@ class TestSweep:
         )
         assert code == 2
         assert "a..b" in err
+
+    def test_oversized_order_is_refused_at_once(self, capsys):
+        code, stdout, err = run_fast(
+            capsys, "sweep", "tradeoff", "--g-range", "60..60", "--ratio", "1:1"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: g=60: ")
 
     def test_bad_ratio_is_exit_2(self, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sensilab import (
     tradeoff,
     tradeoff_profile,
 )
-from sensilab.constructions import _colex_rank
+from sensilab.constructions import FAMILIES, _colex_rank
 
 
 class TestHaf:
@@ -330,12 +331,17 @@ class TestDescriptors:
             tradeoff([2], [2]),
             desensitize(or2, or2_certs),
         ]
+        assert {to_descriptor(fn)["family"] for fn in fns} == set(FAMILIES)
         for fn in fns:
             back = from_descriptor(to_descriptor(fn))
             assert back.arity == fn.arity
             if fn.arity <= 13:
                 xs = np.arange(1 << fn.arity, dtype=np.int64)
                 assert (back.values(xs) == fn.values(xs)).all()
+
+    def test_tradeoff_inner_orders_may_be_omitted(self):
+        fn = from_descriptor({"family": "tradeoff", "params": {"as": [2]}})
+        assert to_descriptor(fn) == {"family": "tradeoff", "params": {"as": [2], "bs": []}}
 
     def test_desensitized_descriptor_embeds_table_base(self, or2, or2_certs):
         d = to_descriptor(desensitize(or2, or2_certs))
@@ -361,3 +367,47 @@ class TestDescriptors:
             from_descriptor({"family": "nope", "params": {}})
         with pytest.raises(ValueError):
             from_descriptor({"family": "chaf", "params": {"rs": [2, True]}})
+        with pytest.raises(ValueError, match="string list 'certificates'"):
+            from_descriptor(
+                {
+                    "family": "desensitized",
+                    "params": {"base": {"family": "haf", "params": {"r": 2}},
+                               "certificates": [3]},
+                }
+            )
+
+
+class TestArityBudget:
+    """Orders whose data section alone is over budget are refused by its
+    exponent, before any code or 2^e is formed: each call returns at once."""
+
+    def _refused_fast(self, call, match):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_haf_names_the_size_by_its_exponent(self):
+        self._refused_fast(lambda: haf(12), r"data section of 2\^4083 bits")
+
+    def test_huge_order(self):
+        self._refused_fast(lambda: haf(40), "code order 40")
+
+    def test_tradeoff_inner_order(self):
+        self._refused_fast(lambda: tradeoff([2], [40]), "code order 40")
+
+    def test_descriptor(self):
+        self._refused_fast(
+            lambda: from_descriptor({"family": "chaf", "params": {"rs": [2, 40]}}),
+            "code order 40",
+        )
+
+    def test_address_width(self):
+        self._refused_fast(lambda: address_fn(1 << 40), "over the arity budget")
+        self._refused_fast(lambda: maf(1 << 40), "over the arity budget")
+
+    def test_profile_stays_within_int64(self):
+        assert tradeoff_profile([5], [5])["arity"] == 31 + (1 << 26) * (31 + (1 << 26))
+        self._refused_fast(lambda: tradeoff_profile([6], [6]), "over the budget")
+        self._refused_fast(lambda: tradeoff_profile([62], [2]), r"2\^4611686018427387841 ")
+        self._refused_fast(lambda: tradeoff_profile([2], [99]), "code order 99")

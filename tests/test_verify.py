@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -262,6 +263,26 @@ class TestMafProposition:
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             verify_maf_proposition(5)
+
+
+class TestClaimRuntimes:
+    @pytest.mark.parametrize(
+        "suite",
+        [
+            lambda: verify_theorem1(2),
+            lambda: verify_tradeoff([2], [2]),
+            lambda: verify_maf_proposition(2),
+            lambda: verify_lemma_chain_random(arities=(4, 5), count=5),
+        ],
+    )
+    def test_runtimes_add_up_to_at_most_the_wall_time(self, suite):
+        t0 = time.perf_counter()
+        claims = suite()
+        wall = time.perf_counter() - t0
+        runtimes = [c.runtime for c in claims]
+        assert all(r >= 0 for r in runtimes)
+        # each runtime is rounded to the microsecond
+        assert sum(runtimes) <= wall + 0.5e-6 * len(runtimes)
 
 
 class TestClaimSerialization:
