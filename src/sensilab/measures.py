@@ -83,17 +83,18 @@ def sensitivity_at(fn: BooleanFunction, x: int) -> int:
     return sum(fn(x ^ (1 << i)) != fx for i in range(fn.arity))
 
 
-def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
-    counts = _sens_counts(table.values, table.arity)
-    if b is None:
-        mask = np.ones(len(counts), dtype=bool)
-    else:
-        mask = table.values == b
+def _side_max(per_input: np.ndarray, table: TruthTable, b: int | None) -> SensSummary:
+    """Max of per_input over the inputs where f is b (all for None), least x."""
+    mask = np.ones(len(per_input), dtype=bool) if b is None else table.values == b
     if not mask.any():
         return SensSummary(0, None)
-    masked = np.where(mask, counts, -1)
+    masked = np.where(mask, per_input, -1)
     x = int(masked.argmax())
     return SensSummary(int(masked[x]), x)
+
+
+def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
+    return _side_max(_sens_counts(table.values, table.arity), table, b)
 
 
 def s0(fn, cap: int = DEFAULT_TABLE_CAP) -> SensSummary:
@@ -130,13 +131,6 @@ def certificate_complexity_at(
     )
     others = tuple(i for i in range(n) if i not in mandatory)
 
-    def constant_on(fixed_mask: int) -> bool:
-        pts = np.array([x & fixed_mask], dtype=np.int64)
-        for pos in range(n):
-            if not (fixed_mask >> pos) & 1:
-                pts = np.concatenate([pts, pts | (1 << pos)])
-        return bool((vals[pts] == fx).all())
-
     base_mask = 0
     for i in mandatory:
         base_mask |= 1 << i
@@ -145,19 +139,44 @@ def certificate_complexity_at(
             mask = base_mask
             for i in extra:
                 mask |= 1 << i
-            if constant_on(mask):
-                return c, PartialAssignment(n, mask, x & mask)
+            cert = PartialAssignment(n, mask, x & mask)
+            if (vals[cert.points()] == fx).all():
+                return c, cert
     raise AssertionError("full assignment is always a certificate")
 
 
+def _subcube_colours(table: TruthTable) -> np.ndarray:
+    """f's value on every subcube where f is constant, 2 where it is not.
+
+    Shape (3,)*n: axis k is variable n-k, index 2 leaves it free (*). Built
+    in place one variable at a time, like mobius_coefficients; an entry with
+    a * on a later variable is rewritten at that variable's step.
+    """
+    n = table.arity
+    col = np.zeros((3,) * n, dtype=np.int8)
+    col[(slice(2),) * n] = table.values.reshape((2,) * n)
+    for i in range(n):
+        lo, hi, star = col.reshape(-1, 3, 3**i).transpose(1, 0, 2)
+        np.copyto(star, lo)
+        star[lo != hi] = 2
+    return col
+
+
 def _cert_side(table: TruthTable, b: int, cap: int) -> SensSummary:
-    xs = np.flatnonzero(table.values == b)
-    best = SensSummary(0, None)
-    for x in xs:
-        c, _ = certificate_complexity_at(table, int(x), cap)
-        if c > best.value:
-            best = SensSummary(c, int(x))
-    return best
+    n = table.arity
+    if n > cap:
+        raise CapExceeded(f"certificate search capped at arity {cap}, got {n}")
+    # 0 on monochromatic subcubes, 64 (above any codimension) on mixed ones;
+    # pushing min(fixed + 1, free) down each variable leaves C(f, x) at x
+    col = _subcube_colours(table)
+    col >>= 1
+    col *= 64
+    for i in range(n):
+        v = col.reshape(-1, 3, 3**i)
+        fixed = v[:, :2]
+        fixed += 1
+        np.minimum(fixed, v[:, 2:], out=fixed)
+    return _side_max(col[(slice(2),) * n].reshape(-1), table, b)
 
 
 def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
@@ -201,44 +220,28 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
         raise CapExceeded(f"exact cover search capped at arity {cap}, got {fn.arity}")
     table = _table_of(fn, cap)
     n = table.arity
-    vals = table.values
-    ones = np.flatnonzero(vals == 1)
+    ones = np.flatnonzero(table.values == 1)
     if len(ones) == 0:
         return Uc1Result("exact", 0, 0, CertificateCollection(1, (), True), 0)
-    one_pos = {int(x): j for j, x in enumerate(ones)}
     full = (1 << len(ones)) - 1
 
-    # candidate subcubes: (codim, mask, value, bitset of covered 1-inputs)
-    candidates = []
-    for mask in range(1 << n):
-        codim = mask.bit_count()
-        free = [i for i in range(n) if not (mask >> i) & 1]
-        value = mask
-        while True:
-            pts = np.array([value], dtype=np.int64)
-            for pos in free:
-                pts = np.concatenate([pts, pts | (1 << pos)])
-            if (vals[pts] == 1).all():
-                bits = 0
-                for p in pts:
-                    bits |= 1 << one_pos[int(p)]
-                candidates.append((codim, mask, value, bits))
-            if value == 0:
-                break
-            value = (value - 1) & mask
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-
-    per_one: list[list[int]] = [[] for _ in ones]
-    for idx, (_, _, _, bits) in enumerate(candidates):
-        b = bits
-        while b:
-            j = (b & -b).bit_length() - 1
-            per_one[j].append(idx)
-            b &= b - 1
+    # candidates: the colour-1 subcubes as (codim, mask, value, bitset of 1-inputs)
+    cubes = np.flatnonzero(_subcube_colours(table) == 1)
+    digits = cubes[:, None] // 3 ** np.arange(n) % 3
+    weights = 1 << np.arange(n)
+    masks, values = (digits != 2) @ weights, (digits == 1) @ weights
+    codims = np.bitwise_count(masks)
+    order = np.lexsort((values, masks, codims))
+    codims, masks, values = codims[order], masks[order], values[order]
+    covers = (ones & masks[:, None]) == values[:, None]
+    bitsets = [int.from_bytes(row.tobytes(), "little")
+               for row in np.packbits(covers, axis=1, bitorder="little")]
+    candidates = list(zip(codims.tolist(), masks.tolist(), values.tolist(), bitsets))
+    per_one = [np.flatnonzero(hits).tolist() for hits in covers.T]
 
     # any unambiguous cover needs codim >= the plain certificate complexity
     # of the hardest 1-input, which the candidate lists give directly
-    start = max(min(candidates[i][0] for i in lst) for lst in per_one)
+    start = int(codims[covers.argmax(axis=0)].max())
 
     nodes = 0
 

@@ -420,6 +420,8 @@ def verify_lemma_chain_random(
     violations beyond tol."""
     if count < 1:
         raise ValueError(f"need at least one random table per arity, got {count}")
+    if not arities:
+        raise ValueError("need at least one arity")
     claims = _Claims()
     rng = np.random.default_rng(seed)
     for n in arities:

@@ -13,6 +13,7 @@ from sensilab import (
     PartialAssignment,
     SensitivityGraph,
     TruthTable,
+    address_fn,
     c0,
     c1,
     certificate_complexity_at,
@@ -110,6 +111,41 @@ class TestCertificates:
         with pytest.raises(CapExceeded, match="certificate search"):
             certificate_complexity_at(f, 0)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constant_side(self, n, bit):
+        t = TruthTable(n, np.full(1 << n, bit, dtype=np.uint8))
+        # like s0/s1: no witness only on the side with no inputs
+        for b, (cert_side, sens_side) in enumerate([(c0, s0), (c1, s1)]):
+            want = (0, 0) if b == bit else (0, None)
+            assert cert_side(t) == want == sens_side(t)
+
+    @pytest.mark.parametrize("side", [c0, c1])
+    def test_cap_applies_before_any_work(self, side):
+        # neither side builds the 3^17 subcube array, whichever is empty
+        t = TruthTable(17, np.ones(1 << 17, dtype=np.uint8))
+        with pytest.raises(CapExceeded, match="certificate search capped at arity 16"):
+            side(t)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_sides_match_pointwise_search(self, n, data):
+        # constant tables included: p_one 0 or 1
+        p_one = data.draw(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.95, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        table = TruthTable(n, (rng.random(1 << n) < p_one).astype(np.uint8))
+        for b, side in ((0, c0), (1, c1)):
+            xs = np.flatnonzero(table.values == b)
+            at = [certificate_complexity_at(table, int(x))[0] for x in xs]
+            want = max(at, default=0)
+            got = side(table)
+            assert got.value == want
+            if len(xs):
+                assert certificate_complexity_at(table, got.witness)[0] == want
+            else:
+                assert got.witness is None
+
 
 class TestUc1:
     def test_or2_needs_two(self, or2):
@@ -160,6 +196,37 @@ class TestUc1:
     def test_arity_cap(self):
         with pytest.raises(CapExceeded, match="exact cover"):
             uc1(haf(3))
+
+    # status, value, lower bound, nodes and witness (mask, value) pairs; equal
+    # node counts mean the search tries candidates in (codim, mask, value) order
+    PINNED = {
+        "haf(2)": ("exact", 4, 4, 3, [(15, 8), (23, 23)]),
+        "maf(3)": ("exact", 4, 4, 40,
+                   [(3, 3), (7, 5), (7, 6), (15, 9), (23, 18), (39, 36)]),
+        "address(2)": ("exact", 3, 3, 5, [(7, 4), (11, 9), (19, 18), (35, 35)]),
+        5: ("exact", 5, 5, 24, [(26, 0), (23, 3), (31, 6), (31, 9), (15, 10),
+                                (31, 15), (23, 20), (31, 24)]),
+        6: ("exact", 6, 6, 405311,
+            [(35, 1), (31, 11), (61, 12), (29, 16), (27, 19), (31, 22), (63, 24),
+             (59, 27), (63, 30), (59, 32), (59, 35), (47, 37), (63, 42), (63, 47),
+             (63, 49), (55, 52)]),
+        7: ("exhausted", None, 6, 1000001, None),
+        8: ("exhausted", None, 7, 1000001, None),
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_pinned_search(self, key):
+        if isinstance(key, int):
+            rng = np.random.default_rng([0, key])
+            fn = TruthTable(key, rng.integers(0, 2, 1 << key, dtype=np.uint8))
+        else:
+            fn = {"haf(2)": haf(2), "maf(3)": maf(3), "address(2)": address_fn(2)}[key]
+        res = uc1(fn)
+        members = None if res.witness is None else [
+            (m.mask, m.value) for m in res.witness.certificates
+        ]
+        got = (res.status, res.value, res.lower_bound, res.nodes, members)
+        assert got == self.PINNED[key]
 
 
 class TestDegree:

@@ -176,6 +176,11 @@ class TestLemmaChain:
         b = verify_lemma_chain_random(arities=[4], count=20, seed=5)
         assert a[0].note == b[0].note
 
+    def test_rejects_empty_arities(self):
+        # no arity means no claim, and an empty claim list would pass
+        with pytest.raises(ValueError, match="at least one arity"):
+            verify_lemma_chain_random(arities=(), count=5)
+
 
 class TestDesensitization:
     def test_or2(self, or2, or2_certs):
