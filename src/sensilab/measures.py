@@ -3,9 +3,10 @@
 Everything here works on a BooleanFunction or a TruthTable. Exact measures
 (sensitivity, certificates, degree) come from full scans of the table;
 spectral sensitivity is the operator norm of the sensitivity graph's
-adjacency matrix, built once as a sparse matrix: an exact dense solve per
-connected component, a matrix-free power iteration, or the closed form a
-construction claims for itself.
+adjacency matrix, built once as a sparse matrix: an exact dense eigensolve
+of each connected component's Gram block on its smaller side (every edge
+joins a 0-input to a 1-input), a matrix-free power iteration, or the closed
+form a construction claims for itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
 )
 
 # bytes any one array of the spectral solvers may take: the sparse
-# adjacency, or one batch of dense component blocks
+# adjacency, or one batch of biadjacency blocks with their Gram blocks
 MEMORY_BUDGET = 512 << 20
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
@@ -162,7 +163,8 @@ def _subcube_colours(table: TruthTable) -> np.ndarray:
     return col
 
 
-def _cert_side(table: TruthTable, b: int, cap: int) -> SensSummary:
+def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
+    """C(f, x) for every input x, in table order."""
     n = table.arity
     if n > cap:
         raise CapExceeded(f"certificate search capped at arity {cap}, got {n}")
@@ -176,17 +178,19 @@ def _cert_side(table: TruthTable, b: int, cap: int) -> SensSummary:
         fixed = v[:, :2]
         fixed += 1
         np.minimum(fixed, v[:, 2:], out=fixed)
-    return _side_max(col[(slice(2),) * n].reshape(-1), table, b)
+    return col[(slice(2),) * n].reshape(-1)
 
 
 def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
     """Max certificate complexity over 0-inputs."""
-    return _cert_side(_table_of(fn, cap), 0, cap)
+    table = _table_of(fn, cap)
+    return _side_max(_cert_counts(table, cap), table, 0)
 
 
 def c1(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
     """Max certificate complexity over 1-inputs."""
-    return _cert_side(_table_of(fn, cap), 1, cap)
+    table = _table_of(fn, cap)
+    return _side_max(_cert_counts(table, cap), table, 1)
 
 
 @dataclass(frozen=True)
@@ -491,42 +495,62 @@ class SpectralResult:
 
 
 def _lambda_exact(graph: SensitivityGraph) -> float:
-    """Largest adjacency eigenvalue from a dense eigensolve of each
-    connected component's block; the adjacency is block-diagonal by
-    component, so this is its whole spectrum. Components of equal size are
-    solved in batches."""
+    """Largest adjacency eigenvalue from a dense eigensolve of each connected
+    component's Gram block.
+
+    Every edge joins a 0-input to a 1-input, so a component's adjacency is
+    [[0, B], [B^T, 0]] and its largest eigenvalue is the largest singular
+    value of B: the square root of the top eigenvalue of B B^T, with B's rows
+    on the component's smaller side (the 0-side on a tie). The adjacency is
+    block-diagonal by component, so the largest of these is its largest
+    eigenvalue. A component with sides m <= M takes 8 m (m + M) bytes for B
+    and its Gram block; one over MEMORY_BUDGET raises CapExceeded.
+    Components with equal side sizes are solved in batches within it.
+    """
     a = graph.adjacency()
-    _, labels = _cc(a, directed=False)
-    sizes = np.bincount(labels)
-    # each vertex's position inside its component, in vertex order
-    order = np.argsort(labels, kind="stable")
-    local = np.empty_like(labels)
-    local[order] = np.arange(len(labels)) - (np.cumsum(sizes) - sizes)[labels[order]]
-    coo = a.tocoo()
-    rows, cols = coo.row, coo.col
-    edge_size = sizes[labels[rows]]
+    vals = graph.table.values
+    n_comp, labels = _cc(a, directed=False)
+    ones = np.bincount(labels[vals == 1], minlength=n_comp)
+    zeros = np.bincount(labels, minlength=n_comp) - ones
+    small, large = np.minimum(ones, zeros), np.maximum(ones, zeros)
+    # 0 for a vertex on its component's smaller side, 1 on the larger
+    side = (vals != (ones < zeros)[labels]).astype(np.int64)
+    # each vertex's position inside its side of its component, in vertex order
+    group = 2 * labels + side
+    counts = np.bincount(group, minlength=2 * n_comp)
+    order = np.argsort(group, kind="stable")
+    local = np.empty_like(group)
+    local[order] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[order]]
+    # each edge once, from its smaller-side end
+    rows = np.repeat(np.arange(len(vals)), np.diff(a.indptr))
+    from_small = side[rows] == 0
+    e_row, e_col = rows[from_small], a.indices[from_small]
+    e_comp = labels[e_row]
+    # isolated vertices are components with an empty side
+    shape_key = np.where(small > 0, small * len(vals) + large, -1)
+    e_key = shape_key[e_comp]
     best = 0.0
-    for k in np.unique(sizes[sizes > 1]):
-        k = int(k)
-        per_batch = MEMORY_BUDGET // (8 * k * k)
+    for key in np.unique(shape_key[shape_key >= 0]):
+        m, big = divmod(int(key), len(vals))
+        per_batch = MEMORY_BUDGET // (8 * m * (m + big))
         if per_batch == 0:
             raise CapExceeded(
-                f"component with {k} vertices exceeds the dense solve budget "
+                f"component with {m + big} vertices exceeds the dense solve budget "
                 f"of {MEMORY_BUDGET} bytes"
             )
-        comps = np.flatnonzero(sizes == k)
-        slot = np.empty(len(sizes), dtype=np.int64)
+        comps = np.flatnonzero(shape_key == key)
+        slot = np.empty(n_comp, dtype=np.int64)
         slot[comps] = np.arange(len(comps))
-        sel = edge_size == k
-        e_slot = slot[labels[rows[sel]]]
-        e_row, e_col = local[rows[sel]], local[cols[sel]]
+        sel = e_key == key
+        s_slot, s_row, s_col = slot[e_comp[sel]], local[e_row[sel]], local[e_col[sel]]
         for lo in range(0, len(comps), per_batch):
             hi = min(lo + per_batch, len(comps))
-            blocks = np.zeros((hi - lo, k, k))
-            inside = (e_slot >= lo) & (e_slot < hi)
-            blocks[e_slot[inside] - lo, e_row[inside], e_col[inside]] = 1.0
-            best = max(best, float(np.linalg.eigvalsh(blocks)[:, -1].max()))
-    return best
+            blocks = np.zeros((hi - lo, m, big))
+            inside = (s_slot >= lo) & (s_slot < hi)
+            blocks[s_slot[inside] - lo, s_row[inside], s_col[inside]] = 1.0
+            gram = blocks @ blocks.transpose(0, 2, 1)
+            best = max(best, float(np.linalg.eigvalsh(gram)[:, -1].max()))
+    return math.sqrt(best)
 
 
 def _lambda_matfree(
@@ -605,8 +629,9 @@ def spectral_sensitivity(
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
-    method: "dense" or "component-wise" (the same exact eigensolve, one
-    dense block per connected component), "matrix-free" (power iteration on
+    method: "dense" or "component-wise" (the same exact eigensolve of each
+    connected component's Gram block B B^T, where B joins the component's
+    smaller side to its larger one), "matrix-free" (power iteration on
     the squared adjacency), "analytic" (closed form recorded by the
     construction), or "auto" to pick the exact solve when a full dense
     adjacency would fit in MEMORY_BUDGET and matrix-free otherwise.

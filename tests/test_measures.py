@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import make_parity
 from hypothesis import given, settings, strategies as st
 
 from sensilab import measures
@@ -464,7 +465,7 @@ class TestSolversAgainstDenseReference:
             ref, abs=1e-9
         )
 
-    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("n", range(1, 11))
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_exact_solve(self, n, data):
@@ -487,6 +488,84 @@ class TestSolversAgainstDenseReference:
             assert exc.best <= ref + 1e-9
         else:
             assert res.value == pytest.approx(ref, abs=1e-6)
+
+
+def gram_batches(monkeypatch, solve):
+    """Run solve() and return its result with the shape of every batch of
+    blocks it hands to eigvalsh."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", spy)
+        value = solve()
+    return value, shapes
+
+
+class TestGramSolve:
+    """The exact solve works on each component's Gram block B B^T, with the
+    rows of B on the component's smaller side."""
+
+    def solve(self, monkeypatch, table):
+        ref = dense_reference_lambda(table)
+        value, shapes = gram_batches(
+            monkeypatch, lambda: spectral_sensitivity(table, method="dense").value
+        )
+        assert value == pytest.approx(ref, abs=1e-9)
+        return shapes
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_and_takes_the_one_side(self, monkeypatch, n):
+        # one 1-input against its n neighbours
+        table = TruthTable(n, (np.arange(1 << n) == (1 << n) - 1).astype(np.uint8))
+        assert self.solve(monkeypatch, table) == [(1, 1, 1)]
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_or_takes_the_zero_side(self, monkeypatch, n):
+        table = TruthTable(n, (np.arange(1 << n) != 0).astype(np.uint8))
+        assert self.solve(monkeypatch, table) == [(1, 1, 1)]
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_parity_sides_are_equal(self, monkeypatch, n):
+        half = 1 << (n - 1)
+        assert self.solve(monkeypatch, make_parity(n).table()) == [(1, half, half)]
+
+    @pytest.mark.parametrize(
+        "digits, batches",
+        [("dd05", [(2, 3, 3)]), ("84ad", [(1, 1, 1), (1, 5, 5)])],
+    )
+    def test_components_of_both_orientations(self, monkeypatch, digits, batches):
+        table = TruthTable.from_hex(4, digits)
+        comps = SensitivityGraph(table).components()
+        # one component has fewer 1-inputs than 0-inputs, the other more
+        more_ones = [2 * int(table.values[c.vertices].sum()) > len(c) for c in comps]
+        assert sorted(more_ones) == [False, True]
+        assert sorted(self.solve(monkeypatch, table)) == batches
+
+    def test_batches_split_under_a_small_budget(self, monkeypatch):
+        graph = SensitivityGraph(tradeoff([2], [2]))
+        graph.adjacency()  # the sparse matrix (186 kB) is built under the full budget
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 10_000)
+        value, shapes = gram_batches(monkeypatch, lambda: measures._lambda_exact(graph))
+        # 768 stars with one 1-input and three 0-inputs, 256 two-layer stars
+        # with four 1-inputs and thirteen 0-inputs
+        stars = [b for b, m, _ in shapes if m == 1]
+        two_layer = [b for b, m, _ in shapes if m == 4]
+        assert (sum(stars), sum(two_layer)) == (768, 256)
+        assert len(stars) > 1 and len(two_layer) > 1
+        assert value == pytest.approx(math.sqrt(7), abs=1e-9)
+
+    def test_budget_counts_the_gram_solve(self, monkeypatch):
+        # B and B B^T of the 64-vertex component take 8 * 32 * (32 + 32) =
+        # 16 384 bytes; a 64 x 64 adjacency block would take 32 768
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 20_000)
+        res = spectral_sensitivity(make_parity(6), method="component-wise")
+        assert res.value == pytest.approx(6.0, abs=1e-9)
+        assert res.method == "component-wise"
 
 
 class TestTwoLayerStar:
@@ -543,6 +622,19 @@ class TestReports:
         assert by_name["lambda"].value == pytest.approx(math.sqrt(2))
         assert by_name["lambda"].exact
         assert by_name["s1"].witness_bits == "11"
+
+    def test_c0_c1_report_matches_separate_calls(self):
+        rng = np.random.default_rng(0)
+        fns = [chaf([2, 2]), maf(3), address_fn(2)] + [
+            TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8))
+            for n in (1, 4, 7, 9)
+            for p in (0.0, 0.5, 1.0)
+        ]
+        for fn in fns:
+            expected = [c0(fn), c1(fn)]
+            report = compute_measures(fn, ["c0", "c1"])
+            got = [(e.value, e.witness) for e in report.entries]
+            assert got == [(r.value, r.witness) for r in expected]
 
     def test_cap_produces_skip_not_crash(self):
         f = haf(3)
