@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,6 +56,21 @@ def _check_arity(arity: int) -> int:
     return arity
 
 
+def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
+    """Per-input sensitivity of the table values, as a read-only uint8 array.
+
+    One half-table diff per direction, added to both halves: an input and its
+    neighbour along a direction are sensitive to it together.
+    """
+    counts = np.zeros(values.shape, dtype=np.uint8)
+    for i in range(arity):
+        half = values.reshape(-1, 2, 1 << i)
+        both = counts.reshape(-1, 2, 1 << i)
+        both += (half[:, 0, :] != half[:, 1, :])[:, None, :]
+    counts.flags.writeable = False
+    return counts
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Dense truth table of a Boolean function.
@@ -87,6 +103,15 @@ class TruthTable:
 
     def ones_count(self) -> int:
         return int(self.values.sum())
+
+    @cached_property
+    def sensitivity_counts(self) -> np.ndarray:
+        """Read-only uint8 array: the sensitivity of f at every input.
+
+        Computed on first use by one scan of the table and kept, as the
+        table is never changed after construction.
+        """
+        return _sensitivity_scan(self.values, self.arity)
 
     def to_hex(self) -> str:
         """Hex encoding, most-significant hex digit first, lowercase."""

@@ -5,8 +5,9 @@ Everything here works on a BooleanFunction or a TruthTable. Exact measures
 spectral sensitivity is the operator norm of the sensitivity graph's
 adjacency matrix, built once as a sparse matrix: an exact dense eigensolve
 of each connected component's Gram block on its smaller side (every edge
-joins a 0-input to a 1-input), a matrix-free power iteration, or the closed
-form a construction claims for itself.
+joins a 0-input to a 1-input), a matrix-free power iteration on the Gram
+operator of the whole graph's smaller side, or the closed form a
+construction claims for itself.
 """
 
 from __future__ import annotations
@@ -63,13 +64,6 @@ def _swap_axis(values: np.ndarray, i: int) -> np.ndarray:
     return values.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(values.shape)
 
 
-def _sens_counts(values: np.ndarray, arity: int) -> np.ndarray:
-    counts = np.zeros(values.shape, dtype=np.int64)
-    for i in range(arity):
-        counts += values != _swap_axis(values, i)
-    return counts
-
-
 class SensSummary(NamedTuple):
     value: int
     witness: int | None
@@ -89,13 +83,15 @@ def _side_max(per_input: np.ndarray, table: TruthTable, b: int | None) -> SensSu
     mask = np.ones(len(per_input), dtype=bool) if b is None else table.values == b
     if not mask.any():
         return SensSummary(0, None)
-    masked = np.where(mask, per_input, -1)
+    # int16 holds every count and the -1 that marks the other side; in the
+    # counts' own unsigned dtype, -1 would wrap to the largest value
+    masked = np.where(mask, per_input, np.int16(-1))
     x = int(masked.argmax())
     return SensSummary(int(masked[x]), x)
 
 
 def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
-    return _side_max(_sens_counts(table.values, table.arity), table, b)
+    return _side_max(table.sensitivity_counts, table, b)
 
 
 def s0(fn, cap: int = DEFAULT_TABLE_CAP) -> SensSummary:
@@ -339,7 +335,8 @@ class SensitivityGraph:
         self._adj: sp.csr_matrix | None = None
 
     def degree_counts(self) -> np.ndarray:
-        return _sens_counts(self.table.values, self.arity)
+        """Degree of every vertex: the table's cached sensitivity counts."""
+        return self.table.sensitivity_counts
 
     def edge_count(self) -> int:
         return int(self.degree_counts().sum()) // 2
@@ -556,68 +553,66 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
 def _lambda_matfree(
     graph: SensitivityGraph, tol: float, seed: int, max_iter: int
 ) -> tuple[float, float, int]:
+    """Power iteration on the Gram operator B B^T of the smaller side.
+
+    Every edge joins a 0-input to a 1-input, so with S the smaller of the two
+    sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
+    lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
+    |S|. The residual comes free from the last product w = B B^T x: for the
+    unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
+    ||w - lambda^2 x|| / (lambda sqrt(2)).
+    """
     vals, n = graph.table.values, graph.arity
-    size = 1 << n
+    side = np.flatnonzero(vals == int(2 * graph.table.ones_count() < len(vals)))
+    if len(side) == 0:
+        # a constant function: no edges
+        return 0.0, 0.0, 0
     try:
-        a = graph.adjacency()
+        rows = graph.adjacency()[side]
     except CapExceeded:
-        # too large to hold as a sparse matrix, which also means it has
-        # edges: compute each product from the table instead
+        # too large to hold as a sparse matrix: compute each product from the
+        # table, on a full-length vector that is zero off S
         def matvec(v: np.ndarray) -> np.ndarray:
             out = np.zeros_like(v)
             for i in range(n):
                 out += np.where(vals != _swap_axis(vals, i), _swap_axis(v, i), 0.0)
             return out
+
+        def gram(x: np.ndarray) -> np.ndarray:
+            v = np.zeros(len(vals))
+            v[side] = x
+            return matvec(matvec(v))[side]
     else:
-        if a.nnz == 0:
-            return 0.0, 0.0, 0
-        matvec = a.dot
+        def gram(x: np.ndarray) -> np.ndarray:
+            return rows @ (rows.T @ x)
 
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(size)
-    v /= np.linalg.norm(v)
+    x = rng.standard_normal(len(side))
+    x /= np.linalg.norm(x)
     prev = 0.0
     lam_sq = 0.0
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = matvec(matvec(v))
-        lam_sq = float(v @ w)
+        w = gram(x)
+        lam_sq = float(x @ w)
         norm = np.linalg.norm(w)
         if norm == 0.0:
-            # v happened to be orthogonal to every nonzero eigenspace; restart
-            v = rng.standard_normal(size)
-            v /= np.linalg.norm(v)
+            # x happened to be orthogonal to every nonzero eigenspace; restart
+            x = rng.standard_normal(len(side))
+            x /= np.linalg.norm(x)
             prev = 0.0
             continue
-        v = w / norm
         if abs(lam_sq - prev) <= tol * max(abs(lam_sq), 1.0):
-            converged = True
-            break
+            lam = math.sqrt(lam_sq)
+            residual = float(np.linalg.norm(w - lam_sq * x)) / (lam * math.sqrt(2))
+            return lam, residual, iterations
         prev = lam_sq
+        x = w / norm
     lam = math.sqrt(max(lam_sq, 0.0))
-    # recover an eigenvector of the adjacency itself to report a residual
-    av = matvec(v)
-    u = av + lam * v
-    un = np.linalg.norm(u)
-    if un < 1e-12 * max(lam, 1.0):
-        u = lam * v - av
-        un = np.linalg.norm(u)
-    if un == 0.0:
-        residual = 0.0
-    else:
-        u /= un
-        au = matvec(u)
-        residual = float(
-            min(np.linalg.norm(au - lam * u), np.linalg.norm(au + lam * u))
-        )
-    if not converged:
-        raise ConvergenceError(
-            f"power iteration did not reach tol {tol} in {max_iter} iterations "
-            f"(best estimate {lam})",
-            best=lam,
-        )
-    return lam, residual, iterations
+    raise ConvergenceError(
+        f"power iteration did not reach tol {tol} in {max_iter} iterations "
+        f"(best estimate {lam})",
+        best=lam,
+    )
 
 
 def spectral_sensitivity(
@@ -631,10 +626,13 @@ def spectral_sensitivity(
 
     method: "dense" or "component-wise" (the same exact eigensolve of each
     connected component's Gram block B B^T, where B joins the component's
-    smaller side to its larger one), "matrix-free" (power iteration on
-    the squared adjacency), "analytic" (closed form recorded by the
-    construction), or "auto" to pick the exact solve when a full dense
-    adjacency would fit in MEMORY_BUDGET and matrix-free otherwise.
+    smaller side to its larger one), "matrix-free" (power iteration on the
+    Gram operator B B^T of the whole graph's smaller side, whose residual is
+    ||A u - lambda u|| at the eigenvector estimate u it implies),
+    "analytic" (closed form recorded by the construction), or "auto" to
+    pick the exact solve when a full dense adjacency would fit in
+    MEMORY_BUDGET and matrix-free otherwise. For matrix-free, iterations
+    counts Gram steps.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)

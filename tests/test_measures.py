@@ -5,7 +5,7 @@ import pytest
 from conftest import make_parity
 from hypothesis import given, settings, strategies as st
 
-from sensilab import measures
+from sensilab import core, measures
 from sensilab import (
     BooleanFunction,
     CapExceeded,
@@ -79,6 +79,58 @@ class TestSensitivity:
     def test_point_out_of_range(self, and2):
         with pytest.raises(ValueError):
             sensitivity_at(and2, 4)
+
+
+def side_reference(table: TruthTable, b: int | None) -> tuple[int, int | None]:
+    """Max of sensitivity_at over the inputs where f is b (all for None) and
+    the least input attaining it, one input at a time."""
+    fn = BooleanFunction.from_table(table)
+    best, witness = 0, None
+    for x in range(len(table)):
+        if b is None or table[x] == b:
+            sx = sensitivity_at(fn, x)
+            if witness is None or sx > best:
+                best, witness = sx, x
+    return best, witness
+
+
+class TestSensitivityScan:
+    """s0, s1, s and the graph's degrees all read one cached uint8 scan."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_sensitivity_at(self, n):
+        rng = np.random.default_rng([7, n])
+        tables = [TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8))
+                  for p in (0.1, 0.5, 0.9)]
+        # no 0-inputs, then no 1-inputs: that side's witness is None
+        tables += [TruthTable(n, np.full(1 << n, b, dtype=np.uint8)) for b in (1, 0)]
+        for table in tables:
+            for measure, b in ((s0, 0), (s1, 1), (s, None)):
+                assert tuple(measure(table)) == side_reference(table, b)
+
+    def test_counts_are_cached_read_only_uint8(self):
+        table = haf(2).table()
+        counts = table.sensitivity_counts
+        assert counts.dtype == np.uint8
+        assert not counts.flags.writeable
+        assert table.sensitivity_counts is counts
+        assert SensitivityGraph(table).degree_counts() is counts
+
+    def test_one_scan_per_table(self, monkeypatch):
+        calls = []
+        scan = core._sensitivity_scan
+
+        def spy(values, arity):
+            calls.append(arity)
+            return scan(values, arity)
+
+        monkeypatch.setattr(core, "_sensitivity_scan", spy)
+        f = haf(2)
+        report = compute_measures(f, ["s0", "s1", "s"])
+        assert [e.value for e in report.entries] == [1, 4, 4]
+        edges = SensitivityGraph(f).edge_count()
+        assert edges == sum(sensitivity_at(f, x) for x in range(32)) // 2
+        assert calls == [5]
 
 
 class TestCertificates:
@@ -436,15 +488,19 @@ class TestSpectral:
             spectral_sensitivity(and2, method="nope")
 
 
-def dense_reference_lambda(table: TruthTable) -> float:
-    """Largest eigenvalue of the full n x n adjacency, built independently of
-    SensitivityGraph."""
+def dense_reference_adjacency(table: TruthTable) -> np.ndarray:
+    """The full n x n adjacency, built independently of SensitivityGraph."""
     xs = np.arange(1 << table.arity)
     a = np.zeros((len(xs), len(xs)))
     for i in range(table.arity):
         ys = xs ^ (1 << i)
         a[xs, ys] = table.values != table.values[ys]
-    return float(np.linalg.eigvalsh(a)[-1])
+    return a
+
+
+def dense_reference_lambda(table: TruthTable) -> float:
+    """Largest eigenvalue of the dense reference adjacency."""
+    return float(np.linalg.eigvalsh(dense_reference_adjacency(table))[-1])
 
 
 @st.composite
@@ -566,6 +622,74 @@ class TestGramSolve:
         res = spectral_sensitivity(make_parity(6), method="component-wise")
         assert res.value == pytest.approx(6.0, abs=1e-9)
         assert res.method == "component-wise"
+
+
+def replayed_residual(table: TruthTable, side: int, seed: int, tol: float) -> float:
+    """||A u - lambda u|| for the vector u = [x; B^T x / lambda] / sqrt(2) at
+    which matrix-free stops, replayed on dense matrices built independently:
+    x is the last iterate of power iteration on B B^T from the same start."""
+    a = dense_reference_adjacency(table)
+    xs = np.arange(len(table))
+    rows, cols = xs[table.values == side], xs[table.values != side]
+    b = a[np.ix_(rows, cols)]
+    x = np.random.default_rng(seed).standard_normal(len(rows))
+    x /= np.linalg.norm(x)
+    prev = 0.0
+    while True:
+        w = b @ (b.T @ x)
+        lam_sq = float(x @ w)
+        if abs(lam_sq - prev) <= tol * max(lam_sq, 1.0):
+            break
+        prev, x = lam_sq, w / np.linalg.norm(w)
+    lam = math.sqrt(lam_sq)
+    u = np.zeros(len(xs))
+    u[rows], u[cols] = x, b.T @ x / lam
+    u /= math.sqrt(2)
+    return float(np.linalg.norm(a @ u - lam * u))
+
+
+class TestMatrixFreeGram:
+    """Matrix-free iterates B B^T on vectors over the smaller side (the 0-side
+    on a tie), with the CSR rows or with products from the table."""
+
+    CASES = {
+        "and6": (TruthTable(6, (np.arange(64) == 63).astype(np.uint8)), 1, 1),
+        "or6": (TruthTable(6, (np.arange(64) != 0).astype(np.uint8)), 0, 1),
+        # the stop rule leaves ||A u - lambda u|| near sqrt(tol) on parity at
+        # n >= 4 (2.5e-5 at n=5), as the eigenvector recovery it replaced did
+        "parity3": (make_parity(3).table(), 0, 4),
+        "chaf22": (chaf([2, 2]).table(), 1, 32),
+    }
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "table"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_against_dense_reference(self, monkeypatch, case, sparse):
+        table, side, length = self.CASES[case]
+        if not sparse:
+            monkeypatch.setattr(measures, "MEMORY_BUDGET", 0)
+            with pytest.raises(CapExceeded, match="sparse adjacency"):
+                SensitivityGraph(table).adjacency()
+        starts = []
+        make_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, size):
+                starts.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
+        monkeypatch.undo()
+        assert starts == [length]
+        assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
+        assert res.residual < 1e-5
+        assert res.residual == pytest.approx(
+            replayed_residual(table, side, measures.DEFAULT_SEED, 1e-9),
+            rel=1e-6, abs=1e-12,
+        )
 
 
 class TestTwoLayerStar:
