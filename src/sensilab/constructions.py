@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     ArityError,
+    BATCH_ARITY_LIMIT,
     BooleanFunction,
     CertificateCollection,
     DEFAULT_TABLE_CAP,
@@ -167,17 +168,26 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             m0 = m0 * code.size + code.message_index(seg)
         return (x >> (K + m0)) & 1
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        m0 = np.zeros(xs.shape, dtype=np.int64)
-        valid = np.ones(xs.shape, dtype=bool)
+    batch = None
+    if arity <= BATCH_ARITY_LIMIT:
+        # which forces K <= 15: decode each of the 2^K section values once,
+        # to its data address K + m0, or -1 where a section is invalid
+        sections = np.arange(1 << K, dtype=np.int64)
+        m0 = np.zeros(sections.shape, dtype=np.int64)
+        valid = np.ones(sections.shape, dtype=bool)
         for code, off in zip(codes, offsets):
-            seg = (xs >> off) & code.word_mask
+            seg = (sections >> off) & code.word_mask
             valid &= code.syndrome_batch(seg) == 0
             m0 = m0 * code.size + code.message_index_batch(seg)
-        out = ((xs >> (K + m0)) & 1).astype(np.uint8)
-        out[~valid] = 0
-        return out
+        address = np.where(valid, K + m0, -1).astype(np.int8)
+        section_mask = (1 << K) - 1
+
+        def batch(xs: np.ndarray) -> np.ndarray:
+            xs = np.asarray(xs, dtype=np.int64)
+            a = address[xs & section_mask]
+            out = ((xs >> np.maximum(a, 0)) & 1).astype(np.uint8)
+            out[a < 0] = 0
+            return out
 
     s1 = K + 1
     meta = ConstructionMeta(

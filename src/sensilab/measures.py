@@ -3,11 +3,12 @@
 Everything here works on a BooleanFunction or a TruthTable. Exact measures
 (sensitivity, certificates, degree) come from full scans of the table;
 spectral sensitivity is the operator norm of the sensitivity graph's
-adjacency matrix, built once as a sparse matrix: an exact dense eigensolve
-of each connected component's Gram block on its smaller side (every edge
-joins a 0-input to a 1-input), a matrix-free power iteration on the Gram
-operator of the whole graph's smaller side, or the closed form a
-construction claims for itself.
+adjacency matrix. Every edge joins a 0-input to a 1-input, so it is found
+either by an exact dense eigensolve of each connected component's Gram block
+on its smaller side, read from the graph's sparse adjacency, or by a
+matrix-free power iteration on the Gram operator of the whole graph's
+smaller side, whose rows are read straight from the table; or it is the
+closed form a construction claims for itself.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .core import (
 )
 
 # bytes any one array of the spectral solvers may take: the sparse
-# adjacency, or one batch of biadjacency blocks with their Gram blocks
+# adjacency, matrix-free's rows of the smaller side, or one batch of
+# biadjacency blocks with their Gram blocks
 MEMORY_BUDGET = 512 << 20
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
@@ -290,10 +292,12 @@ def mobius_coefficients(fn, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     """Integer coefficients of the unique multilinear polynomial over Z.
 
     Entry S (as a bitmask) is the coefficient of the monomial prod of the
-    variables in S.
+    variables in S. The array is int32 up to arity 31, int64 above: after k
+    of the in-place passes every entry is an alternating sum of 2^k table
+    values, 2^(k-1) of each sign, so its magnitude is at most 2^(n-1).
     """
     table = _table_of(fn, cap)
-    coeffs = table.values.astype(np.int64)
+    coeffs = table.values.astype(np.int32 if table.arity <= 31 else np.int64)
     for i in range(table.arity):
         v = coeffs.reshape(-1, 2, 1 << i)
         v[:, 1, :] -= v[:, 0, :]
@@ -307,6 +311,46 @@ def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
     if len(nz) == 0:
         return 0
     return int(np.bitwise_count(nz.astype(np.uint64)).max())
+
+
+def _check_csr_budget(nnz: int, n_rows: int) -> None:
+    """Raise CapExceeded when a 0/1 CSR matrix with nnz stored entries and
+    n_rows rows would take more than MEMORY_BUDGET bytes: float64 data and
+    int32 indices per entry, an int32 pointer per row plus one."""
+    nbytes = 12 * nnz + 4 * (n_rows + 1)
+    if nbytes > MEMORY_BUDGET:
+        raise CapExceeded(
+            f"sparse adjacency needs over {nbytes} bytes, budget {MEMORY_BUDGET}"
+        )
+
+
+def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
+    """Rows of the sensitivity graph's adjacency on the inputs side, which
+    all have one value, as a len(side) x 2^n CSR read from the table.
+
+    Row lengths are the inputs' sensitivities, so the size is known and
+    checked against MEMORY_BUDGET (CapExceeded) before anything is filled.
+    Each row lists its neighbours in direction order, not sorted.
+    """
+    vals, n = table.values, table.arity
+    lengths = table.sensitivity_counts[side]
+    nnz = int(lengths.sum())
+    _check_csr_budget(nnz, len(side))
+    indptr = np.zeros(len(side) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.empty(nnz, dtype=np.int32)
+    if nnz:
+        b = vals[side[0]]
+        flips = np.int32(1) << np.arange(n, dtype=np.int32)
+        # about 2^22 neighbours gathered per chunk; row-major is CSR order
+        step = max(1, (1 << 22) // n)
+        for lo in range(0, len(side), step):
+            hi = min(lo + step, len(side))
+            nbr = side[lo:hi, None].astype(np.int32) ^ flips
+            indices[indptr[lo]:indptr[hi]] = nbr[vals[nbr] != b]
+    return sp.csr_matrix(
+        (np.ones(nnz), indices, indptr), shape=(len(side), len(vals))
+    )
 
 
 @dataclass(frozen=True)
@@ -326,7 +370,9 @@ class SensitivityGraph:
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. The adjacency is built once, as a
-    sparse matrix, and every edge, component and eigenvalue query reads it.
+    sparse matrix, and every edge and component query and the exact
+    eigensolve read it; matrix-free reads only its smaller side's rows,
+    straight from the table.
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
@@ -357,22 +403,15 @@ class SensitivityGraph:
             return self._adj
         vals = self.table.values
         size = 1 << self.arity
+        _check_csr_budget(int(self.table.sensitivity_counts.sum()), size)
         # lows[i]: inputs with bit i clear whose flip along i changes f
         lows = []
-        n_edges = 0
         for i in range(self.arity):
             half = vals.reshape(-1, 2, 1 << i)
             diff = half[:, 0, :] != half[:, 1, :]
             j = np.flatnonzero(diff).astype(np.int32)
             # put bit i (clear) back into the half-table index
             lows.append(((j >> i) << (i + 1)) | (j & ((1 << i) - 1)))
-            n_edges += len(j)
-            nbytes = 4 * (size + 1) + 24 * n_edges
-            if nbytes > MEMORY_BUDGET:
-                raise CapExceeded(
-                    f"sparse adjacency needs over {nbytes} bytes, "
-                    f"budget {MEMORY_BUDGET}"
-                )
         highs = [low | (1 << i) for i, low in enumerate(lows)]
         rows = np.concatenate(lows + highs)
         cols = np.concatenate(highs + lows)
@@ -558,7 +597,9 @@ def _lambda_matfree(
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
-    |S|. The residual comes free from the last product w = B B^T x: for the
+    |S|. B's rows are built straight from the table, never the whole
+    adjacency; over MEMORY_BUDGET each product is computed from the table.
+    The residual comes free from the last product w = B B^T x: for the
     unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
     ||w - lambda^2 x|| / (lambda sqrt(2)).
     """
@@ -568,10 +609,10 @@ def _lambda_matfree(
         # a constant function: no edges
         return 0.0, 0.0, 0
     try:
-        rows = graph.adjacency()[side]
+        rows = _smaller_side_rows(graph.table, side)
     except CapExceeded:
-        # too large to hold as a sparse matrix: compute each product from the
-        # table, on a full-length vector that is zero off S
+        # S's rows too large to hold as a sparse matrix: compute each product
+        # from the table, on a full-length vector that is zero off S
         def matvec(v: np.ndarray) -> np.ndarray:
             out = np.zeros_like(v)
             for i in range(n):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import time
 
@@ -122,6 +124,42 @@ class TestChaf:
     def test_needs_at_least_one_code(self):
         with pytest.raises(ValueError):
             chaf([])
+
+    # the code orders whose sections make up each function's low bits
+    SECTION_CASES = {
+        "haf2": (lambda: haf(2), [2]),
+        "haf3": (lambda: haf(3), [3]),
+        "chaf22": (lambda: chaf([2, 2]), [2, 2]),
+        "chaf222": (lambda: chaf([2, 2, 2]), [2, 2, 2]),
+        "chaf32": (lambda: chaf([3, 2]), [3, 2]),  # arity 42: no table
+        "tradeoff2_2": (lambda: tradeoff([2], [2]), [2]),
+    }
+
+    @pytest.mark.parametrize("case", list(SECTION_CASES))
+    def test_section_lookup_matches_point(self, case):
+        factory, rs = self.SECTION_CASES[case]
+        f = factory()
+        codes = [HammingCode(r) for r in rs]
+        offsets = np.cumsum([0] + [c.codeword_len for c in codes[:-1]])
+        valid = np.array([
+            sum(int(w) << int(off) for w, off in zip(words, offsets))
+            for words in itertools.product(*(c._codeword_ints for c in codes))
+        ])
+        kmask = (1 << sum(c.codeword_len for c in codes)) - 1
+        rng = np.random.default_rng(11)
+        xs = rng.integers(0, 1 << f.arity, size=4000, dtype=np.int64)
+        # half the inputs get a valid section; random sections are mostly invalid
+        xs[::2] = (xs[::2] & ~kmask) | rng.choice(valid, size=2000)
+        assert not np.isin(xs[1::2] & kmask, valid).all()
+        got = f.values(xs)
+        assert got.tolist() == [f._point(int(x)) for x in xs]
+        assert 0 < got.sum() < len(xs)
+
+    def test_haf3_table_is_pinned(self):
+        values = haf(3).table().values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "63c63a3b91bd8354f9cc16c93031c4febaabbc91364c0463ad208fca6d573b76"
+        )
 
 
 class TestAddress:

@@ -309,6 +309,23 @@ class TestDegree:
             # exact integer reconstruction, not just mod-2 agreement
             assert total == bits[x]
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mobius_int32_matches_int64_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        table = TruthTable(n, rng.integers(0, 2, size=1 << n).astype(np.uint8))
+        # one axis at a time: the coefficient block with a variable is the
+        # difference of the table with it set and with it clear
+        ref = table.values.astype(np.int64).reshape((2,) * n)
+        for axis in range(n):
+            lo, hi = np.split(ref, 2, axis=axis)
+            ref = np.concatenate([lo, hi - lo], axis=axis)
+        coeffs = mobius_coefficients(table)
+        assert coeffs.dtype == np.int32
+        assert np.array_equal(coeffs, ref.reshape(-1))
+
+    def test_haf3_degree(self):
+        assert degree(haf(3)) == 8
+
     def test_maf_degree_at_least_k(self):
         for k in (2, 3, 4):
             assert degree(maf(k)) >= k
@@ -690,6 +707,91 @@ class TestMatrixFreeGram:
             replayed_residual(table, side, measures.DEFAULT_SEED, 1e-9),
             rel=1e-6, abs=1e-12,
         )
+
+
+def smaller_side(table: TruthTable) -> np.ndarray:
+    """The inputs matrix-free iterates on: the side with fewer inputs, the
+    0-side on a tie."""
+    return np.flatnonzero(table.values == int(2 * table.ones_count() < len(table)))
+
+
+class TestSmallerSideRows:
+    """Matrix-free builds the rows of B on the smaller side S from the table,
+    never the full adjacency."""
+
+    TABLES = {
+        "and6": TruthTable(6, (np.arange(64) == 63).astype(np.uint8)),
+        "or6": TruthTable(6, (np.arange(64) != 0).astype(np.uint8)),
+        "parity5": make_parity(5).table(),
+        "chaf22": chaf([2, 2]).table(),
+    }
+
+    @staticmethod
+    def assert_rows_match_adjacency(table: TruthTable):
+        adj = SensitivityGraph(table).adjacency()
+        for side in (smaller_side(table), np.flatnonzero(table.values == 1)):
+            rows = measures._smaller_side_rows(table, side)
+            expected = adj[side]
+            assert rows.shape == expected.shape
+            assert np.array_equal(rows.indptr, expected.indptr)
+            # same column set per row; the fill leaves each row in direction order
+            rows.sort_indices()
+            assert np.array_equal(rows.indices, expected.indices)
+            assert np.all(rows.data == 1.0)
+
+    @pytest.mark.parametrize("case", list(TABLES))
+    def test_named_tables(self, case):
+        self.assert_rows_match_adjacency(self.TABLES[case])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_tables(self, n, data):
+        self.assert_rows_match_adjacency(data.draw(random_tables(n)))
+
+    @pytest.mark.parametrize("case", list(TABLES))
+    def test_matrix_free_never_builds_the_adjacency(self, monkeypatch, case):
+        calls = []
+        adjacency = SensitivityGraph.adjacency
+
+        def spy(graph):
+            calls.append(graph)
+            return adjacency(graph)
+
+        monkeypatch.setattr(SensitivityGraph, "adjacency", spy)
+        table = self.TABLES[case]
+        res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
+        assert calls == []
+        assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
+
+    @pytest.mark.parametrize("slack, path", [(-1, "table"), (0, "csr")])
+    def test_budget_boundary(self, monkeypatch, slack, path):
+        table = chaf([2, 2]).table()
+        side = smaller_side(table)
+        nnz = int(table.sensitivity_counts[side].sum())
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 12 * nnz + 4 * (len(side) + 1) + slack)
+        starts, products = [], []
+        make_rng, swap_axis = np.random.default_rng, measures._swap_axis
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def standard_normal(self, size):
+                starts.append(size)
+                return self.rng.standard_normal(size)
+
+        def swap_spy(values, i):
+            products.append(i)
+            return swap_axis(values, i)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        monkeypatch.setattr(measures, "_swap_axis", swap_spy)
+        res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
+        monkeypatch.undo()
+        assert starts == [len(side)]
+        assert (len(products) > 0) == (path == "table")
+        assert res.value == pytest.approx(math.sqrt(7), abs=1e-6)
 
 
 class TestTwoLayerStar:
