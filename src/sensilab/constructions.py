@@ -363,23 +363,20 @@ def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFun
                 return 1
         return 0
 
-    batch = None
-    if arity <= 63:
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            xs = np.asarray(xs, dtype=np.int64)
-            blockmask = (1 << n) - 1
-            b1 = xs & blockmask
-            b2 = (xs >> n) & blockmask
-            b3 = (xs >> (2 * n)) & blockmask
-            hit = np.zeros(xs.shape, dtype=bool)
-            for mask, value in masks:
-                hit |= (
-                    ((b1 & mask) == value)
-                    & ((b2 & mask) == value)
-                    & ((b3 & mask) == value)
-                )
-            return hit.astype(np.uint8)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        blockmask = (1 << n) - 1
+        b1 = xs & blockmask
+        b2 = (xs >> n) & blockmask
+        b3 = (xs >> (2 * n)) & blockmask
+        hit = np.zeros(xs.shape, dtype=bool)
+        for mask, value in masks:
+            hit |= (
+                ((b1 & mask) == value)
+                & ((b2 & mask) == value)
+                & ((b3 & mask) == value)
+            )
+        return hit.astype(np.uint8)
 
     tripled = CertificateCollection(
         1,
@@ -444,16 +441,13 @@ def data_compose(outer: BooleanFunction, inner: BooleanFunction) -> BooleanFunct
             virt |= inner._point(blk) << (K + j)
         return outer._point(virt)
 
-    batch = None
-    if arity <= 63:
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            xs = np.asarray(xs, dtype=np.int64)
-            virt = xs & kmask
-            for j in range(t):
-                blk = (xs >> (K + j * n_in)) & inmask
-                virt |= inner.values(blk).astype(np.int64) << (K + j)
-            return outer.values(virt)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.int64)
+        virt = xs & kmask
+        for j in range(t):
+            blk = (xs >> (K + j * n_in)) & inmask
+            virt |= inner.values(blk).astype(np.int64) << (K + j)
+        return outer.values(virt)
 
     return BooleanFunction(
         arity, point, batch, meta=None, name=f"compose({outer.name},{inner.name})"

@@ -74,7 +74,7 @@ class SensSummary(NamedTuple):
 def sensitivity_at(fn: BooleanFunction, x: int) -> int:
     """Number of coordinates whose flip changes fn at x."""
     fx = fn(x)
-    if fn._batch is not None and fn.arity <= 63:
+    if fn._batch is not None:
         xs = x ^ (np.int64(1) << np.arange(fn.arity, dtype=np.int64))
         return int((fn.values(xs) != fx).sum())
     return sum(fn(x ^ (1 << i)) != fx for i in range(fn.arity))
@@ -370,15 +370,17 @@ class SensitivityGraph:
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. The adjacency is built once, as a
-    sparse matrix, and every edge and component query and the exact
-    eigensolve read it; matrix-free reads only its smaller side's rows,
-    straight from the table.
+    sparse matrix, and so are its component labels; every edge and
+    component query, the component census and the exact eigensolve read
+    them. Matrix-free reads only its smaller side's rows, straight from the
+    table.
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
         self.table = _table_of(fn, cap)
         self.arity = self.table.arity
         self._adj: sp.csr_matrix | None = None
+        self._labels: np.ndarray | None = None
 
     def degree_counts(self) -> np.ndarray:
         """Degree of every vertex: the table's cached sensitivity counts."""
@@ -428,12 +430,25 @@ class SensitivityGraph:
         upper = a.indices > rows
         return np.stack([rows[upper], a.indices[upper].astype(np.int64)], axis=1)
 
+    def _component_labels(self) -> np.ndarray:
+        """Connected-component label of every vertex, isolated ones included,
+        numbered from 0; computed once from the adjacency."""
+        if self._labels is None:
+            self._labels = _cc(self.adjacency(), directed=False)[1]
+        return self._labels
+
+    def census(self) -> dict[tuple, int]:
+        """Count of each component shape, keyed ("star", d),
+        ("two-layer-star", a, b) or ("other",). Raises CapExceeded when the
+        adjacency does not fit MEMORY_BUDGET."""
+        return _shape_census(self.adjacency(), self._component_labels())
+
     def components(self) -> list[Component]:
         """Connected components ordered by smallest vertex."""
         e = self.edges()
         if len(e) == 0:
             return []
-        _, labels = _cc(self.adjacency(), directed=False)
+        labels = self._component_labels()
         active = np.flatnonzero(np.diff(self.adjacency().indptr))
 
         def by_label(items: np.ndarray, labs: np.ndarray) -> list[np.ndarray]:
@@ -448,6 +463,53 @@ class SensitivityGraph:
         return comps
 
 
+def _shape_census(adj: sp.csr_matrix, labels: np.ndarray) -> dict[tuple, int]:
+    """Count of each component shape, keyed as classify_component's results,
+    in one pass over the symmetric adjacency adj and its component labels.
+    Isolated vertices are not components.
+
+    A component of k > 1 vertices is a tree when its degrees add up to
+    2 (k - 1). A tree is a star when a vertex has degree k - 1. It is a
+    two-layer star (a, b) when exactly one internal (degree >= 2) vertex,
+    the center, has only internal neighbors, a of them; there are a + 1
+    internal vertices, so the others are the center's neighbors, which in a
+    tree are not joined to each other; and those all have degree b. Degrees
+    alone would not do: the tree c-m1-m2 with a leaf on c, one on m1 and two
+    on m2 has the degrees of the (2, 3) two-layer star.
+    """
+    d = np.diff(adj.indptr)
+    internal = d >= 2
+    inner_nbrs = adj @ internal.astype(np.float64)
+    n_labels = int(labels.max(initial=-1)) + 1
+
+    def per_label(weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(labels, weights, n_labels).astype(np.int64)
+
+    k = per_label()
+    tree = (k > 1) & (per_label(d) == 2 * (k - 1))
+    star = tree & (per_label(d == k[labels] - 1) > 0)
+    center = internal & (inner_nbrs == d)
+    a = per_label(center * d)
+    middle = internal & ~center
+    # with a middle vertices, b is their mean degree, which each of them
+    # matches only when they all have one degree
+    b = per_label(middle * d) // np.maximum(a, 1)
+    two = tree & ~star & (per_label(center) == 1) & (per_label(internal) == a + 1)
+    two &= per_label(middle & (d == b[labels])) == a
+    # one integer per component: its kind (0, 1, 2 sort as their names do)
+    # and its parameters, each below base, as digits in that base
+    base = int(k.max(initial=0)) + 1
+    kind = np.where(star, 1, np.where(two, 2, 0))
+    shape = (kind * base + np.where(star, k - 1, a * two)) * base + b * two
+    keys, counts = np.unique(shape[k > 1], return_counts=True)
+    names = ("other",), ("star",), ("two-layer-star",)
+    shapes = {}
+    for key, n in zip(keys.tolist(), counts.tolist()):
+        c, x, y = key // base**2, key // base % base, key % base
+        shapes[names[c] + (x, y)[:c]] = n
+    return shapes
+
+
 def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
     """Classify a component as ("star", (d,)), ("two-layer-star", (a, b)),
     or ("other", ()).
@@ -455,42 +517,17 @@ def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
     A star is one hub joined to d leaves. A two-layer star is a center of
     degree a whose a neighbors each have degree b >= 2, all remaining
     vertices being leaves hanging off those neighbors. A star is never
-    reported as a two-layer star.
+    reported as a two-layer star. The rule is the census's, run on the
+    component's own adjacency with its vertices renumbered 0..k-1.
     """
-    verts = [int(v) for v in comp.vertices]
-    deg: dict[int, int] = {v: 0 for v in verts}
-    nbrs: dict[int, list[int]] = {v: [] for v in verts}
-    for x, y in comp.edges:
-        x, y = int(x), int(y)
-        deg[x] += 1
-        deg[y] += 1
-        nbrs[x].append(y)
-        nbrs[y].append(x)
-    nverts = len(verts)
-    degs = sorted(deg.values())
-    if nverts >= 2 and degs[-1] == nverts - 1 and all(d == 1 for d in degs[:-1]):
-        return "star", (nverts - 1,)
-    for center in verts:
-        a = deg[center]
-        layer = nbrs[center]
-        if a < 1 or len(layer) != a:
-            continue
-        bset = {deg[u] for u in layer}
-        if len(bset) != 1:
-            continue
-        b = bset.pop()
-        if b < 2:
-            continue
-        layer_set = set(layer)
-        rest = [v for v in verts if v != center and v not in layer_set]
-        if len(rest) != a * (b - 1):
-            continue
-        ok = all(
-            deg[v] == 1 and nbrs[v][0] in layer_set for v in rest
-        )
-        if ok:
-            return "two-layer-star", (a, b)
-    return "other", ()
+    k = len(comp.vertices)
+    order = np.argsort(comp.vertices)
+    e = order[np.searchsorted(comp.vertices, comp.edges, sorter=order)].reshape(-1, 2)
+    ends = np.concatenate([e, e[:, ::-1]])
+    adj = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(k, k))
+    shapes = _shape_census(adj, np.zeros(k, dtype=np.int64))
+    kind, *params = next(iter(shapes), ("other",))
+    return kind, tuple(params)
 
 
 def _bin_label(x: int, arity: int) -> str:
@@ -529,6 +566,10 @@ class SpectralResult:
     residual: float
     iterations: int
 
+    @property
+    def exact(self) -> bool:
+        return self.method in ("dense", "component-wise", "analytic")
+
 
 def _lambda_exact(graph: SensitivityGraph) -> float:
     """Largest adjacency eigenvalue from a dense eigensolve of each connected
@@ -545,7 +586,8 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     """
     a = graph.adjacency()
     vals = graph.table.values
-    n_comp, labels = _cc(a, directed=False)
+    labels = graph._component_labels()
+    n_comp = int(labels.max()) + 1
     ones = np.bincount(labels[vals == 1], minlength=n_comp)
     zeros = np.bincount(labels, minlength=n_comp) - ones
     small, large = np.minimum(ones, zeros), np.maximum(ones, zeros)
@@ -837,6 +879,5 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
                 skipped=f"no convergence in {DEFAULT_MAX_ITER} iterations "
                 f"(best estimate {exc.best:.4f})",
             )
-        exact = spec.method in ("dense", "component-wise", "analytic")
-        return MeasureEntry(name, spec.value, exact, method=spec.method)
+        return MeasureEntry(name, spec.value, spec.exact, method=spec.method)
     raise AssertionError(name)

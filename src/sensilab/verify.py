@@ -18,13 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanFunction, CertificateCollection, PartialAssignment, TruthTable
+from .core import BooleanFunction, CapExceeded, CertificateCollection, PartialAssignment, TruthTable
 from .constructions import desensitize, haf, maf, tradeoff, tradeoff_profile
 from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     SensitivityGraph,
-    classify_component,
     degree,
     s,
     s0,
@@ -163,7 +162,7 @@ def verify_theorem1(
     )
     claims.add("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact")
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
-    lam_tol = 1e-9 if spec.method == "dense" else tol
+    lam_tol = 1e-9 if spec.exact else tol
     claims.add(
         "thm1.lambda",
         math.sqrt(1 << r),
@@ -175,61 +174,36 @@ def verify_theorem1(
     return claims.rows
 
 
-def _simon_masks(n: int) -> list[tuple[int, int, int]]:
-    """Per-direction table-bit masks: positions with input bit i clear,
-    positions with it set, and the shift between them."""
-    size = 1 << n
-    out = []
-    for i in range(n):
-        m0 = m1 = 0
-        for x in range(size):
-            if (x >> i) & 1:
-                m1 |= 1 << x
-            else:
-                m0 |= 1 << x
-        out.append((m0, m1, 1 << i))
-    return out
+def _bit_rows(ints: np.ndarray, width: int) -> np.ndarray:
+    """(len(ints), width) boolean matrix whose column x holds bit x of each
+    integer."""
+    return ((ints[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)).astype(bool)
 
 
 def _simon_chunk(n: int, lo: int, hi: int, bound: float):
     """Scan table integers [lo, hi): per-table sensitivity profile computed
-    bit-parallel across the whole chunk."""
+    across the whole chunk at once."""
     size = 1 << n
     tables = np.arange(lo, hi, dtype=np.uint64)
-    masks = _simon_masks(n)
-    diffs = []
-    nondeg = np.ones(len(tables), dtype=bool)
-    for m0, m1, shift in masks:
-        perm = ((tables & np.uint64(m0)) << np.uint64(shift)) | (
-            (tables & np.uint64(m1)) >> np.uint64(shift)
-        )
-        d = tables ^ perm
-        diffs.append(d)
-        nondeg &= d != 0
-    counts = np.zeros((size, len(tables)), dtype=np.int8)
-    for d in diffs:
-        for x in range(size):
-            counts[x] += ((d >> np.uint64(x)) & np.uint64(1)).astype(np.int8)
-    tbits = np.zeros((size, len(tables)), dtype=bool)
-    for x in range(size):
-        tbits[x] = ((tables >> np.uint64(x)) & np.uint64(1)).astype(bool)
-    s1_all = np.where(tbits, counts, -1).max(axis=0)
-    s0_all = np.where(~tbits, counts, -1).max(axis=0)
-    s_all = counts.max(axis=0)
+    tbits = _bit_rows(tables, size)
+    # flips[i, t, x]: flipping bit i of x changes table t
+    flips = np.stack([tbits != tbits[:, np.arange(size) ^ (1 << i)] for i in range(n)])
+    nondeg = flips.any(axis=2).all(axis=0)
+    counts = flips.sum(axis=0, dtype=np.int8)
+    s1_all = np.where(tbits, counts, -1).max(axis=1)
+    s0_all = np.where(~tbits, counts, -1).max(axis=1)
+    s_all = counts.max(axis=1)
     sums = s0_all.astype(np.int64) + s1_all.astype(np.int64)
 
-    relevant = nondeg
-    if not relevant.any():
+    if not nondeg.any():
         return None
-    rsums = sums[relevant]
-    rtables = tables[relevant]
-    j = int(rsums.argmin())
-    min_sum = int(rsums[j])
-    min_table = int(rtables[rsums == min_sum].min())
+    rsums = sums[nondeg]
+    min_sum = int(rsums.min())
+    min_table = int(tables[nondeg][rsums == min_sum].min())
     violations = int((rsums < bound - 1e-9).sum())
-    high_s = relevant & (s_all > math.log2(n))
+    high_s = nondeg & (s_all > math.log2(n))
     branch_violations = int((sums[high_s] < bound - 1e-9).sum())
-    checked = int(relevant.sum())
+    checked = int(nondeg.sum())
     return min_sum, min_table, violations, branch_violations, checked
 
 
@@ -298,31 +272,28 @@ def verify_simon(n: int, threads: int = 1) -> list[ClaimResult]:
     return claims.rows
 
 
+def _subgraph_violations(n: int, incl: np.ndarray) -> int:
+    """Rows of the (batch, 2^n) boolean inclusion matrix incl, each a
+    non-empty vertex subset of the n-cube, with |V| < 2^(min in-degree)."""
+    deg = np.zeros(incl.shape, dtype=np.int16)
+    for i in range(n):
+        deg += incl[:, np.arange(1 << n) ^ (1 << i)]
+    md = np.where(incl, deg, np.int16(32767)).min(axis=1).astype(np.int64)
+    nverts = incl.sum(axis=1).astype(np.int64)
+    return int((nverts < (np.int64(1) << md)).sum())
+
+
 def _subgraph_exhaustive(n: int) -> tuple[int, int]:
     """Check |V| >= 2^md over every non-empty induced subgraph of the n-cube.
-    Subsets are bitmask integers scanned with the same bit-parallel trick as
-    the table enumeration."""
+    Subsets are bitmask integers, unpacked to inclusion rows in chunks."""
     size = 1 << n
     total = 1 << size
     violations = 0
-    checked = 0
     step = 1 << 16
     for lo in range(1, total, step):
-        hi = min(lo + step, total)
-        sets = np.arange(lo, hi, dtype=np.uint64)
-        deg = np.zeros((size, len(sets)), dtype=np.int8)
-        inset = np.zeros((size, len(sets)), dtype=bool)
-        for x in range(size):
-            inset[x] = ((sets >> np.uint64(x)) & np.uint64(1)).astype(bool)
-        for x in range(size):
-            for i in range(n):
-                deg[x] += inset[x ^ (1 << i)].astype(np.int8)
-        deg_in = np.where(inset, deg, np.int8(127))
-        md = deg_in.min(axis=0)
-        nverts = np.bitwise_count(sets).astype(np.int64)
-        violations += int((nverts < (np.int64(1) << md.astype(np.int64))).sum())
-        checked += len(sets)
-    return violations, checked
+        sets = np.arange(lo, min(lo + step, total), dtype=np.uint64)
+        violations += _subgraph_violations(n, _bit_rows(sets, size))
+    return violations, total - 1
 
 
 def _subgraph_sampled(n: int, samples: int, seed: int) -> tuple[int, int]:
@@ -331,7 +302,6 @@ def _subgraph_sampled(n: int, samples: int, seed: int) -> tuple[int, int]:
     ones with interesting minimum degree) actually occur."""
     size = 1 << n
     rng = np.random.default_rng(seed)
-    nbr_idx = [np.arange(size) ^ (1 << i) for i in range(n)]
     violations = 0
     checked = 0
     rows = max(1, min(samples, max(1, 10_000_000 // size)))
@@ -341,18 +311,9 @@ def _subgraph_sampled(n: int, samples: int, seed: int) -> tuple[int, int]:
         done += batch
         p = rng.uniform(0.0, 1.0, size=(batch, 1))
         incl = rng.uniform(0.0, 1.0, size=(batch, size)) < p
-        nonempty = incl.any(axis=1)
-        if not nonempty.any():
-            continue
-        incl = incl[nonempty]
-        deg = np.zeros(incl.shape, dtype=np.int16)
-        for idx in nbr_idx:
-            deg += incl[:, idx]
-        deg_in = np.where(incl, deg, np.int16(32767))
-        md = deg_in.min(axis=1).astype(np.int64)
-        nverts = incl.sum(axis=1).astype(np.int64)
-        violations += int((nverts < (np.int64(1) << md)).sum())
-        checked += int(nonempty.sum())
+        incl = incl[incl.any(axis=1)]
+        violations += _subgraph_violations(n, incl)
+        checked += len(incl)
     return violations, checked
 
 
@@ -502,7 +463,8 @@ def verify_tradeoff(
 ) -> list[ClaimResult]:
     """Closed-form profile of the composed family plus a census of its
     sensitivity-graph components: only stars and the center-degree-s0,
-    middle-degree-s1 two-layer stars may appear."""
+    middle-degree-s1 two-layer stars may appear. The census is left out
+    when the graph's adjacency does not fit MEMORY_BUDGET."""
     claims = _Claims()
     fn = tradeoff(as_, bs_)
     profile = tradeoff_profile(as_, bs_)
@@ -520,32 +482,28 @@ def verify_tradeoff(
         tol=tol,
         note=f"method={spec.method}, residual={spec.residual:.3e}",
     )
-    if fn.arity <= 16:
-        comps = SensitivityGraph(fn).components()
-        shape_counts: dict = {}
-        bad = 0
-        for comp in comps:
-            kind, params = classify_component(comp)
-            key = (kind,) + params
-            shape_counts[key] = shape_counts.get(key, 0) + 1
-            if kind == "other":
-                bad += 1
-        census = ", ".join(
-            f"{v} x {k}" for k, v in sorted(shape_counts.items(), key=lambda kv: kv[0])
+    try:
+        shapes = SensitivityGraph(fn).census()
+    except CapExceeded:
+        # the adjacency does not fit MEMORY_BUDGET: no census
+        return claims.rows
+    census = ", ".join(f"{v} x {k}" for k, v in shapes.items())
+    claims.add(
+        "thm3.census", 0, shapes.get(("other",), 0), "exact",
+        note=f"component shapes: {census}",
+    )
+    if bs_:
+        want = ("two-layer-star", profile["s0"], profile["s1"])
+        claims.add(
+            "thm3.fig1",
+            1,
+            shapes.get(want, 0),
+            "ge",
+            note=(
+                f"two-layer stars with center degree {profile['s0']} and "
+                f"middle degree {profile['s1']}"
+            ),
         )
-        claims.add("thm3.census", 0, bad, "exact", note=f"component shapes: {census}")
-        if bs_:
-            want = ("two-layer-star", profile["s0"], profile["s1"])
-            claims.add(
-                "thm3.fig1",
-                1,
-                shape_counts.get(want, 0),
-                "ge",
-                note=(
-                    f"two-layer stars with center degree {profile['s0']} and "
-                    f"middle degree {profile['s1']}"
-                ),
-            )
     return claims.rows
 
 

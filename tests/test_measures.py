@@ -37,6 +37,7 @@ from sensilab import (
     two_layer_star_lambda,
     uc1,
 )
+from sensilab.measures import Component
 
 
 def table_fn(bits):
@@ -370,40 +371,140 @@ class TestSensitivityGraph:
         assert 0b00 not in comps[0].vertices
 
 
+def _component_of(adj: np.ndarray) -> Component:
+    return Component(np.arange(adj.shape[0]), np.argwhere(np.triu(adj)))
+
+
+def _classify_by_walk(comp: Component) -> tuple[str, tuple[int, ...]]:
+    """Reference classifier: the per-vertex walk the vectorized rule
+    replaced. It tries every vertex as the center of a two-layer star."""
+    verts = [int(v) for v in comp.vertices]
+    nbrs: dict[int, list[int]] = {v: [] for v in verts}
+    for x, y in comp.edges.tolist():
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    deg = {v: len(nb) for v, nb in nbrs.items()}
+    degs = sorted(deg.values())
+    if len(verts) >= 2 and degs[-1] == len(verts) - 1 and all(d == 1 for d in degs[:-1]):
+        return "star", (len(verts) - 1,)
+    for center in verts:
+        layer = set(nbrs[center])
+        bset = {deg[u] for u in layer}
+        if not layer or len(bset) != 1 or min(bset) < 2:
+            continue
+        b = min(bset)
+        rest = [v for v in verts if v != center and v not in layer]
+        if len(rest) == len(layer) * (b - 1) and all(
+            deg[v] == 1 and nbrs[v][0] in layer for v in rest
+        ):
+            return "two-layer-star", (len(layer), b)
+    return "other", ()
+
+
+def _tally(comps, classify=classify_component) -> dict:
+    shapes: dict = {}
+    for comp in comps:
+        kind, params = classify(comp)
+        shapes[(kind,) + params] = shapes.get((kind,) + params, 0) + 1
+    return shapes
+
+
 class TestClassify:
     def test_star(self, or2):
         comp = SensitivityGraph(or2).components()[0]
         assert classify_component(comp) == ("star", (2,))
 
     def test_two_layer_star(self):
-        adj = two_layer_star_adjacency(3, 4)
-        n_vertices = adj.shape[0]
-        edges = np.array(
-            [
-                (i, j)
-                for i in range(n_vertices)
-                for j in range(i + 1, n_vertices)
-                if adj[i, j]
-            ]
-        )
-        from sensilab.measures import Component
-
-        comp = Component(np.arange(n_vertices), edges)
+        comp = _component_of(two_layer_star_adjacency(3, 4))
         assert classify_component(comp) == ("two-layer-star", (3, 4))
 
-    def test_cycle_is_other(self):
-        from sensilab.measures import Component
+    @pytest.mark.parametrize("a", range(1, 7))
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_two_layer_star_adjacency(self, a, b):
+        comp = _component_of(two_layer_star_adjacency(a, b))
+        if b == 1:
+            want = ("star", (a,))
+        elif a == 1:
+            want = ("star", (b,))
+        else:
+            want = ("two-layer-star", (a, b))
+        assert classify_component(comp) == _classify_by_walk(comp) == want
 
+    def test_two_layer_degrees_are_not_enough(self):
+        # c=0, m1=1, m2=2: a leaf on c, one on m1, two on m2, so the degree
+        # sequence of the (2, 3) two-layer star
+        comp = Component(
+            np.arange(7), np.array([(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (2, 6)])
+        )
+        assert sorted(np.bincount(comp.edges.ravel())) == sorted(
+            two_layer_star_adjacency(2, 3).sum(axis=0).astype(int)
+        )
+        assert classify_component(comp) == _classify_by_walk(comp) == ("other", ())
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("at", ["center", "middle", "leaf"])
+    def test_extra_leaf_breaks_a_two_layer_star(self, a, b, at):
+        adj = two_layer_star_adjacency(a, b)
+        k = adj.shape[0]
+        host = {"center": 0, "middle": 1, "leaf": k - 1}[at]
+        comp = Component(np.arange(k + 1), np.vstack([np.argwhere(np.triu(adj)), [(host, k)]]))
+        assert classify_component(comp) == _classify_by_walk(comp) == ("other", ())
+
+    def test_internal_vertex_off_the_middle_layer_is_other(self):
+        # center 0 with middles 1, 2, 3 of degree 3; vertex 4, of degree 2,
+        # hangs off middle 1: the middle degrees 3, 3, 3, 2 average to 3
+        # over the center's 3 neighbors
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6)]
+        edges += [(2, 7), (2, 8), (3, 9), (3, 10)]
+        comp = Component(np.arange(11), np.array(edges))
+        assert classify_component(comp) == _classify_by_walk(comp) == ("other", ())
+
+    def test_lone_vertex_is_other(self):
+        comp = Component(np.arange(1), np.empty((0, 2), dtype=np.int64))
+        assert classify_component(comp) == ("other", ())
+
+    def test_vertices_need_not_be_sorted_or_dense(self):
+        comp = Component(np.array([40, 7, 12]), np.array([(7, 40), (12, 40)]))
+        assert classify_component(comp) == ("star", (2,))
+
+    def test_cycle_is_other(self):
         comp = Component(
             np.arange(4), np.array([(0, 1), (1, 2), (2, 3), (0, 3)])
         )
         assert classify_component(comp) == ("other", ())
 
     def test_single_edge_is_star(self):
-        from sensilab.measures import Component
-
         comp = Component(np.arange(2), np.array([(0, 1)]))
         assert classify_component(comp) == ("star", (1,))
+
+
+class TestCensus:
+    def test_tradeoff_2_2(self):
+        census = SensitivityGraph(tradeoff([2], [2])).census()
+        assert census == {("star", 3): 768, ("two-layer-star", 4, 4): 256}
+        assert all(type(v) is int for key in census for v in key[1:])
+
+    def test_counts_other_components(self, parity3):
+        assert SensitivityGraph(parity3).census() == {("other",): 1}
+
+    def test_constant_has_no_components(self):
+        assert SensitivityGraph(TruthTable(3, np.zeros(8, dtype=np.uint8))).census() == {}
+
+    def test_over_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 100)
+        with pytest.raises(CapExceeded):
+            SensitivityGraph(haf(2)).census()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.floats(0.02, 0.98), st.integers(0, 2**32 - 1))
+    ))
+    def test_matches_classify_component(self, case):
+        n, p, seed = case
+        rng = np.random.default_rng(seed)
+        graph = SensitivityGraph(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
+        comps = graph.components()
+        assert graph.census() == _tally(comps) == _tally(comps, _classify_by_walk)
 
 
 class TestGraphExport:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from sensilab import measures
 from sensilab import (
     all_pass,
     chaf,
@@ -62,6 +63,15 @@ class TestTheorem1:
         claims = verify_theorem1(2)
         lam = next(c for c in claims if c.claim == "thm1.lambda")
         assert "dense" in lam.note
+
+    @pytest.mark.parametrize(
+        "method, tol",
+        [("dense", 1e-9), ("component-wise", 1e-9), ("analytic", 1e-9), ("matrix-free", 1e-6)],
+    )
+    def test_exact_methods_get_the_tight_tolerance(self, method, tol):
+        claims = verify_theorem1(2, lambda_method=method)
+        lam = next(c for c in claims if c.claim == "thm1.lambda")
+        assert lam.tolerance == tol
 
     def test_rejects_large_r(self):
         with pytest.raises(ValueError):
@@ -241,6 +251,21 @@ class TestTradeoffSuite:
         claims = verify_tradeoff([2], [])
         census = next(c for c in claims if c.claim == "thm3.census")
         assert "star" in census.note
+
+    def test_census_runs_above_arity_16(self):
+        claims = verify_tradeoff([2, 2, 2], [])
+        by_id = {c.claim: c for c in claims}
+        assert by_id["thm3.arity"].computed == 17
+        assert by_id["thm3.census"].computed == 0
+        assert by_id["thm3.census"].note == "component shapes: 1024 x ('star', 10)"
+        assert all_pass(claims)
+
+    def test_census_left_out_when_the_graph_is_over_budget(self, monkeypatch):
+        # tradeoff(2;2)'s adjacency takes 186 kB
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 100_000)
+        claims = verify_tradeoff([2], [2])
+        assert [c.claim for c in claims] == ["thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda"]
+        assert all_pass(claims)
 
 
 class TestMafProposition:
