@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--as", dest="as_", type=_int_list)
     p.add_argument("--bs", dest="bs_", type=_int_list)
     p.add_argument("--samples", type=int)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=int)
     p.add_argument("--arities", type=_int_list)
     p.add_argument("--fn")
     p.add_argument("--certs")
@@ -259,10 +259,10 @@ def _cmd_verify(args, config: RunConfig) -> int:
             claims = verify_mod.verify_lemma_chain(fn, name=os.path.basename(args.fn))
             claims.extend(verify_mod.verify_edge_bound(fn, name=os.path.basename(args.fn)))
         else:
+            # the suite's own defaults stand for flags not given
+            given = {"arities": args.arities, "count": args.count}
             claims = verify_mod.verify_lemma_chain_random(
-                arities=args.arities or tuple(range(4, 11)),
-                count=args.count,
-                seed=config.seed,
+                seed=config.seed, **{k: v for k, v in given.items() if v is not None}
             )
     elif suite == "desens":
         if args.fn is not None:

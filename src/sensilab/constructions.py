@@ -66,19 +66,14 @@ class ConstructionMeta:
     def negated(self) -> "ConstructionMeta":
         certs = self.certificates
         if certs is not None:
-            certs = CertificateCollection(
-                1 - certs.target_value, certs.certificates, certs.unambiguous
-            )
-        return ConstructionMeta(
+            certs = replace(certs, target_value=1 - certs.target_value)
+        return replace(
+            self,
             family=None,
             params=None,
             predicted_s0=self.predicted_s1,
             predicted_s1=self.predicted_s0,
-            predicted_lambda_sq=self.predicted_lambda_sq,
             certificates=certs,
-            codeword_len=self.codeword_len,
-            data_len=self.data_len,
-            certificates_validated=self.certificates_validated,
         )
 
 

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -373,12 +373,14 @@ class SensitivityGraph:
     sparse matrix, and so are its component labels; every edge and
     component query, the component census and the exact eigensolve read
     them. Matrix-free reads only its smaller side's rows, straight from the
-    table.
+    table. meta is fn's construction metadata, which the analytic spectral
+    method reads (None for a table).
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
         self.table = _table_of(fn, cap)
         self.arity = self.table.arity
+        self.meta = getattr(fn, "meta", None)
         self._adj: sp.csr_matrix | None = None
         self._labels: np.ndarray | None = None
 
@@ -534,9 +536,9 @@ def _bin_label(x: int, arity: int) -> str:
     return format(x, f"0{arity}b")
 
 
-def graph_edges_text(graph: SensitivityGraph, component: int | None = None) -> str:
-    """Edge list, one "x y" pair per line, vertices as most-significant-bit
-    first binary strings, x < y, sorted."""
+def _labelled_edges(graph: SensitivityGraph, component: int | None) -> list[tuple[str, str]]:
+    """Edges of the graph, or of its component-th component, as (x, y) pairs
+    of most-significant-bit first binary strings, x < y, sorted."""
     if component is None:
         e = graph.edges()
     else:
@@ -545,18 +547,17 @@ def graph_edges_text(graph: SensitivityGraph, component: int | None = None) -> s
             raise ValueError(f"component index {component} out of range ({len(comps)})")
         e = comps[component].edges
     n = graph.arity
-    lines = [f"{_bin_label(int(x), n)} {_bin_label(int(y), n)}" for x, y in e]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return [(_bin_label(int(x), n), _bin_label(int(y), n)) for x, y in e]
+
+
+def graph_edges_text(graph: SensitivityGraph, component: int | None = None) -> str:
+    """Edge list, one "x y" pair per line."""
+    return "".join(f"{x} {y}\n" for x, y in _labelled_edges(graph, component))
 
 
 def graph_dot_text(graph: SensitivityGraph, component: int | None = None) -> str:
-    body = graph_edges_text(graph, component)
-    out = ["graph sensitivity {"]
-    for ln in body.splitlines():
-        x, y = ln.split()
-        out.append(f'  "{x}" -- "{y}";')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    body = "".join(f'  "{x}" -- "{y}";\n' for x, y in _labelled_edges(graph, component))
+    return "graph sensitivity {\n" + body + "}\n"
 
 
 @dataclass(frozen=True)
@@ -707,6 +708,9 @@ def spectral_sensitivity(
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
+    fn is a function, a table, or a SensitivityGraph, whose cached adjacency
+    and component labels the exact solve then reuses.
+
     method: "dense" or "component-wise" (the same exact eigensolve of each
     connected component's Gram block B B^T, where B joins the component's
     smaller side to its larger one), "matrix-free" (power iteration on the
@@ -726,7 +730,7 @@ def spectral_sensitivity(
         method = "dense" if 8 * 4 ** fn.arity <= MEMORY_BUDGET else "matrix-free"
     if method not in ("dense", "component-wise", "matrix-free"):
         raise ValueError(f"unknown spectral method {method!r}")
-    graph = SensitivityGraph(fn)
+    graph = fn if isinstance(fn, SensitivityGraph) else SensitivityGraph(fn)
     if method == "matrix-free":
         value, residual, iters = _lambda_matfree(graph, tol, seed, max_iter)
         return SpectralResult(value, method, residual, iters)
@@ -773,15 +777,7 @@ class MeasureEntry:
     skipped: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "exact": self.exact,
-            "witness": self.witness,
-            "witness_bits": self.witness_bits,
-            "method": self.method,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -794,14 +790,7 @@ class MeasureReport:
     entries: list[MeasureEntry]
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "arity": self.arity,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "runtime": self.runtime,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -817,14 +806,16 @@ def compute_measures(
     source: str = "",
 ) -> MeasureReport:
     """Evaluate the requested measures, recording a skip reason instead of
-    failing when a measure's cap rules the function out."""
-    t_start = time.perf_counter()
-    entries: list[MeasureEntry] = []
+    failing when a measure's cap rules the function out. Every name is
+    checked before any measure runs."""
     for name in names:
         if name not in _MEASURE_NAMES:
             raise ValueError(
                 f"unknown measure {name!r}; valid: {', '.join(_MEASURE_NAMES)}"
             )
+    t_start = time.perf_counter()
+    entries: list[MeasureEntry] = []
+    for name in names:
         try:
             entries.append(_one_measure(fn, name, method, tol, seed, materialize_cap))
         except CapExceeded as exc:

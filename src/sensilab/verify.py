@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,16 +48,7 @@ class ClaimResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "predicted": self.predicted,
-            "computed": self.computed,
-            "mode": self.mode,
-            "status": self.status,
-            "runtime": self.runtime,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _passes(predicted, computed, mode: str, tol: float | None) -> bool:
@@ -220,29 +211,12 @@ def verify_simon(n: int, threads: int = 1) -> list[ClaimResult]:
     nchunks = max(1, min(workers * 4, total))
     step = -(-total // nchunks)
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    results = []
-    if workers == 1:
-        for lo, hi in ranges:
-            results.append(_simon_chunk(n, lo, hi, bound))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_simon_chunk, n, lo, hi, bound) for lo, hi in ranges]
-            results = [f.result() for f in futs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(lambda r: _simon_chunk(n, *r, bound), ranges)
     # order-independent reduction: min of (sum, table), totals added
-    min_sum = None
-    min_table = None
-    violations = 0
-    branch_violations = 0
-    checked = 0
-    for res in results:
-        if res is None:
-            continue
-        ms, mt, v, bv, ck = res
-        if min_sum is None or (ms, mt) < (min_sum, min_table):
-            min_sum, min_table = ms, mt
-        violations += v
-        branch_violations += bv
-        checked += ck
+    sums, tables, v, bv, ck = zip(*(res for res in results if res is not None))
+    min_sum, min_table = min(zip(sums, tables))
+    violations, branch_violations, checked = sum(v), sum(bv), sum(ck)
     claims.add(
         f"thm2.n{n}",
         round(bound, 12),
@@ -473,7 +447,10 @@ def verify_tradeoff(
     claims.add("thm3.arity", profile["arity"], fn.arity, "exact")
     claims.add("thm3.s0", profile["s0"], s0(fn).value, "exact")
     claims.add("thm3.s1", profile["s1"], s1(fn).value, "exact")
-    spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
+    # lambda and the census read one graph, whose adjacency and component
+    # labels are built at most once
+    graph = SensitivityGraph(fn)
+    spec = spectral_sensitivity(graph, method=lambda_method, seed=seed)
     claims.add(
         "thm3.lambda",
         math.sqrt(profile["lambda_sq"]),
@@ -483,7 +460,7 @@ def verify_tradeoff(
         note=f"method={spec.method}, residual={spec.residual:.3e}",
     )
     try:
-        shapes = SensitivityGraph(fn).census()
+        shapes = graph.census()
     except CapExceeded:
         # the adjacency does not fit MEMORY_BUDGET: no census
         return claims.rows

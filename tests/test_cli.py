@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from sensilab import TruthTable
+from sensilab import TruthTable, verify
 from sensilab.cli import main, resolve_threads
 from sensilab.constructions import FAMILIES
 
@@ -339,6 +339,24 @@ class TestVerify:
         assert code == 0
         ids = [c["claim"] for c in json.loads(stdout)]
         assert "thm3.lambda" in ids
+
+    @pytest.mark.parametrize(
+        "flags, passed",
+        [
+            ([], {}),
+            (["--count", "7"], {"count": 7}),
+            (["--arities", "4,5"], {"arities": [4, 5]}),
+            (["--arities", "4", "--count", "2"], {"arities": [4], "count": 2}),
+        ],
+    )
+    def test_lemmas_pass_only_the_flags_given(self, capsys, monkeypatch, flags, passed):
+        calls = []
+        monkeypatch.setattr(
+            verify, "verify_lemma_chain_random", lambda **kw: calls.append(kw) or []
+        )
+        code, _, _ = run(capsys, "verify", "lemmas", "--seed", "3", *flags)
+        assert code == 0
+        assert calls == [{"seed": 3, **passed}]
 
     def test_lemmas_reject_zero_count(self, capsys):
         code, stdout, err = run(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ class TestHaf:
         assert f.meta.predicted_s1 == 4
         assert f.meta.predicted_lambda_sq == 4
         assert f.meta.codeword_len == 3 and f.meta.data_len == 2
+
+    def test_negated_meta(self):
+        meta = haf(2).meta
+        neg = meta.negated()
+        assert (neg.family, neg.params) == (None, None)
+        assert (neg.predicted_s0, neg.predicted_s1) == (4, 1)
+        assert neg.predicted_lambda_sq == 4
+        assert (neg.codeword_len, neg.data_len, neg.certificates_validated) == (3, 2, True)
+        assert neg.certificates == CertificateCollection(
+            0, meta.certificates.certificates, unambiguous=True
+        )
+        assert haf(2).negate().meta == neg
+        bare = replace(meta, certificates=None, certificates_validated=False)
+        assert bare.negated().certificates is None
+        assert not bare.negated().certificates_validated
 
     def test_certificates_valid_and_unambiguous(self):
         f = haf(2)

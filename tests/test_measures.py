@@ -10,6 +10,7 @@ from sensilab import (
     BooleanFunction,
     CapExceeded,
     ConvergenceError,
+    MeasureEntry,
     MeasureReport,
     PartialAssignment,
     SensitivityGraph,
@@ -529,6 +530,42 @@ class TestGraphExport:
         text = graph_edges_text(SensitivityGraph(f))
         assert "000 001" in text
 
+    HAF2_EDGES = (
+        "00000 01000", "00111 10111", "01000 01001", "01000 01010",
+        "01000 01100", "01111 11111", "10000 11000", "10011 10111",
+        "10101 10111", "10110 10111", "11000 11001", "11000 11010",
+        "11000 11100", "11011 11111", "11101 11111", "11110 11111",
+    )
+    HAF2_COMPONENT1 = ("00111 10111", "10011 10111", "10101 10111", "10110 10111")
+
+    @staticmethod
+    def _dot(pairs):
+        body = "".join('  "{}" -- "{}";\n'.format(*p.split()) for p in pairs)
+        return "graph sensitivity {\n" + body + "}\n"
+
+    def test_haf2_full_text(self):
+        g = SensitivityGraph(haf(2))
+        assert graph_edges_text(g) == "\n".join(self.HAF2_EDGES) + "\n"
+        assert graph_dot_text(g) == self._dot(self.HAF2_EDGES)
+        assert graph_dot_text(g) == (
+            'graph sensitivity {\n  "00000" -- "01000";\n  "00111" -- "10111";\n'
+            '  "01000" -- "01001";\n  "01000" -- "01010";\n  "01000" -- "01100";\n'
+            '  "01111" -- "11111";\n  "10000" -- "11000";\n  "10011" -- "10111";\n'
+            '  "10101" -- "10111";\n  "10110" -- "10111";\n  "11000" -- "11001";\n'
+            '  "11000" -- "11010";\n  "11000" -- "11100";\n  "11011" -- "11111";\n'
+            '  "11101" -- "11111";\n  "11110" -- "11111";\n}\n'
+        )
+
+    def test_haf2_one_component_text(self):
+        g = SensitivityGraph(haf(2))
+        assert graph_edges_text(g, component=1) == "\n".join(self.HAF2_COMPONENT1) + "\n"
+        assert graph_dot_text(g, component=1) == self._dot(self.HAF2_COMPONENT1)
+
+    def test_empty_graph_text(self):
+        g = SensitivityGraph(TruthTable(3, np.zeros(8, dtype=np.uint8)))
+        assert graph_edges_text(g) == ""
+        assert graph_dot_text(g) == "graph sensitivity {\n}\n"
+
 
 class TestSpectral:
     def test_parity3_lambda_is_three(self, parity3):
@@ -604,6 +641,34 @@ class TestSpectral:
     def test_bad_method(self, and2):
         with pytest.raises(ValueError):
             spectral_sensitivity(and2, method="nope")
+
+    @pytest.mark.parametrize(
+        "method", ["auto", "dense", "component-wise", "matrix-free", "analytic"]
+    )
+    def test_graph_gives_the_functions_result(self, method):
+        f = tradeoff([2], [2])
+        assert spectral_sensitivity(SensitivityGraph(f), method=method) == (
+            spectral_sensitivity(f, method=method)
+        )
+
+    def test_graph_reuses_its_adjacency_and_labels(self, monkeypatch):
+        graph = SensitivityGraph(chaf([2, 2]))
+        adj, labels = graph.adjacency(), graph._component_labels()
+        # a second build of either would now fail
+        monkeypatch.setattr(measures, "_cc", None)
+        monkeypatch.setattr(measures, "_check_csr_budget", None)
+        for method in ("dense", "component-wise"):
+            assert spectral_sensitivity(graph, method=method).value == pytest.approx(
+                math.sqrt(7), abs=1e-9
+            )
+        assert graph.adjacency() is adj and graph._component_labels() is labels
+
+    def test_graph_keeps_construction_meta(self):
+        f = tradeoff([2], [2])
+        assert SensitivityGraph(f).meta is f.meta
+        assert SensitivityGraph(f.table()).meta is None
+        with pytest.raises(ValueError, match="metadata"):
+            spectral_sensitivity(SensitivityGraph(f.table()), method="analytic")
 
 
 def dense_reference_adjacency(table: TruthTable) -> np.ndarray:
@@ -974,6 +1039,41 @@ class TestReports:
     def test_unknown_measure(self, and2):
         with pytest.raises(ValueError):
             compute_measures(and2, ["zz"])
+
+    def test_unknown_measure_rejected_before_any_is_computed(self, and2, monkeypatch):
+        calls = []
+        real = measures.s0
+        monkeypatch.setattr(measures, "s0", lambda *a, **k: calls.append(a) or real(*a, **k))
+        with pytest.raises(ValueError, match="zz"):
+            compute_measures(and2, ["s0", "zz"])
+        assert calls == []
+
+    def test_json_text_is_pinned(self, and2):
+        report = compute_measures(
+            and2, ["s0", "deg", "uc1", "lambda"], method="dense", source="and2"
+        )
+        report.runtime = 0.125
+        report.entries.append(MeasureEntry("c1", None, None, skipped="cap: test"))
+        entry = (
+            '    {{\n      "name": "{}",\n      "value": {},\n      "exact": {},\n'
+            '      "witness": {},\n      "witness_bits": {},\n      "method": {},\n'
+            '      "skipped": {}\n    }}'
+        )
+        entries = [
+            entry.format("s0", 1, "true", 1, '"01"', '"scan"', "null"),
+            entry.format("deg", 2, "true", "null", "null", '"mobius"', "null"),
+            entry.format("uc1", 2, "true", "null", "null", '"exact-cover"', "null"),
+            entry.format(
+                "lambda", "1.4142135623730951", "true", "null", "null", '"dense"', "null"
+            ),
+            entry.format("c1", "null", "null", "null", "null", "null", '"cap: test"'),
+        ]
+        assert report.to_json() == (
+            '{\n  "source": "and2",\n  "arity": 2,\n  "tolerance": 1e-09,\n'
+            '  "seed": 24301,\n  "runtime": 0.125,\n  "entries": [\n'
+            + ",\n".join(entries)
+            + "\n  ]\n}"
+        )
 
     def test_json_round_trip(self, and2):
         import json

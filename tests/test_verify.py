@@ -267,6 +267,20 @@ class TestTradeoffSuite:
         assert [c.claim for c in claims] == ["thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda"]
         assert all_pass(claims)
 
+    @pytest.mark.parametrize(
+        "method", ["auto", "dense", "component-wise", "matrix-free", "analytic"]
+    )
+    def test_lambda_and_census_share_one_graph(self, monkeypatch, method):
+        calls = []
+        real = measures._cc
+        monkeypatch.setattr(measures, "_cc", lambda *a, **k: calls.append(1) or real(*a, **k))
+        claims = verify_tradeoff([2], [2], lambda_method=method)
+        assert len(calls) == 1
+        assert [c.claim for c in claims] == [
+            "thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda", "thm3.census", "thm3.fig1"
+        ]
+        assert all_pass(claims)
+
 
 class TestMafProposition:
     def test_k2_full(self):
@@ -359,6 +373,27 @@ class TestClaimSerialization:
         assert lines[0] == "claim,predicted,computed,mode,status,runtime"
         assert lines[1].startswith("x.a,1,1,exact,pass,")
         assert len(lines) == 3
+
+    def test_json_text_is_pinned(self):
+        row = (
+            '  {{\n    "claim": "{}",\n    "predicted": {},\n    "computed": {},\n'
+            '    "mode": "{}",\n    "status": "{}",\n    "runtime": {},\n'
+            '    "tolerance": {},\n    "note": "{}"\n  }}'
+        )
+        assert claims_to_json(self._sample()) == (
+            "[\n"
+            + row.format("x.a", 1, 1, "exact", "pass", 0.25, 0.0, "n")
+            + ",\n"
+            + row.format("x.b", 2.0, 2.5, "within-tol", "fail", 0.5, "1e-09", "")
+            + "\n]"
+        )
+
+    def test_csv_text_is_pinned(self):
+        assert claims_to_csv(self._sample()) == (
+            "claim,predicted,computed,mode,status,runtime\r\n"
+            "x.a,1,1,exact,pass,0.25\r\n"
+            "x.b,2.0,2.5,within-tol,fail,0.5\r\n"
+        )
 
     def test_all_pass(self):
         sample = self._sample()
