@@ -51,7 +51,6 @@ _METHODS = {
 class RunConfig:
     seed: int = DEFAULT_SEED
     tolerance: float = DEFAULT_TOL
-    threads: int = 1
     materialize_cap: int = DEFAULT_TABLE_CAP
 
 
@@ -78,7 +77,6 @@ def _config_from(args) -> RunConfig:
     return RunConfig(
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
         tolerance=args.tol if args.tol is not None else DEFAULT_TOL,
-        threads=resolve_threads(args.threads),
         materialize_cap=(
             args.materialize_cap if args.materialize_cap is not None else DEFAULT_TABLE_CAP
         ),
@@ -244,9 +242,10 @@ def _cmd_verify(args, config: RunConfig) -> int:
         )
     elif suite == "simon":
         ns = [args.n] if args.n is not None else [2, 3, 4]
+        threads = resolve_threads(args.threads)
         claims = []
         for n in ns:
-            claims.extend(verify_mod.verify_simon(n, threads=config.threads))
+            claims.extend(verify_mod.verify_simon(n, threads=threads))
     elif suite == "subgraph":
         claims = verify_mod.verify_subgraph_lemma(
             args.n if args.n is not None else 3,

@@ -3,12 +3,12 @@
 Everything here works on a BooleanFunction or a TruthTable. Exact measures
 (sensitivity, certificates, degree) come from full scans of the table;
 spectral sensitivity is the operator norm of the sensitivity graph's
-adjacency matrix. Every edge joins a 0-input to a 1-input, so it is found
-either by an exact dense eigensolve of each connected component's Gram block
-on its smaller side, read from the graph's sparse adjacency, or by a
-matrix-free power iteration on the Gram operator of the whole graph's
-smaller side, whose rows are read straight from the table; or it is the
-closed form a construction claims for itself.
+adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
+stored once, as the rows B of its smaller side, read straight from the
+table. Lambda is found either by an exact dense eigensolve of each
+connected component's Gram block on its smaller side, or by a matrix-free
+power iteration on the Gram operator B B^T of the whole graph's smaller
+side; or it is the closed form a construction claims for itself.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .core import (
     TruthTable,
 )
 
-# bytes any one array of the spectral solvers may take: the sparse
-# adjacency, matrix-free's rows of the smaller side, or one batch of
+# bytes any one array of the spectral solvers may take: the graph's rows of
+# its smaller side, the sparse adjacency over them, or one batch of
 # biadjacency blocks with their Gram blocks
 MEMORY_BUDGET = 512 << 20
 CERT_SEARCH_CAP = 16
@@ -369,11 +369,11 @@ class SensitivityGraph:
     """Graph on inputs with an edge where one flipped coordinate changes f.
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
-    same integer encoding as the table. The adjacency is built once, as a
-    sparse matrix, and so are its component labels; every edge and
-    component query, the component census and the exact eigensolve read
-    them. Matrix-free reads only its smaller side's rows, straight from the
-    table. meta is fn's construction metadata, which the analytic spectral
+    same integer encoding as the table. Each edge is stored once, in B: the
+    rows of the smaller side S (the 0-side on a tie), read from the table
+    once. adjacency() is a view of B; it and the component labels computed
+    from it serve every edge and component query, the census and both
+    solvers. meta is fn's construction metadata, which the analytic spectral
     method reads (None for a table).
     """
 
@@ -381,6 +381,9 @@ class SensitivityGraph:
         self.table = _table_of(fn, cap)
         self.arity = self.table.arity
         self.meta = getattr(fn, "meta", None)
+        vals = self.table.values
+        self._side = np.flatnonzero(vals == int(2 * self.table.ones_count() < len(vals)))
+        self._rows: sp.csr_matrix | None = None
         self._adj: sp.csr_matrix | None = None
         self._labels: np.ndarray | None = None
 
@@ -397,40 +400,34 @@ class SensitivityGraph:
             return False
         return self.table[x] != self.table[y]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric 0/1 adjacency as CSR with int32 indices, sorted per row.
+    def _side_rows(self) -> sp.csr_matrix:
+        """B, the rows of S, built once; CapExceeded over MEMORY_BUDGET."""
+        if self._rows is None:
+            self._rows = _smaller_side_rows(self.table, self._side)
+        return self._rows
 
-        Raises CapExceeded when the matrix would take more than MEMORY_BUDGET
-        bytes.
+    def adjacency(self) -> sp.csr_matrix:
+        """The 2^n x 2^n 0/1 CSR over B's data and int32 indices, storing each
+        edge once: row x lists x's neighbours if x is in S and is empty
+        otherwise. scipy.sparse.csgraph reads it as undirected; A + A^T is
+        symmetric. CapExceeded over MEMORY_BUDGET: 12 E + 4 (2^n + 1) bytes.
         """
-        if self._adj is not None:
-            return self._adj
-        vals = self.table.values
-        size = 1 << self.arity
-        _check_csr_budget(int(self.table.sensitivity_counts.sum()), size)
-        # lows[i]: inputs with bit i clear whose flip along i changes f
-        lows = []
-        for i in range(self.arity):
-            half = vals.reshape(-1, 2, 1 << i)
-            diff = half[:, 0, :] != half[:, 1, :]
-            j = np.flatnonzero(diff).astype(np.int32)
-            # put bit i (clear) back into the half-table index
-            lows.append(((j >> i) << (i + 1)) | (j & ((1 << i) - 1)))
-        highs = [low | (1 << i) for i, low in enumerate(lows)]
-        rows = np.concatenate(lows + highs)
-        cols = np.concatenate(highs + lows)
-        # the conversion sorts each row's indices
-        self._adj = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(size, size)
-        )
+        if self._adj is None:
+            size = 1 << self.arity
+            _check_csr_budget(self.edge_count(), size)
+            rows = self._side_rows()
+            indptr = np.zeros(size + 1, dtype=np.int32)
+            indptr[self._side + 1] = np.diff(rows.indptr)
+            np.cumsum(indptr, out=indptr)
+            self._adj = sp.csr_matrix((rows.data, rows.indices, indptr), shape=(size, size))
         return self._adj
 
     def edges(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array with x < y, sorted."""
         a = self.adjacency()
         rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
-        upper = a.indices > rows
-        return np.stack([rows[upper], a.indices[upper].astype(np.int64)], axis=1)
+        e = np.sort(np.stack([rows, a.indices], axis=1), axis=1)
+        return e[np.lexsort(e.T[::-1])]
 
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, isolated ones included,
@@ -451,7 +448,7 @@ class SensitivityGraph:
         if len(e) == 0:
             return []
         labels = self._component_labels()
-        active = np.flatnonzero(np.diff(self.adjacency().indptr))
+        active = np.flatnonzero(self.degree_counts())
 
         def by_label(items: np.ndarray, labs: np.ndarray) -> list[np.ndarray]:
             order = np.argsort(labs, kind="stable")
@@ -467,8 +464,8 @@ class SensitivityGraph:
 
 def _shape_census(adj: sp.csr_matrix, labels: np.ndarray) -> dict[tuple, int]:
     """Count of each component shape, keyed as classify_component's results,
-    in one pass over the symmetric adjacency adj and its component labels.
-    Isolated vertices are not components.
+    in one pass over adj, which stores each edge once in either direction,
+    and its component labels. Isolated vertices are not components.
 
     A component of k > 1 vertices is a tree when its degrees add up to
     2 (k - 1). A tree is a star when a vertex has degree k - 1. It is a
@@ -480,8 +477,10 @@ def _shape_census(adj: sp.csr_matrix, labels: np.ndarray) -> dict[tuple, int]:
     on m2 has the degrees of the (2, 3) two-layer star.
     """
     d = np.diff(adj.indptr)
+    d += np.bincount(adj.indices, minlength=len(d))
     internal = d >= 2
     inner_nbrs = adj @ internal.astype(np.float64)
+    inner_nbrs += adj.T @ internal.astype(np.float64)
     n_labels = int(labels.max(initial=-1)) + 1
 
     def per_label(weights: np.ndarray | None = None) -> np.ndarray:
@@ -525,8 +524,7 @@ def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
     k = len(comp.vertices)
     order = np.argsort(comp.vertices)
     e = order[np.searchsorted(comp.vertices, comp.edges, sorter=order)].reshape(-1, 2)
-    ends = np.concatenate([e, e[:, ::-1]])
-    adj = sp.csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(k, k))
+    adj = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(k, k))
     shapes = _shape_census(adj, np.zeros(k, dtype=np.int64))
     kind, *params = next(iter(shapes), ("other",))
     return kind, tuple(params)
@@ -600,10 +598,10 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     order = np.argsort(group, kind="stable")
     local = np.empty_like(group)
     local[order] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[order]]
-    # each edge once, from its smaller-side end
+    # each stored edge, turned to start at its component's smaller-side end
     rows = np.repeat(np.arange(len(vals)), np.diff(a.indptr))
-    from_small = side[rows] == 0
-    e_row, e_col = rows[from_small], a.indices[from_small]
+    flip = side[rows] == 1
+    e_row, e_col = np.where(flip, a.indices, rows), np.where(flip, rows, a.indices)
     e_comp = labels[e_row]
     # isolated vertices are components with an empty side
     shape_key = np.where(small > 0, small * len(vals) + large, -1)
@@ -640,19 +638,18 @@ def _lambda_matfree(
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
-    |S|. B's rows are built straight from the table, never the whole
-    adjacency; over MEMORY_BUDGET each product is computed from the table.
+    |S|. B is the graph's own, built once straight from the table; over
+    MEMORY_BUDGET each product is computed from the table.
     The residual comes free from the last product w = B B^T x: for the
     unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
     ||w - lambda^2 x|| / (lambda sqrt(2)).
     """
-    vals, n = graph.table.values, graph.arity
-    side = np.flatnonzero(vals == int(2 * graph.table.ones_count() < len(vals)))
+    vals, n, side = graph.table.values, graph.arity, graph._side
     if len(side) == 0:
         # a constant function: no edges
         return 0.0, 0.0, 0
     try:
-        rows = _smaller_side_rows(graph.table, side)
+        rows = graph._side_rows()
     except CapExceeded:
         # S's rows too large to hold as a sparse matrix: compute each product
         # from the table, on a full-length vector that is zero off S
@@ -708,8 +705,8 @@ def spectral_sensitivity(
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
-    fn is a function, a table, or a SensitivityGraph, whose cached adjacency
-    and component labels the exact solve then reuses.
+    fn is a function, a table, or a SensitivityGraph, whose cached rows B
+    and component labels every solver then reuses.
 
     method: "dense" or "component-wise" (the same exact eigensolve of each
     connected component's Gram block B B^T, where B joins the component's

@@ -23,6 +23,7 @@ from .constructions import desensitize, haf, maf, tradeoff, tradeoff_profile
 from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    MEMORY_BUDGET,
     SensitivityGraph,
     degree,
     s,
@@ -352,11 +353,13 @@ def verify_lemma_chain_random(
     tol: float = 1e-6,
 ) -> list[ClaimResult]:
     """Random-function sweep of the lemma chain; one claim per arity counting
-    violations beyond tol."""
+    violations beyond tol, on count << n bytes of tables within MEMORY_BUDGET."""
     if count < 1:
         raise ValueError(f"need at least one random table per arity, got {count}")
     if not arities:
         raise ValueError("need at least one arity")
+    if count << max(arities) > MEMORY_BUDGET:
+        raise ValueError(f"{count} tables of arity {max(arities)} exceed the memory budget")
     claims = _Claims()
     rng = np.random.default_rng(seed)
     for n in arities:

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,21 @@ class TestVerify:
         assert stdout == ""
         assert "at least one" in err
 
+    @pytest.mark.parametrize("arities, count", [("40", "1"), ("20", "1000")])
+    def test_lemmas_refuse_tables_over_budget(self, capsys, arities, count):
+        tracemalloc.start()
+        try:
+            code, stdout, err = run_fast(
+                capsys, "verify", "lemmas", "--arities", arities, "--count", count
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert stdout == ""
+        assert "budget" in err
+        assert peak < 1 << 20
+
     def test_subgraph_rejects_zero_samples(self, capsys):
         code, stdout, err = run(
             capsys, "verify", "subgraph", "--n", "5", "--samples", "0"
@@ -516,6 +532,35 @@ class TestThreads:
 
     def test_defaults_to_cpu_count(self):
         assert resolve_threads(None, {}) >= 1
+
+    BAD = [({"SENSILAB_THREADS": "x"}, []), ({}, ["--threads", "0"])]
+
+    @staticmethod
+    def set_env(monkeypatch, env):
+        monkeypatch.delenv("SENSILAB_THREADS", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+
+    @pytest.mark.parametrize("env, flags", BAD)
+    def test_commands_that_never_read_threads_ignore_them(
+        self, tmp_path, capsys, monkeypatch, env, flags
+    ):
+        self.set_env(monkeypatch, env)
+        path = write_and2(tmp_path)
+        code, _, _ = run(
+            capsys, "sweep", "tradeoff", "--g-range", "0..1", "--ratio", "1:1", *flags
+        )
+        assert code == 0
+        code, _, _ = run(capsys, "measure", "--fn", path, "--measures", "s0", *flags)
+        assert code == 0
+
+    @pytest.mark.parametrize("env, flags", BAD)
+    def test_simon_rejects_bad_threads(self, capsys, monkeypatch, env, flags):
+        self.set_env(monkeypatch, env)
+        code, stdout, err = run(capsys, "verify", "simon", "--n", "2", *flags)
+        assert code == 2
+        assert stdout == ""
+        assert "THREADS" in err.upper()
 
     def test_cli_env_integration(self, capsys, monkeypatch):
         monkeypatch.setenv("SENSILAB_THREADS", "2")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import make_parity
 from hypothesis import given, settings, strategies as st
 
@@ -663,6 +664,17 @@ class TestSpectral:
             )
         assert graph.adjacency() is adj and graph._component_labels() is labels
 
+    def test_graph_reuses_the_matrix_free_rows(self, monkeypatch):
+        graph = SensitivityGraph(tradeoff([2], [2]))
+        spectral_sensitivity(graph, method="matrix-free")
+        # a second fill of B would now fail
+        monkeypatch.setattr(measures, "_smaller_side_rows", None)
+        assert graph.census() == {("star", 3): 768, ("two-layer-star", 4, 4): 256}
+        assert spectral_sensitivity(graph, method="dense").value == pytest.approx(
+            math.sqrt(7), abs=1e-9
+        )
+        assert np.shares_memory(graph.adjacency().indices, graph._side_rows().indices)
+
     def test_graph_keeps_construction_meta(self):
         f = tradeoff([2], [2])
         assert SensitivityGraph(f).meta is f.meta
@@ -787,7 +799,7 @@ class TestGramSolve:
 
     def test_batches_split_under_a_small_budget(self, monkeypatch):
         graph = SensitivityGraph(tradeoff([2], [2]))
-        graph.adjacency()  # the sparse matrix (186 kB) is built under the full budget
+        graph.adjacency()  # the sparse matrix (110 kB) is built under the full budget
         monkeypatch.setattr(measures, "MEMORY_BUDGET", 10_000)
         value, shapes = gram_batches(monkeypatch, lambda: measures._lambda_exact(graph))
         # 768 stars with one 1-input and three 0-inputs, 256 two-layer stars
@@ -894,10 +906,10 @@ class TestSmallerSideRows:
 
     @staticmethod
     def assert_rows_match_adjacency(table: TruthTable):
-        adj = SensitivityGraph(table).adjacency()
+        adj = dense_reference_adjacency(table)
         for side in (smaller_side(table), np.flatnonzero(table.values == 1)):
             rows = measures._smaller_side_rows(table, side)
-            expected = adj[side]
+            expected = sp.csr_matrix(adj[side])
             assert rows.shape == expected.shape
             assert np.array_equal(rows.indptr, expected.indptr)
             # same column set per row; the fill leaves each row in direction order
@@ -913,7 +925,14 @@ class TestSmallerSideRows:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_random_tables(self, n, data):
-        self.assert_rows_match_adjacency(data.draw(random_tables(n)))
+        table = data.draw(random_tables(n))
+        self.assert_rows_match_adjacency(table)
+        # adjacency() stores each edge once, in the rows of S
+        graph = SensitivityGraph(table)
+        adj = graph.adjacency()
+        assert adj.nnz == graph.edge_count()
+        assert np.isin(np.flatnonzero(np.diff(adj.indptr)), smaller_side(table)).all()
+        assert np.array_equal((adj + adj.T).toarray(), dense_reference_adjacency(table))
 
     @pytest.mark.parametrize("case", list(TABLES))
     def test_matrix_free_never_builds_the_adjacency(self, monkeypatch, case):

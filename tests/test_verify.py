@@ -261,7 +261,7 @@ class TestTradeoffSuite:
         assert all_pass(claims)
 
     def test_census_left_out_when_the_graph_is_over_budget(self, monkeypatch):
-        # tradeoff(2;2)'s adjacency takes 186 kB
+        # tradeoff(2;2)'s adjacency takes 110 kB
         monkeypatch.setattr(measures, "MEMORY_BUDGET", 100_000)
         claims = verify_tradeoff([2], [2])
         assert [c.claim for c in claims] == ["thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda"]
