@@ -17,12 +17,14 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
+from scipy.sparse.csgraph import connected_components as _cc, shortest_path
 
 from .core import (
     BooleanFunction,
@@ -33,10 +35,11 @@ from .core import (
     TruthTable,
 )
 
-# bytes any one array of the spectral solvers may take: the graph's rows of
-# its smaller side, the sparse adjacency over them, or one batch of
-# biadjacency blocks with their Gram blocks
+# bytes a pass over the sensitivity graph may allocate at once, counted first: a
+# CSR of its rows, or one chunk of components' temporaries, summed per component
 MEMORY_BUDGET = 512 << 20
+# bytes per input that the component index and its readers' bookkeeping add
+INDEX_BYTES_PER_INPUT = 56
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
 
@@ -371,10 +374,10 @@ class SensitivityGraph:
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. Each edge is stored once, in B: the
     rows of the smaller side S (the 0-side on a tie), read from the table
-    once. adjacency() is a view of B; it and the component labels computed
-    from it serve every edge and component query, the census and both
-    solvers. meta is fn's construction metadata, which the analytic spectral
-    method reads (None for a table).
+    once. adjacency() is a view of B; its component labels sort into one
+    component index, which the census, the exact solve and every component
+    query read. meta is fn's construction metadata, which the analytic
+    spectral method reads (None for a table).
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
@@ -422,12 +425,23 @@ class SensitivityGraph:
             self._adj = sp.csr_matrix((rows.data, rows.indices, indptr), shape=(size, size))
         return self._adj
 
+    def _neighbours(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency's rows at xs, empty off S: their lengths, and entries."""
+        a = self.adjacency()
+        first, lens = a.indptr[xs], a.indptr[xs + 1] - a.indptr[xs]
+        at = (first - lens.cumsum(dtype=np.int32) + lens).repeat(lens)
+        at += np.arange(len(at), dtype=np.int32)
+        return lens, a.indices[at]
+
+    def _edges_at(self, xs: np.ndarray) -> np.ndarray:
+        """The edges in B's rows at xs, as edges() gives them."""
+        lens, ys = self._neighbours(xs)
+        e = np.sort(np.stack([np.repeat(xs, lens), ys], axis=1, dtype=np.int64), axis=1)
+        return e[np.lexsort(e.T[::-1])]
+
     def edges(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array with x < y, sorted."""
-        a = self.adjacency()
-        rows = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr))
-        e = np.sort(np.stack([rows, a.indices], axis=1), axis=1)
-        return e[np.lexsort(e.T[::-1])]
+        return self._edges_at(self._side)
 
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, isolated ones included,
@@ -436,79 +450,80 @@ class SensitivityGraph:
             self._labels = _cc(self.adjacency(), directed=False)[1]
         return self._labels
 
+    @cached_property
+    def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(verts, ptr), sorted once: the int32 vertices with edges by (component
+        numbered by smallest vertex as scipy labels them, value, id). Component
+        c's 0-inputs are verts[ptr[2c]:ptr[2c+1]], its 1-inputs the next run."""
+        x = self.degree_counts().nonzero()[0]
+        key = (self._component_labels()[x].astype(np.int64) << 1 | self.table.values[x]) << 32 | x
+        key.sort()
+        starts = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:] >> 32, key[:-1] >> 32, out=starts[1:-1])
+        return key.astype(np.int32), starts.nonzero()[0].astype(np.int32)
+
     def census(self) -> dict[tuple, int]:
-        """Count of each component shape, keyed ("star", d),
-        ("two-layer-star", a, b) or ("other",). Raises CapExceeded when the
-        adjacency does not fit MEMORY_BUDGET."""
-        return _shape_census(self.adjacency(), self._component_labels())
+        """Count of each component shape, keyed ("star", d), ("two-layer-star",
+        a, b) or ("other",), in key order, in chunks at 64 bytes per vertex;
+        CapExceeded when the adjacency or one component does not fit."""
+        verts, ptr = self._component_index
+        shapes: Counter = Counter()
+        for _, _, v, p in _chunks(64 * np.diff(ptr[::2]).astype(np.int64), verts, ptr, "census"):
+            shapes.update(_shape_census(self.degree_counts()[v], p))
+        return dict(sorted(shapes.items()))
+
+    def _component(self, k: int) -> Component:
+        """Component k of the index, with the edges in B's rows."""
+        verts, ptr = self._component_index
+        run = np.sort(verts[ptr[2 * k]:ptr[2 * k + 2]]).astype(np.int64)
+        return Component(run, self._edges_at(run))
 
     def components(self) -> list[Component]:
         """Connected components ordered by smallest vertex."""
-        e = self.edges()
-        if len(e) == 0:
-            return []
-        labels = self._component_labels()
-        active = np.flatnonzero(self.degree_counts())
-
-        def by_label(items: np.ndarray, labs: np.ndarray) -> list[np.ndarray]:
-            order = np.argsort(labs, kind="stable")
-            return np.split(items[order], np.flatnonzero(np.diff(labs[order])) + 1)
-
-        comps = [
-            Component(v, eg)
-            for v, eg in zip(by_label(active, labels[active]), by_label(e, labels[e[:, 0]]))
-        ]
-        comps.sort(key=lambda comp: int(comp.vertices[0]))
-        return comps
+        return [self._component(k) for k in range(len(self._component_index[1]) // 2)]
 
 
-def _shape_census(adj: sp.csr_matrix, labels: np.ndarray) -> dict[tuple, int]:
+def _chunks(cost: np.ndarray, verts: np.ndarray, ptr: np.ndarray, what: str):
+    """Runs lo..hi of the index's components whose temporaries, cost bytes each,
+    fit MEMORY_BUDGET, with their vertices and run pointers; CapExceeded if not."""
+    ends, lo = cost.cumsum(), 0
+    while lo < len(ends):
+        hi = int(ends.searchsorted(ends[lo] - cost[lo] + MEMORY_BUDGET, side="right"))
+        if hi == lo:
+            raise CapExceeded(f"component with {ptr[2 * lo + 2] - ptr[2 * lo]} vertices exceeds "
+                              f"the {what} budget of {MEMORY_BUDGET} bytes")
+        yield lo, hi, verts[ptr[2 * lo]:ptr[2 * hi]], ptr[2 * lo:2 * hi + 1] - ptr[2 * lo]
+        lo = hi
+
+
+def _shape_census(d: np.ndarray, ptr: np.ndarray) -> dict[tuple, int]:
     """Count of each component shape, keyed as classify_component's results,
-    in one pass over adj, which stores each edge once in either direction,
-    and its component labels. Isolated vertices are not components.
-
-    A component of k > 1 vertices is a tree when its degrees add up to
-    2 (k - 1). A tree is a star when a vertex has degree k - 1. It is a
-    two-layer star (a, b) when exactly one internal (degree >= 2) vertex,
-    the center, has only internal neighbors, a of them; there are a + 1
-    internal vertices, so the others are the center's neighbors, which in a
-    tree are not joined to each other; and those all have degree b. Degrees
-    alone would not do: the tree c-m1-m2 with a leaf on c, one on m1 and two
-    on m2 has the degrees of the (2, 3) two-layer star.
+    from the degrees d of bipartite components whose sides, both nonempty,
+    are d[ptr[2c]:ptr[2c+1]] and d[ptr[2c+1]:ptr[2c+2]]. A component of k
+    vertices is a tree when a side's degrees add up to k - 1, and a tree is
+    a star when a side has one vertex, or a two-layer star (a, b) when one
+    side has one internal (degree >= 2) vertex, the center, and the a
+    vertices of the other side all have degree b >= 2: each has only the
+    center and leaves to join, so each joins the center.
     """
-    d = np.diff(adj.indptr)
-    d += np.bincount(adj.indices, minlength=len(d))
-    internal = d >= 2
-    inner_nbrs = adj @ internal.astype(np.float64)
-    inner_nbrs += adj.T @ internal.astype(np.float64)
-    n_labels = int(labels.max(initial=-1)) + 1
-
-    def per_label(weights: np.ndarray | None = None) -> np.ndarray:
-        return np.bincount(labels, weights, n_labels).astype(np.int64)
-
-    k = per_label()
-    tree = (k > 1) & (per_label(d) == 2 * (k - 1))
-    star = tree & (per_label(d == k[labels] - 1) > 0)
-    center = internal & (inner_nbrs == d)
-    a = per_label(center * d)
-    middle = internal & ~center
-    # with a middle vertices, b is their mean degree, which each of them
-    # matches only when they all have one degree
-    b = per_label(middle * d) // np.maximum(a, 1)
-    two = tree & ~star & (per_label(center) == 1) & (per_label(internal) == a + 1)
-    two &= per_label(middle & (d == b[labels])) == a
-    # one integer per component: its kind (0, 1, 2 sort as their names do)
-    # and its parameters, each below base, as digits in that base
-    base = int(k.max(initial=0)) + 1
-    kind = np.where(star, 1, np.where(two, 2, 0))
-    shape = (kind * base + np.where(star, k - 1, a * two)) * base + b * two
-    keys, counts = np.unique(shape[k > 1], return_counts=True)
+    starts, size = ptr[:-1], ptr[1:] - ptr[:-1]
+    internal = np.add.reduceat(d >= 2, starts)
+    top, low = np.maximum.reduceat(d, starts), np.minimum.reduceat(d, starts)
+    k = size[::2] + size[1::2]
+    tree = np.add.reduceat(d, starts, dtype=np.int64)[::2] == k - 1
+    star = tree & (np.minimum(size[::2], size[1::2]) == 1)
+    # the sides whose vertices are all internal, of one degree
+    even = (internal == size) & (top == low)
+    center0 = (internal[::2] == 1) & even[1::2]
+    two = tree & ~star & (center0 | (internal[1::2] == 1) & even[::2])
+    a, b = np.where(center0, size[1::2], size[::2]), np.where(center0, top[1::2], top[::2])
+    # one integer per component: its kind (0, 1, 2 sort as names do), parameters
+    dims = (3,) + (int(k.max(initial=0)) + 1,) * 2
+    shape = np.ravel_multi_index((star + 2 * two, np.where(star, k - 1, a * two), b * two), dims)
+    keys, counts = np.unique(shape, return_counts=True)
+    kinds, xs, ys = (v.tolist() for v in np.unravel_index(keys, dims))
     names = ("other",), ("star",), ("two-layer-star",)
-    shapes = {}
-    for key, n in zip(keys.tolist(), counts.tolist()):
-        c, x, y = key // base**2, key // base % base, key % base
-        shapes[names[c] + (x, y)[:c]] = n
-    return shapes
+    return {names[c] + (x, y)[:c]: n for c, x, y, n in zip(kinds, xs, ys, counts.tolist())}
 
 
 def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
@@ -518,15 +533,18 @@ def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
     A star is one hub joined to d leaves. A two-layer star is a center of
     degree a whose a neighbors each have degree b >= 2, all remaining
     vertices being leaves hanging off those neighbors. A star is never
-    reported as a two-layer star. The rule is the census's, run on the
-    component's own adjacency with its vertices renumbered 0..k-1.
+    reported as a two-layer star. Only a tree has a shape, by the census's
+    rule on its sides: the parities of the distances from one vertex.
     """
     k = len(comp.vertices)
     order = np.argsort(comp.vertices)
     e = order[np.searchsorted(comp.vertices, comp.edges, sorter=order)].reshape(-1, 2)
     adj = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(k, k))
-    shapes = _shape_census(adj, np.zeros(k, dtype=np.int64))
-    kind, *params = next(iter(shapes), ("other",))
+    depth = shortest_path(adj, directed=False, unweighted=True, indices=0)
+    if k < 2 or len(e) != k - 1 or np.isinf(depth).any():
+        return "other", ()
+    d = np.bincount(e.ravel(), minlength=k)[np.argsort(depth % 2, kind="stable")]
+    (kind, *params), = _shape_census(d, np.array([0, k - int((depth % 2).sum()), k]))
     return kind, tuple(params)
 
 
@@ -540,10 +558,10 @@ def _labelled_edges(graph: SensitivityGraph, component: int | None) -> list[tupl
     if component is None:
         e = graph.edges()
     else:
-        comps = graph.components()
-        if not 0 <= component < len(comps):
-            raise ValueError(f"component index {component} out of range ({len(comps)})")
-        e = comps[component].edges
+        count = len(graph._component_index[1]) // 2
+        if not 0 <= component < count:
+            raise ValueError(f"component index {component} out of range ({count})")
+        e = graph._component(component).edges
     n = graph.arity
     return [(_bin_label(int(x), n), _bin_label(int(y), n)) for x, y in e]
 
@@ -571,62 +589,44 @@ class SpectralResult:
 
 
 def _lambda_exact(graph: SensitivityGraph) -> float:
-    """Largest adjacency eigenvalue from a dense eigensolve of each connected
-    component's Gram block.
-
-    Every edge joins a 0-input to a 1-input, so a component's adjacency is
-    [[0, B], [B^T, 0]] and its largest eigenvalue is the largest singular
-    value of B: the square root of the top eigenvalue of B B^T, with B's rows
-    on the component's smaller side (the 0-side on a tie). The adjacency is
-    block-diagonal by component, so the largest of these is its largest
-    eigenvalue. A component with sides m <= M takes 8 m (m + M) bytes for B
-    and its Gram block; one over MEMORY_BUDGET raises CapExceeded.
-    Components with equal side sizes are solved in batches within it.
+    """Largest adjacency eigenvalue: over the connected components, the largest
+    square root of the top eigenvalue of C C^T, as every edge joins a 0-input
+    to a 1-input, so a component's adjacency is [[0, C], [C^T, 0]], with C's
+    rows on its smaller side (the 0-side on a tie), filled from B's rows in
+    index order. Chunks of components are solved within MEMORY_BUDGET, one
+    with sides m <= M counting 8 m (m + M) bytes for C and C C^T and
+    16 (n m + M) for indexing its at most n m edges, one shape per batch.
     """
-    a = graph.adjacency()
-    vals = graph.table.values
-    labels = graph._component_labels()
-    n_comp = int(labels.max()) + 1
-    ones = np.bincount(labels[vals == 1], minlength=n_comp)
-    zeros = np.bincount(labels, minlength=n_comp) - ones
-    small, large = np.minimum(ones, zeros), np.maximum(ones, zeros)
-    # 0 for a vertex on its component's smaller side, 1 on the larger
-    side = (vals != (ones < zeros)[labels]).astype(np.int64)
-    # each vertex's position inside its side of its component, in vertex order
-    group = 2 * labels + side
-    counts = np.bincount(group, minlength=2 * n_comp)
-    order = np.argsort(group, kind="stable")
-    local = np.empty_like(group)
-    local[order] = np.arange(len(group)) - (np.cumsum(counts) - counts)[group[order]]
-    # each stored edge, turned to start at its component's smaller-side end
-    rows = np.repeat(np.arange(len(vals)), np.diff(a.indptr))
-    flip = side[rows] == 1
-    e_row, e_col = np.where(flip, a.indices, rows), np.where(flip, rows, a.indices)
-    e_comp = labels[e_row]
-    # isolated vertices are components with an empty side
-    shape_key = np.where(small > 0, small * len(vals) + large, -1)
-    e_key = shape_key[e_comp]
-    best = 0.0
-    for key in np.unique(shape_key[shape_key >= 0]):
-        m, big = divmod(int(key), len(vals))
-        per_batch = MEMORY_BUDGET // (8 * m * (m + big))
-        if per_batch == 0:
-            raise CapExceeded(
-                f"component with {m + big} vertices exceeds the dense solve budget "
-                f"of {MEMORY_BUDGET} bytes"
-            )
-        comps = np.flatnonzero(shape_key == key)
-        slot = np.empty(n_comp, dtype=np.int64)
-        slot[comps] = np.arange(len(comps))
-        sel = e_key == key
-        s_slot, s_row, s_col = slot[e_comp[sel]], local[e_row[sel]], local[e_col[sel]]
-        for lo in range(0, len(comps), per_batch):
-            hi = min(lo + per_batch, len(comps))
-            blocks = np.zeros((hi - lo, m, big))
-            inside = (s_slot >= lo) & (s_slot < hi)
-            blocks[s_slot[inside] - lo, s_row[inside], s_col[inside]] = 1.0
-            gram = blocks @ blocks.transpose(0, 2, 1)
-            best = max(best, float(np.linalg.eigvalsh(gram)[:, -1].max()))
+    verts, ptr = graph._component_index
+    runs = ptr[1:] - ptr[:-1]
+    pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
+    small, large = np.minimum(*pair.T).astype(np.int64), np.maximum(*pair.T)
+    # entry (x, y) of a block is at w[x] + w[y]: a vertex's position in its run,
+    # times the other run's length if its run, the smaller (0 on a tie), is rows
+    w = np.empty(1 << graph.arity, dtype=np.int32)
+    w[verts] = (np.arange(len(verts), dtype=np.int32) - ptr[:-1].repeat(runs)) * (
+        other ** (pair - other < (1, 0))).repeat(runs)
+    shape, best = small * len(verts) + large, 0.0
+    cost = 8 * small * (small + large + 2 * graph.arity) + 16 * large
+    for lo, hi, xs, p in _chunks(cost, verts, ptr, "dense solve"):
+        # the chunk's blocks end to end, stably sorted by shape: a shape's are one batch
+        order = shape[lo:hi].argsort(kind="stable")
+        keys, size = shape[lo:hi][order], (small[lo:hi] * large[lo:hi])[order]
+        ends = size.cumsum()
+        base = np.empty(hi - lo, dtype=np.int32)
+        base[order] = ends - size
+        # B has rows at S's vertices only, whose value is s
+        s = graph.table.values[graph._side[0]]
+        xs, comp = xs[graph.table.values[xs] == s], np.arange(hi - lo).repeat(pair[lo:hi, s])
+        lens, ys = graph._neighbours(xs)
+        blocks = np.zeros(ends[-1])
+        blocks[(base[comp] + w[xs]).repeat(lens) + w[ys]] = 1.0
+        cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
+        for i, j in zip(cuts, cuts[1:]):
+            m, big = divmod(int(keys[i]), len(verts))
+            c = blocks[ends[i] - size[i]:ends[j - 1]].reshape(j - i, m, big)
+            best = max(best, float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max()))
+        del blocks, c, ys  # freed before the next chunk's
     return math.sqrt(best)
 
 

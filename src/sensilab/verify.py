@@ -441,7 +441,7 @@ def verify_tradeoff(
     """Closed-form profile of the composed family plus a census of its
     sensitivity-graph components: only stars and the center-degree-s0,
     middle-degree-s1 two-layer stars may appear. The census is left out
-    when the graph's adjacency does not fit MEMORY_BUDGET."""
+    when the graph's adjacency or a component does not fit MEMORY_BUDGET."""
     claims = _Claims()
     fn = tradeoff(as_, bs_)
     profile = tradeoff_profile(as_, bs_)
@@ -465,7 +465,7 @@ def verify_tradeoff(
     try:
         shapes = graph.census()
     except CapExceeded:
-        # the adjacency does not fit MEMORY_BUDGET: no census
+        # the adjacency or a component does not fit MEMORY_BUDGET: no census
         return claims.rows
     census = ", ".join(f"{v} x {k}" for k, v in shapes.items())
     claims.add(

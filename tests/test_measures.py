@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,49 @@ class TestSensitivityGraph:
         assert len(comps) == 1
         assert 0b00 not in comps[0].vertices
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_components_match_a_breadth_first_labelling(self, n, data):
+        # the component index sorts by scipy's labels; this pins that the
+        # components come out ordered by smallest vertex, whatever scipy does
+        table = data.draw(random_tables(n))
+        edges = np.argwhere(np.triu(dense_reference_adjacency(table)))
+        got = [
+            (c.vertices.tolist(), c.edges.tolist())
+            for c in SensitivityGraph(table).components()
+        ]
+        assert got == bfs_components(len(table), edges)
+
+
+def bfs_components(size: int, edges: np.ndarray) -> list[tuple[list, list]]:
+    """Reference components of the graph on range(size) with these edges: a
+    breadth-first labelling of every vertex, started from each unlabelled
+    vertex in increasing order, so numbered by smallest vertex. Each is its
+    sorted vertices and its sorted [x, y] edges with x < y; isolated
+    vertices are left out."""
+    nbrs: list[list[int]] = [[] for _ in range(size)]
+    for x, y in edges.tolist():
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    label = [-1] * size
+    comps: list[list[int]] = []
+    for start in range(size):
+        if label[start] >= 0 or not nbrs[start]:
+            continue
+        label[start] = len(comps)
+        queue = [start]
+        for v in queue:
+            for u in nbrs[v]:
+                if label[u] < 0:
+                    label[u] = len(comps)
+                    queue.append(u)
+        comps.append(sorted(queue))
+    comp_edges: list[list[list[int]]] = [[] for _ in comps]
+    for x, y in sorted((min(x, y), max(x, y)) for x, y in edges.tolist()):
+        comp_edges[label[x]].append([x, y])
+    return list(zip(comps, comp_edges))
+
 
 def _component_of(adj: np.ndarray) -> Component:
     return Component(np.arange(adj.shape[0]), np.argwhere(np.triu(adj)))
@@ -461,6 +505,16 @@ class TestClassify:
         comp = Component(np.arange(11), np.array(edges))
         assert classify_component(comp) == _classify_by_walk(comp) == ("other", ())
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (0, 2), (3, 4)], [(0, 1), (2, 3)]],
+        ids=["triangle", "k-1-edges-with-a-cycle", "two-edges"],
+    )
+    def test_cycles_and_disconnected_graphs_are_other(self, edges):
+        k = max(map(max, edges)) + 1
+        comp = Component(np.arange(k), np.array(edges))
+        assert classify_component(comp) == _classify_by_walk(comp) == ("other", ())
+
     def test_lone_vertex_is_other(self):
         comp = Component(np.arange(1), np.empty((0, 2), dtype=np.int64))
         assert classify_component(comp) == ("other", ())
@@ -518,6 +572,30 @@ class TestGraphExport:
         assert text.startswith("graph sensitivity {\n")
         assert '  "01" -- "11";\n' in text
         assert text.endswith("}\n")
+
+    @pytest.mark.parametrize("name", ["haf2", "chaf22", "tradeoff22", "random10"])
+    def test_every_component_matches_a_reference(self, name):
+        fn = {
+            "haf2": lambda: haf(2),
+            "chaf22": lambda: chaf([2, 2]),
+            "tradeoff22": lambda: tradeoff([2], [2]),
+            "random10": lambda: TruthTable(
+                10, (np.random.default_rng(10).random(1024) < 0.5).astype(np.uint8)
+            ),
+        }[name]()
+        graph = SensitivityGraph(fn)
+        n = graph.arity
+        comps = bfs_components(1 << n, graph.edges())
+        everything = [(None, [e for _, edges in comps for e in edges])]
+        for k, edges in everything + list(enumerate(e for _, e in comps)):
+            pairs = sorted(edges) if k is None else edges
+            lines = [(format(x, f"0{n}b"), format(y, f"0{n}b")) for x, y in pairs]
+            assert graph_edges_text(graph, k) == "".join(f"{x} {y}\n" for x, y in lines)
+            body = "".join(f'  "{x}" -- "{y}";\n' for x, y in lines)
+            assert graph_dot_text(graph, k) == "graph sensitivity {\n" + body + "}\n"
+        for k in (-1, len(comps)):
+            with pytest.raises(ValueError, match="out of range"):
+                graph_edges_text(graph, k)
 
     def test_component_selection(self, and2):
         g = SensitivityGraph(and2)
@@ -817,6 +895,75 @@ class TestGramSolve:
         res = spectral_sensitivity(make_parity(6), method="component-wise")
         assert res.value == pytest.approx(6.0, abs=1e-9)
         assert res.method == "component-wise"
+
+
+INDEX_PASSES = {
+    "dense": lambda graph: spectral_sensitivity(graph, method="dense").value,
+    "component-wise": lambda graph: spectral_sensitivity(graph, method="component-wise").value,
+    "census": lambda graph: graph.census(),
+}
+
+
+class TestMemoryBudget:
+    """The exact solve and the census read the component index in chunks
+    counted against MEMORY_BUDGET: on top of the graph and its labels, each
+    call either refuses with CapExceeded or peaks within the budget plus
+    INDEX_BYTES_PER_INPUT bytes per input, and a chunked result is the
+    unchunked one."""
+
+    BUDGETS = [1 << 12, 1 << 15, 1 << 18, 1 << 21, 1 << 24]
+
+    @staticmethod
+    def run(table: TruthTable, name: str, budget: int):
+        want = INDEX_PASSES[name](SensitivityGraph(table))
+        graph = SensitivityGraph(table)
+        graph._component_labels()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "MEMORY_BUDGET", budget)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                try:
+                    got = INDEX_PASSES[name](graph)
+                except CapExceeded:
+                    got = None
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= budget + measures.INDEX_BYTES_PER_INPUT * len(table)
+        assert got is None or got == want
+        return got
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("name", list(INDEX_PASSES))
+    @pytest.mark.parametrize("table", ["tradeoff22", "matching12"])
+    def test_named_tables(self, table, name, budget):
+        # tradeoff(2;2)'s largest component, a two-layer star, counts 1584
+        # bytes in the exact solve and 1088 in the census, so every budget
+        # here takes it; x -> x0 is 2048 single edges, the most components
+        # an index of 2^12 inputs can hold
+        table = {
+            "tradeoff22": lambda: tradeoff([2], [2]).table(),
+            "matching12": lambda: TruthTable(12, (np.arange(1 << 12) & 1).astype(np.uint8)),
+        }[table]()
+        assert self.run(table, name, budget) is not None
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_tables(self, data):
+        table = data.draw(random_tables(data.draw(st.integers(10, 12))))
+        self.run(table, data.draw(st.sampled_from(list(INDEX_PASSES))),
+                 data.draw(st.sampled_from(self.BUDGETS)))
+
+    def test_census_refuses_a_component_over_budget(self, monkeypatch):
+        graph = SensitivityGraph(make_parity(6))
+        graph._component_labels()
+        # the one component has 64 vertices, at 64 bytes each
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 64 * 64 - 1)
+        with pytest.raises(CapExceeded, match="component with 64 vertices exceeds the census"):
+            graph.census()
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 64 * 64)
+        assert graph.census() == {("other",): 1}
 
 
 def replayed_residual(table: TruthTable, side: int, seed: int, tol: float) -> float:
