@@ -615,18 +615,18 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
         ends = size.cumsum()
         base = np.empty(hi - lo, dtype=np.int32)
         base[order] = ends - size
-        # B has rows at S's vertices only, whose value is s
-        s = graph.table.values[graph._side[0]]
+        s = graph.table.values[graph._side[0]]  # S's value: B has rows at S only
         xs, comp = xs[graph.table.values[xs] == s], np.arange(hi - lo).repeat(pair[lo:hi, s])
         lens, ys = graph._neighbours(xs)
+        cell = (base[comp] + w[xs]).repeat(lens) + w[ys]
         blocks = np.zeros(ends[-1])
-        blocks[(base[comp] + w[xs]).repeat(lens) + w[ys]] = 1.0
+        blocks[cell] = 1.0
         cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
         for i, j in zip(cuts, cuts[1:]):
             m, big = divmod(int(keys[i]), len(verts))
             c = blocks[ends[i] - size[i]:ends[j - 1]].reshape(j - i, m, big)
             best = max(best, float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max()))
-        del blocks, c, ys  # freed before the next chunk's
+        del blocks, c, cell, ys  # freed before the next chunk's
     return math.sqrt(best)
 
 
