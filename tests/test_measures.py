@@ -912,41 +912,45 @@ class TestMemoryBudget:
     unchunked one."""
 
     BUDGETS = [1 << 12, 1 << 15, 1 << 18, 1 << 21, 1 << 24]
+    # x -> x0 is 2048 single edges, the most components 2^12 inputs can hold
+    TABLES = {
+        "tradeoff22": lambda: tradeoff([2], [2]).table(),
+        "matching12": lambda: TruthTable(12, (np.arange(1 << 12) & 1).astype(np.uint8)),
+    }
 
     @staticmethod
-    def run(table: TruthTable, name: str, budget: int):
+    def traced(call):
+        """call()'s result, None on CapExceeded, and its traced peak."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                got = call()
+            except CapExceeded:
+                got = None
+            return got, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def run(self, table: TruthTable, name: str, budget: int):
         want = INDEX_PASSES[name](SensitivityGraph(table))
         graph = SensitivityGraph(table)
         graph._component_labels()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures, "MEMORY_BUDGET", budget)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                try:
-                    got = INDEX_PASSES[name](graph)
-                except CapExceeded:
-                    got = None
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            got, peak = self.traced(lambda: INDEX_PASSES[name](graph))
         assert peak <= budget + measures.INDEX_BYTES_PER_INPUT * len(table)
         assert got is None or got == want
         return got
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("name", list(INDEX_PASSES))
-    @pytest.mark.parametrize("table", ["tradeoff22", "matching12"])
+    @pytest.mark.parametrize("table", list(TABLES))
     def test_named_tables(self, table, name, budget):
         # tradeoff(2;2)'s largest component, a two-layer star, counts 1584
         # bytes in the exact solve and 1088 in the census, so every budget
-        # here takes it; x -> x0 is 2048 single edges, the most components
-        # an index of 2^12 inputs can hold
-        table = {
-            "tradeoff22": lambda: tradeoff([2], [2]).table(),
-            "matching12": lambda: TruthTable(12, (np.arange(1 << 12) & 1).astype(np.uint8)),
-        }[table]()
-        assert self.run(table, name, budget) is not None
+        # here takes it
+        assert self.run(self.TABLES[table](), name, budget) is not None
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -954,6 +958,19 @@ class TestMemoryBudget:
         table = data.draw(random_tables(data.draw(st.integers(10, 12))))
         self.run(table, data.draw(st.sampled_from(list(INDEX_PASSES))),
                  data.draw(st.sampled_from(self.BUDGETS)))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_census_chunks_count_their_temporaries(self, monkeypatch, table, budget):
+        # the whole census fits in the index's allowance, so with the index
+        # built the bound is tighter: beside its chunks the census keeps a
+        # cost and a running sum per component, under 16 bytes per input
+        graph = SensitivityGraph(self.TABLES[table]())
+        graph._component_index
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
+        got, peak = self.traced(graph.census)
+        assert got is not None
+        assert peak <= budget + 16 * len(graph.table)
 
     def test_census_refuses_a_component_over_budget(self, monkeypatch):
         graph = SensitivityGraph(make_parity(6))
