@@ -32,6 +32,7 @@ from .core import (
 from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    ConvergenceError,
     SensitivityGraph,
     compute_measures,
     graph_dot_text,
@@ -380,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, config)
         raise AssertionError(args.command)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

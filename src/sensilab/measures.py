@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc, shortest_path
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
     BooleanFunction,
@@ -199,7 +200,7 @@ class Uc1Result:
     """Outcome of the unambiguous 1-certificate search.
 
     status "exact" means value is the true optimum; "exhausted" means the
-    node budget ran out and only lower_bound is proven.
+    search below codimension n-1 spent its nodes; only lower_bound is proven.
     """
 
     status: str
@@ -216,10 +217,11 @@ class _Budget(Exception):
 def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
     """Minimum over unambiguous 1-certificate covers of the max codimension.
 
-    Candidates are all monochromatic 1-subcubes of codimension at most c; a
-    depth-first exact cover over the 1-inputs decides each c in turn.
-    Restricting to maximal subcubes would be wrong: a partition may need a
-    strictly smaller subcube where two maximal ones overlap.
+    A colour-1 subcube of codimension below c splits into ones of codimension
+    c, so each c from c1 up asks whether colour-1 subcubes of codimension
+    exactly c partition the 1-inputs: by depth-first exact cover within
+    node_budget below n-1, by a perfect matching along cube edges at n-1,
+    and trivially at n. Witness members have codimension c, by least input.
     """
     if fn.arity > cap:
         raise CapExceeded(f"exact cover search capped at arity {cap}, got {fn.arity}")
@@ -228,67 +230,63 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
     ones = np.flatnonzero(table.values == 1)
     if len(ones) == 0:
         return Uc1Result("exact", 0, 0, CertificateCollection(1, (), True), 0)
-    full = (1 << len(ones)) - 1
-
-    # candidates: the colour-1 subcubes as (codim, mask, value, bitset of 1-inputs)
-    cubes = np.flatnonzero(_subcube_colours(table) == 1)
-    digits = cubes[:, None] // 3 ** np.arange(n) % 3
-    weights = 1 << np.arange(n)
-    masks, values = (digits != 2) @ weights, (digits == 1) @ weights
-    codims = np.bitwise_count(masks)
-    order = np.lexsort((values, masks, codims))
-    codims, masks, values = codims[order], masks[order], values[order]
-    covers = (ones & masks[:, None]) == values[:, None]
-    bitsets = [int.from_bytes(row.tobytes(), "little")
-               for row in np.packbits(covers, axis=1, bitorder="little")]
-    candidates = list(zip(codims.tolist(), masks.tolist(), values.tolist(), bitsets))
-    per_one = [np.flatnonzero(hits).tolist() for hits in covers.T]
-
-    # any unambiguous cover needs codim >= the plain certificate complexity
-    # of the hardest 1-input, which the candidate lists give directly
-    start = int(codims[covers.argmax(axis=0)].max())
-
+    full = (1 << n) - 1
+    # bitsets over all inputs: the 0-inputs, and span[d], input 0's subcube free on d
+    zeros = int.from_bytes(np.packbits(table.values ^ 1, bitorder="little").tobytes(), "little")
+    span = [1]
+    for d in range(1, full + 1):
+        span.append(span[d & d - 1] | span[d & d - 1] << (d & -d))
     nodes = 0
 
-    def solve(c: int) -> list[int] | None:
-        allowed = [
-            [i for i in lst if candidates[i][0] <= c] for lst in per_one
-        ]
-        chosen: list[int] = []
+    def exact_cover(c: int) -> list[tuple[int, int]] | None:
+        # the cube covering the least uncovered input j has j as its least input
+        dirs = [d for d in range(full, -1, -1) if d.bit_count() == n - c]
+        fits = {j: [(d, span[d] << j) for d in dirs if not (d & j or span[d] << j & zeros)]
+                for j in ones.tolist()}
 
-        def dfs(covered: int) -> bool:
+        def dfs(covered: int) -> list[tuple[int, int]] | None:
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
                 raise _Budget()
-            if covered == full:
-                return True
-            j = ((~covered) & -(~covered)).bit_length() - 1
-            for i in allowed[j]:
-                bits = candidates[i][3]
-                if bits & covered:
-                    continue
-                chosen.append(i)
-                if dfs(covered | bits):
-                    return True
-                chosen.pop()
-            return False
+            j = (~covered & covered + 1).bit_length() - 1
+            if j == full + 1:
+                return []
+            for d, cube in fits[j]:
+                if not cube & covered and (rest := dfs(covered | cube)) is not None:
+                    return [(j, d)] + rest
+            return None
 
-        return chosen if dfs(0) else None
+        return dfs(zeros)
 
-    for c in range(start, n + 1):
-        try:
-            picked = solve(c)
-        except _Budget:
-            return Uc1Result("exhausted", None, c, None, nodes)
+    def matching() -> list[tuple[int, int]] | None:
+        # every cube edge joins an even-weight input to an odd-weight one
+        is_odd = np.bitwise_count(ones) & 1 == 1
+        even, odd = ones[~is_odd], ones[is_odd]
+        nbr = even[:, None] ^ (1 << np.arange(n))
+        r, i = np.nonzero(table.values[nbr])
+        cols = np.searchsorted(odd, nbr[r, i])
+        edges = sp.csr_array((np.ones(len(r)), (r, cols)), shape=(len(even), len(odd)))
+        mate = maximum_bipartite_matching(edges, perm_type="column")
+        if len(even) != len(odd) or (mate < 0).any():
+            return None
+        return sorted((min(x, y), x ^ y) for x, y in zip(even.tolist(), odd[mate].tolist()))
+
+    # no cover beats the plain certificate complexity of the hardest 1-input
+    for c in range(int(_cert_counts(table, cap)[ones].max()), n + 1):
+        if c == n:
+            picked = [(j, 0) for j in ones.tolist()]
+        elif c == n - 1:
+            picked = matching()
+        else:
+            try:
+                picked = exact_cover(c)
+            except _Budget:
+                return Uc1Result("exhausted", None, c, None, nodes)
         if picked is not None:
-            members = tuple(
-                PartialAssignment(n, candidates[i][1], candidates[i][2])
-                for i in picked
-            )
+            members = tuple(PartialAssignment(n, full ^ d, j) for j, d in picked)
             witness = CertificateCollection(1, members, unambiguous=True)
             return Uc1Result("exact", c, c, witness, nodes)
-    raise AssertionError("covering by full assignments always succeeds")
 
 
 def mobius_coefficients(fn, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:

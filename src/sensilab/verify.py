@@ -24,6 +24,7 @@ from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
     MEMORY_BUDGET,
+    UC_EXACT_CAP,
     SensitivityGraph,
     degree,
     s,
@@ -417,7 +418,7 @@ def verify_desensitization(
         tol=tol,
         note=f"sqrt(s1) since s0=1; method={spec.method}",
     )
-    if prime.arity <= 8:
+    if prime.arity <= UC_EXACT_CAP:
         base = uc1(fn)
         lifted = uc1(prime)
         if base.status == "exact" and lifted.status == "exact":

@@ -303,6 +303,18 @@ class TestVerify:
         assert any(i.startswith("chain.and2.tt.") for i in ids)
         assert any(i.startswith("edge.and2.tt") for i in ids)
 
+    def test_stalled_power_iteration_is_exit_2(self, tmp_path, capsys):
+        # the table that stalls in TestMeasure, padded to n=14 with
+        # f(x) = t(x & 63) so that the lemma chain's lambda runs matrix-free
+        t = TruthTable.from_hex(6, "228a39929e744819")
+        path = tmp_path / "stall14.tt"
+        TruthTable(14, t.values[np.arange(1 << 14) & 63]).save(str(path))
+        code, stdout, err = run(capsys, "verify", "lemmas", "--fn", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: power iteration did not reach tol")
+        assert "Traceback" not in err
+
     def test_lemmas_random_short(self, capsys):
         code, stdout, _ = run(
             capsys, "verify", "lemmas", "--arities", "4", "--count", "20"

@@ -204,6 +204,84 @@ class TestCertificates:
                 assert got.witness is None
 
 
+def _uc1_by_candidates(fn, node_budget: int = 1_000_000) -> measures.Uc1Result:
+    """Reference uc1: the depth-first exact cover over every colour-1 subcube
+    of codimension at most c that the one-codimension decision replaced."""
+    table = fn if isinstance(fn, TruthTable) else fn.table()
+    n = table.arity
+    ones = np.flatnonzero(table.values == 1)
+    if len(ones) == 0:
+        return measures.Uc1Result("exact", 0, 0, core.CertificateCollection(1, (), True), 0)
+    full = (1 << len(ones)) - 1
+    cubes = np.flatnonzero(measures._subcube_colours(table) == 1)
+    digits = cubes[:, None] // 3 ** np.arange(n) % 3
+    weights = 1 << np.arange(n)
+    masks, values = (digits != 2) @ weights, (digits == 1) @ weights
+    codims = np.bitwise_count(masks)
+    order = np.lexsort((values, masks, codims))
+    codims, masks, values = codims[order], masks[order], values[order]
+    covers = (ones & masks[:, None]) == values[:, None]
+    bitsets = [int.from_bytes(row.tobytes(), "little")
+               for row in np.packbits(covers, axis=1, bitorder="little")]
+    candidates = list(zip(codims.tolist(), masks.tolist(), values.tolist(), bitsets))
+    per_one = [np.flatnonzero(hits).tolist() for hits in covers.T]
+    start = int(codims[covers.argmax(axis=0)].max())
+    nodes = 0
+
+    def solve(c: int) -> list[int] | None:
+        allowed = [[i for i in lst if candidates[i][0] <= c] for lst in per_one]
+        chosen: list[int] = []
+
+        def dfs(covered: int) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
+                raise measures._Budget()
+            if covered == full:
+                return True
+            j = ((~covered) & -(~covered)).bit_length() - 1
+            for i in allowed[j]:
+                bits = candidates[i][3]
+                if bits & covered:
+                    continue
+                chosen.append(i)
+                if dfs(covered | bits):
+                    return True
+                chosen.pop()
+            return False
+
+        return chosen if dfs(0) else None
+
+    for c in range(start, n + 1):
+        try:
+            picked = solve(c)
+        except measures._Budget:
+            return measures.Uc1Result("exhausted", None, c, None, nodes)
+        if picked is not None:
+            members = tuple(
+                PartialAssignment(n, candidates[i][1], candidates[i][2]) for i in picked
+            )
+            witness = core.CertificateCollection(1, members, unambiguous=True)
+            return measures.Uc1Result("exact", c, c, witness, nodes)
+    raise AssertionError("covering by full assignments always succeeds")
+
+
+def _check_uc1(table: TruthTable, node_budget: int) -> None:
+    """uc1 agrees with the reference wherever the reference finishes, is exact
+    wherever it is, and every exact witness is a partition at the value."""
+    got = uc1(table, node_budget=node_budget)
+    want = _uc1_by_candidates(table, node_budget=node_budget)
+    if want.status == "exact":
+        assert got.status == "exact"
+        assert got.value == want.value
+    if got.status == "exact":
+        assert got.witness.validation_error(BooleanFunction.from_table(table)) is None
+        assert got.witness.max_codim() == got.value
+        assert all(m.codim == got.value for m in got.witness.certificates)
+    else:
+        assert got.value is None and got.witness is None
+
+
 class TestUc1:
     def test_or2_needs_two(self, or2):
         res = uc1(or2)
@@ -229,11 +307,15 @@ class TestUc1:
         assert len(res.witness.certificates) == 0
 
     def test_budget_exhaustion(self):
-        f = haf(2)
-        res = uc1(f, node_budget=1)
-        assert res.status == "exhausted"
-        assert res.value is None
-        assert res.lower_bound >= 1
+        # maf(3) needs 39 nodes below codimension n-1
+        f = maf(3)
+        for budget in (1, 38):
+            res = uc1(f, node_budget=budget)
+            assert res.status == "exhausted"
+            assert res.value is None
+            assert res.lower_bound >= 1
+            assert res.nodes == budget + 1
+        assert uc1(f, node_budget=39).status == "exact"
 
     def test_haf2(self):
         res = uc1(haf(2))
@@ -254,21 +336,19 @@ class TestUc1:
         with pytest.raises(CapExceeded, match="exact cover"):
             uc1(haf(3))
 
-    # status, value, lower bound, nodes and witness (mask, value) pairs; equal
-    # node counts mean the search tries candidates in (codim, mask, value) order
+    # status, value, lower bound, nodes and witness (mask, value) pairs, or
+    # "ones" for each 1-input as a full assignment; equal node counts mean the
+    # search tries each input's cubes in ascending mask order
     PINNED = {
-        "haf(2)": ("exact", 4, 4, 3, [(15, 8), (23, 23)]),
-        "maf(3)": ("exact", 4, 4, 40,
-                   [(3, 3), (7, 5), (7, 6), (15, 9), (23, 18), (39, 36)]),
+        "haf(2)": ("exact", 4, 4, 0, [(15, 8), (23, 23)]),
+        "maf(3)": ("exact", 4, 4, 39,
+                   [(15, 3), (15, 5), (15, 6), (15, 7), (15, 9), (15, 11), (15, 13),
+                    (15, 14), (15, 15), (23, 18), (39, 36)]),
         "address(2)": ("exact", 3, 3, 5, [(7, 4), (11, 9), (19, 18), (35, 35)]),
-        5: ("exact", 5, 5, 24, [(26, 0), (23, 3), (31, 6), (31, 9), (15, 10),
-                                (31, 15), (23, 20), (31, 24)]),
-        6: ("exact", 6, 6, 405311,
-            [(35, 1), (31, 11), (61, 12), (29, 16), (27, 19), (31, 22), (63, 24),
-             (59, 27), (63, 30), (59, 32), (59, 35), (47, 37), (63, 42), (63, 47),
-             (63, 49), (55, 52)]),
-        7: ("exhausted", None, 6, 1000001, None),
-        8: ("exhausted", None, 7, 1000001, None),
+        5: ("exact", 5, 5, 0, "ones"),
+        6: ("exact", 6, 6, 0, "ones"),
+        7: ("exact", 7, 7, 0, "ones"),
+        8: ("exact", 8, 8, 0, "ones"),
     }
 
     @pytest.mark.parametrize("key", list(PINNED))
@@ -279,11 +359,45 @@ class TestUc1:
         else:
             fn = {"haf(2)": haf(2), "maf(3)": maf(3), "address(2)": address_fn(2)}[key]
         res = uc1(fn)
-        members = None if res.witness is None else [
-            (m.mask, m.value) for m in res.witness.certificates
-        ]
+        table = fn if isinstance(fn, TruthTable) else fn.table()
+        members = [(m.mask, m.value) for m in res.witness.certificates]
+        if members == [((1 << fn.arity) - 1, x) for x in np.flatnonzero(table.values).tolist()]:
+            members = "ones"
         got = (res.status, res.value, res.lower_bound, res.nodes, members)
         assert got == self.PINNED[key]
+
+    @pytest.mark.parametrize("fn", [haf(2), maf(3), address_fn(2)], ids=["haf2", "maf3", "address2"])
+    def test_named_functions_match_the_reference(self, fn):
+        _check_uc1(fn.table(), 1_000_000)
+
+    def test_every_table_at_n3_matches_the_reference(self):
+        for bits in range(256):
+            values = (bits >> np.arange(8) & 1).astype(np.uint8)
+            _check_uc1(TruthTable(3, values), 1_000_000)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_tables_match_the_reference(self, n, data):
+        p_one = data.draw(st.sampled_from([0.3, 0.5, 0.7, 0.85, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        _check_uc1(TruthTable(n, (rng.random(1 << n) < p_one).astype(np.uint8)), 20_000)
+
+    # each n=1 table as (table, value, members); a constant 1 is one codim-0 cube
+    N1 = [([0, 0], 0, []), ([1, 1], 0, [(0, 0)]), ([0, 1], 1, [(1, 1)]), ([1, 0], 1, [(1, 0)])]
+
+    @pytest.mark.parametrize("bits,value,members", N1)
+    def test_one_variable(self, bits, value, members):
+        res = uc1(table_fn(bits))
+        assert (res.status, res.value, res.nodes) == ("exact", value, 0)
+        assert [(m.mask, m.value) for m in res.witness.certificates] == members
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constants(self, n, bit):
+        res = uc1(TruthTable(n, np.full(1 << n, bit, dtype=np.uint8)))
+        assert (res.status, res.value, res.lower_bound) == ("exact", 0, 0)
+        assert [(m.mask, m.value) for m in res.witness.certificates] == [(0, 0)] * bit
 
 
 class TestDegree:
