@@ -24,6 +24,12 @@ BATCH_ARITY_LIMIT = 63
 
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 
+# axis_view transposes a pass whose run pairs are shorter than this: read
+# across the table, a pass re-reads it once per item of a pair. On uint8,
+# int8 and int32 tables that paid up to 16-27 items and ran 1.5-13x slower
+# from 32 on, whatever the item size, so the limit counts items, not bytes.
+_SHORT_PAIR_ITEMS = 32
+
 
 class ArityError(ValueError):
     """An input, assignment, or table does not match the declared arity."""
@@ -56,17 +62,37 @@ def _check_arity(arity: int) -> int:
     return arity
 
 
+def axis_view(a: np.ndarray, radix: int, i: int) -> np.ndarray:
+    """The flat contiguous array a as a view (outer, radix, radix**i), with
+    digit i of the index in base radix along axis 1.
+
+    When a run pair (radix**(i+1) items) is shorter than _SHORT_PAIR_ITEMS,
+    the view is transposed to (radix**i, radix, outer), so that the inner
+    loop runs along the long outer axis. Either way v[:, k] is digit value k.
+    Call ufuncs on it with order="A": that iterates the shape as given when
+    an operand is strided, as every slice of a transposed view is, and keeps
+    numpy's contiguous loop when a pair is the whole array. order="K",
+    augmented operators (+=) and np.copyto follow memory order instead.
+    """
+    run = radix**i
+    v = a.reshape(-1, radix, run)
+    return v.T if run * radix < _SHORT_PAIR_ITEMS else v
+
+
 def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
     """Per-input sensitivity of the table values, as a read-only uint8 array.
 
-    One half-table diff per direction, added to both halves: an input and its
-    neighbour along a direction are sensitive to it together.
+    One diff per direction, f(x) ^ f(x with bit i flipped), added to the
+    counts: an input and its neighbour along a direction are sensitive to it
+    together. Each direction goes through axis_view (transposed for the
+    first four, whose run pairs are shorter than 32 entries).
     """
     counts = np.zeros(values.shape, dtype=np.uint8)
+    diff = np.empty_like(counts)
     for i in range(arity):
-        half = values.reshape(-1, 2, 1 << i)
-        both = counts.reshape(-1, 2, 1 << i)
-        both += (half[:, 0, :] != half[:, 1, :])[:, None, :]
+        v = axis_view(values, 2, i)
+        np.bitwise_xor(v, v[:, ::-1], out=axis_view(diff, 2, i), order="A")
+        counts += diff
     counts.flags.writeable = False
     return counts
 
@@ -291,10 +317,9 @@ class BooleanFunction:
         """True iff every variable influences the output somewhere."""
         vals = self.table(cap).values
         for i in range(self.arity):
-            v = vals.reshape(-1, 2, 1 << i)
-            if (v[:, 0, :] != v[:, 1, :]).any():
-                continue
-            return False
+            v = axis_view(vals, 2, i)
+            if not np.not_equal(v[:, 0], v[:, 1], order="A").any():
+                return False
         return True
 
 

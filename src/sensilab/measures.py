@@ -34,6 +34,7 @@ from .core import (
     DEFAULT_TABLE_CAP,
     PartialAssignment,
     TruthTable,
+    axis_view,
 )
 
 # bytes a pass over the sensitivity graph may allocate at once, counted first: a
@@ -86,14 +87,15 @@ def sensitivity_at(fn: BooleanFunction, x: int) -> int:
 
 def _side_max(per_input: np.ndarray, table: TruthTable, b: int | None) -> SensSummary:
     """Max of per_input over the inputs where f is b (all for None), least x."""
-    mask = np.ones(len(per_input), dtype=bool) if b is None else table.values == b
-    if not mask.any():
+    # count + 1 on the side, 0 off it, in the counts' own dtype: every count
+    # is at most the arity, so + 1 cannot wrap, and a max of 0 is an empty side
+    key = per_input + 1
+    if b is not None:
+        key *= table.values == b
+    x = int(key.argmax())
+    if key[x] == 0:
         return SensSummary(0, None)
-    # int16 holds every count and the -1 that marks the other side; in the
-    # counts' own unsigned dtype, -1 would wrap to the largest value
-    masked = np.where(mask, per_input, np.int16(-1))
-    x = int(masked.argmax())
-    return SensSummary(int(masked[x]), x)
+    return SensSummary(int(key[x]) - 1, x)
 
 
 def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
@@ -152,21 +154,26 @@ def _subcube_colours(table: TruthTable) -> np.ndarray:
     """f's value on every subcube where f is constant, 2 where it is not.
 
     Shape (3,)*n: axis k is variable n-k, index 2 leaves it free (*). Built
-    in place one variable at a time, like mobius_coefficients; an entry with
-    a * on a later variable is rewritten at that variable's step.
+    in place one variable at a time through axis_view (transposed for the
+    first three, whose run pairs are shorter than 32 entries), holding the
+    set of values f takes on each subcube as bits, 1 for 0 and 2 for 1: a *
+    entry is the OR of its halves, and one on a later variable is rewritten
+    at that variable's step. Minus 1, the sets {0}, {1}, {0, 1} are 0, 1, 2.
     """
     n = table.arity
     col = np.zeros((3,) * n, dtype=np.int8)
-    col[(slice(2),) * n] = table.values.reshape((2,) * n)
+    col[(slice(2),) * n] = table.values.reshape((2,) * n) + 1
     for i in range(n):
-        lo, hi, star = col.reshape(-1, 3, 3**i).transpose(1, 0, 2)
-        np.copyto(star, lo)
-        star[lo != hi] = 2
+        v = axis_view(col, 3, i)
+        np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
+    col -= 1
     return col
 
 
 def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
-    """C(f, x) for every input x, in table order."""
+    """C(f, x) for every input x, in table order. One pass per variable
+    through axis_view, transposed for the first three as in _subcube_colours.
+    """
     n = table.arity
     if n > cap:
         raise CapExceeded(f"certificate search capped at arity {cap}, got {n}")
@@ -176,10 +183,10 @@ def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
     col >>= 1
     col *= 64
     for i in range(n):
-        v = col.reshape(-1, 3, 3**i)
+        v = axis_view(col, 3, i)
         fixed = v[:, :2]
-        fixed += 1
-        np.minimum(fixed, v[:, 2:], out=fixed)
+        np.add(fixed, 1, out=fixed, order="A")
+        np.minimum(fixed, v[:, 2:], out=fixed, order="A")
     return col[(slice(2),) * n].reshape(-1)
 
 
@@ -296,12 +303,14 @@ def mobius_coefficients(fn, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     variables in S. The array is int32 up to arity 31, int64 above: after k
     of the in-place passes every entry is an alternating sum of 2^k table
     values, 2^(k-1) of each sign, so its magnitude is at most 2^(n-1).
+    Each pass goes through axis_view, transposed for the first four.
     """
     table = _table_of(fn, cap)
     coeffs = table.values.astype(np.int32 if table.arity <= 31 else np.int64)
     for i in range(table.arity):
-        v = coeffs.reshape(-1, 2, 1 << i)
-        v[:, 1, :] -= v[:, 0, :]
+        v = axis_view(coeffs, 2, i)
+        hi = v[:, 1]
+        np.subtract(hi, v[:, 0], out=hi, order="A")
     return coeffs
 
 

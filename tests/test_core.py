@@ -11,6 +11,7 @@ from sensilab import (
     point_bits,
     point_from_bits,
 )
+from sensilab.core import axis_view
 
 
 class TestEncoding:
@@ -131,6 +132,39 @@ class TestBooleanFunction:
         assert and2.is_nondegenerate()
         ignores_x2 = BooleanFunction(2, lambda x: x & 1)
         assert not ignores_x2.is_nondegenerate()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nondegenerate_on_every_variable(self, n):
+        # the low variables' passes read a transposed view (axis_view)
+        xs = np.arange(1 << n)
+        parity = TruthTable(n, (np.bitwise_count(xs) & 1).astype(np.uint8))
+        assert BooleanFunction.from_table(parity).is_nondegenerate()
+        rng = np.random.default_rng([11, n])
+        for i in range(n):
+            values = rng.integers(0, 2, 1 << n, dtype=np.uint8)[xs & ~(1 << i)]
+            ignores_i = BooleanFunction.from_table(TruthTable(n, values))
+            assert not ignores_i.is_nondegenerate()
+
+
+class TestAxisView:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
+    @pytest.mark.parametrize("radix, n", [(2, 7), (3, 5)])
+    def test_view_of_the_reshape(self, dtype, radix, n):
+        a = np.arange(radix**n).astype(dtype)
+        transposed = set()
+        for i in range(n):
+            v = axis_view(a, radix, i)
+            ref = a.reshape(-1, radix, radix**i)
+            assert np.shares_memory(v, a)
+            flipped = v.strides != ref.strides
+            transposed.add(flipped)
+            assert np.array_equal(v.T if flipped else v, ref)
+            for k in range(radix):
+                # v[:, k] holds exactly the entries whose digit i is k
+                assert (v[:, k] // radix**i % radix == k).all()
+                assert v[:, k].size == radix ** (n - 1)
+        # both sides of the switch: short run pairs and long ones
+        assert transposed == {True, False}
 
 
 class TestPartialAssignment:

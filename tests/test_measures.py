@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -176,6 +177,21 @@ class TestCertificates:
         for b, (cert_side, sens_side) in enumerate([(c0, s0), (c1, s1)]):
             want = (0, 0) if b == bit else (0, None)
             assert cert_side(t) == want == sens_side(t)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_subcube_colours_match_enumeration(self, n):
+        rng = np.random.default_rng([13, n])
+        tables = [TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8))
+                  for p in (0.0, 0.2, 0.5, 0.8, 1.0)]
+        for table in tables:
+            col = measures._subcube_colours(table).reshape(-1)
+            for t in range(3**n):
+                # base-3 digit j of the flat index is variable j+1; 2 is *
+                digits = [t // 3**j % 3 for j in range(n)]
+                cube = PartialAssignment.from_entries(
+                    ["*" if d == 2 else d for d in digits])
+                seen = set(table.values[cube.points()].tolist())
+                assert col[t] == (seen.pop() if len(seen) == 1 else 2)
 
     @pytest.mark.parametrize("side", [c0, c1])
     def test_cap_applies_before_any_work(self, side):
@@ -447,6 +463,27 @@ class TestDegree:
     def test_maf_degree_at_least_k(self):
         for k in (2, 3, 4):
             assert degree(maf(k)) >= k
+
+
+def test_table_kernels_are_pinned():
+    # the per-axis passes' outputs bit for bit, whichever way axis_view
+    # orients each pass: dtype, read-only flag and sha256 of the bytes
+    def digest(a):
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    table = haf(3).table()
+    counts = table.sensitivity_counts
+    assert counts.dtype == np.uint8 and not counts.flags.writeable
+    assert digest(counts) == (
+        "74e6f44ee36a9d4d33d07999b81be78b15fd9db2be0848fe72d74bea2e6cdbeb")
+    coeffs = mobius_coefficients(table)
+    assert coeffs.dtype == np.int32
+    assert digest(coeffs) == (
+        "e369f05ee741e6f699663c71d49187b535b060e88ffed44dfb6ab418de73d803")
+    cert = measures._cert_counts(tradeoff([2], [2]).table(), measures.CERT_SEARCH_CAP)
+    assert cert.dtype == np.int8
+    assert digest(cert) == (
+        "ba0aa487128ca24946e6aeb340b1cd6108f5663da67c8bd849e7f356d179d6c8")
 
 
 class TestSensitivityGraph:
