@@ -126,18 +126,26 @@ def _certificates(fn: BooleanFunction, path: str | None, label: str) -> Certific
     return CertificateCollection(1, members, unambiguous=True)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _global_options(default) -> argparse.ArgumentParser:
+    """--seed, --tol, --threads and --materialize-cap, each defaulting to default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=lambda v: int(v, 0), default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--materialize-cap", type=int, default=None, dest="materialize_cap")
+    common.add_argument("--seed", type=lambda v: int(v, 0), default=default)
+    common.add_argument("--tol", type=float, default=default)
+    common.add_argument("--threads", type=int, default=default)
+    common.add_argument("--materialize-cap", type=int, default=default, dest="materialize_cap")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sensilab",
         description="constructions, measures, and verification for Boolean function sensitivity",
-        parents=[common],
+        parents=[_global_options(None)],
     )
+    # the global options are accepted after the subcommand too; there they set
+    # nothing unless given, so a value given before the subcommand survives,
+    # and one given after it wins
+    common = _global_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", parents=[common], help="build a function and write it out")

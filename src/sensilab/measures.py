@@ -6,7 +6,8 @@ spectral sensitivity is the operator norm of the sensitivity graph's
 adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
 stored once, as the rows B of its smaller side, read straight from the
 table. Lambda is found either by an exact dense eigensolve of each
-connected component's Gram block on its smaller side, or by a matrix-free
+connected component's Gram block on its smaller side (of each of the two
+parity classes' blocks, on tables of arity 8 or less), or by a matrix-free
 power iteration on the Gram operator B B^T of the whole graph's smaller
 side; or it is the closed form a construction claims for itself.
 """
@@ -42,6 +43,10 @@ from .core import (
 MEMORY_BUDGET = 512 << 20
 # bytes per input that the component index and its readers' bookkeeping add
 INDEX_BYTES_PER_INPUT = 56
+# up to this arity the exact solve reads the two parity classes straight from the
+# table (_lambda_by_class): a class's smaller side has at most 2^(n-1) = 128
+# inputs, and the component index's fixed cost would outweigh the solve itself
+_CLASS_SOLVE_ARITY = 8
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
 
@@ -382,9 +387,11 @@ class SensitivityGraph:
     same integer encoding as the table. Each edge is stored once, in B: the
     rows of the smaller side S (the 0-side on a tie), read from the table
     once. adjacency() is a view of B; its component labels sort into one
-    component index, which the census, the exact solve and every component
-    query read. meta is fn's construction metadata, which the analytic
-    spectral method reads (None for a table).
+    component index, which the census, the exact solve past arity
+    _CLASS_SOLVE_ARITY and every component query read. Up to that arity
+    the exact solve reads the two parity classes from the table instead
+    and builds none of these. meta is fn's construction metadata, which
+    the analytic spectral method reads (None for a table).
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
@@ -596,11 +603,61 @@ class SpectralResult:
 
 
 def _lambda_exact(graph: SensitivityGraph) -> float:
-    """Largest adjacency eigenvalue: over the connected components, the largest
-    square root of the top eigenvalue of C C^T, as every edge joins a 0-input
-    to a 1-input, so a component's adjacency is [[0, C], [C^T, 0]], with C's
-    rows on its smaller side (the 0-side on a tie), filled from B's rows in
-    index order. Chunks of components are solved within MEMORY_BUDGET, one
+    """Largest adjacency eigenvalue, exactly. Every edge joins a 0-input to a
+    1-input, so a union of components has adjacency [[0, C], [C^T, 0]] and
+    its lambda^2 is the top eigenvalue of C C^T, C's rows on its smaller side.
+    Flipping a coordinate also flips |x| mod 2, so f(x) ^ (|x| mod 2) is the
+    same at both ends of every edge: it splits the inputs into two parity
+    classes, each a union of components. Up to arity _CLASS_SOLVE_ARITY the
+    solve takes the two classes straight from the table, when their blocks
+    fit MEMORY_BUDGET; otherwise it takes each component from the index.
+    """
+    if graph.arity <= _CLASS_SOLVE_ARITY:
+        lam = _lambda_by_class(graph)
+        if lam is not None:
+            return lam
+    return _lambda_by_component(graph)
+
+
+def _lambda_by_class(graph: SensitivityGraph) -> float | None:
+    """Largest adjacency eigenvalue over the two parity classes, read from the
+    table's values and sensitivity counts alone; None when the classes' blocks,
+    8 m (m + M) bytes for C and C C^T with sides m <= M among the inputs with
+    edges, exceed MEMORY_BUDGET. C's rows are the smaller side (the 0-side on
+    a tie). Grams of one shape are one eigvalsh batch.
+    """
+    vals, n = graph.table.values, graph.arity
+    # 2 c + f(x) for an input x in class c = f(x) ^ (|x| mod 2), 4 for one without edges
+    key = ((np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1) ^ vals) * 2 + vals
+    key[graph.degree_counts() == 0] = 4
+    sizes = np.bincount(key, minlength=5)[:4].reshape(2, 2)
+    small, large = sizes.min(axis=1), sizes.max(axis=1)
+    if int((8 * small * (small + large)).sum()) > MEMORY_BUDGET:
+        return None
+    flips = 1 << np.arange(n)
+    at = np.empty(len(vals), dtype=np.intp)
+    grams = []
+    for c, r in enumerate(sizes.argmin(axis=1).tolist()):
+        if small[c] == 0:
+            continue
+        rows, cols = np.flatnonzero(key == 2 * c + r), np.flatnonzero(key == 2 * c + 1 - r)
+        at[cols] = np.arange(len(cols))
+        nbr = rows[:, None] ^ flips
+        # a neighbour of the other value is across an edge, so in this class
+        i, j = np.nonzero(vals[nbr] != r)
+        block = np.zeros((len(rows), len(cols)))
+        block[i, at[nbr[i, j]]] = 1.0
+        grams.append(block @ block.T)
+    same = len(grams) == 2 and grams[0].shape == grams[1].shape
+    batches = [np.stack(grams)] if same else [g[None] for g in grams]
+    tops = [float(np.linalg.eigvalsh(b)[:, -1].max()) for b in batches]
+    return math.sqrt(max(tops, default=0.0))
+
+
+def _lambda_by_component(graph: SensitivityGraph) -> float:
+    """Largest adjacency eigenvalue over the connected components of the
+    component index, each component's C filled from B's rows in index order.
+    Chunks of components are solved within MEMORY_BUDGET, one
     with sides m <= M counting 8 m (m + M) bytes for C and C C^T and
     16 (n m + M) for indexing its at most n m edges, one shape per batch.
     """
@@ -717,9 +774,13 @@ def spectral_sensitivity(
 
     method: "dense" or "component-wise" (the same exact eigensolve of each
     connected component's Gram block B B^T, where B joins the component's
-    smaller side to its larger one), "matrix-free" (power iteration on the
-    Gram operator B B^T of the whole graph's smaller side, whose residual is
-    ||A u - lambda u|| at the eigenvector estimate u it implies),
+    smaller side to its larger one; up to arity _CLASS_SOLVE_ARITY, of the
+    Gram blocks of the two parity classes f(x) ^ (|x| mod 2), each a union
+    of components, read from the table with no B, labels or component
+    index, unless they exceed MEMORY_BUDGET), "matrix-free" (power
+    iteration on the Gram operator B B^T of the whole graph's smaller
+    side, whose residual is ||A u - lambda u|| at the eigenvector estimate
+    u it implies),
     "analytic" (closed form recorded by the construction), or "auto" to
     pick the exact solve when a full dense adjacency would fit in
     MEMORY_BUDGET and matrix-free otherwise. For matrix-free, iterations

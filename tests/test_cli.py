@@ -579,3 +579,44 @@ class TestThreads:
         code, stdout, _ = run(capsys, "verify", "simon", "--n", "2")
         assert code == 0
         assert json.loads(stdout)[0]["status"] == "pass"
+
+
+class TestGlobalOptions:
+    """--seed, --tol, --threads and --materialize-cap count before the
+    subcommand as after it, and the value after it wins."""
+
+    def test_seed_and_tol_before_the_subcommand(self, tmp_path, capsys):
+        path = write_and2(tmp_path)
+        code, stdout, _ = run(
+            capsys, "--seed", "7", "--tol", "1e-3", "measure", "--fn", path, "--measures", "s0"
+        )
+        assert code == 0
+        report = json.loads(stdout)
+        assert (report["seed"], report["tolerance"]) == (7, 1e-3)
+        code, stdout, _ = run(
+            capsys, "--seed", "7", "measure", "--seed", "9", "--fn", path, "--measures", "s0"
+        )
+        assert code == 0
+        assert json.loads(stdout)["seed"] == 9
+
+    def test_materialize_cap_before_the_subcommand(self, tmp_path, capsys):
+        desc = tmp_path / "haf2.json"
+        desc.write_text('{"family": "haf", "params": {"r": 2}}\n')
+        code, stdout, _ = run(
+            capsys, "--materialize-cap", "3", "measure", "--fn", str(desc), "--measures", "s0"
+        )
+        assert code == 0
+        (entry,) = json.loads(stdout)["entries"]
+        assert entry["value"] is None
+        assert entry["skipped"].startswith("cap:")
+
+    def test_threads_before_the_subcommand(self, capsys, monkeypatch):
+        monkeypatch.delenv("SENSILAB_THREADS", raising=False)
+        code, stdout, err = run(capsys, "--threads", "0", "verify", "simon", "--n", "2")
+        assert code == 2
+        assert stdout == ""
+        assert "THREADS" in err.upper()
+        code, _, _ = run(
+            capsys, "--threads", "0", "verify", "simon", "--n", "2", "--threads", "1"
+        )
+        assert code == 0

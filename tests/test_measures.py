@@ -1048,6 +1048,84 @@ class TestGramSolve:
         assert res.method == "component-wise"
 
 
+def parity_class(table: TruthTable) -> np.ndarray:
+    """f(x) ^ (|x| mod 2) for every input x."""
+    xs = np.arange(1 << table.arity, dtype=np.uint64)
+    return (np.bitwise_count(xs).astype(np.uint8) & 1) ^ table.values
+
+
+def named_tables(n: int) -> dict[str, TruthTable]:
+    xs = np.arange(1 << n)
+    return {
+        "and": TruthTable(n, (xs == (1 << n) - 1).astype(np.uint8)),
+        "or": TruthTable(n, (xs != 0).astype(np.uint8)),
+        "parity": make_parity(n).table(),
+        "constant": TruthTable(n, np.zeros(1 << n, dtype=np.uint8)),
+    }
+
+
+class TestParityClassSolve:
+    """Up to arity 8 the exact solve reads the two parity classes from the
+    table; it must give the component index's value, and build nothing of
+    the index."""
+
+    @staticmethod
+    def both_paths(table):
+        by_class = measures._lambda_by_class(SensitivityGraph(table))
+        by_component = measures._lambda_by_component(SensitivityGraph(table))
+        ref = dense_reference_lambda(table)
+        assert by_class == pytest.approx(by_component, abs=1e-12)
+        assert by_class == pytest.approx(ref, abs=1e-9)
+        assert by_component == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_paths_agree_on_random_tables(self, n, data):
+        self.both_paths(data.draw(random_tables(n)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["and", "or", "parity", "constant"])
+    def test_paths_agree_on_named_tables(self, n, name):
+        self.both_paths(named_tables(n)[name])
+
+    @pytest.mark.parametrize("digits", ["dd05", "84ad", "3053"])
+    def test_paths_agree_on_pinned_tables(self, digits):
+        self.both_paths(TruthTable.from_hex(4, digits))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_component_lies_in_one_class(self, n, data):
+        table = data.draw(random_tables(n))
+        cls = parity_class(table)
+        for comp in SensitivityGraph(table).components():
+            assert len(np.unique(cls[comp.vertices])) == 1
+
+    @staticmethod
+    def index_builds(monkeypatch, table, method):
+        calls = {"_smaller_side_rows": 0, "_cc": 0}
+        for name in calls:
+            def spy(*args, name=name, real=getattr(measures, name), **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(measures, name, spy)
+        spectral_sensitivity(table, method=method)
+        return calls["_smaller_side_rows"], calls["_cc"]
+
+    @pytest.mark.parametrize("method", ["dense", "component-wise"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_small_tables_build_no_index(self, monkeypatch, method, n):
+        table = TruthTable(n, np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8))
+        assert self.index_builds(monkeypatch, table, method) == (0, 0)
+
+    @pytest.mark.parametrize("method", ["dense", "component-wise"])
+    def test_arity_nine_builds_the_index_once(self, monkeypatch, method):
+        table = TruthTable(9, np.random.default_rng(9).integers(0, 2, 512, dtype=np.uint8))
+        assert self.index_builds(monkeypatch, table, method) == (1, 1)
+
+
 INDEX_PASSES = {
     "dense": lambda graph: spectral_sensitivity(graph, method="dense").value,
     "component-wise": lambda graph: spectral_sensitivity(graph, method="component-wise").value,
