@@ -389,8 +389,9 @@ class SensitivityGraph:
     once. adjacency() is a view of B; its component labels sort into one
     component index, which the census, the exact solve past arity
     _CLASS_SOLVE_ARITY and every component query read. Up to that arity
-    the exact solve reads the two parity classes from the table instead
-    and builds none of these. meta is fn's construction metadata, which
+    the exact solve reads the two parity classes from the table and
+    edges(), which gathers the edges from the table, and builds none of
+    these. meta is fn's construction metadata, which
     the analytic spectral method reads (None for a table).
     """
 
@@ -454,8 +455,23 @@ class SensitivityGraph:
         return e[np.lexsort(e.T[::-1])]
 
     def edges(self) -> np.ndarray:
-        """All edges as an (E, 2) int64 array with x < y, sorted."""
-        return self._edges_at(self._side)
+        """All edges as an (E, 2) int64 array with x < y, sorted, gathered
+        from the table at S's inputs without B; CapExceeded where adjacency()
+        would be."""
+        _check_csr_budget(self.edge_count(), 1 << self.arity)
+        vals, side = self.table.values, self._side
+        n = self.arity
+        flips = np.int64(1) << np.arange(n, dtype=np.int64)
+        parts = [np.empty(0, dtype=np.int64)]
+        # about 2^22 neighbours gathered per chunk, as for B; an edge's sort
+        # key is its smaller end above its larger end, 2n bits (arity <= 31)
+        step = max(1, (1 << 22) // n)
+        for lo in range(0, len(side), step):
+            xs = side[lo:lo + step, None]
+            hit = vals[xs ^ flips] != vals[xs]
+            parts.append(((xs & ~flips) << n | xs | flips)[hit])
+        key = np.sort(np.concatenate(parts))
+        return np.stack([key >> n, key & ((1 << n) - 1)], axis=1)
 
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, isolated ones included,
@@ -621,12 +637,13 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
 
 def _lambda_by_class(graph: SensitivityGraph) -> float | None:
     """Largest adjacency eigenvalue over the two parity classes, read from the
-    table's values and sensitivity counts alone; None when the classes' blocks,
-    8 m (m + M) bytes for C and C C^T with sides m <= M among the inputs with
-    edges, exceed MEMORY_BUDGET. C's rows are the smaller side (the 0-side on
-    a tie). Grams of one shape are one eigvalsh batch.
+    table's values, sensitivity counts and edges(); None when the classes'
+    blocks, 8 m (m + M) bytes for C and C C^T with sides m <= M among the
+    inputs with edges, exceed MEMORY_BUDGET. C's rows are the smaller side
+    (the 0-side on a tie), in input order. Grams of one shape are one
+    eigvalsh batch.
     """
-    vals, n = graph.table.values, graph.arity
+    vals = graph.table.values
     # 2 c + f(x) for an input x in class c = f(x) ^ (|x| mod 2), 4 for one without edges
     key = ((np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1) ^ vals) * 2 + vals
     key[graph.degree_counts() == 0] = 4
@@ -634,19 +651,21 @@ def _lambda_by_class(graph: SensitivityGraph) -> float | None:
     small, large = sizes.min(axis=1), sizes.max(axis=1)
     if int((8 * small * (small + large)).sum()) > MEMORY_BUDGET:
         return None
-    flips = 1 << np.arange(n)
+    # each input's position among the inputs of its key
     at = np.empty(len(vals), dtype=np.intp)
+    for k, size in enumerate(sizes.ravel().tolist()):
+        at[key == k] = np.arange(size)
+    # every edge as (its 0-input, its 1-input), both ends in one class
+    e = graph.edges()
+    e = np.where(vals[e[:, :1]] == 0, e, e[:, ::-1])
+    cls = key[e[:, 0]] >> 1
     grams = []
     for c, r in enumerate(sizes.argmin(axis=1).tolist()):
         if small[c] == 0:
             continue
-        rows, cols = np.flatnonzero(key == 2 * c + r), np.flatnonzero(key == 2 * c + 1 - r)
-        at[cols] = np.arange(len(cols))
-        nbr = rows[:, None] ^ flips
-        # a neighbour of the other value is across an edge, so in this class
-        i, j = np.nonzero(vals[nbr] != r)
-        block = np.zeros((len(rows), len(cols)))
-        block[i, at[nbr[i, j]]] = 1.0
+        ec = e[cls == c]
+        block = np.zeros((small[c], large[c]))
+        block[at[ec[:, r]], at[ec[:, 1 - r]]] = 1.0
         grams.append(block @ block.T)
     same = len(grams) == 2 and grams[0].shape == grams[1].shape
     batches = [np.stack(grams)] if same else [g[None] for g in grams]
