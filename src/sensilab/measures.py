@@ -5,11 +5,11 @@ Everything here works on a BooleanFunction or a TruthTable. Exact measures
 spectral sensitivity is the operator norm of the sensitivity graph's
 adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
 stored once, as the rows B of its smaller side, read straight from the
-table. Lambda is found either by an exact dense eigensolve of each
-connected component's Gram block on its smaller side (of each of the two
-parity classes' blocks, on tables of arity 8 or less), or by a matrix-free
-power iteration on the Gram operator B B^T of the whole graph's smaller
-side; or it is the closed form a construction claims for itself.
+table. Lambda is found by an exact dense eigensolve of each connected
+component's Gram block on its smaller side (of each parity class's block up
+to arity 8), by matrix-free power iteration on the Gram operator B B^T of
+the whole smaller side, B rebuilt on each step in runs that fit the memory
+budget when it does not fit whole, or from a construction's closed form.
 """
 
 from __future__ import annotations
@@ -69,11 +69,6 @@ def _table_of(fn, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
     if isinstance(fn, BooleanFunction):
         return fn.table(cap)
     raise TypeError(f"expected BooleanFunction or TruthTable, got {type(fn).__name__}")
-
-
-def _swap_axis(values: np.ndarray, i: int) -> np.ndarray:
-    """values[x ^ (1 << i)] for all x at once."""
-    return values.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(values.shape)
 
 
 class SensSummary(NamedTuple):
@@ -343,14 +338,12 @@ def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
     """Rows of the sensitivity graph's adjacency on the inputs side, which
     all have one value, as a len(side) x 2^n CSR read from the table.
 
-    Row lengths are the inputs' sensitivities, so the size is known and
-    checked against MEMORY_BUDGET (CapExceeded) before anything is filled.
-    Each row lists its neighbours in direction order, not sorted.
+    Row lengths are the inputs' sensitivities, so callers can check the size
+    against MEMORY_BUDGET first. Rows list neighbours in direction order.
     """
     vals, n = table.values, table.arity
     lengths = table.sensitivity_counts[side]
     nnz = int(lengths.sum())
-    _check_csr_budget(nnz, len(side))
     indptr = np.zeros(len(side) + 1, dtype=np.int32)
     np.cumsum(lengths, out=indptr[1:])
     indices = np.empty(nnz, dtype=np.int32)
@@ -421,6 +414,7 @@ class SensitivityGraph:
     def _side_rows(self) -> sp.csr_matrix:
         """B, the rows of S, built once; CapExceeded over MEMORY_BUDGET."""
         if self._rows is None:
+            _check_csr_budget(int(self.degree_counts()[self._side].sum()), len(self._side))
             self._rows = _smaller_side_rows(self.table, self._side)
         return self._rows
 
@@ -456,11 +450,10 @@ class SensitivityGraph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array with x < y, sorted, gathered
-        from the table at S's inputs without B; CapExceeded where adjacency()
-        would be."""
+        from the table at S's inputs without B in at most 24 bytes per edge
+        past the gather; CapExceeded where adjacency() would be."""
         _check_csr_budget(self.edge_count(), 1 << self.arity)
-        vals, side = self.table.values, self._side
-        n = self.arity
+        vals, side, n = self.table.values, self._side, self.arity
         flips = np.int64(1) << np.arange(n, dtype=np.int64)
         parts = [np.empty(0, dtype=np.int64)]
         # about 2^22 neighbours gathered per chunk, as for B; an edge's sort
@@ -470,8 +463,13 @@ class SensitivityGraph:
             xs = side[lo:lo + step, None]
             hit = vals[xs ^ flips] != vals[xs]
             parts.append(((xs & ~flips) << n | xs | flips)[hit])
-        key = np.sort(np.concatenate(parts))
-        return np.stack([key >> n, key & ((1 << n) - 1)], axis=1)
+        key = np.concatenate(parts)
+        del parts
+        key.sort()
+        e = np.empty((len(key), 2), dtype=np.int64)
+        np.right_shift(key, n, out=e[:, 0])
+        np.bitwise_and(key, (1 << n) - 1, out=e[:, 1])
+        return e
 
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, isolated ones included,
@@ -721,31 +719,32 @@ def _lambda_matfree(
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
-    |S|. B is the graph's own, built once straight from the table; over
-    MEMORY_BUDGET each product is computed from the table.
+    |S|. B is the graph's own, built once from the table. Over MEMORY_BUDGET,
+    each step rebuilds it in runs of S's rows that fit at 12 bytes per entry
+    and 4 + 6 n per row (pointer, gather), adding 24 bytes per input at most.
     The residual comes free from the last product w = B B^T x: for the
     unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
     ||w - lambda^2 x|| / (lambda sqrt(2)).
     """
-    vals, n, side = graph.table.values, graph.arity, graph._side
+    table, n, side = graph.table, graph.arity, graph._side
     if len(side) == 0:
         # a constant function: no edges
         return 0.0, 0.0, 0
     try:
         rows = graph._side_rows()
     except CapExceeded:
-        # S's rows too large to hold as a sparse matrix: compute each product
-        # from the table, on a full-length vector that is zero off S
-        def matvec(v: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(v)
-            for i in range(n):
-                out += np.where(vals != _swap_axis(vals, i), _swap_axis(v, i), 0.0)
-            return out
+        ends = np.r_[0, (12 * table.sensitivity_counts[side].astype(np.int64) + 4 + 6 * n).cumsum()]
+        cuts = [0]
+        while (lo := cuts[-1]) < len(side):
+            cuts.append(max(int(ends.searchsorted(ends[lo] + MEMORY_BUDGET, "right")) - 1, lo + 1))
+        del ends  # not held through the steps
 
         def gram(x: np.ndarray) -> np.ndarray:
-            v = np.zeros(len(vals))
-            v[side] = x
-            return matvec(matvec(v))[side]
+            y = np.zeros(len(table.values))
+            for lo, hi in zip(cuts, cuts[1:]):
+                y += _smaller_side_rows(table, side[lo:hi]).T @ x[lo:hi]
+            return np.concatenate([_smaller_side_rows(table, side[lo:hi]) @ y
+                                   for lo, hi in zip(cuts, cuts[1:])])
     else:
         def gram(x: np.ndarray) -> np.ndarray:
             return rows @ (rows.T @ x)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import make_parity
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sensilab import core, measures
 from sensilab import (
@@ -500,6 +500,17 @@ class TestSensitivityGraph:
         assert all(
             counts[x] == sensitivity_at(parity3, x) for x in range(8)
         )
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_edges_peak_at_24_bytes_per_edge(self, n):
+        # the sorted key and the result take 24 bytes per edge; the last
+        # chunk's mask adds a byte per neighbour of its inputs, and every
+        # neighbour of a parity input is an edge
+        graph = SensitivityGraph(make_parity(n))
+        graph.table.sensitivity_counts
+        e, peak = TestMemoryBudget.traced(graph.edges)
+        assert len(e) == graph.edge_count() == n << (n - 1)
+        assert peak <= 25 * len(e) + 4096
 
     def test_edge_count_formula(self):
         f = haf(2)
@@ -1342,34 +1353,102 @@ class TestSmallerSideRows:
         assert calls == []
         assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
 
-    @pytest.mark.parametrize("slack, path", [(-1, "table"), (0, "csr")])
-    def test_budget_boundary(self, monkeypatch, slack, path):
+    @pytest.mark.parametrize("slack, path", [(-1, "slices"), (0, "csr")])
+    def test_budget_boundary(self, slack, path):
         table = chaf([2, 2]).table()
         side = smaller_side(table)
         nnz = int(table.sensitivity_counts[side].sum())
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 12 * nnz + 4 * (len(side) + 1) + slack)
-        starts, products = [], []
-        make_rng, swap_axis = np.random.default_rng, measures._swap_axis
-
-        class Recorder:
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def standard_normal(self, size):
-                starts.append(size)
-                return self.rng.standard_normal(size)
-
-        def swap_spy(values, i):
-            products.append(i)
-            return swap_axis(values, i)
-
-        monkeypatch.setattr(np.random, "default_rng", Recorder)
-        monkeypatch.setattr(measures, "_swap_axis", swap_spy)
-        res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
-        monkeypatch.undo()
+        budget = 12 * nnz + 4 * (len(side) + 1) + slack
+        lam, _, starts, builds = matrix_free_run(table, budget, measures.DEFAULT_MAX_ITER)
         assert starts == [len(side)]
-        assert (len(products) > 0) == (path == "table")
-        assert res.value == pytest.approx(math.sqrt(7), abs=1e-6)
+        assert (len(builds) > 1) == (path == "slices")
+        assert lam == pytest.approx(math.sqrt(7), abs=1e-6)
+
+
+def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
+    """_lambda_matfree on a new graph of table, under budget (None keeps
+    MEMORY_BUDGET): lambda and its Gram steps, or the best estimate and
+    max_iter + 1 when it does not converge; the start vectors' lengths; and
+    the length of every run of S that _smaller_side_rows was called with."""
+    starts, builds = [], []
+    make_rng, rows = np.random.default_rng, measures._smaller_side_rows
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, size):
+            starts.append(size)
+            return self.rng.standard_normal(size)
+
+    def rows_spy(table, side):
+        builds.append(len(side))
+        return rows(table, side)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(measures, "MEMORY_BUDGET", budget)
+        mp.setattr(np.random, "default_rng", Recorder)
+        mp.setattr(measures, "_smaller_side_rows", rows_spy)
+        graph = SensitivityGraph(table)
+        try:
+            lam, _, steps = measures._lambda_matfree(
+                graph, measures.DEFAULT_TOL, measures.DEFAULT_SEED, max_iter)
+        except ConvergenceError as exc:
+            lam, steps = exc.best, max_iter + 1
+    return lam, steps, starts, builds
+
+
+class TestMatrixFreeSlices:
+    """Over MEMORY_BUDGET, each Gram step rebuilds B in consecutive runs of S
+    that fit the budget, one row at the least, and iterates as the whole B
+    does."""
+
+    # a bound on the steps keeps the slowest tables short; a run that does
+    # not converge is compared by its estimate after STEPS steps
+    STEPS = 200
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_slices_iterate_as_the_whole_rows(self, data):
+        n = data.draw(st.integers(2, 12))
+        table = data.draw(random_tables(n))
+        side = smaller_side(table)
+        assume(len(side) > 0)
+        whole = 12 * int(table.sensitivity_counts[side].sum()) + 4 * (len(side) + 1)
+        # budget 0 builds one row per run, 2 |S| builds a step: kept to n <= 8
+        budgets = [whole - 1, whole // 2, whole // 4] + [0] * (n <= 8)
+        budget = data.draw(st.sampled_from(budgets))
+        lam, steps, starts, builds = matrix_free_run(table, None, self.STEPS)
+        assert (starts, builds) == ([len(side)], [len(side)])
+        got, got_steps, got_starts, got_builds = matrix_free_run(table, budget, self.STEPS)
+        assert got_starts == [len(side)]
+        assert got == pytest.approx(lam, rel=1e-12, abs=0)
+        assert abs(got_steps - steps) <= 1
+        # each Gram step builds the same runs of S twice; they split S in two
+        # or more, and in runs of one row at budget 0
+        grams = min(got_steps, self.STEPS)
+        runs = got_builds[:len(got_builds) // (2 * grams)]
+        assert sum(runs) == len(side) and len(runs) >= min(2, len(side))
+        assert got_builds == runs * (2 * grams)
+        assert budget > 0 or set(runs) == {1}
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
+    @pytest.mark.parametrize("n, p", [(16, 0.5), (18, 0.3)])
+    def test_peak_within_budget_and_24_bytes_per_input(self, monkeypatch, n, p, budget):
+        # B takes 3.3 MB at n = 16 (within 4 MiB) and 12.3 MB at n = 18; every
+        # step allocates the same, so three show the peak
+        table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
+        graph = SensitivityGraph(table)
+        table.sensitivity_counts
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
+
+        def steps():
+            with pytest.raises(ConvergenceError):
+                measures._lambda_matfree(graph, 0.0, measures.DEFAULT_SEED, 3)
+
+        _, peak = TestMemoryBudget.traced(steps)
+        assert peak <= budget + 24 * len(table)
 
 
 class TestTwoLayerStar:
