@@ -10,6 +10,10 @@ component's Gram block on its smaller side (of each parity class's block up
 to arity 8), by matrix-free power iteration on the Gram operator B B^T of
 the whole smaller side, B rebuilt on each step in runs that fit the memory
 budget when it does not fit whole, or from a construction's closed form.
+When no input off the smaller side has two neighbours, every component is a
+star centred on that side: B B^T is then the diagonal of its degrees, so
+matrix-free applies that diagonal and the exact solve past arity 8 reads
+lambda^2 as the largest degree, neither building B.
 """
 
 from __future__ import annotations
@@ -323,15 +327,17 @@ def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
     return int(np.bitwise_count(nz.astype(np.uint64)).max())
 
 
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise CapExceeded when what would take more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise CapExceeded(f"{what} needs over {nbytes} bytes, budget {MEMORY_BUDGET}")
+
+
 def _check_csr_budget(nnz: int, n_rows: int) -> None:
     """Raise CapExceeded when a 0/1 CSR matrix with nnz stored entries and
     n_rows rows would take more than MEMORY_BUDGET bytes: float64 data and
     int32 indices per entry, an int32 pointer per row plus one."""
-    nbytes = 12 * nnz + 4 * (n_rows + 1)
-    if nbytes > MEMORY_BUDGET:
-        raise CapExceeded(
-            f"sparse adjacency needs over {nbytes} bytes, budget {MEMORY_BUDGET}"
-        )
+    _check_budget(12 * nnz + 4 * (n_rows + 1), "sparse adjacency")
 
 
 def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
@@ -379,13 +385,15 @@ class SensitivityGraph:
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. Each edge is stored once, in B: the
     rows of the smaller side S (the 0-side on a tie), read from the table
-    once. adjacency() is a view of B; its component labels sort into one
-    component index, which the census, the exact solve past arity
-    _CLASS_SOLVE_ARITY and every component query read. Up to that arity
-    the exact solve reads the two parity classes from the table and
-    edges(), which gathers the edges from the table, and builds none of
-    these. meta is fn's construction metadata, which
-    the analytic spectral method reads (None for a table).
+    once, unless no input off S has two neighbours: then B B^T is the
+    diagonal of S's degrees (_star_degrees), and the matrix-free and exact
+    solves read those instead. adjacency() is a view of B; its component
+    labels sort into one component index, which the census, the exact
+    solve past arity _CLASS_SOLVE_ARITY and every component query read. Up
+    to that arity the exact solve reads the two parity classes from the
+    table and edges(), which gathers the edges from the table, and builds
+    none of these. meta is fn's construction metadata, which the analytic
+    spectral method reads (None for a table).
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
@@ -410,6 +418,16 @@ class SensitivityGraph:
         if d == 0 or d & (d - 1):
             return False
         return self.table[x] != self.table[y]
+
+    def _star_degrees(self) -> np.ndarray | None:
+        """S's degrees d_S when no input off S has two neighbours, else None.
+        For y, y' in S, entry (y, y') of B B^T counts their common neighbours,
+        so B B^T is diag(d_S) exactly then: every component is a star K_1,d
+        centred in S. One masked max over the cached counts, on every call."""
+        counts, vals, side = self.degree_counts(), self.table.values, self._side
+        if len(side) and np.max(counts, where=vals != vals[side[0]], initial=0) > 1:
+            return None
+        return counts[side]
 
     def _side_rows(self) -> sp.csr_matrix:
         """B, the rows of S, built once; CapExceeded over MEMORY_BUDGET."""
@@ -450,19 +468,26 @@ class SensitivityGraph:
 
     def edges(self) -> np.ndarray:
         """All edges as an (E, 2) int64 array with x < y, sorted, gathered
-        from the table at S's inputs without B in at most 24 bytes per edge
-        past the gather; CapExceeded where adjacency() would be."""
-        _check_csr_budget(self.edge_count(), 1 << self.arity)
+        from the table at S's inputs without B; CapExceeded over
+        MEMORY_BUDGET. It holds 24 bytes per edge at the end (the sorted key
+        and the result) and, while gathering, a chunk's 17 bytes per
+        (input, direction) beside the keys so far; the check counts both."""
         vals, side, n = self.table.values, self._side, self.arity
         flips = np.int64(1) << np.arange(n, dtype=np.int64)
+        # about 2^20 neighbours gathered per chunk; an edge's sort key is its
+        # smaller end above its larger end, 2n bits (arity <= 31)
+        step = max(1, (1 << 20) // max(n, 1))
+        _check_budget(24 * self.edge_count() + (17 * n + 1) * min(step, len(side)), "edge list")
         parts = [np.empty(0, dtype=np.int64)]
-        # about 2^22 neighbours gathered per chunk, as for B; an edge's sort
-        # key is its smaller end above its larger end, 2n bits (arity <= 31)
-        step = max(1, (1 << 22) // n)
         for lo in range(0, len(side), step):
             xs = side[lo:lo + step, None]
-            hit = vals[xs ^ flips] != vals[xs]
-            parts.append(((xs & ~flips) << n | xs | flips)[hit])
+            key = xs ^ flips
+            hit = vals[key] != vals[xs]
+            np.bitwise_and(xs, ~flips, out=key)
+            key <<= n
+            key |= xs
+            key |= flips
+            parts.append(key[hit])
         key = np.concatenate(parts)
         del parts
         key.sort()
@@ -677,7 +702,12 @@ def _lambda_by_component(graph: SensitivityGraph) -> float:
     Chunks of components are solved within MEMORY_BUDGET, one
     with sides m <= M counting 8 m (m + M) bytes for C and C C^T and
     16 (n m + M) for indexing its at most n m edges, one shape per batch.
+    A union of stars K_1,d centred in S (_star_degrees) needs none of it:
+    its lambda is sqrt(max d), with no labels, index or blocks.
     """
+    d = graph._star_degrees()
+    if d is not None:
+        return math.sqrt(int(d.max(initial=0)))
     verts, ptr = graph._component_index
     runs = ptr[1:] - ptr[:-1]
     pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
@@ -711,6 +741,33 @@ def _lambda_by_component(graph: SensitivityGraph) -> float:
     return math.sqrt(best)
 
 
+def _gram_in_runs(table: TruthTable, side: np.ndarray):
+    """x -> B B^T x for the rows B of side, rebuilt on every call in
+    consecutive runs of side that fit MEMORY_BUDGET (one row at the least)."""
+    n = table.arity
+    ends = np.r_[0, (12 * table.sensitivity_counts[side].astype(np.int64) + 4 + 6 * n).cumsum()]
+    cuts = [0]
+    while (lo := cuts[-1]) < len(side):
+        cuts.append(max(int(ends.searchsorted(ends[lo] + MEMORY_BUDGET, "right")) - 1, lo + 1))
+    del ends  # not held through the steps
+    runs = list(zip(cuts, cuts[1:]))
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(len(table.values))
+        for lo, hi in runs[:-1]:
+            y += _smaller_side_rows(table, side[lo:hi]).T @ x[lo:hi]
+        lo, hi = runs[-1]
+        held = _smaller_side_rows(table, side[lo:hi])
+        y += held.T @ x[lo:hi]
+        # back from the run still held; each B_k y is independent of the order
+        out = [held @ y]
+        del held
+        out += [_smaller_side_rows(table, side[lo:hi]) @ y for lo, hi in runs[-2::-1]]
+        return np.concatenate(out[::-1])
+
+    return gram
+
+
 def _lambda_matfree(
     graph: SensitivityGraph, tol: float, seed: int, max_iter: int
 ) -> tuple[float, float, int]:
@@ -719,35 +776,33 @@ def _lambda_matfree(
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
-    |S|. B is the graph's own, built once from the table. Over MEMORY_BUDGET,
-    each step rebuilds it in runs of S's rows that fit at 12 bytes per entry
-    and 4 + 6 n per row (pointer, gather), adding 24 bytes per input at most.
+    |S|. When no input off S has two neighbours, B B^T is diag(d_S), S's
+    degrees, and a step is d_S x with no B. Otherwise B is the graph's own,
+    built once from the table. Over MEMORY_BUDGET, each step rebuilds it in
+    runs of S's rows that fit at 12 bytes per entry and 4 + 6 n per row
+    (pointer, gather), adding 24 bytes per input at most: a forward pass
+    sums B_k^T x_k, and a backward pass, starting from the run still held,
+    takes the B_k y, so 2K - 1 builds for K runs.
     The residual comes free from the last product w = B B^T x: for the
     unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
     ||w - lambda^2 x|| / (lambda sqrt(2)).
     """
-    table, n, side = graph.table, graph.arity, graph._side
+    side = graph._side
     if len(side) == 0:
         # a constant function: no edges
         return 0.0, 0.0, 0
-    try:
-        rows = graph._side_rows()
-    except CapExceeded:
-        ends = np.r_[0, (12 * table.sensitivity_counts[side].astype(np.int64) + 4 + 6 * n).cumsum()]
-        cuts = [0]
-        while (lo := cuts[-1]) < len(side):
-            cuts.append(max(int(ends.searchsorted(ends[lo] + MEMORY_BUDGET, "right")) - 1, lo + 1))
-        del ends  # not held through the steps
-
+    d = graph._star_degrees()
+    if d is not None:
         def gram(x: np.ndarray) -> np.ndarray:
-            y = np.zeros(len(table.values))
-            for lo, hi in zip(cuts, cuts[1:]):
-                y += _smaller_side_rows(table, side[lo:hi]).T @ x[lo:hi]
-            return np.concatenate([_smaller_side_rows(table, side[lo:hi]) @ y
-                                   for lo, hi in zip(cuts, cuts[1:])])
+            return d * x
     else:
-        def gram(x: np.ndarray) -> np.ndarray:
-            return rows @ (rows.T @ x)
+        try:
+            rows = graph._side_rows()
+        except CapExceeded:
+            gram = _gram_in_runs(graph.table, side)
+        else:
+            def gram(x: np.ndarray) -> np.ndarray:
+                return rows @ (rows.T @ x)
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(side))
@@ -802,7 +857,12 @@ def spectral_sensitivity(
     "analytic" (closed form recorded by the construction), or "auto" to
     pick the exact solve when a full dense adjacency would fit in
     MEMORY_BUDGET and matrix-free otherwise. For matrix-free, iterations
-    counts Gram steps.
+    counts Gram steps. When no input off the smaller side has two
+    neighbours, as for haf(r), the graph is a union of stars centred on
+    that side and B B^T is the diagonal of their degrees: matrix-free
+    iterates on that diagonal, and the exact solve past arity
+    _CLASS_SOLVE_ARITY returns the square root of the largest degree,
+    neither building B. The method labels are the same.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)

@@ -26,6 +26,7 @@ from sensilab import (
     classify_component,
     compute_measures,
     degree,
+    desensitize,
     graph_dot_text,
     graph_edges_text,
     haf,
@@ -511,6 +512,24 @@ class TestSensitivityGraph:
         e, peak = TestMemoryBudget.traced(graph.edges)
         assert len(e) == graph.edge_count() == n << (n - 1)
         assert peak <= 25 * len(e) + 4096
+
+    @pytest.mark.parametrize("n, p", [(16, 0.5), (12, 0.05)])
+    def test_edges_peak_within_the_bytes_checked(self, monkeypatch, n, p):
+        table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
+        graph = SensitivityGraph(table)
+        table.sensitivity_counts
+        checked, check = [], measures._check_budget
+        monkeypatch.setattr(measures, "_check_budget",
+                            lambda nbytes, what: checked.append(nbytes) or check(nbytes, what))
+        e, peak = TestMemoryBudget.traced(graph.edges)
+        assert len(e) == graph.edge_count() and len(checked) == 1
+        assert peak <= checked[0]
+        # and it refuses one byte short of what it counts
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", checked[0] - 1)
+        with pytest.raises(CapExceeded, match="edge list needs over"):
+            graph.edges()
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", checked[0])
+        assert np.array_equal(graph.edges(), e)
 
     def test_edge_count_formula(self):
         f = haf(2)
@@ -1297,6 +1316,17 @@ def smaller_side(table: TruthTable) -> np.ndarray:
     return np.flatnonzero(table.values == int(2 * table.ones_count() < len(table)))
 
 
+def is_star_graph(table: TruthTable) -> bool:
+    """Whether no input off the smaller side has two or more neighbours, with
+    degrees counted direction by direction: then every component is a star
+    centred on the smaller side."""
+    xs = np.arange(len(table))
+    deg = sum(table.values != table.values[xs ^ (1 << i)] for i in range(table.arity))
+    off = np.ones(len(table), dtype=bool)
+    off[smaller_side(table)] = False
+    return bool(np.max(deg, where=off, initial=0) <= 1)
+
+
 class TestSmallerSideRows:
     """Matrix-free builds the rows of B on the smaller side S from the table,
     never the full adjacency."""
@@ -1355,7 +1385,8 @@ class TestSmallerSideRows:
 
     @pytest.mark.parametrize("slack, path", [(-1, "slices"), (0, "csr")])
     def test_budget_boundary(self, slack, path):
-        table = chaf([2, 2]).table()
+        # tradeoff(2;2) has two-layer stars, so its Gram operator is not diagonal
+        table = tradeoff([2], [2]).table()
         side = smaller_side(table)
         nnz = int(table.sensitivity_counts[side].sum())
         budget = 12 * nnz + 4 * (len(side) + 1) + slack
@@ -1416,21 +1447,27 @@ class TestMatrixFreeSlices:
         side = smaller_side(table)
         assume(len(side) > 0)
         whole = 12 * int(table.sensitivity_counts[side].sum()) + 4 * (len(side) + 1)
-        # budget 0 builds one row per run, 2 |S| builds a step: kept to n <= 8
+        # budget 0 builds one row per run, 2 |S| - 1 builds a step: kept to n <= 8
         budgets = [whole - 1, whole // 2, whole // 4] + [0] * (n <= 8)
         budget = data.draw(st.sampled_from(budgets))
+        # with no input off S of degree 2 or more, B B^T is diagonal: no B
+        diagonal = is_star_graph(table)
         lam, steps, starts, builds = matrix_free_run(table, None, self.STEPS)
-        assert (starts, builds) == ([len(side)], [len(side)])
+        assert (starts, builds) == ([len(side)], [] if diagonal else [len(side)])
         got, got_steps, got_starts, got_builds = matrix_free_run(table, budget, self.STEPS)
         assert got_starts == [len(side)]
         assert got == pytest.approx(lam, rel=1e-12, abs=0)
         assert abs(got_steps - steps) <= 1
-        # each Gram step builds the same runs of S twice; they split S in two
-        # or more, and in runs of one row at budget 0
+        if diagonal:
+            assert got_builds == []
+            return
+        # each Gram step builds the runs of S forward, then back from the one
+        # still held; they split S in two or more, and in runs of one row at
+        # budget 0
         grams = min(got_steps, self.STEPS)
-        runs = got_builds[:len(got_builds) // (2 * grams)]
+        runs = got_builds[:(len(got_builds) // grams + 1) // 2]
         assert sum(runs) == len(side) and len(runs) >= min(2, len(side))
-        assert got_builds == runs * (2 * grams)
+        assert got_builds == (runs + runs[-2::-1]) * grams
         assert budget > 0 or set(runs) == {1}
 
     @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
@@ -1449,6 +1486,123 @@ class TestMatrixFreeSlices:
 
         _, peak = TestMemoryBudget.traced(steps)
         assert peak <= budget + 24 * len(table)
+
+
+def spy_calls(monkeypatch, names: list[str]) -> dict[str, int]:
+    """Count, from now on, the calls of measures' functions and
+    SensitivityGraph's methods named in names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner = SensitivityGraph if hasattr(SensitivityGraph, name) else measures
+        real = vars(owner)[name]
+        if name == "_component_index":
+            real = real.func
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, property(spy) if name == "_component_index" else spy)
+    return calls
+
+
+# every component a star centred on the smaller side
+STAR_TABLES = {
+    **{f"{name}{n}": lambda n=n, name=name: named_tables(n)[name]
+       for name in ("and", "or") for n in range(1, 17)},
+    "haf2": lambda: haf(2).table(),
+    "chaf22": lambda: chaf([2, 2]).table(),
+    "desens-address1": lambda: desensitize(address_fn(1), uc1(address_fn(1)).witness).table(),
+    "desens-haf2": lambda: desensitize(haf(2), uc1(haf(2)).witness).table(),
+}
+
+
+@st.composite
+def star_tables(draw):
+    """A union of stars centred on the smaller side: a named table, or a
+    random code of minimum distance 3 (its complement half the time), whose
+    every non-member has at most one member as a neighbour."""
+    if draw(st.booleans()):
+        return STAR_TABLES[draw(st.sampled_from(sorted(STAR_TABLES)))]()
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = np.array([0] + [1 << i | 1 << j for i in range(n) for j in range(i + 1)])
+    vals = np.zeros(1 << n, dtype=np.uint8)
+    free = np.ones(1 << n, dtype=bool)
+    for x in rng.permutation(1 << n)[:draw(st.integers(1, 1 << n))]:
+        if free[x]:
+            vals[x] = 1
+            free[x ^ near] = False
+    return TruthTable(n, vals ^ np.uint8(draw(st.integers(0, 1))))
+
+
+# the dense reference's 2^n x 2^n adjacency is built up to this many inputs
+DENSE_REFERENCE_INPUTS = 1 << 10
+
+
+class TestStarOperator:
+    """When no input off the smaller side S has two neighbours, B B^T is
+    diag(d_S): matrix-free iterates on it with no B, and the exact solve past
+    arity 8 reads lambda as sqrt(max d_S) with no labels or index."""
+
+    @staticmethod
+    def reference(table: TruthTable) -> float:
+        # past the dense reference's size, a union of stars K_1,d (as
+        # is_star_graph checks) has lambda the square root of its top degree
+        if len(table) <= DENSE_REFERENCE_INPUTS:
+            return dense_reference_lambda(table)
+        return math.sqrt(int(table.sensitivity_counts.max()))
+
+    @pytest.mark.parametrize("name", list(STAR_TABLES))
+    def test_tables_are_star_graphs(self, name):
+        table = STAR_TABLES[name]()
+        assert is_star_graph(table)
+        d = SensitivityGraph(table)._star_degrees()
+        assert np.array_equal(d, table.sensitivity_counts[smaller_side(table)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(table=star_tables())
+    def test_diagonal_iterates_as_b(self, table):
+        assert is_star_graph(table)
+        args = measures.DEFAULT_TOL, measures.DEFAULT_SEED, measures.DEFAULT_MAX_ITER
+        diag = measures._lambda_matfree(SensitivityGraph(table), *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
+            calls = spy_calls(mp, ["_side_rows"])
+            with_b = measures._lambda_matfree(SensitivityGraph(table), *args)
+        assert calls["_side_rows"] == 1
+        assert diag[0] == pytest.approx(with_b[0], rel=1e-12, abs=0)
+        assert abs(diag[2] - with_b[2]) <= 1
+        assert diag[0] == pytest.approx(self.reference(table), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_one_larger_side_vertex_of_degree_two_builds_b(self, monkeypatch, n):
+        # S is the 1-inputs 1, 2, 3; input 0 is their one common neighbour off S
+        table = TruthTable(n, (np.isin(np.arange(1 << n), [1, 2, 3])).astype(np.uint8))
+        degrees = table.sensitivity_counts
+        assert np.array_equal(smaller_side(table), [1, 2, 3])
+        assert degrees[0] == 2 and np.sort(degrees[table.values == 0])[-2] == 1
+        assert SensitivityGraph(table)._star_degrees() is None
+        lam, _, starts, builds = matrix_free_run(table, None, measures.DEFAULT_MAX_ITER)
+        assert (starts, builds) == ([3], [3])
+        ref = dense_reference_lambda(table)
+        assert lam == pytest.approx(ref, abs=1e-6)
+        calls = spy_calls(monkeypatch, ["_smaller_side_rows", "_cc"])
+        assert spectral_sensitivity(table, method="dense").value == pytest.approx(ref, abs=1e-9)
+        assert calls == {"_smaller_side_rows": int(n > 8), "_cc": int(n > 8)}
+
+    @pytest.mark.parametrize("method", ["matrix-free", "dense", "component-wise"])
+    @pytest.mark.parametrize("name", [f"{name}{n}" for name in ("and", "or") for n in range(9, 13)]
+                             + ["chaf22", "desens-address1", "desens-haf2"])
+    def test_star_tables_build_nothing(self, monkeypatch, method, name):
+        table = STAR_TABLES[name]()
+        assert table.arity >= 9
+        calls = spy_calls(
+            monkeypatch, ["_smaller_side_rows", "_side_rows", "_cc", "_component_index"])
+        res = spectral_sensitivity(table, method=method)
+        assert calls == dict.fromkeys(calls, 0)
+        assert res.method == method
+        assert res.value == pytest.approx(self.reference(table), abs=1e-9)
 
 
 class TestTwoLayerStar:
