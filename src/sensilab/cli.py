@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +47,6 @@ _METHODS = {
 }
 
 
-@dataclass
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    tolerance: float = DEFAULT_TOL
-    materialize_cap: int = DEFAULT_TABLE_CAP
-
-
 def resolve_threads(flag: int | None, env: dict | None = None) -> int:
     """--threads wins over SENSILAB_THREADS wins over all available."""
     if flag is not None:
@@ -72,16 +64,6 @@ def resolve_threads(flag: int | None, env: dict | None = None) -> int:
             raise ValueError("SENSILAB_THREADS must be at least 1")
         return value
     return os.cpu_count() or 1
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        tolerance=args.tol if args.tol is not None else DEFAULT_TOL,
-        materialize_cap=(
-            args.materialize_cap if args.materialize_cap is not None else DEFAULT_TABLE_CAP
-        ),
-    )
 
 
 def _int_list(text: str) -> list[int]:
@@ -142,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="constructions, measures, and verification for Boolean function sensitivity",
         parents=[_global_options(None)],
     )
+    parser.set_defaults(seed=DEFAULT_SEED, tol=DEFAULT_TOL, materialize_cap=DEFAULT_TABLE_CAP)
     # the global options are accepted after the subcommand too; there they set
     # nothing unless given, so a value given before the subcommand survives,
     # and one given after it wins
@@ -198,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_construct(args, config: RunConfig) -> int:
+def _cmd_construct(args) -> int:
     family = FAMILIES[args.family]
     if any(kind == "descriptor" for _, kind in family.params):
         # a family that wraps another function reads it from the --base file
@@ -213,7 +196,7 @@ def _cmd_construct(args, config: RunConfig) -> int:
 
     out = args.out
     if out.endswith(".tt"):
-        fn.table(config.materialize_cap).save(out)
+        fn.table(args.materialize_cap).save(out)
     elif out.endswith(".json"):
         with open(out, "w") as fh:
             json.dump(to_descriptor(fn), fh, indent=2)
@@ -224,30 +207,30 @@ def _cmd_construct(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_measure(args, config: RunConfig) -> int:
+def _cmd_measure(args) -> int:
     fn = load_function(args.fn)
     names = [part for part in args.measures.split(",") if part]
     report = compute_measures(
         fn,
         names,
         method=_METHODS[args.method],
-        tol=config.tolerance,
-        seed=config.seed,
-        materialize_cap=config.materialize_cap,
+        tol=args.tol,
+        seed=args.seed,
+        materialize_cap=args.materialize_cap,
         source=args.fn,
     )
     print(report.to_json())
     return 0
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     suite = args.suite
     method = _METHODS[args.method]
     if suite == "theorem1":
         claims = verify_mod.verify_theorem1(
             args.r if args.r is not None else 2,
             lambda_method=method,
-            seed=config.seed,
+            seed=args.seed,
         )
     elif suite == "simon":
         ns = [args.n] if args.n is not None else [2, 3, 4]
@@ -259,7 +242,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
         claims = verify_mod.verify_subgraph_lemma(
             args.n if args.n is not None else 3,
             samples=args.samples,
-            seed=config.seed,
+            seed=args.seed,
         )
     elif suite == "lemmas":
         if args.fn is not None:
@@ -270,7 +253,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
             # the suite's own defaults stand for flags not given
             given = {"arities": args.arities, "count": args.count}
             claims = verify_mod.verify_lemma_chain_random(
-                seed=config.seed, **{k: v for k, v in given.items() if v is not None}
+                seed=args.seed, **{k: v for k, v in given.items() if v is not None}
             )
     elif suite == "desens":
         if args.fn is not None:
@@ -293,7 +276,7 @@ def _cmd_verify(args, config: RunConfig) -> int:
     elif suite == "tradeoff":
         as_ = args.as_ if args.as_ is not None else [2]
         bs_ = args.bs_ if args.bs_ is not None else [2]
-        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=config.seed)
+        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=args.seed)
     else:
         ks = [args.k] if args.k is not None else [2, 3, 4]
         claims = []
@@ -306,11 +289,11 @@ def _cmd_verify(args, config: RunConfig) -> int:
     return 0 if verify_mod.all_pass(claims) else 1
 
 
-def _cmd_export_graph(args, config: RunConfig) -> int:
+def _cmd_export_graph(args) -> int:
     fn = load_function(args.fn)
     if fn.arity > 16:
         raise ValueError(f"graph export capped at arity 16, got {fn.arity}")
-    graph = SensitivityGraph(fn, cap=config.materialize_cap)
+    graph = SensitivityGraph(fn, cap=args.materialize_cap)
     if args.format == "dot":
         text = graph_dot_text(graph, component=args.component)
     else:
@@ -347,7 +330,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return l, m
 
 
-def _cmd_sweep(args, config: RunConfig) -> int:
+def _cmd_sweep(args) -> int:
     gs = _parse_range(args.g_range)
     l, m = _parse_ratio(args.ratio)
     lines = ["n,s0,s1,lambda_sq,c_hat"]
@@ -377,17 +360,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from(args)
         if args.command == "construct":
-            return _cmd_construct(args, config)
+            return _cmd_construct(args)
         if args.command == "measure":
-            return _cmd_measure(args, config)
+            return _cmd_measure(args)
         if args.command == "verify":
-            return _cmd_verify(args, config)
+            return _cmd_verify(args)
         if args.command == "export-graph":
-            return _cmd_export_graph(args, config)
+            return _cmd_export_graph(args)
         if args.command == "sweep":
-            return _cmd_sweep(args, config)
+            return _cmd_sweep(args)
         raise AssertionError(args.command)
     except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -648,23 +648,21 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     Flipping a coordinate also flips |x| mod 2, so f(x) ^ (|x| mod 2) is the
     same at both ends of every edge: it splits the inputs into two parity
     classes, each a union of components. Up to arity _CLASS_SOLVE_ARITY the
-    solve takes the two classes straight from the table, when their blocks
-    fit MEMORY_BUDGET; otherwise it takes each component from the index.
+    solve takes the two classes straight from the table; past it, it takes
+    each component from the index.
     """
     if graph.arity <= _CLASS_SOLVE_ARITY:
-        lam = _lambda_by_class(graph)
-        if lam is not None:
-            return lam
+        return _lambda_by_class(graph)
     return _lambda_by_component(graph)
 
 
-def _lambda_by_class(graph: SensitivityGraph) -> float | None:
+def _lambda_by_class(graph: SensitivityGraph) -> float:
     """Largest adjacency eigenvalue over the two parity classes, read from the
-    table's values, sensitivity counts and edges(); None when the classes'
-    blocks, 8 m (m + M) bytes for C and C C^T with sides m <= M among the
-    inputs with edges, exceed MEMORY_BUDGET. C's rows are the smaller side
-    (the 0-side on a tie), in input order. Grams of one shape are one
-    eigvalsh batch.
+    table's values, sensitivity counts and edges(). C's rows are the smaller
+    side (the 0-side on a tie), in input order. A class with sides m <= M
+    takes 8 m (m + M) bytes for C and C C^T, so up to arity 8 the two take
+    at most 8 * 128 * 256 bytes = 256 KiB, far inside MEMORY_BUDGET. Grams of
+    one shape are one eigvalsh batch.
     """
     vals = graph.table.values
     # 2 c + f(x) for an input x in class c = f(x) ^ (|x| mod 2), 4 for one without edges
@@ -672,8 +670,6 @@ def _lambda_by_class(graph: SensitivityGraph) -> float | None:
     key[graph.degree_counts() == 0] = 4
     sizes = np.bincount(key, minlength=5)[:4].reshape(2, 2)
     small, large = sizes.min(axis=1), sizes.max(axis=1)
-    if int((8 * small * (small + large)).sum()) > MEMORY_BUDGET:
-        return None
     # each input's position among the inputs of its key
     at = np.empty(len(vals), dtype=np.intp)
     for k, size in enumerate(sizes.ravel().tolist()):
@@ -850,30 +846,30 @@ def spectral_sensitivity(
     smaller side to its larger one; up to arity _CLASS_SOLVE_ARITY, of the
     Gram blocks of the two parity classes f(x) ^ (|x| mod 2), each a union
     of components, read from the table with no B, labels or component
-    index, unless they exceed MEMORY_BUDGET), "matrix-free" (power
-    iteration on the Gram operator B B^T of the whole graph's smaller
-    side, whose residual is ||A u - lambda u|| at the eigenvector estimate
-    u it implies),
+    index), "matrix-free" (power iteration on the Gram operator B B^T of
+    the whole graph's smaller side, whose residual is ||A u - lambda u|| at
+    the eigenvector estimate u it implies),
     "analytic" (closed form recorded by the construction), or "auto" to
     pick the exact solve when a full dense adjacency would fit in
-    MEMORY_BUDGET and matrix-free otherwise. For matrix-free, iterations
-    counts Gram steps. When no input off the smaller side has two
-    neighbours, as for haf(r), the graph is a union of stars centred on
-    that side and B B^T is the diagonal of their degrees: matrix-free
-    iterates on that diagonal, and the exact solve past arity
-    _CLASS_SOLVE_ARITY returns the square root of the largest degree,
-    neither building B. The method labels are the same.
+    MEMORY_BUDGET or the graph is a union of stars (below), and matrix-free
+    otherwise. For matrix-free, iterations counts Gram steps. When no input
+    off the smaller side has two neighbours, as for haf(r), the graph is a
+    union of stars centred on that side and B B^T is the diagonal of their
+    degrees: matrix-free iterates on that diagonal, and the exact solve
+    past arity _CLASS_SOLVE_ARITY returns the square root of the largest
+    degree, neither building B. The method labels are the same.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)
         if meta is None or meta.predicted_lambda_sq is None:
             raise ValueError("analytic method needs construction metadata")
         return SpectralResult(math.sqrt(meta.predicted_lambda_sq), "analytic", 0.0, 0)
-    if method == "auto":
-        method = "dense" if 8 * 4 ** fn.arity <= MEMORY_BUDGET else "matrix-free"
-    if method not in ("dense", "component-wise", "matrix-free"):
+    if method not in ("auto", "dense", "component-wise", "matrix-free"):
         raise ValueError(f"unknown spectral method {method!r}")
     graph = fn if isinstance(fn, SensitivityGraph) else SensitivityGraph(fn)
+    if method == "auto":
+        small = 8 * 4 ** graph.arity <= MEMORY_BUDGET
+        method = "dense" if small or graph._star_degrees() is not None else "matrix-free"
     if method == "matrix-free":
         value, residual, iters = _lambda_matfree(graph, tol, seed, max_iter)
         return SpectralResult(value, method, residual, iters)

@@ -26,6 +26,7 @@ from .measures import (
     MEMORY_BUDGET,
     UC_EXACT_CAP,
     SensitivityGraph,
+    SpectralResult,
     degree,
     s,
     s0,
@@ -106,6 +107,15 @@ class _Claims:
             )
         )
 
+    def add_lambda(
+        self, claim: str, predicted: float, spec: SpectralResult, tol: float, note: str = ""
+    ) -> None:
+        """A within-tol claim on spec's lambda, held to 1e-9 when spec is exact
+        and to tol otherwise. The note ends "method=..., residual=..."."""
+        solve = f"method={spec.method}, residual={spec.residual:.3e}"
+        note = f"{note}; {solve}" if note else solve
+        self.add(claim, predicted, spec.value, "within-tol", 1e-9 if spec.exact else tol, note)
+
 
 def all_pass(claims: Sequence[ClaimResult]) -> bool:
     return all(c.status == "pass" for c in claims)
@@ -155,15 +165,7 @@ def verify_theorem1(
     )
     claims.add("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact")
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
-    lam_tol = 1e-9 if spec.exact else tol
-    claims.add(
-        "thm1.lambda",
-        math.sqrt(1 << r),
-        spec.value,
-        "within-tol",
-        tol=lam_tol,
-        note=f"method={spec.method}, residual={spec.residual:.3e}",
-    )
+    claims.add_lambda("thm1.lambda", math.sqrt(1 << r), spec, tol)
     return claims.rows
 
 
@@ -409,14 +411,9 @@ def verify_desensitization(
     claims.add(f"desens.{label}.s0", 1, s0(prime).value, "exact")
     target = 3 * certs.max_codim()
     claims.add(f"desens.{label}.s1", target, s1(prime).value, "exact")
-    spec = spectral_sensitivity(prime)
-    claims.add(
-        f"desens.{label}.lambda",
-        math.sqrt(target),
-        spec.value,
-        "within-tol",
-        tol=tol,
-        note=f"sqrt(s1) since s0=1; method={spec.method}",
+    claims.add_lambda(
+        f"desens.{label}.lambda", math.sqrt(target), spectral_sensitivity(prime), tol,
+        note="sqrt(s1) since s0=1",
     )
     if prime.arity <= UC_EXACT_CAP:
         base = uc1(fn)
@@ -446,8 +443,6 @@ def verify_tradeoff(
     claims = _Claims()
     fn = tradeoff(as_, bs_)
     profile = tradeoff_profile(as_, bs_)
-    if fn.arity > 26:
-        raise ValueError(f"arity {fn.arity} beyond the iterative cap 26")
     claims.add("thm3.arity", profile["arity"], fn.arity, "exact")
     claims.add("thm3.s0", profile["s0"], s0(fn).value, "exact")
     claims.add("thm3.s1", profile["s1"], s1(fn).value, "exact")
@@ -455,14 +450,7 @@ def verify_tradeoff(
     # labels are built at most once
     graph = SensitivityGraph(fn)
     spec = spectral_sensitivity(graph, method=lambda_method, seed=seed)
-    claims.add(
-        "thm3.lambda",
-        math.sqrt(profile["lambda_sq"]),
-        spec.value,
-        "within-tol",
-        tol=tol,
-        note=f"method={spec.method}, residual={spec.residual:.3e}",
-    )
+    claims.add_lambda("thm3.lambda", math.sqrt(profile["lambda_sq"]), spec, tol)
     try:
         shapes = graph.census()
     except CapExceeded:
@@ -508,13 +496,8 @@ def verify_maf_proposition(k: int, tol: float = 1e-6) -> list[ClaimResult]:
     if k == 2:
         claims.add("maf.k2.s0", 2, s0(fn).value, "exact")
         claims.add("maf.k2.s1", 2, s1(fn).value, "exact")
-        lam = spectral_sensitivity(fn, method="dense").value
-        claims.add(
-            "maf.k2.lambda",
-            MAF2_LAMBDA,
-            lam,
-            "within-tol",
-            tol=tol,
+        claims.add_lambda(
+            "maf.k2.lambda", MAF2_LAMBDA, spectral_sensitivity(fn, method="dense"), tol,
             note="reference value from a dense eigensolve",
         )
     return claims.rows

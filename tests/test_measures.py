@@ -872,10 +872,17 @@ class TestSpectral:
         assert spectral_sensitivity(and2).method == "dense"
 
     def test_auto_switches_above_arity_13(self):
-        for n, method in ((13, "dense"), (14, "matrix-free")):
-            const = TruthTable(n, np.zeros(1 << n, dtype=np.uint8))
-            res = spectral_sensitivity(const)
-            assert (res.method, res.value) == (method, 0.0)
+        assert spectral_sensitivity(make_parity(13)).method == "dense"
+        res = spectral_sensitivity(make_parity(14))
+        assert res.method == "matrix-free" and not res.exact
+        assert res.value == pytest.approx(14.0, abs=1e-6)
+
+    def test_auto_solves_star_graphs_exactly_above_arity_13(self):
+        # no input off the smaller side has two neighbours: lambda is sqrt(max d)
+        const = TruthTable(14, np.zeros(1 << 14, dtype=np.uint8))
+        for fn, lam in ((const, 0.0), (haf(3), math.sqrt(8))):
+            res = spectral_sensitivity(fn)
+            assert (res.method, res.exact, res.value) == ("dense", True, lam)
 
     def test_matrix_free_without_sparse_matrix(self, monkeypatch):
         f = chaf([2, 2])
@@ -887,12 +894,11 @@ class TestSpectral:
         assert free.value == pytest.approx(exact, abs=1e-6)
 
     def test_exact_solve_refuses_oversized_component(self, monkeypatch):
-        xs = np.arange(64, dtype=np.uint64)
-        parity6 = TruthTable(6, np.bitwise_count(xs).astype(np.uint8) & 1)
-        # the sparse matrix (under 5 kB) fits, the 64 x 64 block does not
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 10_000)
-        with pytest.raises(CapExceeded, match="component with 64 vertices"):
-            spectral_sensitivity(parity6, method="component-wise")
+        # parity on 9 inputs is one component of 512 vertices, solved from the
+        # index; its sparse matrix (under 40 kB) fits, its 256 x 256 blocks do not
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 100_000)
+        with pytest.raises(CapExceeded, match="component with 512 vertices"):
+            spectral_sensitivity(make_parity(9), method="component-wise")
 
     def test_empty_graph(self):
         res = spectral_sensitivity(table_fn([0, 0, 0, 0]), method="dense")
@@ -1070,11 +1076,12 @@ class TestGramSolve:
         assert value == pytest.approx(math.sqrt(7), abs=1e-9)
 
     def test_budget_counts_the_gram_solve(self, monkeypatch):
-        # B and B B^T of the 64-vertex component take 8 * 32 * (32 + 32) =
-        # 16 384 bytes; a 64 x 64 adjacency block would take 32 768
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 20_000)
-        res = spectral_sensitivity(make_parity(6), method="component-wise")
-        assert res.value == pytest.approx(6.0, abs=1e-9)
+        # the 512-vertex component of parity on 9 inputs, sides 256 and 256,
+        # counts 8 * 256 * (256 + 256 + 2 * 9) + 16 * 256 = 1 089 536 bytes;
+        # a 512 x 512 adjacency block would take 2 097 152
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_089_536)
+        res = spectral_sensitivity(make_parity(9), method="component-wise")
+        assert res.value == pytest.approx(9.0, abs=1e-9)
         assert res.method == "component-wise"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from sensilab import measures
+from sensilab import verify as verify_mod
 from sensilab import (
     all_pass,
     chaf,
@@ -68,10 +70,25 @@ class TestTheorem1:
         "method, tol",
         [("dense", 1e-9), ("component-wise", 1e-9), ("analytic", 1e-9), ("matrix-free", 1e-6)],
     )
-    def test_exact_methods_get_the_tight_tolerance(self, method, tol):
+    def test_exact_methods_get_the_tight_tolerance(self, monkeypatch, method, tol, or2, or2_certs):
         claims = verify_theorem1(2, lambda_method=method)
-        lam = next(c for c in claims if c.claim == "thm1.lambda")
-        assert lam.tolerance == tol
+        claims += verify_tradeoff([2], [2], lambda_method=method)
+        # the desens and maf suites pick their own solver: relabel its result
+        solve = verify_mod.spectral_sensitivity
+        monkeypatch.setattr(
+            verify_mod,
+            "spectral_sensitivity",
+            lambda *a, **k: dataclasses.replace(solve(*a, **k), method=method),
+        )
+        claims += verify_desensitization(or2, or2_certs, name="or2")
+        claims += verify_maf_proposition(2)
+        lams = [c for c in claims if c.claim.endswith(".lambda")]
+        assert [c.claim for c in lams] == [
+            "thm1.lambda", "thm3.lambda", "desens.or2.lambda", "maf.k2.lambda"
+        ]
+        for c in lams:
+            assert (c.tolerance, c.status) == (tol, "pass")
+            assert c.note.rpartition("; ")[2].startswith(f"method={method}, residual=")
 
     def test_rejects_large_r(self):
         with pytest.raises(ValueError):
