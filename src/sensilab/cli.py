@@ -163,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arities", type=_int_list)
     p.add_argument("--fn")
     p.add_argument("--certs")
-    p.add_argument("--method", choices=sorted(_METHODS), default="auto")
+    # None (auto) unless given, so that a suite which does not read it can refuse it
+    p.add_argument("--method", choices=sorted(_METHODS), default=None)
     p.add_argument("--csv", help="also write a CSV summary here")
 
     p = sub.add_parser("export-graph", parents=[common], help="emit the sensitivity graph")
@@ -225,7 +226,12 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    method = _METHODS[args.method]
+    if args.method is not None and suite not in ("theorem1", "tradeoff") and (
+        suite != "lemmas" or args.fn is None
+    ):
+        raise ValueError(f"verify {suite} does not read --method; "
+                         "only theorem1, tradeoff and lemmas --fn do")
+    method = _METHODS[args.method or "auto"]
     if suite == "theorem1":
         claims = verify_mod.verify_theorem1(
             args.r if args.r is not None else 2,
@@ -247,7 +253,9 @@ def _cmd_verify(args) -> int:
     elif suite == "lemmas":
         if args.fn is not None:
             fn = load_function(args.fn)
-            claims = verify_mod.verify_lemma_chain(fn, name=os.path.basename(args.fn))
+            claims = verify_mod.verify_lemma_chain(
+                fn, name=os.path.basename(args.fn), method=method
+            )
             claims.extend(verify_mod.verify_edge_bound(fn, name=os.path.basename(args.fn)))
         else:
             # the suite's own defaults stand for flags not given

@@ -5,11 +5,13 @@ Everything here works on a BooleanFunction or a TruthTable. Exact measures
 spectral sensitivity is the operator norm of the sensitivity graph's
 adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
 stored once, as the rows B of its smaller side, read straight from the
-table. Lambda is found by an exact dense eigensolve of each connected
-component's Gram block on its smaller side (of each parity class's block up
-to arity 8), by matrix-free power iteration on the Gram operator B B^T of
-the whole smaller side, B rebuilt on each step in runs that fit the memory
-budget when it does not fit whole, or from a construction's closed form.
+table. Lambda is found by one exact dense eigensolve of Gram blocks on
+their smaller sides, the inputs grouped into the two parity classes up to
+arity 8 and into connected components past it, each chunk of groups reading
+its edges through edges(xs); by matrix-free power iteration on the Gram
+operator B B^T of the whole smaller side, B rebuilt on each step in runs
+that fit the memory budget when it does not fit whole; or from a
+construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free applies that diagonal and the exact solve past arity 8 reads
@@ -43,13 +45,14 @@ from .core import (
 )
 
 # bytes a pass over the sensitivity graph may allocate at once, counted first: a
-# CSR of its rows, or one chunk of components' temporaries, summed per component
+# CSR of its rows, an edge list, or one chunk of the temporaries of components
+# (or parity classes), summed per one
 MEMORY_BUDGET = 512 << 20
 # bytes per input that the component index and its readers' bookkeeping add
 INDEX_BYTES_PER_INPUT = 56
-# up to this arity the exact solve reads the two parity classes straight from the
-# table (_lambda_by_class): a class's smaller side has at most 2^(n-1) = 128
-# inputs, and the component index's fixed cost would outweigh the solve itself
+# up to this arity the exact solve groups the inputs by parity class, labelled
+# from the table, not by component: a class's smaller side has at most
+# 2^(n-1) = 128 inputs, and the adjacency and labels would outweigh the solve
 _CLASS_SOLVE_ARITY = 8
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
@@ -390,9 +393,10 @@ class SensitivityGraph:
     solves read those instead. adjacency() is a view of B; its component
     labels sort into one component index, which the census, the exact
     solve past arity _CLASS_SOLVE_ARITY and every component query read. Up
-    to that arity the exact solve reads the two parity classes from the
-    table and edges(), which gathers the edges from the table, and builds
-    none of these. meta is fn's construction metadata, which the analytic
+    to that arity the exact solve sorts the two parity classes into an
+    index of the same form and builds none of these. edges(xs) gathers
+    edges from the table at inputs of S, for the exact solve, components()
+    and export. meta is fn's construction metadata, which the analytic
     spectral method reads (None for a table).
     """
 
@@ -401,7 +405,8 @@ class SensitivityGraph:
         self.arity = self.table.arity
         self.meta = getattr(fn, "meta", None)
         vals = self.table.values
-        self._side = np.flatnonzero(vals == int(2 * self.table.ones_count() < len(vals)))
+        self._side_value = int(2 * self.table.ones_count() < len(vals))
+        self._side = np.flatnonzero(vals == self._side_value)
         self._rows: sp.csr_matrix | None = None
         self._adj: sp.csr_matrix | None = None
         self._labels: np.ndarray | None = None
@@ -424,10 +429,10 @@ class SensitivityGraph:
         For y, y' in S, entry (y, y') of B B^T counts their common neighbours,
         so B B^T is diag(d_S) exactly then: every component is a star K_1,d
         centred in S. One masked max over the cached counts, on every call."""
-        counts, vals, side = self.degree_counts(), self.table.values, self._side
-        if len(side) and np.max(counts, where=vals != vals[side[0]], initial=0) > 1:
+        counts = self.degree_counts()
+        if np.max(counts, where=self.table.values != self._side_value, initial=0) > 1:
             return None
-        return counts[side]
+        return counts[self._side]
 
     def _side_rows(self) -> sp.csr_matrix:
         """B, the rows of S, built once; CapExceeded over MEMORY_BUDGET."""
@@ -452,40 +457,29 @@ class SensitivityGraph:
             self._adj = sp.csr_matrix((rows.data, rows.indices, indptr), shape=(size, size))
         return self._adj
 
-    def _neighbours(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency's rows at xs, empty off S: their lengths, and entries."""
-        a = self.adjacency()
-        first, lens = a.indptr[xs], a.indptr[xs + 1] - a.indptr[xs]
-        at = (first - lens.cumsum(dtype=np.int32) + lens).repeat(lens)
-        at += np.arange(len(at), dtype=np.int32)
-        return lens, a.indices[at]
-
-    def _edges_at(self, xs: np.ndarray) -> np.ndarray:
-        """The edges in B's rows at xs, as edges() gives them."""
-        lens, ys = self._neighbours(xs)
-        e = np.sort(np.stack([np.repeat(xs, lens), ys], axis=1, dtype=np.int64), axis=1)
-        return e[np.lexsort(e.T[::-1])]
-
-    def edges(self) -> np.ndarray:
-        """All edges as an (E, 2) int64 array with x < y, sorted, gathered
-        from the table at S's inputs without B; CapExceeded over
-        MEMORY_BUDGET. It holds 24 bytes per edge at the end (the sorted key
-        and the result) and, while gathering, a chunk's 17 bytes per
-        (input, direction) beside the keys so far; the check counts both."""
-        vals, side, n = self.table.values, self._side, self.arity
+    def edges(self, xs: np.ndarray | None = None) -> np.ndarray:
+        """The edges as an (E, 2) int64 array with x < y, sorted, gathered
+        from the table at S's inputs without B: all of them, or those whose
+        end in S is one of the inputs xs. CapExceeded over MEMORY_BUDGET. It
+        holds 24 bytes per edge at the end (the sorted key and the result)
+        and, while gathering, a chunk's 17 bytes per (input, direction)
+        beside the keys so far; the check counts both."""
+        vals, n = self.table.values, self.arity
+        side = self._side if xs is None else xs[vals[xs] == self._side_value]
         flips = np.int64(1) << np.arange(n, dtype=np.int64)
         # about 2^20 neighbours gathered per chunk; an edge's sort key is its
         # smaller end above its larger end, 2n bits (arity <= 31)
         step = max(1, (1 << 20) // max(n, 1))
-        _check_budget(24 * self.edge_count() + (17 * n + 1) * min(step, len(side)), "edge list")
+        edge_count = int(self.degree_counts()[side].sum())
+        _check_budget(24 * edge_count + (17 * n + 1) * min(step, len(side)), "edge list")
         parts = [np.empty(0, dtype=np.int64)]
         for lo in range(0, len(side), step):
-            xs = side[lo:lo + step, None]
-            key = xs ^ flips
-            hit = vals[key] != vals[xs]
-            np.bitwise_and(xs, ~flips, out=key)
+            x = side[lo:lo + step, None]
+            key = x ^ flips
+            hit = vals[key] != vals[x]
+            np.bitwise_and(x, ~flips, out=key)
             key <<= n
-            key |= xs
+            key |= x
             key |= flips
             parts.append(key[hit])
         key = np.concatenate(parts)
@@ -503,17 +497,24 @@ class SensitivityGraph:
             self._labels = _cc(self.adjacency(), directed=False)[1]
         return self._labels
 
+    def _index(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(verts, ptr) for a label of every input, each label a union of
+        components: the int32 vertices with edges sorted by (label, value, id).
+        Group g's 0-inputs are verts[ptr[2g]:ptr[2g+1]], its 1-inputs the next
+        run; every edge joins the two, so a group with edges has both."""
+        x = self.degree_counts().nonzero()[0]
+        key = (labels[x].astype(np.int64) << 1 | self.table.values[x]) << 32 | x
+        key.sort()
+        group = key >> 32
+        starts = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(group[1:], group[:-1], out=starts[1:-1])
+        return key.astype(np.int32), starts.nonzero()[0].astype(np.int32)
+
     @cached_property
     def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(verts, ptr), sorted once: the int32 vertices with edges by (component
-        numbered by smallest vertex as scipy labels them, value, id). Component
-        c's 0-inputs are verts[ptr[2c]:ptr[2c+1]], its 1-inputs the next run."""
-        x = self.degree_counts().nonzero()[0]
-        key = (self._component_labels()[x].astype(np.int64) << 1 | self.table.values[x]) << 32 | x
-        key.sort()
-        starts = np.ones(len(key) + 1, dtype=bool)
-        np.not_equal(key[1:] >> 32, key[:-1] >> 32, out=starts[1:-1])
-        return key.astype(np.int32), starts.nonzero()[0].astype(np.int32)
+        """The index of the components, built once, numbered by smallest
+        vertex as scipy labels them."""
+        return self._index(self._component_labels())
 
     def census(self) -> dict[tuple, int]:
         """Count of each component shape, keyed ("star", d), ("two-layer-star",
@@ -526,10 +527,10 @@ class SensitivityGraph:
         return dict(sorted(shapes.items()))
 
     def _component(self, k: int) -> Component:
-        """Component k of the index, with the edges in B's rows."""
+        """Component k of the index, with its edges."""
         verts, ptr = self._component_index
         run = np.sort(verts[ptr[2 * k]:ptr[2 * k + 2]]).astype(np.int64)
-        return Component(run, self._edges_at(run))
+        return Component(run, self.edges(run))
 
     def components(self) -> list[Component]:
         """Connected components ordered by smallest vertex."""
@@ -644,88 +645,52 @@ class SpectralResult:
 def _lambda_exact(graph: SensitivityGraph) -> float:
     """Largest adjacency eigenvalue, exactly. Every edge joins a 0-input to a
     1-input, so a union of components has adjacency [[0, C], [C^T, 0]] and
-    its lambda^2 is the top eigenvalue of C C^T, C's rows on its smaller side.
-    Flipping a coordinate also flips |x| mod 2, so f(x) ^ (|x| mod 2) is the
-    same at both ends of every edge: it splits the inputs into two parity
-    classes, each a union of components. Up to arity _CLASS_SOLVE_ARITY the
-    solve takes the two classes straight from the table; past it, it takes
-    each component from the index.
+    its lambda^2 is the top eigenvalue of C C^T, C's rows on its smaller side
+    (the 0-side on a tie), in input order. Flipping a coordinate also flips
+    |x| mod 2, so f(x) ^ (|x| mod 2) is the same at both ends of every edge:
+    it splits the inputs into two parity classes, each a union of
+    components. The solve groups the inputs by class up to arity
+    _CLASS_SOLVE_ARITY and by component past it, where a union of stars
+    K_1,d centred in S (_star_degrees) has lambda sqrt(max d) with no labels,
+    index or blocks. Chunks of groups are solved within MEMORY_BUDGET, a
+    group with sides m <= M counting 8 m (m + M) bytes for C and C C^T,
+    24 n m for its at most n m edges and 17 n + 1 per input in S for
+    gathering them (as edges(xs) checks), and a chunk's groups of one shape
+    are one eigvalsh batch.
     """
-    if graph.arity <= _CLASS_SOLVE_ARITY:
-        return _lambda_by_class(graph)
-    return _lambda_by_component(graph)
-
-
-def _lambda_by_class(graph: SensitivityGraph) -> float:
-    """Largest adjacency eigenvalue over the two parity classes, read from the
-    table's values, sensitivity counts and edges(). C's rows are the smaller
-    side (the 0-side on a tie), in input order. A class with sides m <= M
-    takes 8 m (m + M) bytes for C and C C^T, so up to arity 8 the two take
-    at most 8 * 128 * 256 bytes = 256 KiB, far inside MEMORY_BUDGET. Grams of
-    one shape are one eigvalsh batch.
-    """
-    vals = graph.table.values
-    # 2 c + f(x) for an input x in class c = f(x) ^ (|x| mod 2), 4 for one without edges
-    key = ((np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1) ^ vals) * 2 + vals
-    key[graph.degree_counts() == 0] = 4
-    sizes = np.bincount(key, minlength=5)[:4].reshape(2, 2)
-    small, large = sizes.min(axis=1), sizes.max(axis=1)
-    # each input's position among the inputs of its key
-    at = np.empty(len(vals), dtype=np.intp)
-    for k, size in enumerate(sizes.ravel().tolist()):
-        at[key == k] = np.arange(size)
-    # every edge as (its 0-input, its 1-input), both ends in one class
-    e = graph.edges()
-    e = np.where(vals[e[:, :1]] == 0, e, e[:, ::-1])
-    cls = key[e[:, 0]] >> 1
-    grams = []
-    for c, r in enumerate(sizes.argmin(axis=1).tolist()):
-        if small[c] == 0:
-            continue
-        ec = e[cls == c]
-        block = np.zeros((small[c], large[c]))
-        block[at[ec[:, r]], at[ec[:, 1 - r]]] = 1.0
-        grams.append(block @ block.T)
-    same = len(grams) == 2 and grams[0].shape == grams[1].shape
-    batches = [np.stack(grams)] if same else [g[None] for g in grams]
-    tops = [float(np.linalg.eigvalsh(b)[:, -1].max()) for b in batches]
-    return math.sqrt(max(tops, default=0.0))
-
-
-def _lambda_by_component(graph: SensitivityGraph) -> float:
-    """Largest adjacency eigenvalue over the connected components of the
-    component index, each component's C filled from B's rows in index order.
-    Chunks of components are solved within MEMORY_BUDGET, one
-    with sides m <= M counting 8 m (m + M) bytes for C and C C^T and
-    16 (n m + M) for indexing its at most n m edges, one shape per batch.
-    A union of stars K_1,d centred in S (_star_degrees) needs none of it:
-    its lambda is sqrt(max d), with no labels, index or blocks.
-    """
-    d = graph._star_degrees()
-    if d is not None:
-        return math.sqrt(int(d.max(initial=0)))
-    verts, ptr = graph._component_index
+    vals, n, s = graph.table.values, graph.arity, graph._side_value
+    if n <= _CLASS_SOLVE_ARITY:
+        parity = np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1
+        verts, ptr = graph._index(parity ^ vals)
+    else:
+        d = graph._star_degrees()
+        if d is not None:
+            return math.sqrt(int(d.max(initial=0)))
+        verts, ptr = graph._component_index
     runs = ptr[1:] - ptr[:-1]
     pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
     small, large = np.minimum(*pair.T).astype(np.int64), np.maximum(*pair.T)
     # entry (x, y) of a block is at w[x] + w[y]: a vertex's position in its run,
-    # times the other run's length if its run, the smaller (0 on a tie), is rows
-    w = np.empty(1 << graph.arity, dtype=np.int32)
+    # times the other run's length if its run, the smaller (0 on a tie), is rows;
+    # each chunk adds its blocks' offsets at its inputs in S
+    w = np.empty(len(vals), dtype=np.int32)
     w[verts] = (np.arange(len(verts), dtype=np.int32) - ptr[:-1].repeat(runs)) * (
         other ** (pair - other < (1, 0))).repeat(runs)
     shape, best = small * len(verts) + large, 0.0
-    cost = 8 * small * (small + large + 2 * graph.arity) + 16 * large
-    for lo, hi, xs, p in _chunks(cost, verts, ptr, "dense solve"):
+    cost = 8 * small * (small + large + 3 * n) + (17 * n + 1) * pair[:, s].astype(np.int64)
+    for lo, hi, xs, _ in _chunks(cost, verts, ptr, "dense solve"):
         # the chunk's blocks end to end, stably sorted by shape: a shape's are one batch
         order = shape[lo:hi].argsort(kind="stable")
         keys, size = shape[lo:hi][order], (small[lo:hi] * large[lo:hi])[order]
         ends = size.cumsum()
         base = np.empty(hi - lo, dtype=np.int32)
         base[order] = ends - size
-        s = graph.table.values[graph._side[0]]  # S's value: B has rows at S only
-        xs, comp = xs[graph.table.values[xs] == s], np.arange(hi - lo).repeat(pair[lo:hi, s])
-        lens, ys = graph._neighbours(xs)
-        cell = (base[comp] + w[xs]).repeat(lens) + w[ys]
+        xs = xs[vals[xs] == s]
+        w[xs] += base.repeat(pair[lo:hi, s])
+        e = graph.edges(xs)
+        cell = w[e[:, 0]]
+        cell += w[e[:, 1]]
+        del e
         blocks = np.zeros(ends[-1])
         blocks[cell] = 1.0
         cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
@@ -733,7 +698,7 @@ def _lambda_by_component(graph: SensitivityGraph) -> float:
             m, big = divmod(int(keys[i]), len(verts))
             c = blocks[ends[i] - size[i]:ends[j - 1]].reshape(j - i, m, big)
             best = max(best, float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max()))
-        del blocks, c, cell, ys  # freed before the next chunk's
+        del blocks, c, cell  # freed before the next chunk's
     return math.sqrt(best)
 
 
@@ -841,15 +806,15 @@ def spectral_sensitivity(
     fn is a function, a table, or a SensitivityGraph, whose cached rows B
     and component labels every solver then reuses.
 
-    method: "dense" or "component-wise" (the same exact eigensolve of each
-    connected component's Gram block B B^T, where B joins the component's
-    smaller side to its larger one; up to arity _CLASS_SOLVE_ARITY, of the
-    Gram blocks of the two parity classes f(x) ^ (|x| mod 2), each a union
-    of components, read from the table with no B, labels or component
-    index), "matrix-free" (power iteration on the Gram operator B B^T of
-    the whole graph's smaller side, whose residual is ||A u - lambda u|| at
-    the eigenvector estimate u it implies),
-    "analytic" (closed form recorded by the construction), or "auto" to
+    method: "dense" or "component-wise" (the same exact eigensolve of Gram
+    blocks C C^T, where C joins a group's smaller side to its larger one:
+    the groups are the two parity classes f(x) ^ (|x| mod 2), each a union
+    of components, up to arity _CLASS_SOLVE_ARITY, with no B, labels or
+    component index, and the connected components past it; each chunk of
+    groups reads its edges through edges(xs)), "matrix-free" (power
+    iteration on the Gram operator B B^T of the whole graph's smaller side,
+    whose residual is ||A u - lambda u|| at the eigenvector estimate u it
+    implies), "analytic" (closed form recorded by the construction), or "auto" to
     pick the exact solve when a full dense adjacency would fit in
     MEMORY_BUDGET or the graph is a union of stars (below), and matrix-free
     otherwise. For matrix-free, iterations counts Gram steps. When no input

@@ -371,6 +371,36 @@ class TestVerify:
         assert code == 0
         assert calls == [{"seed": 3, **passed}]
 
+    @pytest.mark.parametrize(
+        "flags, method", [([], "auto"), (["--method", "matfree"], "matrix-free")]
+    )
+    def test_lemmas_on_a_function_pass_the_method(self, tmp_path, capsys, monkeypatch,
+                                                  flags, method):
+        calls = []
+        monkeypatch.setattr(
+            verify, "verify_lemma_chain", lambda fn, **kw: calls.append(kw["method"]) or []
+        )
+        code, _, _ = run(capsys, "verify", "lemmas", "--fn", write_and2(tmp_path), *flags)
+        assert code == 0
+        assert calls == [method]
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("simon", ["--n", "2"]),
+            ("subgraph", []),
+            ("desens", []),
+            ("maf", ["--k", "2"]),
+            ("lemmas", ["--count", "1"]),
+        ],
+    )
+    def test_suites_that_ignore_the_method_refuse_it(self, capsys, suite, flags):
+        code, stdout, err = run_fast(capsys, "verify", suite, *flags, "--method", "dense")
+        assert code == 2
+        assert stdout == ""
+        assert err == (f"error: verify {suite} does not read --method; "
+                       "only theorem1, tradeoff and lemmas --fn do\n")
+
     def test_lemmas_reject_zero_count(self, capsys):
         code, stdout, err = run(
             capsys, "verify", "lemmas", "--arities", "4", "--count", "0"

@@ -68,6 +68,13 @@ class TestSyndrome:
             for pos in range(c.codeword_len):
                 assert c.syndrome(word ^ (1 << pos)) != 0
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_is_codeword_reads_the_syndrome(self, r):
+        c = HammingCode(r)
+        accepted = [w for w in range(1 << c.codeword_len) if c.is_codeword(w)]
+        assert accepted == [w for w in range(1 << c.codeword_len) if c.syndrome(w) == 0]
+        assert len(accepted) == 2 ** (2**r - r - 1)
+
     def test_batch_matches_scalar(self):
         c = HammingCode(3)
         ws = np.arange(1 << c.codeword_len, dtype=np.int64)

@@ -531,6 +531,22 @@ class TestSensitivityGraph:
         monkeypatch.setattr(measures, "MEMORY_BUDGET", checked[0])
         assert np.array_equal(graph.edges(), e)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_edges_at_inputs(self, n, data):
+        table = data.draw(random_tables(n))
+        graph = SensitivityGraph(table)
+        every = graph.edges()
+        assert np.array_equal(graph.edges(np.arange(1 << n)), every)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xs = rng.permutation(1 << n)[:data.draw(st.integers(0, 1 << n))]
+        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+        # each edge's end in S, the smaller side (the 0-side on a tie)
+        in_s = table.values[every] == int(2 * table.ones_count() < len(table))
+        want = every[np.isin(every[in_s], xs)]
+        assert np.array_equal(graph.edges(xs.astype(dtype)), want)
+
     def test_edge_count_formula(self):
         f = haf(2)
         g = SensitivityGraph(f)
@@ -1077,9 +1093,13 @@ class TestGramSolve:
 
     def test_budget_counts_the_gram_solve(self, monkeypatch):
         # the 512-vertex component of parity on 9 inputs, sides 256 and 256,
-        # counts 8 * 256 * (256 + 256 + 2 * 9) + 16 * 256 = 1 089 536 bytes;
-        # a 512 x 512 adjacency block would take 2 097 152
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_089_536)
+        # 256 of them in S, counts 8 * 256 * (256 + 256 + 3 * 9)
+        # + (17 * 9 + 1) * 256 = 1 143 296 bytes; a 512 x 512 adjacency block
+        # would take 2 097 152
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_143_295)
+        with pytest.raises(CapExceeded, match="component with 512 vertices"):
+            spectral_sensitivity(make_parity(9), method="component-wise")
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_143_296)
         res = spectral_sensitivity(make_parity(9), method="component-wise")
         assert res.value == pytest.approx(9.0, abs=1e-9)
         assert res.method == "component-wise"
@@ -1102,26 +1122,30 @@ def named_tables(n: int) -> dict[str, TruthTable]:
 
 
 class TestParityClassSolve:
-    """Up to arity 8 the exact solve reads the two parity classes from the
-    table; it must give the component index's value, and build nothing of
-    the index."""
+    """The exact solve groups the inputs by parity class up to arity 8 and by
+    component past it; both groupings must give the same value, and up to
+    arity 8 it builds nothing of the component index."""
 
     @staticmethod
     def both_paths(table):
-        by_class = measures._lambda_by_class(SensitivityGraph(table))
-        by_component = measures._lambda_by_component(SensitivityGraph(table))
+        by = {}
+        # a class-solve arity of 64 groups every table by class, of 0 by component
+        for grouping, arity in (("class", 64), ("component", 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "_CLASS_SOLVE_ARITY", arity)
+                by[grouping] = spectral_sensitivity(table, method="dense").value
         ref = dense_reference_lambda(table)
-        assert by_class == pytest.approx(by_component, abs=1e-12)
-        assert by_class == pytest.approx(ref, abs=1e-9)
-        assert by_component == pytest.approx(ref, abs=1e-9)
+        assert by["class"] == pytest.approx(by["component"], abs=1e-12)
+        assert by["class"] == pytest.approx(ref, abs=1e-9)
+        assert by["component"] == pytest.approx(ref, abs=1e-9)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_paths_agree_on_random_tables(self, n, data):
         self.both_paths(data.draw(random_tables(n)))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("name", ["and", "or", "parity", "constant"])
     def test_paths_agree_on_named_tables(self, n, name):
         self.both_paths(named_tables(n)[name])
