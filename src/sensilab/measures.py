@@ -15,7 +15,12 @@ construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free applies that diagonal and the exact solve past arity 8 reads
-lambda^2 as the largest degree, neither building B.
+lambda^2 as the largest degree, neither building B. When every component is
+a star or a two-layer star, as in the paper's constructions, degrees within
+two hops, read from the table, recognise them: the census and the exact
+solve past arity 8 read that, with no B or component labels.
+scipy is imported on first use, by the paths that need it: B's CSR and the
+adjacency, component labels, uc1's perfect matching and classify_component.
 """
 
 from __future__ import annotations
@@ -27,12 +32,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc, shortest_path
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
     BooleanFunction,
@@ -44,12 +46,18 @@ from .core import (
     axis_view,
 )
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 # bytes a pass over the sensitivity graph may allocate at once, counted first: a
 # CSR of its rows, an edge list, or one chunk of the temporaries of components
 # (or parity classes), summed per one
 MEMORY_BUDGET = 512 << 20
 # bytes per input that the component index and its readers' bookkeeping add
 INDEX_BYTES_PER_INPUT = 56
+# bytes per input the census from the table holds at once: seven uint8 arrays,
+# and its tally's chunks, a sixteenth of the table at about 16 bytes each
+CENSUS_BYTES_PER_INPUT = 8
 # up to this arity the exact solve groups the inputs by parity class, labelled
 # from the table, not by component: a class's smaller side has at most
 # 2^(n-1) = 128 inputs, and the adjacency and labels would outweigh the solve
@@ -232,10 +240,12 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
     """Minimum over unambiguous 1-certificate covers of the max codimension.
 
     A colour-1 subcube of codimension below c splits into ones of codimension
-    c, so each c from c1 up asks whether colour-1 subcubes of codimension
-    exactly c partition the 1-inputs: by depth-first exact cover within
-    node_budget below n-1, by a perfect matching along cube edges at n-1,
-    and trivially at n. Witness members have codimension c, by least input.
+    c, so each c from max(c1, deg) up asks whether colour-1 subcubes of
+    codimension exactly c partition the 1-inputs: by depth-first exact cover
+    within node_budget below n-1, by a perfect matching along cube edges at
+    n-1, and trivially at n. Such a partition writes f as a sum of products
+    of c literals, so no c below deg(f) has one. Witness members have
+    codimension c, by least input.
     """
     if fn.arity > cap:
         raise CapExceeded(f"exact cover search capped at arity {cap}, got {fn.arity}")
@@ -274,6 +284,9 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
         return dfs(zeros)
 
     def matching() -> list[tuple[int, int]] | None:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
         # every cube edge joins an even-weight input to an odd-weight one
         is_odd = np.bitwise_count(ones) & 1 == 1
         even, odd = ones[~is_odd], ones[is_odd]
@@ -286,8 +299,10 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
             return None
         return sorted((min(x, y), x ^ y) for x, y in zip(even.tolist(), odd[mate].tolist()))
 
-    # no cover beats the plain certificate complexity of the hardest 1-input
-    for c in range(int(_cert_counts(table, cap)[ones].max()), n + 1):
+    # no cover beats the plain certificate complexity of the hardest 1-input,
+    # nor the degree: a cover of codimension c sums products of c literals
+    start = max(int(_cert_counts(table, cap)[ones].max()), degree(table))
+    for c in range(start, n + 1):
         if c == n:
             picked = [(j, 0) for j in ones.tolist()]
         elif c == n - 1:
@@ -350,6 +365,8 @@ def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
     Row lengths are the inputs' sensitivities, so callers can check the size
     against MEMORY_BUDGET first. Rows list neighbours in direction order.
     """
+    import scipy.sparse as sp
+
     vals, n = table.values, table.arity
     lengths = table.sensitivity_counts[side]
     nnz = int(lengths.sum())
@@ -368,6 +385,110 @@ def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.ones(nnz), indices, indptr), shape=(len(side), len(vals))
     )
+
+
+def _cc(graph: sp.csr_matrix, directed: bool) -> tuple[int, np.ndarray]:
+    """scipy's connected_components, imported on first use."""
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(graph, directed=directed)
+
+
+def _census_from_table(table: TruthTable) -> dict[tuple, int] | None:
+    """The component census read from the table, as census() keys it, or None
+    when some component is neither a star nor a two-layer star, or when its
+    CENSUS_BYTES_PER_INPUT bytes per input do not fit MEMORY_BUDGET.
+
+    A round of passes through axis_view gives every vertex the largest,
+    second largest and smallest degree of its neighbours; a second round,
+    whether a neighbour has two internal (degree >= 2) neighbours. Each of
+    these vertices heads a component that it closes:
+    - a star's hub, all of whose d neighbours are leaves (a single edge has
+      two such ends);
+    - a two-layer star's center, of degree a >= 2, whose neighbours all have
+      one degree b >= 2 and one internal neighbour: each joins it and b - 1
+      leaves.
+    No vertex is in two of them, so they are every component exactly when
+    their sizes add up to the vertices with edges. A forest has fewer edges
+    than vertices, so a graph with as many is refused at once, and the
+    second round is skipped when the first round's centers cannot cover
+    the rest.
+    """
+    vals, d, n = table.values, table.sensitivity_counts, table.arity
+    if CENSUS_BYTES_PER_INPUT * len(vals) > MEMORY_BUDGET:
+        return None
+    vertices = np.count_nonzero(d)
+    if int(d.sum()) >= 2 * vertices > 0:
+        return None
+    # x reads its neighbour y's entry of per_input (under 128) plus 128 when
+    # f(x) != f(y): an edge's far end outranks every non-edge, and ^ 128
+    # reverses that for a minimum. top and second end as 128 plus the two
+    # largest degrees at x's edges' far ends, low as the smallest
+    side = np.left_shift(vals, 7)
+    per_input = d + side
+    top, second = np.zeros_like(side), np.zeros_like(side)
+    low, nbr, tmp = np.full_like(side, 255), np.empty_like(side), np.empty_like(side)
+    flag = tmp.view(bool)
+
+    def gather(i: int) -> None:
+        np.bitwise_xor(axis_view(per_input, 2, i)[:, ::-1], axis_view(side, 2, i),
+                       out=axis_view(nbr, 2, i), order="A")
+
+    for i in range(n):
+        gather(i)
+        np.minimum(top, nbr, out=tmp)
+        np.maximum(second, tmp, out=second)
+        np.maximum(top, nbr, out=top)
+        np.bitwise_xor(nbr, 128, out=nbr)
+        np.minimum(low, nbr, out=low)
+    # key: the one degree of all of x's neighbours, 0 if they have two
+    key = np.bitwise_xor(top, 128, out=top)
+    np.equal(low, key, out=flag)
+    np.multiply(key, flag, out=key)
+    del low
+
+    shapes, covered, centers = _census_tally(d, key, n)
+    if centers and covered >= vertices:
+        # per_input is 1 where a vertex has two internal neighbours, and bad
+        # reaches 129 where the far end of one of x's edges does
+        np.greater_equal(second, 130, out=flag)
+        np.add(side, tmp, out=per_input)
+        bad = second
+        bad.fill(0)
+        for i in range(n):
+            gather(i)
+            np.maximum(bad, nbr, out=bad)
+        np.less(bad, 129, out=flag)
+        np.multiply(key, flag, out=key)
+        shapes, covered, _ = _census_tally(d, key, n)
+    return dict(sorted(shapes.items())) if covered == vertices else None
+
+
+def _census_tally(d: np.ndarray, key: np.ndarray, n: int) -> tuple[dict, int, int]:
+    """(shapes, vertices covered, two-layer centers) from the degrees and the
+    key of _census_from_table, counted in sixteenths of the table."""
+    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
+    step = max(len(d) >> 4, 1)
+    for lo in range(0, len(d), step):
+        dc, kc = d[lo:lo + step], key[lo:lo + step]
+        # a hub (key 1) or a center (degree and key >= 2) as degree * (n + 1) + key
+        code = dc * np.int64(n + 1) + kc
+        code *= (kc == 1) | (dc > 1) & (kc > 1)
+        counts += np.bincount(code, minlength=len(counts))
+    shapes, covered, centers = {}, 0, 0
+    for code, count in enumerate(counts.tolist()):
+        if not count or not code:
+            continue
+        a, b = divmod(code, n + 1)
+        if b == 1:
+            # both ends of a single edge are hubs
+            shapes[("star", a)] = count // 2 if a == 1 else count
+            covered += count if a == 1 else count * (a + 1)
+        else:
+            shapes[("two-layer-star", a, b)] = count
+            covered += count * (1 + a * b)
+            centers += count
+    return shapes, covered, centers
 
 
 @dataclass(frozen=True)
@@ -390,11 +511,14 @@ class SensitivityGraph:
     rows of the smaller side S (the 0-side on a tie), read from the table
     once, unless no input off S has two neighbours: then B B^T is the
     diagonal of S's degrees (_star_degrees), and the matrix-free and exact
-    solves read those instead. adjacency() is a view of B; its component
-    labels sort into one component index, which the census, the exact
-    solve past arity _CLASS_SOLVE_ARITY and every component query read. Up
-    to that arity the exact solve sorts the two parity classes into an
-    index of the same form and builds none of these. edges(xs) gathers
+    solves read those instead. The census is read from the table by degrees
+    within two hops when every component is a star or a two-layer star
+    (_table_census, built once), and then the exact solve past arity
+    _CLASS_SOLVE_ARITY reads lambda from it. Otherwise adjacency(), a view
+    of B, gives component labels that sort into one component index, which
+    the census, that exact solve and every component query read. Up to that
+    arity the exact solve sorts the two parity classes into an index of the
+    same form and builds none of these. edges(xs) gathers
     edges from the table at inputs of S, for the exact solve, components()
     and export. meta is fn's construction metadata, which the analytic
     spectral method reads (None for a table).
@@ -448,6 +572,8 @@ class SensitivityGraph:
         symmetric. CapExceeded over MEMORY_BUDGET: 12 E + 4 (2^n + 1) bytes.
         """
         if self._adj is None:
+            import scipy.sparse as sp
+
             size = 1 << self.arity
             _check_csr_budget(self.edge_count(), size)
             rows = self._side_rows()
@@ -516,10 +642,23 @@ class SensitivityGraph:
         vertex as scipy labels them."""
         return self._index(self._component_labels())
 
+    @cached_property
+    def _table_census(self) -> dict[tuple, int] | None:
+        """The census read from the table by _census_from_table, built once;
+        None when some component is other or it does not fit."""
+        return _census_from_table(self.table)
+
     def census(self) -> dict[tuple, int]:
         """Count of each component shape, keyed ("star", d), ("two-layer-star",
-        a, b) or ("other",), in key order, in chunks at 64 bytes per vertex;
+        a, b) or ("other",), in key order. It is read from the table when
+        every component is a star or a two-layer star and that fits; else
+        from the component index, in chunks at 64 bytes per vertex, with
         CapExceeded when the adjacency or one component does not fit."""
+        shapes = self._table_census
+        return shapes if shapes is not None else self._census_by_labels()
+
+    def _census_by_labels(self) -> dict[tuple, int]:
+        """census() from the component index, whatever the shapes."""
         verts, ptr = self._component_index
         shapes: Counter = Counter()
         for _, _, v, p in _chunks(64 * np.diff(ptr[::2]).astype(np.int64), verts, ptr, "census"):
@@ -590,6 +729,9 @@ def classify_component(comp: Component) -> tuple[str, tuple[int, ...]]:
     reported as a two-layer star. Only a tree has a shape, by the census's
     rule on its sides: the parities of the distances from one vertex.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import shortest_path
+
     k = len(comp.vertices)
     order = np.argsort(comp.vertices)
     e = order[np.searchsorted(comp.vertices, comp.edges, sorter=order)].reshape(-1, 2)
@@ -651,8 +793,10 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     it splits the inputs into two parity classes, each a union of
     components. The solve groups the inputs by class up to arity
     _CLASS_SOLVE_ARITY and by component past it, where a union of stars
-    K_1,d centred in S (_star_degrees) has lambda sqrt(max d) with no labels,
-    index or blocks. Chunks of groups are solved within MEMORY_BUDGET, a
+    K_1,d centred in S (_star_degrees) has lambda sqrt(max d), and a graph
+    whose census from the table holds only stars and two-layer stars (a, b)
+    has lambda^2 the largest d or a + b - 1, with no labels, index or
+    blocks. Chunks of groups are solved within MEMORY_BUDGET, a
     group with sides m <= M counting 8 m (m + M) bytes for C and C C^T,
     24 n m for its at most n m edges and 17 n + 1 per input in S for
     gathering them (as edges(xs) checks), and a chunk's groups of one shape
@@ -666,6 +810,11 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
         d = graph._star_degrees()
         if d is not None:
             return math.sqrt(int(d.max(initial=0)))
+        shapes = graph._table_census
+        if shapes is not None:
+            # a star's lambda^2 is d, a two-layer star's a + b - 1 (two_layer_star_lambda)
+            lam_sq = (k[1] if k[0] == "star" else k[1] + k[2] - 1 for k in shapes)
+            return math.sqrt(max(lam_sq, default=0))
         verts, ptr = graph._component_index
     runs = ptr[1:] - ptr[:-1]
     pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
@@ -803,8 +952,8 @@ def spectral_sensitivity(
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
-    fn is a function, a table, or a SensitivityGraph, whose cached rows B
-    and component labels every solver then reuses.
+    fn is a function, a table, or a SensitivityGraph, whose cached rows B,
+    census from the table and component labels every solver then reuses.
 
     method: "dense" or "component-wise" (the same exact eigensolve of Gram
     blocks C C^T, where C joins a group's smaller side to its larger one:
@@ -814,15 +963,19 @@ def spectral_sensitivity(
     groups reads its edges through edges(xs)), "matrix-free" (power
     iteration on the Gram operator B B^T of the whole graph's smaller side,
     whose residual is ||A u - lambda u|| at the eigenvector estimate u it
-    implies), "analytic" (closed form recorded by the construction), or "auto" to
-    pick the exact solve when a full dense adjacency would fit in
-    MEMORY_BUDGET or the graph is a union of stars (below), and matrix-free
+    implies), "analytic" (closed form recorded by the construction), or
+    "auto" to pick the exact solve when a full dense adjacency would fit in
+    MEMORY_BUDGET, the graph is a union of stars, or the census from the
+    table finds only stars and two-layer stars (below), and matrix-free
     otherwise. For matrix-free, iterations counts Gram steps. When no input
     off the smaller side has two neighbours, as for haf(r), the graph is a
     union of stars centred on that side and B B^T is the diagonal of their
     degrees: matrix-free iterates on that diagonal, and the exact solve
     past arity _CLASS_SOLVE_ARITY returns the square root of the largest
-    degree, neither building B. The method labels are the same.
+    degree, neither building B. Past that arity the exact solve otherwise
+    reads the census from the table when it has one, as for the tradeoff
+    family: lambda^2 is the largest d of a star and a + b - 1 of a
+    two-layer star. The method labels are the same.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)
@@ -833,8 +986,9 @@ def spectral_sensitivity(
         raise ValueError(f"unknown spectral method {method!r}")
     graph = fn if isinstance(fn, SensitivityGraph) else SensitivityGraph(fn)
     if method == "auto":
-        small = 8 * 4 ** graph.arity <= MEMORY_BUDGET
-        method = "dense" if small or graph._star_degrees() is not None else "matrix-free"
+        exact = (8 * 4 ** graph.arity <= MEMORY_BUDGET or graph._star_degrees() is not None
+                 or graph._table_census is not None)
+        method = "dense" if exact else "matrix-free"
     if method == "matrix-free":
         value, residual, iters = _lambda_matfree(graph, tol, seed, max_iter)
         return SpectralResult(value, method, residual, iters)

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sensilab import TruthTable, verify
+from sensilab import TruthTable, haf, verify
 from sensilab.cli import main, resolve_threads
 from sensilab.constructions import FAMILIES
 
@@ -494,6 +497,65 @@ class TestExportGraph:
         )
         assert code == 2
         assert "capped" in err
+
+
+# runs sensilab's CLI on its arguments in this interpreter, then prints the
+# scipy modules it imported
+SCIPY_PROBE = (
+    "import json, sys; from sensilab import cli; rc = cli.main(sys.argv[1:]); "
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
+    "sys.exit(rc)"
+)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_cli(*argv: str) -> tuple[int, str, list[str]]:
+    """Exit code, output and the scipy modules loaded, for one CLI command
+    in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                         capture_output=True, text=True, env=env, timeout=300)
+    *lines, modules = out.stdout.splitlines()
+    return out.returncode, "\n".join(lines), json.loads(modules)
+
+
+class TestScipyOnDemand:
+    """scipy is imported only by the paths that need it: B's CSR and the
+    adjacency, component labels, uc1's matching and classify_component."""
+
+    @pytest.fixture
+    def haf2_path(self, tmp_path):
+        path = tmp_path / "haf2.tt"
+        haf(2).table().save(str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem1", "--r", "3"],
+        ["measure", "--fn", "HAF2", "--measures", "s0,s1,deg,c0,c1"],
+        ["verify", "tradeoff", "--as", "2", "--bs", "2"],
+    ], ids=["theorem1", "measure", "tradeoff"])
+    def test_runs_without_scipy(self, haf2_path, argv):
+        code, _, modules = fresh_cli(*(haf2_path if a == "HAF2" else a for a in argv))
+        assert code == 0
+        assert modules == []
+
+    def test_component_export_imports_it(self, haf2_path):
+        code, out, modules = fresh_cli("export-graph", "--fn", haf2_path, "--format", "edges",
+                                       "--component", "0")
+        assert code == 0
+        # haf(2)'s first component: 00000 is a leaf of 01000's star of degree 4
+        assert out.splitlines()[0] == "00000 01000"
+        assert len(out.splitlines()) == 4
+        assert "scipy.sparse.csgraph" in modules
+
+    def test_uc1_matching_imports_it(self, haf2_path):
+        # haf(2), n = 5, has degree 4, so its cover is the matching at n - 1
+        code, out, modules = fresh_cli("measure", "--fn", haf2_path, "--measures", "uc1")
+        assert code == 0
+        (entry,) = json.loads(out)["entries"]
+        assert (entry["value"], entry["exact"]) == (4, True)
+        assert "scipy.sparse.csgraph" in modules
 
 
 class TestSweep:

@@ -324,15 +324,15 @@ class TestUc1:
         assert len(res.witness.certificates) == 0
 
     def test_budget_exhaustion(self):
-        # maf(3) needs 39 nodes below codimension n-1
+        # maf(3) needs 12 nodes below codimension n-1, starting at its degree 4
         f = maf(3)
-        for budget in (1, 38):
+        for budget in (1, 11):
             res = uc1(f, node_budget=budget)
             assert res.status == "exhausted"
             assert res.value is None
-            assert res.lower_bound >= 1
+            assert res.lower_bound == 4
             assert res.nodes == budget + 1
-        assert uc1(f, node_budget=39).status == "exact"
+        assert uc1(f, node_budget=12).status == "exact"
 
     def test_haf2(self):
         res = uc1(haf(2))
@@ -353,12 +353,22 @@ class TestUc1:
         with pytest.raises(CapExceeded, match="exact cover"):
             uc1(haf(3))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_never_below_the_degree(self, data):
+        # a partition into colour-1 subcubes of codimension c writes f as a
+        # sum of products of c literals, so uc1 >= deg; the search starts there
+        table = data.draw(random_tables(data.draw(st.integers(1, 8))))
+        res = uc1(table)
+        assert res.status == "exact"
+        assert res.value >= degree(table)
+
     # status, value, lower bound, nodes and witness (mask, value) pairs, or
     # "ones" for each 1-input as a full assignment; equal node counts mean the
     # search tries each input's cubes in ascending mask order
     PINNED = {
         "haf(2)": ("exact", 4, 4, 0, [(15, 8), (23, 23)]),
-        "maf(3)": ("exact", 4, 4, 39,
+        "maf(3)": ("exact", 4, 4, 12,
                    [(15, 3), (15, 5), (15, 6), (15, 7), (15, 9), (15, 11), (15, 13),
                     (15, 14), (15, 15), (23, 18), (39, 36)]),
         "address(2)": ("exact", 3, 3, 5, [(7, 4), (11, 9), (19, 18), (35, 35)]),
@@ -758,6 +768,85 @@ class TestCensus:
         graph = SensitivityGraph(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
         comps = graph.components()
         assert graph.census() == _tally(comps) == _tally(comps, _classify_by_walk)
+
+
+def lambda_by(table: TruthTable, census: bool) -> float:
+    """The exact solve's lambda past the class-solve arity, with no star
+    shortcut: read from the census from the table, or by the Gram solve of
+    each component that the labels give."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_CLASS_SOLVE_ARITY", 0)
+        mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
+        if not census:
+            mp.setattr(measures, "_census_from_table", lambda table: None)
+        return measures._lambda_exact(SensitivityGraph(table))
+
+
+class TestCensusFromTable:
+    """The census read from the table's degrees within two hops is the labels'
+    census whenever no component is other, and None exactly when one is."""
+
+    @staticmethod
+    def check(table: TruthTable) -> dict | None:
+        got = measures._census_from_table(table)
+        want = SensitivityGraph(table)._census_by_labels()
+        assert (got is None) == (("other",) in want)
+        if got is not None:
+            assert got == want
+            assert list(got) == sorted(got)
+            assert all(type(v) is int for key in got for v in key[1:])
+            assert lambda_by(table, census=True) == pytest.approx(
+                lambda_by(table, census=False), abs=1e-9)
+        return got
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.sampled_from([0.005, 0.02, 0.05, 0.1, 0.3, 0.5, 0.9, 0.98]),
+        st.integers(0, 2**32 - 1))))
+    def test_random_tables(self, case):
+        n, p, seed = case
+        rng = np.random.default_rng(seed)
+        self.check(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
+
+    @pytest.mark.parametrize("name", ["and", "or", "parity", "constant"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_named_tables(self, name, n):
+        self.check(named_tables(n)[name])
+
+    @pytest.mark.parametrize("digits", ["62", "c2", "9d", "38"])
+    def test_second_round_finds_the_other_component(self, monkeypatch, digits):
+        # a forest whose first-round centers and hubs cover every vertex; one
+        # center's neighbour has a second internal neighbour
+        table = TruthTable.from_hex(3, digits)
+        rounds = []
+        real = measures._census_tally
+        monkeypatch.setattr(measures, "_census_tally",
+                            lambda *args: rounds.append(real(*args)) or rounds[-1])
+        assert self.check(table) is None
+        (_, first, _), (_, second, _) = rounds
+        assert first == np.count_nonzero(table.sensitivity_counts) > second
+
+    FAMILIES = {
+        "haf2": lambda: haf(2),
+        "haf3": lambda: haf(3),
+        "chaf22": lambda: chaf([2, 2]),
+        "tradeoff2;2": lambda: tradeoff([2], [2]),
+        "tradeoff2,2;": lambda: tradeoff([2, 2], []),
+        "tradeoff2;2,2": lambda: tradeoff([2], [2, 2]),
+    }
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_families(self, name):
+        f = self.FAMILIES[name]()
+        table = f.table()
+        got = measures._census_from_table(table)
+        assert got == SensitivityGraph(table)._census_by_labels()
+        assert ("other",) not in got
+        # the closed form, and past arity 13 in place of the Gram solve
+        lam = lambda_by(table, census=True)
+        assert lam == pytest.approx(math.sqrt(f.meta.predicted_lambda_sq), abs=1e-12)
+        if f.arity <= 13:
+            assert lam == pytest.approx(lambda_by(table, census=False), abs=1e-9)
 
 
 class TestGraphExport:
@@ -1199,7 +1288,9 @@ class TestMemoryBudget:
     counted against MEMORY_BUDGET: on top of the graph and its labels, each
     call either refuses with CapExceeded or peaks within the budget plus
     INDEX_BYTES_PER_INPUT bytes per input, and a chunked result is the
-    unchunked one."""
+    unchunked one. The census from the table, which would otherwise answer
+    for the index on stars and two-layer stars, is off for those; it counts
+    CENSUS_BYTES_PER_INPUT bytes per input against the budget itself."""
 
     BUDGETS = [1 << 12, 1 << 15, 1 << 18, 1 << 21, 1 << 24]
     # x -> x0 is 2048 single edges, the most components 2^12 inputs can hold
@@ -1223,10 +1314,11 @@ class TestMemoryBudget:
             tracemalloc.stop()
 
     def run(self, table: TruthTable, name: str, budget: int):
-        want = INDEX_PASSES[name](SensitivityGraph(table))
-        graph = SensitivityGraph(table)
-        graph._component_labels()
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_census_from_table", lambda table: None)
+            want = INDEX_PASSES[name](SensitivityGraph(table))
+            graph = SensitivityGraph(table)
+            graph._component_labels()
             mp.setattr(measures, "MEMORY_BUDGET", budget)
             got, peak = self.traced(lambda: INDEX_PASSES[name](graph))
         assert peak <= budget + measures.INDEX_BYTES_PER_INPUT * len(table)
@@ -1258,9 +1350,29 @@ class TestMemoryBudget:
         graph = SensitivityGraph(self.TABLES[table]())
         graph._component_index
         monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
-        got, peak = self.traced(graph.census)
+        got, peak = self.traced(graph._census_by_labels)
         assert got is not None
         assert peak <= budget + 16 * len(graph.table)
+
+    # numpy's iterator buffers for the census's strided passes, and small
+    # Python objects: a few times np.getbufsize() bytes whatever the arity
+    CENSUS_ALLOWANCE = 32 << 10
+
+    @pytest.mark.parametrize("table", list(TABLES) + ["chaf22", "desens-haf2"])
+    def test_census_from_the_table_counts_what_it_holds(self, monkeypatch, table):
+        tt = (self.TABLES.get(table) or STAR_TABLES[table])()
+        tt.sensitivity_counts  # scanned first, so the trace holds only the census
+        count = measures.CENSUS_BYTES_PER_INPUT * len(tt)
+        graph = SensitivityGraph(tt)
+        want = graph._census_by_labels()
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", count)
+        got, peak = self.traced(lambda: measures._census_from_table(tt))
+        assert got == want
+        assert peak <= count + self.CENSUS_ALLOWANCE
+        # below its own count it refuses, and census() reads the index instead
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", count - 1)
+        assert graph._table_census is None
+        assert graph.census() == want
 
     def test_census_refuses_a_component_over_budget(self, monkeypatch):
         graph = SensitivityGraph(make_parity(6))
@@ -1618,9 +1730,14 @@ class TestStarOperator:
         assert (starts, builds) == ([3], [3])
         ref = dense_reference_lambda(table)
         assert lam == pytest.approx(ref, abs=1e-6)
+        # the components are a two-layer star (2, n - 1) centred on input 0 and
+        # a star on input 3, so past arity 8 the exact solve reads the census
+        # from the table and builds neither B nor labels
+        assert SensitivityGraph(table).census() == {
+            ("star", n - 2): 1, ("two-layer-star", 2, n - 1): 1}
         calls = spy_calls(monkeypatch, ["_smaller_side_rows", "_cc"])
         assert spectral_sensitivity(table, method="dense").value == pytest.approx(ref, abs=1e-9)
-        assert calls == {"_smaller_side_rows": int(n > 8), "_cc": int(n > 8)}
+        assert calls == {"_smaller_side_rows": 0, "_cc": 0}
 
     @pytest.mark.parametrize("method", ["matrix-free", "dense", "component-wise"])
     @pytest.mark.parametrize("name", [f"{name}{n}" for name in ("and", "or") for n in range(9, 13)]

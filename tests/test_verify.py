@@ -278,8 +278,9 @@ class TestTradeoffSuite:
         assert all_pass(claims)
 
     def test_census_left_out_when_the_graph_is_over_budget(self, monkeypatch):
-        # tradeoff(2;2)'s adjacency takes 110 kB
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 100_000)
+        # tradeoff(2;2)'s census from the table counts 8 bytes for each of its
+        # 8192 inputs, and its adjacency takes 110 kB
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", measures.CENSUS_BYTES_PER_INPUT * 8192 - 1)
         claims = verify_tradeoff([2], [2])
         assert [c.claim for c in claims] == ["thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda"]
         assert all_pass(claims)
@@ -288,11 +289,17 @@ class TestTradeoffSuite:
         "method", ["auto", "dense", "component-wise", "matrix-free", "analytic"]
     )
     def test_lambda_and_census_share_one_graph(self, monkeypatch, method):
-        calls = []
-        real = measures._cc
-        monkeypatch.setattr(measures, "_cc", lambda *a, **k: calls.append(1) or real(*a, **k))
+        # every component is a star or a two-layer star, so the census is read
+        # from the table once, and no component labels are built
+        calls = {"_census_from_table": 0, "_cc": 0}
+        for name in calls:
+            def spy(*args, name=name, real=getattr(measures, name), **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(measures, name, spy)
         claims = verify_tradeoff([2], [2], lambda_method=method)
-        assert len(calls) == 1
+        assert calls == {"_census_from_table": 1, "_cc": 0}
         assert [c.claim for c in claims] == [
             "thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda", "thm3.census", "thm3.fig1"
         ]
