@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,6 +74,18 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _checked(parse, ok, what: str):
+    """An argparse type: the text parsed, refused unless ok accepts it."""
+    def check(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return check
+
+
 def load_function(path: str) -> BooleanFunction:
     """Read a .tt truth-table file or a .json construction descriptor."""
     if path.endswith(".tt"):
@@ -112,9 +125,11 @@ def _global_options(default) -> argparse.ArgumentParser:
     """--seed, --tol, --threads and --materialize-cap, each defaulting to default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=lambda v: int(v, 0), default=default)
-    common.add_argument("--tol", type=float, default=default)
+    positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+    common.add_argument("--tol", type=positive, default=default)
     common.add_argument("--threads", type=int, default=default)
-    common.add_argument("--materialize-cap", type=int, default=default, dest="materialize_cap")
+    cap = _checked(int, lambda v: v >= 0, "a non-negative integer")
+    common.add_argument("--materialize-cap", type=cap, default=default, dest="materialize_cap")
     return common
 
 
@@ -160,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bs", dest="bs_", type=_int_list)
     p.add_argument("--samples", type=int)
     p.add_argument("--count", type=int)
-    p.add_argument("--arities", type=_int_list)
+    p.add_argument("--arities", type=_checked(_int_list, lambda v: min(v, default=1) >= 1,
+                                              "arities of at least 1"))
     p.add_argument("--fn")
     p.add_argument("--certs")
     # None (auto) unless given, so that a suite which does not read it can refuse it
@@ -200,7 +216,7 @@ def _cmd_construct(args) -> int:
         fn.table(args.materialize_cap).save(out)
     elif out.endswith(".json"):
         with open(out, "w") as fh:
-            json.dump(to_descriptor(fn), fh, indent=2)
+            json.dump(to_descriptor(fn), fh, indent=2, allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"output {out!r} must end in .tt or .json")

@@ -163,7 +163,7 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             m0 = m0 * code.size + code.message_index(seg)
         return (x >> (K + m0)) & 1
 
-    batch = None
+    batch = build = None
     if arity <= BATCH_ARITY_LIMIT:
         # which forces K <= 15: decode each of the 2^K section values once,
         # to its data address K + m0, or -1 where a section is invalid
@@ -184,6 +184,13 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             out[a < 0] = 0
             return out
 
+        def build() -> np.ndarray:  # rows: data sections; columns: codeword sections
+            table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
+            data = np.arange(1 << t, dtype=np.int64)
+            for s in np.flatnonzero(address >= 0).tolist():
+                table[:, s] = (data >> int(address[s] - K)) & 1
+            return table.reshape(-1)
+
     s1 = K + 1
     meta = ConstructionMeta(
         family="chaf",
@@ -196,14 +203,18 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
         data_len=t,
     )
     name = f"chaf({','.join(str(r) for r in rs)})"
-    return BooleanFunction(arity, point, batch, meta=meta, name=name)
+    return BooleanFunction(arity, point, batch, meta=meta, name=name, table_fn=build)
+
+
+def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> BooleanFunction:
+    """fn's evaluators and table builder under new meta and a new name."""
+    return BooleanFunction(fn.arity, fn._point, fn._batch, meta, name, fn._table_fn)
 
 
 def haf(r: int) -> BooleanFunction:
     """Single-code address function: chaf with one section of order r."""
     fn = chaf([r])
-    meta = replace(fn.meta, family="haf", params={"r": int(r)})
-    return BooleanFunction(fn.arity, fn._point, fn._batch, meta=meta, name=f"haf({r})")
+    return _relabelled(fn, replace(fn.meta, family="haf", params={"r": int(r)}), f"haf({r})")
 
 
 def address_fn(k: int) -> BooleanFunction:
@@ -444,9 +455,12 @@ def data_compose(outer: BooleanFunction, inner: BooleanFunction) -> BooleanFunct
             virt |= inner.values(blk).astype(np.int64) << (K + j)
         return outer.values(virt)
 
-    return BooleanFunction(
-        arity, point, batch, meta=None, name=f"compose({outer.name},{inner.name})"
-    )
+    def build() -> np.ndarray:  # outer's table, an axis per data bit, read through inner's
+        grid = outer.table(outer.arity).values.reshape([2] * t + [1 << K])
+        return grid[np.ix_(*[inner.table(n_in).values] * t, np.arange(1 << K))].reshape(-1)
+
+    name = f"compose({outer.name},{inner.name})"
+    return BooleanFunction(arity, point, batch, meta=None, name=name, table_fn=build)
 
 
 def _profile(as_: list[int], bs_: list[int], budget: int) -> dict:
@@ -483,8 +497,7 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     tag = f"tradeoff({','.join(map(str, as_))};{','.join(map(str, bs_))})"
     if not bs_:
         base = chaf(as_)
-        meta = replace(base.meta, family="tradeoff", params=params)
-        return BooleanFunction(base.arity, base._point, base._batch, meta=meta, name=tag)
+        return _relabelled(base, replace(base.meta, family="tradeoff", params=params), tag)
     outer = chaf(as_)
     inner = chaf(bs_).negate()
     fn = data_compose(outer, inner)
@@ -498,7 +511,7 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
         codeword_len=outer.meta.codeword_len,
         data_len=outer.meta.data_len,
     )
-    return BooleanFunction(fn.arity, fn._point, fn._batch, meta=meta, name=tag)
+    return _relabelled(fn, meta, tag)
 
 
 def _desensitized(base: BooleanFunction, certificates: list[str]) -> BooleanFunction:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +30,11 @@ _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 # int8 and int32 tables that paid up to 16-27 items and ran 1.5-13x slower
 # from 32 on, whatever the item size, so the limit counts items, not bytes.
 _SHORT_PAIR_ITEMS = 32
+
+# axis_blocks keeps a pass's low directions in blocks of at most this many
+# bytes across its arrays: on a random n=26 table 1 MiB ran the scan (0.64 s)
+# and Moebius (0.69 s) fastest, ahead of 256 KiB, 4 MiB and 16 MiB blocks.
+_BLOCK_BYTES = 1 << 20
 
 
 class ArityError(ValueError):
@@ -73,10 +79,30 @@ def axis_view(a: np.ndarray, radix: int, i: int) -> np.ndarray:
     an operand is strided, as every slice of a transposed view is, and keeps
     numpy's contiguous loop when a pair is the whole array. order="K",
     augmented operators (+=) and np.copyto follow memory order instead.
+    Per-axis passes take a, or a cache-sized block of it, from axis_blocks.
     """
     run = radix**i
     v = a.reshape(-1, radix, run)
     return v.T if run * radix < _SHORT_PAIR_ITEMS else v
+
+
+def axis_blocks(radix: int, arity: int, *arrays: np.ndarray) -> Iterator:
+    """(i, arrays) for each direction i of a per-axis pass over flat arrays
+    of one dtype and radix**arity entries: i < b on each block of radix**b
+    entries in turn, then the rest on the whole arrays. b is the largest
+    exponent whose blocks hold at most _BLOCK_BYTES across the arrays, or 0
+    when the whole arrays fit. A block holds every pair along i < b, so a
+    pass that updates only those pairs gets the same result either way."""
+    per_entry = arrays[0].itemsize * len(arrays)
+    b = 0
+    while per_entry * radix**arity > _BLOCK_BYTES >= per_entry * radix ** (b + 1):
+        b += 1
+    steps = enumerate(repeat(arrays, arity - b), b)
+    if b:
+        size = radix**b
+        blocks = (tuple(a[lo:lo + size] for a in arrays) for lo in range(0, radix**arity, size))
+        steps = chain(((i, block) for block in blocks for i in range(b)), steps)
+    return steps
 
 
 def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
@@ -84,15 +110,15 @@ def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
 
     One diff per direction, f(x) ^ f(x with bit i flipped), added to the
     counts: an input and its neighbour along a direction are sensitive to it
-    together. Each direction goes through axis_view (transposed for the
-    first four, whose run pairs are shorter than 32 entries).
+    together. Each direction, from axis_blocks, goes through axis_view
+    (transposed for the first four, whose run pairs are shorter than 32).
     """
     counts = np.zeros(values.shape, dtype=np.uint8)
     diff = np.empty_like(counts)
-    for i in range(arity):
-        v = axis_view(values, 2, i)
-        np.bitwise_xor(v, v[:, ::-1], out=axis_view(diff, 2, i), order="A")
-        counts += diff
+    for i, (vals, dif, cnt) in axis_blocks(2, arity, values, diff, counts):
+        v = axis_view(vals, 2, i)
+        np.bitwise_xor(v, v[:, ::-1], out=axis_view(dif, 2, i), order="A")
+        cnt += dif
     counts.flags.writeable = False
     return counts
 
@@ -188,8 +214,9 @@ class BooleanFunction:
     """A total Boolean function f: {0,1}^n -> {0,1}.
 
     Wraps a pointwise evaluator working on integer-encoded inputs, an
-    optional vectorized evaluator over int64 arrays (arity <= 63), and
-    optional construction metadata. Instances are treated as immutable.
+    optional vectorized evaluator over int64 arrays (arity <= 63), optional
+    metadata and an optional no-argument builder of the uint8 table.
+    Instances are treated as immutable.
     """
 
     def __init__(
@@ -199,12 +226,14 @@ class BooleanFunction:
         batch_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         meta=None,
         name: str = "f",
+        table_fn: Callable[[], np.ndarray] | None = None,
     ):
         self.arity = _check_arity(arity)
         self._point = point_fn
         self._batch = batch_fn if arity <= BATCH_ARITY_LIMIT else None
         self.meta = meta
         self.name = name
+        self._table_fn = table_fn
         self._table: TruthTable | None = None
 
     def __repr__(self) -> str:
@@ -230,24 +259,26 @@ class BooleanFunction:
         return out
 
     def table(self, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
-        """Materialize the full truth table. Raises CapExceeded above cap."""
+        """Materialize the full truth table, by the table builder if there is
+        one, else by the evaluators. Raises CapExceeded above cap."""
         if self.arity > cap:
             raise CapExceeded(
                 f"arity {self.arity} exceeds materialization cap {cap}"
             )
         if self._table is None or self._table.arity != self.arity:
             n = 1 << self.arity
-            if self._batch is not None:
+            if self._table_fn is not None:
+                vals = self._table_fn()
+            elif self._batch is not None:
                 vals = np.zeros(n, dtype=np.uint8)
                 # chunked so huge tables never allocate a second int64 copy at once
                 step = 1 << 22
                 for lo in range(0, n, step):
                     hi = min(lo + step, n)
                     vals[lo:hi] = self._batch(np.arange(lo, hi, dtype=np.int64))
-                self._table = TruthTable(self.arity, vals)
             else:
                 vals = np.fromiter((self._point(x) for x in range(n)), np.uint8, n)
-                self._table = TruthTable(self.arity, vals)
+            self._table = TruthTable(self.arity, vals)
         return self._table
 
     @classmethod
@@ -309,18 +340,19 @@ class BooleanFunction:
             def batch(xs: np.ndarray) -> np.ndarray:
                 return 1 - np.asarray(inner(xs), dtype=np.uint8)
 
+        build = self._table_fn
         negated = getattr(self.meta, "negated", None)
         meta = negated() if negated is not None else None
-        return BooleanFunction(self.arity, neg_point, batch, meta=meta, name=f"not({self.name})")
+        return BooleanFunction(self.arity, neg_point, batch, meta=meta, name=f"not({self.name})",
+                               table_fn=build and (lambda: 1 - build()))
 
     def is_nondegenerate(self, cap: int = DEFAULT_TABLE_CAP) -> bool:
         """True iff every variable influences the output somewhere."""
-        vals = self.table(cap).values
-        for i in range(self.arity):
+        influential = [False] * self.arity
+        for i, (vals,) in axis_blocks(2, self.arity, self.table(cap).values):
             v = axis_view(vals, 2, i)
-            if not np.not_equal(v[:, 0], v[:, 1], order="A").any():
-                return False
-        return True
+            influential[i] = influential[i] or np.not_equal(v[:, 0], v[:, 1], order="A").any()
+        return all(influential)
 
 
 @dataclass(frozen=True)

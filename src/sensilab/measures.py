@@ -43,6 +43,7 @@ from .core import (
     DEFAULT_TABLE_CAP,
     PartialAssignment,
     TruthTable,
+    axis_blocks,
     axis_view,
 )
 
@@ -169,25 +170,25 @@ def _subcube_colours(table: TruthTable) -> np.ndarray:
     """f's value on every subcube where f is constant, 2 where it is not.
 
     Shape (3,)*n: axis k is variable n-k, index 2 leaves it free (*). Built
-    in place one variable at a time through axis_view (transposed for the
-    first three, whose run pairs are shorter than 32 entries), holding the
-    set of values f takes on each subcube as bits, 1 for 0 and 2 for 1: a *
-    entry is the OR of its halves, and one on a later variable is rewritten
-    at that variable's step. Minus 1, the sets {0}, {1}, {0, 1} are 0, 1, 2.
+    in place one variable at a time, in axis_blocks' cache-sized blocks,
+    through axis_view (transposed for the first three), holding the set of
+    values f takes on each subcube as bits, 1 for 0 and 2 for 1: a * entry
+    is the OR of its halves, and one on a later variable is rewritten at
+    that variable's step. Minus 1, the sets {0}, {1}, {0, 1} are 0, 1, 2.
     """
     n = table.arity
     col = np.zeros((3,) * n, dtype=np.int8)
     col[(slice(2),) * n] = table.values.reshape((2,) * n) + 1
-    for i in range(n):
-        v = axis_view(col, 3, i)
+    for i, (c,) in axis_blocks(3, n, col.reshape(-1)):
+        v = axis_view(c, 3, i)
         np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
     col -= 1
     return col
 
 
 def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
-    """C(f, x) for every input x, in table order. One pass per variable
-    through axis_view, transposed for the first three as in _subcube_colours.
+    """C(f, x) for every input x, in table order. One pass per variable,
+    from axis_blocks through axis_view, as in _subcube_colours.
     """
     n = table.arity
     if n > cap:
@@ -197,8 +198,8 @@ def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
     col = _subcube_colours(table)
     col >>= 1
     col *= 64
-    for i in range(n):
-        v = axis_view(col, 3, i)
+    for i, (c,) in axis_blocks(3, n, col.reshape(-1)):
+        v = axis_view(c, 3, i)
         fixed = v[:, :2]
         np.add(fixed, 1, out=fixed, order="A")
         np.minimum(fixed, v[:, 2:], out=fixed, order="A")
@@ -325,12 +326,13 @@ def mobius_coefficients(fn, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     variables in S. The array is int32 up to arity 31, int64 above: after k
     of the in-place passes every entry is an alternating sum of 2^k table
     values, 2^(k-1) of each sign, so its magnitude is at most 2^(n-1).
-    Each pass goes through axis_view, transposed for the first four.
+    Each pass, from axis_blocks, goes through axis_view (transposed for the
+    first four).
     """
     table = _table_of(fn, cap)
     coeffs = table.values.astype(np.int32 if table.arity <= 31 else np.int64)
-    for i in range(table.arity):
-        v = axis_view(coeffs, 2, i)
+    for i, (c,) in axis_blocks(2, table.arity, coeffs):
+        v = axis_view(c, 2, i)
         hi = v[:, 1]
         np.subtract(hi, v[:, 0], out=hi, order="A")
     return coeffs
@@ -399,10 +401,10 @@ def _census_from_table(table: TruthTable) -> dict[tuple, int] | None:
     when some component is neither a star nor a two-layer star, or when its
     CENSUS_BYTES_PER_INPUT bytes per input do not fit MEMORY_BUDGET.
 
-    A round of passes through axis_view gives every vertex the largest,
-    second largest and smallest degree of its neighbours; a second round,
-    whether a neighbour has two internal (degree >= 2) neighbours. Each of
-    these vertices heads a component that it closes:
+    A round of passes from axis_blocks through axis_view gives every vertex
+    the largest, second largest and smallest degree of its neighbours; a
+    second round, whether a neighbour has two internal (degree >= 2)
+    neighbours. Each of these vertices heads a component that it closes:
     - a star's hub, all of whose d neighbours are leaves (a single edge has
       two such ends);
     - a two-layer star's center, of degree a >= 2, whose neighbours all have
@@ -430,22 +432,23 @@ def _census_from_table(table: TruthTable) -> dict[tuple, int] | None:
     low, nbr, tmp = np.full_like(side, 255), np.empty_like(side), np.empty_like(side)
     flag = tmp.view(bool)
 
-    def gather(i: int) -> None:
-        np.bitwise_xor(axis_view(per_input, 2, i)[:, ::-1], axis_view(side, 2, i),
-                       out=axis_view(nbr, 2, i), order="A")
+    def gather(i: int, ins: np.ndarray, sides: np.ndarray, out: np.ndarray) -> None:
+        np.bitwise_xor(axis_view(ins, 2, i)[:, ::-1], axis_view(sides, 2, i),
+                       out=axis_view(out, 2, i), order="A")
 
-    for i in range(n):
-        gather(i)
-        np.minimum(top, nbr, out=tmp)
-        np.maximum(second, tmp, out=second)
-        np.maximum(top, nbr, out=top)
-        np.bitwise_xor(nbr, 128, out=nbr)
-        np.minimum(low, nbr, out=low)
+    for i, (p, sd, nb, tm, tp, sc, lw) in axis_blocks(
+            2, n, per_input, side, nbr, tmp, top, second, low):
+        gather(i, p, sd, nb)
+        np.minimum(tp, nb, out=tm)
+        np.maximum(sc, tm, out=sc)
+        np.maximum(tp, nb, out=tp)
+        np.bitwise_xor(nb, 128, out=nb)
+        np.minimum(lw, nb, out=lw)
     # key: the one degree of all of x's neighbours, 0 if they have two
     key = np.bitwise_xor(top, 128, out=top)
     np.equal(low, key, out=flag)
     np.multiply(key, flag, out=key)
-    del low
+    del low, lw  # the loop's last step holds low too
 
     shapes, covered, centers = _census_tally(d, key, n)
     if centers and covered >= vertices:
@@ -455,9 +458,9 @@ def _census_from_table(table: TruthTable) -> dict[tuple, int] | None:
         np.add(side, tmp, out=per_input)
         bad = second
         bad.fill(0)
-        for i in range(n):
-            gather(i)
-            np.maximum(bad, nbr, out=bad)
+        for i, (p, sd, nb, bd) in axis_blocks(2, n, per_input, side, nbr, bad):
+            gather(i, p, sd, nb)
+            np.maximum(bd, nb, out=bd)
         np.less(bad, 129, out=flag)
         np.multiply(key, flag, out=key)
         shapes, covered, _ = _census_tally(d, key, n)
@@ -1051,7 +1054,7 @@ class MeasureReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def compute_measures(

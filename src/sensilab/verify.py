@@ -122,7 +122,7 @@ def all_pass(claims: Sequence[ClaimResult]) -> bool:
 
 
 def claims_to_json(claims: Sequence[ClaimResult]) -> str:
-    return json.dumps([c.to_dict() for c in claims], indent=2)
+    return json.dumps([c.to_dict() for c in claims], indent=2, allow_nan=False)
 
 
 def claims_to_csv(claims: Sequence[ClaimResult]) -> str:

@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sensilab import TruthTable, haf, verify
+from sensilab import BooleanFunction, TruthTable, haf, verify
 from sensilab.cli import main, resolve_threads
+from sensilab.measures import compute_measures
 from sensilab.constructions import FAMILIES
 
 
@@ -712,3 +713,41 @@ class TestGlobalOptions:
             capsys, "--threads", "0", "verify", "simon", "--n", "2", "--threads", "1"
         )
         assert code == 0
+
+    # each of these was accepted: --tol nan wrote "tolerance": NaN into the
+    # report after power iteration ran to its limit, --tol -1 ran it to its
+    # limit too, --materialize-cap -1 skipped every measure, and --arities -1
+    # ended in Python's "negative shift count"
+    @pytest.mark.parametrize("argv, option", [
+        (["--tol", "nan", "measure", "--fn", "FN", "--measures", "lambda",
+          "--method", "matfree"], "--tol"),
+        (["measure", "--tol", "-1", "--fn", "FN", "--measures", "lambda",
+          "--method", "matfree"], "--tol"),
+        (["--materialize-cap", "-1", "measure", "--fn", "FN", "--measures", "s0"],
+         "--materialize-cap"),
+        (["verify", "lemmas", "--arities", "-1"], "--arities"),
+    ])
+    def test_edge_values_are_refused_where_parsed(self, tmp_path, capsys, argv, option):
+        path = write_and2(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "FN" else a for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {option}: " in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "inf", "x"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", value, "measure", "--fn", write_and2(tmp_path), "--measures", "s0"])
+        assert exc.value.code == 2
+        assert "argument --tol: expected a positive finite number" in capsys.readouterr().err
+
+    def test_reports_refuse_non_finite_numbers(self, tmp_path):
+        fn = TruthTable.load(write_and2(tmp_path))
+        report = compute_measures(BooleanFunction.from_table(fn), ["s0"], tol=float("nan"))
+        with pytest.raises(ValueError):
+            report.to_json()
+        claim = verify.ClaimResult("c", 1.0, float("inf"), "eq", "fail", 0.0)
+        with pytest.raises(ValueError):
+            verify.claims_to_json([claim])

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensilab import (
     ArityError,
@@ -330,6 +331,81 @@ class TestDataCompose:
     def test_requires_section_split(self, or2, and2):
         with pytest.raises(ValueError):
             data_compose(or2, and2)
+
+
+def batch_table(fn: BooleanFunction) -> np.ndarray:
+    """fn's table from its batch evaluator alone, with no table builder."""
+    return BooleanFunction(fn.arity, fn._point, fn._batch).table().values
+
+
+# every chaf and tradeoff instance of arity at most 23, as tradeoff(as, bs)
+BUILDER_INSTANCES = [
+    (as_, bs_)
+    for as_ in ([2], [2, 2], [2, 2, 2], [3])
+    for bs_ in ([], [2], [2, 2])
+    if tradeoff_profile(as_, bs_)["arity"] <= 23
+]
+
+
+class TestTableBuilders:
+    """Address functions build their tables by lookup; each such table is
+    the batch evaluator's, bit for bit, and no batch evaluator runs."""
+
+    def test_instances(self):
+        assert len(BUILDER_INSTANCES) == 6
+
+    @pytest.mark.parametrize("as_, bs_", BUILDER_INSTANCES)
+    def test_tradeoff_and_chaf_tables_match_the_batch_path(self, as_, bs_):
+        fns = [tradeoff(as_, bs_)]
+        if not bs_:
+            fns += [chaf(as_), chaf(as_).negate()]
+        if len(as_) == 1 and not bs_:
+            fns.append(haf(as_[0]))
+        for fn in fns:
+            got = fn.table().values
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, batch_table(fn)), fn.name
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(outer=st.sampled_from([[2], [2, 2]]), n_in=st.integers(1, 3),
+           bits=st.integers(0, 255))
+    def test_data_compose_of_a_random_inner_table(self, outer, n_in, bits):
+        values = np.array([(bits >> x) & 1 for x in range(1 << n_in)], dtype=np.uint8)
+        inner = BooleanFunction.from_table(TruthTable(n_in, values))
+        for fn in (data_compose(chaf(outer), inner), data_compose(chaf(outer), inner).negate()):
+            assert np.array_equal(fn.table().values, batch_table(fn)), fn.name
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(rs=st.sampled_from([[2], [2, 2], [2, 2, 2]]), twice=st.booleans())
+    def test_negate(self, rs, twice):
+        fn = chaf(rs).negate()
+        if twice:
+            fn = fn.negate()
+        assert np.array_equal(fn.table().values, batch_table(fn))
+        assert np.array_equal(fn.table().values, chaf(rs).table().values ^ (not twice))
+
+    @pytest.mark.parametrize("make", [
+        lambda: haf(2), lambda: haf(3), lambda: tradeoff([2], [2]),
+        lambda: tradeoff([2, 2], []), lambda: tradeoff([2], [2, 2]),
+    ])
+    def test_no_batch_evaluator_runs(self, monkeypatch, make):
+        calls = []
+        init = BooleanFunction.__init__
+
+        def spying_init(self, arity, point_fn, batch_fn=None, *args, **kwargs):
+            def spy(xs):
+                calls.append(self.name)
+                return batch_fn(xs)
+
+            init(self, arity, point_fn, batch_fn and spy, *args, **kwargs)
+
+        monkeypatch.setattr(BooleanFunction, "__init__", spying_init)
+        fn = make()
+        got = fn.table().values
+        assert calls == []
+        # the spies do see the batch path
+        assert np.array_equal(got, batch_table(fn))
+        assert calls
 
 
 class TestTradeoff:

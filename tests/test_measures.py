@@ -497,6 +497,91 @@ def test_table_kernels_are_pinned():
         "ba0aa487128ca24946e6aeb340b1cd6108f5663da67c8bd849e7f356d179d6c8")
 
 
+# every per-axis kernel on axis_blocks: its radix, the bytes per entry of the
+# arrays it hands the driver (the census's first round, the larger), and a run
+BLOCKED_KERNELS = {
+    "scan": (2, 3, lambda t: core._sensitivity_scan(t.values, t.arity)),
+    "mobius": (2, 4, mobius_coefficients),
+    "nondegenerate": (2, 1, lambda t: BooleanFunction.from_table(t).is_nondegenerate()),
+    "census": (2, 7, measures._census_from_table),
+    "subcube_colours": (3, 1, measures._subcube_colours),
+    "cert_counts": (3, 1, lambda t: measures._cert_counts(t, measures.CERT_SEARCH_CAP)),
+}
+
+
+def blocked_and_whole(kernel: str, table: TruthTable, b: int):
+    """kernel's result with blocks of radix**b entries, and in one block."""
+    radix, per_entry, run = BLOCKED_KERNELS[kernel]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_BYTES", per_entry * radix**b)
+        blocked = run(table)
+        mp.setattr(core, "_BLOCK_BYTES", 1 << 62)
+        whole = run(table)
+    return blocked, whole
+
+
+def assert_identical(got, want) -> None:
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.flags.writeable) == (
+            want.dtype, want.shape, want.flags.writeable)
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+class TestBlockedPasses:
+    """Each kernel gives the same result whether axis_blocks runs its low
+    directions block by block or every direction over the whole table."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_steps_cover_each_direction_once_per_block(self, monkeypatch, b):
+        a = np.zeros(3**6, dtype=np.int8)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 3**b)
+        steps = list(core.axis_blocks(3, 6, a, a))
+        assert len(steps) == 3 ** (6 - b) * b + 6 - b
+        for k in range(3 ** (6 - b)):
+            for i in range(b):
+                j, (x, y) = steps[k * b + i]
+                assert j == i and len(x) == len(y) == 3**b
+                assert np.shares_memory(x, a[k * 3**b:(k + 1) * 3**b])
+        for j, (x, y) in steps[3 ** (6 - b) * b:]:
+            assert x is a and y is a
+        assert [j for j, _ in steps[3 ** (6 - b) * b:]] == list(range(b, 6))
+
+    def test_one_block_is_the_arrays_as_given(self):
+        a, b = np.zeros(1 << 10, dtype=np.int32), np.zeros(1 << 10, dtype=np.int32)
+        steps = list(core.axis_blocks(2, 10, a, b))
+        assert [i for i, _ in steps] == list(range(10))
+        assert all(x is a and y is b for _, (x, y) in steps)
+
+    @pytest.mark.parametrize("kernel", ["scan", "mobius", "nondegenerate", "census"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_radix_2_kernels(self, kernel, data):
+        n = data.draw(st.sampled_from(range(1, 15)))
+        if kernel == "census" and data.draw(st.booleans()):
+            table = data.draw(star_tables())
+        else:
+            table = data.draw(random_tables(n))
+        assert_identical(*blocked_and_whole(kernel, table, data.draw(st.integers(1, 3))))
+
+    # a table of arity 10 gives the radix-3 kernels 3^10 = 59 049 entries,
+    # more than the radix-2 ones get at 14; past it, blocks of 3 entries
+    # come by the million and an example takes seconds
+    @pytest.mark.parametrize("kernel", ["subcube_colours", "cert_counts"])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_radix_3_kernels(self, kernel, data):
+        table = data.draw(random_tables(data.draw(st.sampled_from(range(1, 11)))))
+        assert_identical(*blocked_and_whole(kernel, table, data.draw(st.integers(1, 3))))
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_census_rounds_on_a_construction(self, b):
+        # tradeoff(2;2)'s two-layer stars take the census through both rounds
+        blocked, whole = blocked_and_whole("census", tradeoff([2], [2]).table(), b)
+        assert blocked == whole == {("star", 3): 768, ("two-layer-star", 4, 4): 256}
+
+
 class TestSensitivityGraph:
     def test_and2_edges(self, and2):
         g = SensitivityGraph(and2)
