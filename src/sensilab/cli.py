@@ -395,7 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         raise AssertionError(args.command)
-    except (ValueError, OSError, ConvergenceError) as exc:
+    # a RecursionError comes from a JSON file nested past the decoder's limit
+    except (ValueError, OSError, ConvergenceError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -219,27 +219,28 @@ def haf(r: int) -> BooleanFunction:
 
 def address_fn(k: int) -> BooleanFunction:
     """Plain address function on k + 2^k bits: output data bit number a,
-    where a is the integer read from the k address bits."""
+    where a is the integer read from the k address bits. Its table is built
+    by lookup, each row the bits of its data section; values(xs) is pointwise."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"address width must be a positive integer, got {k!r}")
     _check_exponent(k, MAX_CONSTRUCTION_ARITY)
-    arity = _check_budget(k + (1 << k))
-    amask = (1 << k) - 1
+    t = 1 << k
+    arity = _check_budget(k + t)
+    amask = t - 1
 
     def point(x: int) -> int:
         return (x >> (k + (x & amask))) & 1
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        return ((xs >> (k + (xs & amask))) & 1).astype(np.uint8)
+    def build() -> np.ndarray:  # rows: data sections; columns: addresses
+        return ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8).reshape(-1)
 
     certs = None
-    if (1 << k) <= MAX_EAGER_CERTIFICATES:
+    if t <= MAX_EAGER_CERTIFICATES:
         certs = CertificateCollection(
             1,
             tuple(
                 PartialAssignment(arity, amask | (1 << (k + a)), a | (1 << (k + a)))
-                for a in range(1 << k)
+                for a in range(t)
             ),
             unambiguous=True,
         )
@@ -248,9 +249,9 @@ def address_fn(k: int) -> BooleanFunction:
         params={"k": k},
         certificates=certs,
         codeword_len=k,
-        data_len=1 << k,
+        data_len=t,
     )
-    return BooleanFunction(arity, point, batch, meta=meta, name=f"address({k})")
+    return BooleanFunction(arity, point, meta=meta, name=f"address({k})", table_fn=build)
 
 
 def _colex_rank(a: int) -> int:
@@ -271,7 +272,8 @@ def maf(k: int) -> BooleanFunction:
     Address weight above floor(k/2) forces 1, below forces 0; at exactly
     floor(k/2) the output is the data bit indexed by the address pattern's
     colex rank. Monotone because raising an address bit can only raise the
-    weight, and each weight-w pattern reads its own data bit.
+    weight, and each weight-w pattern reads its own data bit. The table is
+    built by lookup, one column per address; values(xs) evaluates pointwise.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"address width must be an integer >= 2, got {k!r}")
@@ -292,25 +294,16 @@ def maf(k: int) -> BooleanFunction:
             return 1 if wt > w else 0
         return (x >> (k + _colex_rank(a))) & 1
 
-    comb_table = np.zeros((k + 1, w + 1), dtype=np.int64)
-    for p in range(k + 1):
-        for j in range(min(p, w) + 1):
-            comb_table[p, j] = math.comb(p, j)
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        a = xs & amask
-        wt = np.bitwise_count(a).astype(np.int64)
-        rank = np.zeros(xs.shape, dtype=np.int64)
-        below = np.zeros(xs.shape, dtype=np.int64)
-        for p in range(k):
-            bit = (a >> p) & 1
-            rank += bit * comb_table[p, np.minimum(below + 1, w)]
-            below += bit
-        out = ((xs >> (k + rank)) & 1).astype(np.uint8)
-        out[wt > w] = 1
-        out[wt < w] = 0
-        return out
+    def build() -> np.ndarray:  # rows: data sections; columns: addresses
+        table = np.zeros((1 << m, 1 << k), dtype=np.uint8)
+        data = np.arange(1 << m)
+        for a in range(1 << k):
+            wt = a.bit_count()
+            if wt > w:
+                table[:, a] = 1
+            elif wt == w:
+                table[:, a] = (data >> _colex_rank(a)) & 1
+        return table.reshape(-1)
 
     n_certs = m + sum(math.comb(k, j) for j in range(w + 1, k + 1))
     certs = None
@@ -318,13 +311,11 @@ def maf(k: int) -> BooleanFunction:
         members = []
         for a in range(1 << k):
             wt = a.bit_count()
-            if wt < w:
-                continue
-            if wt == w:
+            if wt > w:
+                members.append(PartialAssignment(arity, amask, a))
+            elif wt == w:
                 bit = 1 << (k + _colex_rank(a))
                 members.append(PartialAssignment(arity, amask | bit, a | bit))
-            else:
-                members.append(PartialAssignment(arity, amask, a))
         certs = CertificateCollection(1, tuple(members), unambiguous=True)
     meta = ConstructionMeta(
         family="maf",
@@ -333,7 +324,7 @@ def maf(k: int) -> BooleanFunction:
         codeword_len=k,
         data_len=m,
     )
-    return BooleanFunction(arity, point, batch, meta=meta, name=f"maf({k})")
+    return BooleanFunction(arity, point, meta=meta, name=f"maf({k})", table_fn=build)
 
 
 def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFunction:
@@ -342,7 +333,8 @@ def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFun
     The result takes three n-bit blocks and outputs 1 iff some collection
     member contains all three blocks. On the diagonal it agrees with fn;
     every 0-input of the result has exactly one sensitive bit, and 1-inputs
-    reach sensitivity 3 * max codim of the collection.
+    reach sensitivity 3 * max codim of the collection. The table is built by
+    lookup, one member's cube of blocks at a time; values(xs) is pointwise.
     """
     n = fn.arity
     if certs.target_value != 1:
@@ -369,20 +361,12 @@ def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFun
                 return 1
         return 0
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        blockmask = (1 << n) - 1
-        b1 = xs & blockmask
-        b2 = (xs >> n) & blockmask
-        b3 = (xs >> (2 * n)) & blockmask
-        hit = np.zeros(xs.shape, dtype=bool)
+    def build() -> np.ndarray:  # axes: blocks 3, 2 and 1
+        table = np.zeros((1 << n,) * 3, dtype=bool)
         for mask, value in masks:
-            hit |= (
-                ((b1 & mask) == value)
-                & ((b2 & mask) == value)
-                & ((b3 & mask) == value)
-            )
-        return hit.astype(np.uint8)
+            inside = (np.arange(1 << n) & mask) == value
+            table |= inside[:, None, None] & inside[:, None] & inside
+        return table.view(np.uint8).reshape(-1)
 
     tripled = CertificateCollection(
         1,
@@ -406,7 +390,7 @@ def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFun
         certificates=tripled,
         certificates_validated=validated,
     )
-    return BooleanFunction(arity, point, batch, meta=meta, name=f"desens({fn.name})")
+    return BooleanFunction(arity, point, meta=meta, name=f"desens({fn.name})", table_fn=build)
 
 
 def _desens_params(fn: BooleanFunction, certs: CertificateCollection) -> dict | None:

@@ -174,6 +174,8 @@ class TruthTable:
     @classmethod
     def from_hex(cls, arity: int, digits: str) -> "TruthTable":
         _check_arity(arity)
+        if arity > BATCH_ARITY_LIMIT:  # before 2^arity is formed: 128 GiB at 2^40
+            raise ValueError(f"table arity {arity} is over {BATCH_ARITY_LIMIT}")
         width = max(1, -(-(1 << arity) // 4))
         if not _HEX_RE.match(digits):
             raise ValueError("table hex must be lowercase [0-9a-f] with no prefix")
@@ -216,7 +218,11 @@ class BooleanFunction:
     Wraps a pointwise evaluator working on integer-encoded inputs, an
     optional vectorized evaluator over int64 arrays (arity <= 63), optional
     metadata and an optional no-argument builder of the uint8 table.
-    Instances are treated as immutable.
+    Instances are treated as immutable. Every construction builds its table
+    by lookup; only chaf, data_compose and negate() keep a batch evaluator,
+    the reference their builders are tested against, and restrict() wraps
+    its function's, which may be past the table cap. Without a batch
+    evaluator, values(xs) evaluates pointwise.
     """
 
     def __init__(

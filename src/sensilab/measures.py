@@ -511,10 +511,10 @@ class SensitivityGraph:
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. Each edge is stored once, in B: the
-    rows of the smaller side S (the 0-side on a tie), read from the table
-    once, unless no input off S has two neighbours: then B B^T is the
-    diagonal of S's degrees (_star_degrees), and the matrix-free and exact
-    solves read those instead. The census is read from the table by degrees
+    rows of the smaller side S (the 0-side on a tie; listed on first use),
+    read from the table once, unless no input off S has two neighbours: then
+    B B^T is the diagonal of S's degrees (_star_degrees), and the matrix-free
+    and exact solves read those instead. The census is read from the table by degrees
     within two hops when every component is a star or a two-layer star
     (_table_census, built once), and then the exact solve past arity
     _CLASS_SOLVE_ARITY reads lambda from it. Otherwise adjacency(), a view
@@ -531,12 +531,16 @@ class SensitivityGraph:
         self.table = _table_of(fn, cap)
         self.arity = self.table.arity
         self.meta = getattr(fn, "meta", None)
-        vals = self.table.values
-        self._side_value = int(2 * self.table.ones_count() < len(vals))
-        self._side = np.flatnonzero(vals == self._side_value)
+        self._side_value = int(2 * self.table.ones_count() < len(self.table))
         self._rows: sp.csr_matrix | None = None
         self._adj: sp.csr_matrix | None = None
         self._labels: np.ndarray | None = None
+
+    @cached_property
+    def _side(self) -> np.ndarray:
+        """S's inputs, listed on first use: the census from the table, the
+        star test on a non-star graph and the parity-class solve skip it."""
+        return np.flatnonzero(self.table.values == self._side_value)
 
     def degree_counts(self) -> np.ndarray:
         """Degree of every vertex: the table's cached sensitivity counts."""

@@ -11,8 +11,8 @@ import csv
 import io
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -205,13 +205,15 @@ def _simon_chunk(n: int, lo: int, hi: int, bound: float):
 def verify_simon(n: int, threads: int = 1) -> list[ClaimResult]:
     """Exhaustive check of the sensitivity sum bound
     s0 + s1 >= log n - log log n + 2 over every non-degenerate function on
-    exactly n variables. n = 1 is excluded: log log 1 is undefined."""
+    exactly n variables. n = 1 is excluded: log log 1 is undefined. The
+    pool runs at most os.cpu_count() threads, however many are asked for."""
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: import on use
     if n not in (2, 3, 4):
         raise ValueError(f"exhaustive enumeration runs at n in {{2, 3, 4}}, got {n}")
     claims = _Claims()
     bound = math.log2(n) - math.log2(math.log2(n)) + 2
     total = 1 << (1 << n)
-    workers = max(1, int(threads))
+    workers = max(1, min(int(threads), os.cpu_count() or 1))
     nchunks = max(1, min(workers * 4, total))
     step = -(-total // nchunks)
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]

@@ -559,6 +559,16 @@ class TestScipyOnDemand:
         assert "scipy.sparse.csgraph" in modules
 
 
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures pulls in logging; only verify simon's pool needs it
+    env = {**os.environ, "PYTHONPATH": SRC}
+    probe = "import sys, sensilab.cli, sensilab.verify; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 class TestSweep:
     def test_pinned_rows(self, capsys):
         code, stdout, _ = run(

@@ -238,10 +238,11 @@ class TestMaf:
         assert certs.max_codim() == 4  # address bits plus one data bit
 
     def test_batch_matches_point(self):
-        f = maf(4)
-        xs = np.arange(1 << 10, dtype=np.int64)
-        batch = f.values(xs)
-        assert all(batch[x] == f._point(int(x)) for x in xs)
+        # maf and address_fn have no batch evaluator: the lookup-built table
+        # is checked against the point evaluator on every input
+        for f in [maf(k) for k in range(2, 6)] + [address_fn(k) for k in range(1, 4)]:
+            assert f._batch is None
+            assert f.table().values.tolist() == [f._point(x) for x in range(1 << f.arity)], f.name
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -306,9 +307,11 @@ class TestDesensitize:
             desensitize(or2, zero)
 
     def test_batch_matches_point(self, or2, or2_certs):
-        fp = desensitize(or2, or2_certs)
-        xs = np.arange(1 << 6, dtype=np.int64)
-        assert all(fp.values(xs)[x] == fp._point(int(x)) for x in xs)
+        # no batch evaluator: the lookup-built table against the point
+        # evaluator on every input
+        for fp in [desensitize(or2, or2_certs)] + [own_cover(f) for f in (haf(2), maf(3), address_fn(2))]:
+            assert fp._batch is None
+            assert fp.table().values.tolist() == [fp._point(x) for x in range(1 << fp.arity)], fp.name
 
 
 class TestDataCompose:
@@ -406,6 +409,42 @@ class TestTableBuilders:
         # the spies do see the batch path
         assert np.array_equal(got, batch_table(fn))
         assert calls
+
+
+def own_cover(base: BooleanFunction) -> BooleanFunction:
+    return desensitize(base, base.meta.certificates)
+
+
+# sha256 of each table as the int64 batch evaluators built it, before these
+# families built their tables by lookup; each maker takes (or2, or2_certs)
+LOOKUP_TABLES = {
+    "maf(4)": (lambda or2: maf(4),
+               "e382152fcca88775645acd46f413511aeba370896bfdc598024061b90566b472"),
+    "maf(5)": (lambda or2: maf(5),
+               "9abe8254c14d21093f27f6c12e9c1513ae24af4d9ba4d4af57102d276567a4dd"),
+    "maf(6)": (lambda or2: maf(6),
+               "5df9e98c3bfeefe90ebb37c4500e8d1f3add08f858c5e2eeedac95fc5314edec"),
+    "address(3)": (lambda or2: address_fn(3),
+                   "b5c9924fd181c6eac0b4bc03b8e1f31f9ecc1e0686bc42b9ac49d118eecd8e48"),
+    "address(4)": (lambda or2: address_fn(4),
+                   "9167461a1fd373cc91d6b51782bfabd59fd78e242e0c863cd54f9fffb4e9bbbc"),
+    "desens(or2)": (lambda or2: desensitize(*or2),
+                    "f66a604f5990115635322031b750c3c1d4f3afc0d697cab44f0f630f9a15cf26"),
+    "desens(haf(2))": (lambda or2: own_cover(haf(2)),
+                       "eee4e4982f88b3442ee2396b4443b453ae460de237a04dfaed0c86ec704b2754"),
+    "desens(maf(3))": (lambda or2: own_cover(maf(3)),
+                       "218a0a3fe91127c979aa167dd44e533e1235ec693f2335afe29bc7a7e6897349"),
+    "desens(address(2))": (lambda or2: own_cover(address_fn(2)),
+                           "e0795e7af50bc9d2c168fdb503eef9288ce164b5988aaa5cee4f9baaf8355358"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_TABLES))
+def test_lookup_tables_are_pinned(name, or2, or2_certs):
+    make, digest = LOOKUP_TABLES[name]
+    fn = make((or2, or2_certs))
+    assert fn.name == name and fn._batch is None
+    assert hashlib.sha256(fn.table().values.tobytes()).hexdigest() == digest
 
 
 class TestTradeoff:

@@ -604,6 +604,7 @@ class TestSensitivityGraph:
         # neighbour of a parity input is an edge
         graph = SensitivityGraph(make_parity(n))
         graph.table.sensitivity_counts
+        graph._side
         e, peak = TestMemoryBudget.traced(graph.edges)
         assert len(e) == graph.edge_count() == n << (n - 1)
         assert peak <= 25 * len(e) + 4096

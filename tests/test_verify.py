@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import time
 
 import pytest
 
-from sensilab import measures
+from sensilab import cli, measures
 from sensilab import verify as verify_mod
 from sensilab import (
     all_pass,
@@ -126,6 +127,43 @@ class TestSimon:
         assert [(c.claim, c.computed) for c in one] == [
             (c.claim, c.computed) for c in four
         ]
+
+    @pytest.mark.parametrize("route", ["call", "flag", "env"])
+    def test_pool_never_asks_for_more_threads_than_cpus(self, monkeypatch, capsys, route):
+        # a fake pool records its size and runs its tasks inline, so no
+        # thread starts whatever size is asked for
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", InlinePool, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        if route == "call":
+            assert all_pass(verify_simon(4, threads=100_000))
+        else:
+            argv = ["verify", "simon", "--n", "4"]
+            if route == "flag":
+                argv += ["--threads", "100000"]
+            else:
+                monkeypatch.setenv("SENSILAB_THREADS", "100000")
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+        assert sizes == [3]
+        assert verify_simon(4, threads=2) and sizes == [3, 2]
 
     def test_notes_record_census(self):
         claims = verify_simon(2)
