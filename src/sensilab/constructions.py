@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     ArityError,
-    BATCH_ARITY_LIMIT,
     BooleanFunction,
     CertificateCollection,
     DEFAULT_TABLE_CAP,
@@ -163,10 +162,9 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             m0 = m0 * code.size + code.message_index(seg)
         return (x >> (K + m0)) & 1
 
-    batch = build = None
-    if arity <= BATCH_ARITY_LIMIT:
-        # which forces K <= 15: decode each of the 2^K section values once,
-        # to its data address K + m0, or -1 where a section is invalid
+    def build() -> np.ndarray:  # rows: data sections; columns: codeword sections
+        # decode each of the 2^K section values once: a valid one takes data
+        # bit m0 of every row
         sections = np.arange(1 << K, dtype=np.int64)
         m0 = np.zeros(sections.shape, dtype=np.int64)
         valid = np.ones(sections.shape, dtype=bool)
@@ -174,22 +172,11 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             seg = (sections >> off) & code.word_mask
             valid &= code.syndrome_batch(seg) == 0
             m0 = m0 * code.size + code.message_index_batch(seg)
-        address = np.where(valid, K + m0, -1).astype(np.int8)
-        section_mask = (1 << K) - 1
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            xs = np.asarray(xs, dtype=np.int64)
-            a = address[xs & section_mask]
-            out = ((xs >> np.maximum(a, 0)) & 1).astype(np.uint8)
-            out[a < 0] = 0
-            return out
-
-        def build() -> np.ndarray:  # rows: data sections; columns: codeword sections
-            table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
-            data = np.arange(1 << t, dtype=np.int64)
-            for s in np.flatnonzero(address >= 0).tolist():
-                table[:, s] = (data >> int(address[s] - K)) & 1
-            return table.reshape(-1)
+        table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
+        data = np.arange(1 << t, dtype=np.int64)
+        for s in np.flatnonzero(valid).tolist():
+            table[:, s] = (data >> int(m0[s])) & 1
+        return table.reshape(-1)
 
     s1 = K + 1
     meta = ConstructionMeta(
@@ -203,12 +190,12 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
         data_len=t,
     )
     name = f"chaf({','.join(str(r) for r in rs)})"
-    return BooleanFunction(arity, point, batch, meta=meta, name=name, table_fn=build)
+    return BooleanFunction(arity, point, meta=meta, name=name, table_fn=build)
 
 
 def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> BooleanFunction:
-    """fn's evaluators and table builder under new meta and a new name."""
-    return BooleanFunction(fn.arity, fn._point, fn._batch, meta, name, fn._table_fn)
+    """fn's evaluator and table builder under new meta and a new name."""
+    return BooleanFunction(fn.arity, fn._point, meta=meta, name=name, table_fn=fn._table_fn)
 
 
 def haf(r: int) -> BooleanFunction:
@@ -220,7 +207,7 @@ def haf(r: int) -> BooleanFunction:
 def address_fn(k: int) -> BooleanFunction:
     """Plain address function on k + 2^k bits: output data bit number a,
     where a is the integer read from the k address bits. Its table is built
-    by lookup, each row the bits of its data section; values(xs) is pointwise."""
+    by lookup, each row the bits of its data section."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"address width must be a positive integer, got {k!r}")
     _check_exponent(k, MAX_CONSTRUCTION_ARITY)
@@ -273,7 +260,7 @@ def maf(k: int) -> BooleanFunction:
     floor(k/2) the output is the data bit indexed by the address pattern's
     colex rank. Monotone because raising an address bit can only raise the
     weight, and each weight-w pattern reads its own data bit. The table is
-    built by lookup, one column per address; values(xs) evaluates pointwise.
+    built by lookup, one column per address.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"address width must be an integer >= 2, got {k!r}")
@@ -334,7 +321,7 @@ def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFun
     member contains all three blocks. On the diagonal it agrees with fn;
     every 0-input of the result has exactly one sensitive bit, and 1-inputs
     reach sensitivity 3 * max codim of the collection. The table is built by
-    lookup, one member's cube of blocks at a time; values(xs) is pointwise.
+    lookup, one member's cube of blocks at a time.
     """
     n = fn.arity
     if certs.target_value != 1:
@@ -431,20 +418,12 @@ def data_compose(outer: BooleanFunction, inner: BooleanFunction) -> BooleanFunct
             virt |= inner._point(blk) << (K + j)
         return outer._point(virt)
 
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64)
-        virt = xs & kmask
-        for j in range(t):
-            blk = (xs >> (K + j * n_in)) & inmask
-            virt |= inner.values(blk).astype(np.int64) << (K + j)
-        return outer.values(virt)
-
     def build() -> np.ndarray:  # outer's table, an axis per data bit, read through inner's
         grid = outer.table(outer.arity).values.reshape([2] * t + [1 << K])
         return grid[np.ix_(*[inner.table(n_in).values] * t, np.arange(1 << K))].reshape(-1)
 
     name = f"compose({outer.name},{inner.name})"
-    return BooleanFunction(arity, point, batch, meta=None, name=name, table_fn=build)
+    return BooleanFunction(arity, point, name=name, table_fn=build)
 
 
 def _profile(as_: list[int], bs_: list[int], budget: int) -> dict:

@@ -20,7 +20,9 @@ import numpy as np
 # for anything that needs the whole function at once.
 DEFAULT_TABLE_CAP = 26
 
-# Batch evaluators shift int64 values, so they only exist up to this arity.
+# Tables are indexed by int64 inputs, so no table exists above this arity:
+# TruthTable.from_hex and BooleanFunction.table refuse one before 2**arity
+# is formed, whatever cap is asked for.
 BATCH_ARITY_LIMIT = 63
 
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
@@ -215,28 +217,24 @@ class TruthTable:
 class BooleanFunction:
     """A total Boolean function f: {0,1}^n -> {0,1}.
 
-    Wraps a pointwise evaluator working on integer-encoded inputs, an
-    optional vectorized evaluator over int64 arrays (arity <= 63), optional
+    Wraps a pointwise evaluator working on integer-encoded inputs, optional
     metadata and an optional no-argument builder of the uint8 table.
     Instances are treated as immutable. Every construction builds its table
-    by lookup; only chaf, data_compose and negate() keep a batch evaluator,
-    the reference their builders are tested against, and restrict() wraps
-    its function's, which may be past the table cap. Without a batch
-    evaluator, values(xs) evaluates pointwise.
+    by lookup; without a builder the table is evaluated pointwise. values(xs)
+    reads the table once it is materialized and evaluates pointwise before.
     """
 
     def __init__(
         self,
         arity: int,
         point_fn: Callable[[int], int],
-        batch_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        *,
         meta=None,
         name: str = "f",
         table_fn: Callable[[], np.ndarray] | None = None,
     ):
         self.arity = _check_arity(arity)
         self._point = point_fn
-        self._batch = batch_fn if arity <= BATCH_ARITY_LIMIT else None
         self.meta = meta
         self.name = name
         self._table_fn = table_fn
@@ -254,35 +252,31 @@ class BooleanFunction:
         return int(v)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate a batch of encoded inputs, returning uint8."""
+        """Evaluate a batch of encoded inputs, returning uint8: read from the
+        table once it is materialized, else by the point evaluator."""
         xs = np.asarray(xs)
-        if self._batch is not None:
-            out = np.asarray(self._batch(xs), dtype=np.uint8)
-        else:
-            out = np.fromiter(
-                (self._point(int(x)) for x in xs.ravel()), np.uint8, xs.size
-            ).reshape(xs.shape)
-        return out
+        if xs.size and not 0 <= int(xs.min()) <= int(xs.max()) < 1 << self.arity:
+            raise ArityError(f"inputs out of range for arity {self.arity}")
+        if self._table is not None:
+            return self._table.values[xs.astype(np.int64, copy=False)]
+        return np.fromiter(
+            (self._point(int(x)) for x in xs.ravel()), np.uint8, xs.size
+        ).reshape(xs.shape)
 
     def table(self, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
         """Materialize the full truth table, by the table builder if there is
-        one, else by the evaluators. Raises CapExceeded above cap."""
+        one, else by the point evaluator. Raises CapExceeded above cap, and
+        above BATCH_ARITY_LIMIT whatever the cap."""
+        cap = min(cap, BATCH_ARITY_LIMIT)
         if self.arity > cap:
             raise CapExceeded(
                 f"arity {self.arity} exceeds materialization cap {cap}"
             )
-        if self._table is None or self._table.arity != self.arity:
-            n = 1 << self.arity
+        if self._table is None:
             if self._table_fn is not None:
                 vals = self._table_fn()
-            elif self._batch is not None:
-                vals = np.zeros(n, dtype=np.uint8)
-                # chunked so huge tables never allocate a second int64 copy at once
-                step = 1 << 22
-                for lo in range(0, n, step):
-                    hi = min(lo + step, n)
-                    vals[lo:hi] = self._batch(np.arange(lo, hi, dtype=np.int64))
             else:
+                n = 1 << self.arity
                 vals = np.fromiter((self._point(x) for x in range(n)), np.uint8, n)
             self._table = TruthTable(self.arity, vals)
         return self._table
@@ -290,11 +284,7 @@ class BooleanFunction:
     @classmethod
     def from_table(cls, table: TruthTable, meta=None, name: str = "table") -> "BooleanFunction":
         vals = table.values
-
-        def batch(xs: np.ndarray) -> np.ndarray:
-            return vals[np.asarray(xs, dtype=np.int64)]
-
-        fn = cls(table.arity, lambda x: int(vals[x]), batch, meta=meta, name=name)
+        fn = cls(table.arity, lambda x: int(vals[x]), meta=meta, name=name)
         fn._table = table
         return fn
 
@@ -305,52 +295,29 @@ class BooleanFunction:
                 f"assignment arity {assignment.arity} != function arity {self.arity}"
             )
         free = assignment.free_positions()
-        sub_arity = len(free)
-        if sub_arity == 0:
+        if not free:
             raise ArityError("restriction must leave at least one free variable")
         base = assignment.value
 
-        def embed(y: int) -> int:
+        def point(y: int) -> int:
             x = base
             for j, pos in enumerate(free):
                 x |= ((y >> j) & 1) << pos
-            return x
+            return self._point(x)
 
-        def point(y: int) -> int:
-            return self._point(embed(y))
-
-        batch = None
-        if self._batch is not None:
-
-            def batch(ys: np.ndarray) -> np.ndarray:
-                ys = np.asarray(ys, dtype=np.int64)
-                xs = np.full(ys.shape, base, dtype=np.int64)
-                for j, pos in enumerate(free):
-                    xs |= ((ys >> j) & 1) << pos
-                return self._batch(xs)
-
-        return BooleanFunction(
-            sub_arity, point, batch, meta=None, name=f"{self.name}|{assignment.to_string()}"
-        )
+        return BooleanFunction(len(free), point, name=f"{self.name}|{assignment.to_string()}")
 
     def negate(self) -> "BooleanFunction":
         point = self._point
-
-        def neg_point(x: int) -> int:
-            return 1 - point(x)
-
-        batch = None
-        if self._batch is not None:
-            inner = self._batch
-
-            def batch(xs: np.ndarray) -> np.ndarray:
-                return 1 - np.asarray(inner(xs), dtype=np.uint8)
-
         build = self._table_fn
         negated = getattr(self.meta, "negated", None)
-        meta = negated() if negated is not None else None
-        return BooleanFunction(self.arity, neg_point, batch, meta=meta, name=f"not({self.name})",
-                               table_fn=build and (lambda: 1 - build()))
+        return BooleanFunction(
+            self.arity,
+            lambda x: 1 - point(x),
+            meta=negated() if negated is not None else None,
+            name=f"not({self.name})",
+            table_fn=build and (lambda: 1 - build()),
+        )
 
     def is_nondegenerate(self, cap: int = DEFAULT_TABLE_CAP) -> bool:
         """True iff every variable influences the output somewhere."""

@@ -2,7 +2,8 @@
 
 Every suite returns a list of ClaimResult rows pairing a predicted value
 with an independently computed one. Suites are deterministic for a fixed
-seed, and a report passes iff every claim passes.
+seed, and a report passes iff no claim fails. A claim that cannot be
+computed within its caps is listed as skipped, with the reason in its note.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .measures import (
 
 # reference value for the k=2 monotone address function, from a dense solve
 MAF2_LAMBDA = 1.8477590650225735
+
+# A sampled subgraph run draws samples * 2^n uniforms; 2^29 of them take
+# about a minute at the 1.1 s per 10^7 draws measured on a 2-vCPU machine.
+SUBGRAPH_DRAW_BUDGET = 1 << 29
 
 
 @dataclass
@@ -107,6 +112,12 @@ class _Claims:
             )
         )
 
+    def skip(self, claim: str, predicted, mode: str, note: str) -> None:
+        """A claim not computed, for the reason in note: status "skipped",
+        computed None. It does not fail the report."""
+        self.rows.append(ClaimResult(claim, predicted, None, mode, "skipped",
+                                     round(self._lap(), 6), note=note))
+
     def add_lambda(
         self, claim: str, predicted: float, spec: SpectralResult, tol: float, note: str = ""
     ) -> None:
@@ -118,7 +129,8 @@ class _Claims:
 
 
 def all_pass(claims: Sequence[ClaimResult]) -> bool:
-    return all(c.status == "pass" for c in claims)
+    """True iff no claim failed; skipped claims do not fail a report."""
+    return not any(c.status == "fail" for c in claims)
 
 
 def claims_to_json(claims: Sequence[ClaimResult]) -> str:
@@ -315,6 +327,11 @@ def verify_subgraph_lemma(
             samples = 100_000
         if n > 20:
             raise ValueError(f"cube dimension {n} too large to sample")
+        if samples << n > SUBGRAPH_DRAW_BUDGET:
+            raise ValueError(
+                f"--samples {samples} at --n {n} draws {samples << n} uniforms, over "
+                f"the budget of 2^{SUBGRAPH_DRAW_BUDGET.bit_length() - 1}"
+            )
         violations, checked = _subgraph_sampled(n, samples, seed)
         note = f"{checked} random non-empty subsets of the {n}-cube, seed {seed:#x}"
     claims.add(f"sub.n{n}", 0, violations, "exact", note=note)
@@ -417,17 +434,21 @@ def verify_desensitization(
         f"desens.{label}.lambda", math.sqrt(target), spectral_sensitivity(prime), tol,
         note="sqrt(s1) since s0=1",
     )
-    if prime.arity <= UC_EXACT_CAP:
-        base = uc1(fn)
-        lifted = uc1(prime)
-        if base.status == "exact" and lifted.status == "exact":
-            claims.add(
-                f"desens.{label}.uc1",
-                3 * base.value,
-                lifted.value,
-                "le",
-                note=f"UC1 of the base is {base.value}",
-            )
+    claim = f"desens.{label}.uc1"
+    if prime.arity > UC_EXACT_CAP:
+        claims.skip(claim, None, "le",
+                    f"desensitized arity {prime.arity} is over the exact uc1 cap {UC_EXACT_CAP}")
+        return claims.rows
+    base = uc1(fn)
+    lifted = uc1(prime)
+    if base.status != "exact":
+        claims.skip(claim, None, "le", f"uc1 search on the base {base.status}")
+    elif lifted.status != "exact":
+        claims.skip(claim, 3 * base.value, "le",
+                    f"uc1 search on the desensitized function {lifted.status}")
+    else:
+        claims.add(claim, 3 * base.value, lifted.value, "le",
+                   note=f"UC1 of the base is {base.value}")
     return claims.rows
 
 
@@ -440,8 +461,9 @@ def verify_tradeoff(
 ) -> list[ClaimResult]:
     """Closed-form profile of the composed family plus a census of its
     sensitivity-graph components: only stars and the center-degree-s0,
-    middle-degree-s1 two-layer stars may appear. The census is left out
-    when the graph's adjacency or a component does not fit MEMORY_BUDGET."""
+    middle-degree-s1 two-layer stars may appear. The census claims are
+    skipped when the graph's adjacency or a component does not fit
+    MEMORY_BUDGET."""
     claims = _Claims()
     fn = tradeoff(as_, bs_)
     profile = tradeoff_profile(as_, bs_)
@@ -455,8 +477,11 @@ def verify_tradeoff(
     claims.add_lambda("thm3.lambda", math.sqrt(profile["lambda_sq"]), spec, tol)
     try:
         shapes = graph.census()
-    except CapExceeded:
-        # the adjacency or a component does not fit MEMORY_BUDGET: no census
+    except CapExceeded as exc:
+        note = f"census refused: {exc}"
+        claims.skip("thm3.census", 0, "exact", note)
+        if bs_:
+            claims.skip("thm3.fig1", 1, "ge", note)
         return claims.rows
     census = ", ".join(f"{v} x {k}" for k, v in shapes.items())
     claims.add(

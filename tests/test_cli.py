@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sensilab import BooleanFunction, TruthTable, haf, verify
+from sensilab import BooleanFunction, TruthTable, haf, measures, verify
 from sensilab.cli import main, resolve_threads
 from sensilab.measures import compute_measures
 from sensilab.constructions import FAMILIES
@@ -427,6 +427,21 @@ class TestVerify:
         assert stdout == ""
         assert "budget" in err
         assert peak < 1 << 20
+
+    def test_subgraph_work_is_refused_at_once(self, capsys, monkeypatch):
+        # the default 100 000 samples at n = 20 would draw about 10^11 uniforms
+        monkeypatch.setattr(verify, "_subgraph_sampled", None)
+        code, stdout, err = run_fast(capsys, "verify", "subgraph", "--n", "20")
+        assert code == 2
+        assert stdout == ""
+        assert "--samples" in err and "--n" in err
+
+    def test_tradeoff_census_refused_is_skipped_not_failed(self, capsys, monkeypatch):
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", measures.CENSUS_BYTES_PER_INPUT * 8192 - 1)
+        code, stdout, _ = run(capsys, "verify", "tradeoff", "--as", "2", "--bs", "2")
+        assert code == 0
+        status = {c["claim"]: c["status"] for c in json.loads(stdout)}
+        assert status["thm3.census"] == status["thm3.fig1"] == "skipped"
 
     def test_subgraph_rejects_zero_samples(self, capsys):
         code, stdout, err = run(

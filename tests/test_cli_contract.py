@@ -309,7 +309,7 @@ def check_stdout(kind, argv, code, out):
     if kind == "claims":
         claims = strict_json(out)
         failed = [c["claim"] for c in claims if c["status"] == "fail"]
-        assert all(c["status"] in ("pass", "fail") for c in claims)
+        assert all(c["status"] in ("pass", "fail", "skipped") for c in claims)
         if code != 2:
             assert (code == 1) == bool(failed), (code, failed)
     elif kind == "json":

@@ -116,8 +116,8 @@ class TestChaf:
     def test_batch_matches_point_exhaustively(self):
         f = chaf([2, 2])
         xs = np.arange(1 << 10, dtype=np.int64)
-        batch = f.values(xs)
-        assert all(batch[x] == f._point(int(x)) for x in xs)
+        lookup = f.table().values[xs]
+        assert all(lookup[x] == f._point(int(x)) for x in xs)
 
     def test_certificates_partition_the_ones(self):
         f = chaf([2, 2])
@@ -148,7 +148,6 @@ class TestChaf:
         "haf3": (lambda: haf(3), [3]),
         "chaf22": (lambda: chaf([2, 2]), [2, 2]),
         "chaf222": (lambda: chaf([2, 2, 2]), [2, 2, 2]),
-        "chaf32": (lambda: chaf([3, 2]), [3, 2]),  # arity 42: no table
         "tradeoff2_2": (lambda: tradeoff([2], [2]), [2]),
     }
 
@@ -156,19 +155,14 @@ class TestChaf:
     def test_section_lookup_matches_point(self, case):
         factory, rs = self.SECTION_CASES[case]
         f = factory()
-        codes = [HammingCode(r) for r in rs]
-        offsets = np.cumsum([0] + [c.codeword_len for c in codes[:-1]])
-        valid = np.array([
-            sum(int(w) << int(off) for w, off in zip(words, offsets))
-            for words in itertools.product(*(c._codeword_ints for c in codes))
-        ])
-        kmask = (1 << sum(c.codeword_len for c in codes)) - 1
+        valid, kbits = valid_sections(rs)
+        kmask = (1 << kbits) - 1
         rng = np.random.default_rng(11)
         xs = rng.integers(0, 1 << f.arity, size=4000, dtype=np.int64)
         # half the inputs get a valid section; random sections are mostly invalid
         xs[::2] = (xs[::2] & ~kmask) | rng.choice(valid, size=2000)
         assert not np.isin(xs[1::2] & kmask, valid).all()
-        got = f.values(xs)
+        got = f.table().values[xs]
         assert got.tolist() == [f._point(int(x)) for x in xs]
         assert 0 < got.sum() < len(xs)
 
@@ -238,10 +232,8 @@ class TestMaf:
         assert certs.max_codim() == 4  # address bits plus one data bit
 
     def test_batch_matches_point(self):
-        # maf and address_fn have no batch evaluator: the lookup-built table
-        # is checked against the point evaluator on every input
+        # the lookup-built table against the point evaluator on every input
         for f in [maf(k) for k in range(2, 6)] + [address_fn(k) for k in range(1, 4)]:
-            assert f._batch is None
             assert f.table().values.tolist() == [f._point(x) for x in range(1 << f.arity)], f.name
 
     def test_rejects_bad_k(self):
@@ -307,10 +299,8 @@ class TestDesensitize:
             desensitize(or2, zero)
 
     def test_batch_matches_point(self, or2, or2_certs):
-        # no batch evaluator: the lookup-built table against the point
-        # evaluator on every input
+        # the lookup-built table against the point evaluator on every input
         for fp in [desensitize(or2, or2_certs)] + [own_cover(f) for f in (haf(2), maf(3), address_fn(2))]:
-            assert fp._batch is None
             assert fp.table().values.tolist() == [fp._point(x) for x in range(1 << fp.arity)], fp.name
 
 
@@ -329,16 +319,83 @@ class TestDataCompose:
     def test_batch_matches_point(self, or2):
         composed = data_compose(chaf([2]), or2)
         xs = np.arange(1 << 7, dtype=np.int64)
-        assert all(composed.values(xs)[x] == composed._point(int(x)) for x in xs)
+        assert all(composed.table().values[x] == composed._point(int(x)) for x in xs)
 
     def test_requires_section_split(self, or2, and2):
         with pytest.raises(ValueError):
             data_compose(or2, and2)
 
 
-def batch_table(fn: BooleanFunction) -> np.ndarray:
-    """fn's table from its batch evaluator alone, with no table builder."""
-    return BooleanFunction(fn.arity, fn._point, fn._batch).table().values
+def valid_sections(rs) -> tuple[np.ndarray, int]:
+    """Every valid section of the codes of orders rs, first code in the low
+    bits, as int64 integers; and the section's width in bits."""
+    codes = [HammingCode(r) for r in rs]
+    offsets = np.cumsum([0] + [c.codeword_len for c in codes[:-1]])
+    valid = np.array([
+        sum(int(w) << int(off) for w, off in zip(words, offsets))
+        for words in itertools.product(*(c._codeword_ints for c in codes))
+    ], dtype=np.int64)
+    return valid, sum(c.codeword_len for c in codes)
+
+
+def point_values(fn: BooleanFunction, xs: np.ndarray) -> np.ndarray:
+    """fn at xs by its point evaluator alone."""
+    return np.fromiter((fn._point(int(x)) for x in xs), np.uint8, len(xs))
+
+
+def sampled_inputs(fn: BooleanFunction, as_, bs_, size: int, seed: int = 5) -> np.ndarray:
+    """size random inputs of tradeoff(as_, bs_) = fn. Every other one gets a
+    valid outer section, and each inner block of those a valid section of
+    its own with probability 1/2: random sections are mostly invalid."""
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, 1 << fn.arity, size=size, dtype=np.int64)
+    outer, k_out = valid_sections(as_)
+    xs[::2] = (xs[::2] & ~((1 << k_out) - 1)) | rng.choice(outer, size=len(xs[::2]))
+    if bs_:
+        inner, k_in = valid_sections(bs_)
+        t = fn.meta.data_len
+        n_in = (fn.arity - k_out) // t
+        for j in range(t):
+            off = k_out + j * n_in
+            pick = np.zeros(size, dtype=bool)
+            pick[::2] = rng.random(len(xs[::2])) < 0.5
+            xs[pick] = (xs[pick] & ~(((1 << k_in) - 1) << off)) | (
+                rng.choice(inner, size=int(pick.sum())) << off
+            )
+    return xs
+
+
+# sha256 of each chaf and tradeoff table in reach, tradeoff(as, bs), as the
+# int64 batch evaluator built it before every table was built by lookup;
+# (3;) is haf(3)'s table
+TRADEOFF_TABLES = {
+    ((2,), ()): "2b6ab6e4809b54d4c6d2be4336e76b8976eef4f2b199df03e4d2f2c6a553ed8d",
+    ((2,), (2,)): "be1ae10f6c7e2b26c8c5485a7daedb630569b3e0c914138f31084c54030ade83",
+    ((2, 2), ()): "5b5481a33213a327bc8c04b5fa44681b88b1d9611b2d20c94ab0c58be50f1ea2",
+    ((2, 2, 2), ()): "db21cc2da35769d3532c9c8adf1e9a027baeb08c071ebce501966e3389e547c6",
+    ((3,), ()): "63c63a3b91bd8354f9cc16c93031c4febaabbc91364c0463ad208fca6d573b76",
+    ((2,), (2, 2)): "50485c07ccab6a7c746d431bee211f21dc9a43b9365e29da5596c1604b93aaf4",
+    ((2, 2), (2,)): "1337291deac8fbe0661b850df73106789cc8969a2a7eee49229fcbc2eb213efe",
+}
+
+
+def check_tradeoff_table(as_, bs_) -> None:
+    """tradeoff(as_, bs_)'s lookup-built table equals its pin, and its point
+    evaluator on every input up to arity 17, else on 2^16 sampled inputs.
+    The point evaluator decodes each section through HammingCode.syndrome
+    and message_index, apart from the builder's section decode."""
+    fn = tradeoff(as_, bs_)
+    values = fn.table().values
+    assert values.dtype == np.uint8
+    digest = TRADEOFF_TABLES[(tuple(as_), tuple(bs_))]
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest, fn.name
+    if fn.arity <= 17:
+        xs = np.arange(1 << fn.arity, dtype=np.int64)
+    else:
+        xs = sampled_inputs(fn, as_, bs_, 1 << 16)
+    got = values[xs]
+    assert np.array_equal(got, point_values(fn, xs)), fn.name
+    assert 0 < got.sum() < len(xs)
 
 
 # every chaf and tradeoff instance of arity at most 23, as tradeoff(as, bs)
@@ -351,23 +408,24 @@ BUILDER_INSTANCES = [
 
 
 class TestTableBuilders:
-    """Address functions build their tables by lookup; each such table is
-    the batch evaluator's, bit for bit, and no batch evaluator runs."""
+    """Address functions build their tables by lookup; each chaf and
+    tradeoff table equals the batch evaluator's, pinned, and the point
+    evaluator's."""
 
     def test_instances(self):
         assert len(BUILDER_INSTANCES) == 6
 
     @pytest.mark.parametrize("as_, bs_", BUILDER_INSTANCES)
     def test_tradeoff_and_chaf_tables_match_the_batch_path(self, as_, bs_):
-        fns = [tradeoff(as_, bs_)]
-        if not bs_:
-            fns += [chaf(as_), chaf(as_).negate()]
-        if len(as_) == 1 and not bs_:
-            fns.append(haf(as_[0]))
-        for fn in fns:
-            got = fn.table().values
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, batch_table(fn)), fn.name
+        check_tradeoff_table(as_, bs_)
+        if bs_:
+            return
+        digest = TRADEOFF_TABLES[(tuple(as_), ())]
+        same = [chaf(as_).table().values, chaf(as_).negate().table().values ^ 1]
+        if len(as_) == 1:
+            same.append(haf(as_[0]).table().values)
+        for values in same:
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(outer=st.sampled_from([[2], [2, 2]]), n_in=st.integers(1, 3),
@@ -375,8 +433,15 @@ class TestTableBuilders:
     def test_data_compose_of_a_random_inner_table(self, outer, n_in, bits):
         values = np.array([(bits >> x) & 1 for x in range(1 << n_in)], dtype=np.uint8)
         inner = BooleanFunction.from_table(TruthTable(n_in, values))
-        for fn in (data_compose(chaf(outer), inner), data_compose(chaf(outer), inner).negate()):
-            assert np.array_equal(fn.table().values, batch_table(fn)), fn.name
+        fn = data_compose(chaf(outer), inner)
+        # every input up to arity 12; above, 2^11 of them, every other one
+        # with a valid outer section
+        if fn.arity <= 12:
+            xs = np.arange(1 << fn.arity, dtype=np.int64)
+        else:
+            xs = sampled_inputs(fn, outer, [], 1 << 11)
+        assert np.array_equal(fn.table().values[xs], point_values(fn, xs)), fn.name
+        assert np.array_equal(fn.negate().table().values, 1 - fn.table().values)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(rs=st.sampled_from([[2], [2, 2], [2, 2, 2]]), twice=st.booleans())
@@ -384,31 +449,7 @@ class TestTableBuilders:
         fn = chaf(rs).negate()
         if twice:
             fn = fn.negate()
-        assert np.array_equal(fn.table().values, batch_table(fn))
         assert np.array_equal(fn.table().values, chaf(rs).table().values ^ (not twice))
-
-    @pytest.mark.parametrize("make", [
-        lambda: haf(2), lambda: haf(3), lambda: tradeoff([2], [2]),
-        lambda: tradeoff([2, 2], []), lambda: tradeoff([2], [2, 2]),
-    ])
-    def test_no_batch_evaluator_runs(self, monkeypatch, make):
-        calls = []
-        init = BooleanFunction.__init__
-
-        def spying_init(self, arity, point_fn, batch_fn=None, *args, **kwargs):
-            def spy(xs):
-                calls.append(self.name)
-                return batch_fn(xs)
-
-            init(self, arity, point_fn, batch_fn and spy, *args, **kwargs)
-
-        monkeypatch.setattr(BooleanFunction, "__init__", spying_init)
-        fn = make()
-        got = fn.table().values
-        assert calls == []
-        # the spies do see the batch path
-        assert np.array_equal(got, batch_table(fn))
-        assert calls
 
 
 def own_cover(base: BooleanFunction) -> BooleanFunction:
@@ -443,7 +484,7 @@ LOOKUP_TABLES = {
 def test_lookup_tables_are_pinned(name, or2, or2_certs):
     make, digest = LOOKUP_TABLES[name]
     fn = make((or2, or2_certs))
-    assert fn.name == name and fn._batch is None
+    assert fn.name == name
     assert hashlib.sha256(fn.table().values.tobytes()).hexdigest() == digest
 
 

@@ -8,6 +8,7 @@ from sensilab import (
     CertificateCollection,
     PartialAssignment,
     TruthTable,
+    maf,
     point_bits,
     point_from_bits,
 )
@@ -95,11 +96,22 @@ class TestBooleanFunction:
         xs = np.arange(16, dtype=np.int64)
         assert (fn.values(xs) == [fn(int(x)) for x in xs]).all()
 
+    @pytest.mark.parametrize("x", [-1, 16])
+    def test_values_refuses_inputs_out_of_range(self, x):
+        # a negative input would index the table from its end
+        fn = BooleanFunction(4, lambda x: x & 1)
+        for f in (fn, BooleanFunction.from_table(fn.table())):
+            with pytest.raises(ArityError):
+                f.values(np.array([0, x]))
+
     def test_table_cap(self):
         fn = BooleanFunction(10, lambda x: x & 1)
         with pytest.raises(CapExceeded):
             fn.table(cap=9)
         assert fn.table(cap=10).arity == 10
+        # no table is indexed past int64, whatever the cap
+        with pytest.raises(CapExceeded, match="cap 63"):
+            BooleanFunction(64, lambda x: x & 1).table(cap=64)
 
     def test_evaluator_must_return_bits(self):
         fn = BooleanFunction(1, lambda x: 2)
@@ -114,11 +126,33 @@ class TestBooleanFunction:
         sub = fn.restrict(p)
         assert sub.arity == 3
         free = p.free_positions()
+        want = []
         for y in range(8):
             x = p.value
             for j, pos in enumerate(free):
                 x |= ((y >> j) & 1) << pos
-            assert sub(y) == fn(x)
+            want.append(fn(x))
+        assert [sub(y) for y in range(8)] == want
+        # values(xs) evaluates pointwise before the table exists, reads it after
+        assert sub.values(np.arange(8)).tolist() == want
+        assert sub.table().values.tolist() == want
+        assert sub.values(np.arange(8)).tolist() == want
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_maf_with_zero_data_is_the_strict_weight_threshold(self, k):
+        # verify maf's threshold_deg claim reads this restriction's degree
+        fn = maf(k)
+        data = ((1 << (fn.arity - k)) - 1) << k
+        thr = fn.restrict(PartialAssignment(fn.arity, data, 0))
+        assert thr.arity == k
+        want = [int(a.bit_count() > k // 2) for a in range(1 << k)]
+        assert thr.table().values.tolist() == want
+
+    def test_batch_evaluator_argument_is_refused(self):
+        # meta, name and table_fn are keyword-only: a third positional
+        # argument, once a batch evaluator, cannot bind to meta
+        with pytest.raises(TypeError):
+            BooleanFunction(2, lambda x: x & 1, lambda xs: xs & 1)
 
     def test_restrict_requires_free_variable(self, and2):
         with pytest.raises(ArityError):

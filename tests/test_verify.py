@@ -197,6 +197,19 @@ class TestSubgraph:
         with pytest.raises(ValueError):
             verify_subgraph_lemma(21)
 
+    def test_draws_are_refused_over_budget_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled past the draw budget")
+
+        monkeypatch.setattr(verify_mod, "_subgraph_sampled", no_draws)
+        with pytest.raises(ValueError, match="--samples 100000 at --n 20"):
+            verify_subgraph_lemma(20)
+        with pytest.raises(ValueError, match="--samples 65537 at --n 13"):
+            verify_subgraph_lemma(13, samples=(verify_mod.SUBGRAPH_DRAW_BUDGET >> 13) + 1)
+        # criterion 4's largest run, and the CLI contract's, stay inside it
+        assert 100_000 << 8 <= verify_mod.SUBGRAPH_DRAW_BUDGET
+        assert 1_000 << 10 <= verify_mod.SUBGRAPH_DRAW_BUDGET
+
 
 class TestEdgeBound:
     def test_parity_is_tight(self, parity3):
@@ -273,6 +286,19 @@ class TestDesensitization:
         by_id = {c.claim: c for c in claims}
         assert by_id["desens.x1.s1"].computed == 3
 
+    def test_uc1_past_the_exact_cap_is_skipped(self):
+        from sensilab import BooleanFunction, CertificateCollection, PartialAssignment
+
+        and3 = BooleanFunction(3, lambda x: int(x == 7), name="and3")
+        certs = CertificateCollection(
+            1, (PartialAssignment.from_string("111"),), unambiguous=True
+        )
+        claims = verify_desensitization(and3, certs, name="and3")
+        assert all_pass(claims)
+        uc = claims[-1]
+        assert uc.claim == "desens.and3.uc1" and uc.status == "skipped"
+        assert uc.computed is None and "over the exact uc1 cap 8" in uc.note
+
     def test_rejects_oversize(self):
         f = chaf([2, 2])  # arity 10, tripled 30 > 20
         claims_needed = f.meta.certificates
@@ -320,7 +346,13 @@ class TestTradeoffSuite:
         # 8192 inputs, and its adjacency takes 110 kB
         monkeypatch.setattr(measures, "MEMORY_BUDGET", measures.CENSUS_BYTES_PER_INPUT * 8192 - 1)
         claims = verify_tradeoff([2], [2])
-        assert [c.claim for c in claims] == ["thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda"]
+        by_id = {c.claim: c for c in claims}
+        assert list(by_id) == [
+            "thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda", "thm3.census", "thm3.fig1"
+        ]
+        for name in ("thm3.census", "thm3.fig1"):
+            assert by_id[name].status == "skipped" and by_id[name].computed is None
+            assert by_id[name].note.startswith("census refused: ")
         assert all_pass(claims)
 
     @pytest.mark.parametrize(
