@@ -445,18 +445,6 @@ class CertificateCollection:
     def max_codim(self) -> int:
         return max((c.codim for c in self.certificates), default=0)
 
-    def membership_counts(self, arity: int, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
-        """counts[x] = number of member subcubes containing x."""
-        if arity > cap:
-            raise CapExceeded(f"arity {arity} exceeds cap {cap}")
-        xs = np.arange(1 << arity, dtype=np.int64)
-        counts = np.zeros(1 << arity, dtype=np.int64)
-        for c in self.certificates:
-            if c.arity != arity:
-                raise ArityError("certificate arity mismatch")
-            counts += c.contains_batch(xs)
-        return counts
-
     def validation_error(self, fn: BooleanFunction, cap: int = DEFAULT_TABLE_CAP) -> str | None:
         """Exhaustively check the collection against fn; None means valid.
 
@@ -466,7 +454,13 @@ class CertificateCollection:
         """
         b = self.target_value
         vals = fn.table(cap).values
-        counts = self.membership_counts(fn.arity, cap)
+        # counts[x]: how many member subcubes contain x
+        xs = np.arange(len(vals), dtype=np.int64)
+        counts = np.zeros(len(vals), dtype=np.int64)
+        for c in self.certificates:
+            if c.arity != fn.arity:
+                raise ArityError("certificate arity mismatch")
+            counts += c.contains_batch(xs)
         on_target = vals == b
         if (counts[~on_target] > 0).any():
             x = int(np.flatnonzero(~on_target & (counts > 0))[0])

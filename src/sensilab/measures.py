@@ -65,9 +65,13 @@ CENSUS_BYTES_PER_INPUT = 8
 _CLASS_SOLVE_ARITY = 8
 CERT_SEARCH_CAP = 16
 UC_EXACT_CAP = 8
+# nodes uc1's exact cover below codimension n-1 may visit before it reports
+# the search exhausted, read at call time
+UC_NODE_BUDGET = 1_000_000
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0x5EED
+# Gram steps matrix-free power iteration may take, read at call time
 DEFAULT_MAX_ITER = 10000
 
 
@@ -79,12 +83,17 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _table_of(fn, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
-    if isinstance(fn, TruthTable):
-        return fn
-    if isinstance(fn, BooleanFunction):
-        return fn.table(cap)
-    raise TypeError(f"expected BooleanFunction or TruthTable, got {type(fn).__name__}")
+def _table_of(fn, cap: int = DEFAULT_TABLE_CAP, what: str | None = None) -> TruthTable:
+    """fn's truth table, fn itself for a TruthTable. The one cap check of
+    every measure: CapExceeded when fn.arity is over cap, for a function and
+    a table alike, before any table is built or any pass runs. what names a
+    search capped below the materialization cap, for the message."""
+    if not isinstance(fn, (TruthTable, BooleanFunction)):
+        raise TypeError(f"expected BooleanFunction or TruthTable, got {type(fn).__name__}")
+    if fn.arity > cap:
+        raise CapExceeded(f"{what} capped at arity {cap}, got {fn.arity}" if what
+                          else f"arity {fn.arity} exceeds materialization cap {cap}")
+    return fn if isinstance(fn, TruthTable) else fn.table(cap)
 
 
 class SensSummary(NamedTuple):
@@ -138,9 +147,7 @@ def certificate_complexity_at(
     Ties break toward lexicographically smaller fixed-position sets. Every
     coordinate sensitive at x must be fixed, which prunes the search.
     """
-    if fn.arity > cap:
-        raise CapExceeded(f"certificate search capped at arity {cap}, got {fn.arity}")
-    table = _table_of(fn, cap)
+    table = _table_of(fn, cap, "certificate search")
     n = table.arity
     vals = table.values
     fx = vals[x]
@@ -183,13 +190,11 @@ def _subcube_colours(table: TruthTable) -> np.ndarray:
     return col
 
 
-def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
+def _cert_counts(table: TruthTable) -> np.ndarray:
     """C(f, x) for every input x, in table order. One pass per variable,
     from axis_blocks through axis_view, as in _subcube_colours.
     """
     n = table.arity
-    if n > cap:
-        raise CapExceeded(f"certificate search capped at arity {cap}, got {n}")
     # 0 on monochromatic subcubes, 64 (above any codimension) on mixed ones;
     # pushing min(fixed + 1, free) down each variable leaves C(f, x) at x
     col = _subcube_colours(table)
@@ -205,14 +210,14 @@ def _cert_counts(table: TruthTable, cap: int) -> np.ndarray:
 
 def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
     """Max certificate complexity over 0-inputs."""
-    table = _table_of(fn, cap)
-    return _side_max(_cert_counts(table, cap), table, 0)
+    table = _table_of(fn, cap, "certificate search")
+    return _side_max(_cert_counts(table), table, 0)
 
 
 def c1(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
     """Max certificate complexity over 1-inputs."""
-    table = _table_of(fn, cap)
-    return _side_max(_cert_counts(table, cap), table, 1)
+    table = _table_of(fn, cap, "certificate search")
+    return _side_max(_cert_counts(table), table, 1)
 
 
 @dataclass(frozen=True)
@@ -234,20 +239,18 @@ class _Budget(Exception):
     pass
 
 
-def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
+def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
     """Minimum over unambiguous 1-certificate covers of the max codimension.
 
     A colour-1 subcube of codimension below c splits into ones of codimension
     c, so each c from max(c1, deg) up asks whether colour-1 subcubes of
     codimension exactly c partition the 1-inputs: by depth-first exact cover
-    within node_budget below n-1, by a perfect matching along cube edges at
-    n-1, and trivially at n. Such a partition writes f as a sum of products
-    of c literals, so no c below deg(f) has one. Witness members have
-    codimension c, by least input.
+    within UC_NODE_BUDGET nodes below n-1, by a perfect matching along cube
+    edges at n-1, and trivially at n. Such a partition writes f as a sum of
+    products of c literals, so no c below deg(f) has one. Witness members
+    have codimension c, by least input.
     """
-    if fn.arity > cap:
-        raise CapExceeded(f"exact cover search capped at arity {cap}, got {fn.arity}")
-    table = _table_of(fn, cap)
+    table = _table_of(fn, cap, "exact cover search")
     n = table.arity
     ones = np.flatnonzero(table.values == 1)
     if len(ones) == 0:
@@ -269,7 +272,7 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
         def dfs(covered: int) -> list[tuple[int, int]] | None:
             nonlocal nodes
             nodes += 1
-            if nodes > node_budget:
+            if nodes > UC_NODE_BUDGET:
                 raise _Budget()
             j = (~covered & covered + 1).bit_length() - 1
             if j == full + 1:
@@ -299,7 +302,7 @@ def uc1(fn, node_budget: int = 1_000_000, cap: int = UC_EXACT_CAP) -> Uc1Result:
 
     # no cover beats the plain certificate complexity of the hardest 1-input,
     # nor the degree: a cover of codimension c sums products of c literals
-    start = max(int(_cert_counts(table, cap)[ones].max()), degree(table))
+    start = max(int(_cert_counts(table)[ones].max()), degree(table))
     for c in range(start, n + 1):
         if c == n:
             picked = [(j, 0) for j in ones.tolist()]
@@ -882,10 +885,9 @@ def _gram_in_runs(table: TruthTable, side: np.ndarray):
     return gram
 
 
-def _lambda_matfree(
-    graph: SensitivityGraph, tol: float, seed: int, max_iter: int
-) -> tuple[float, float, int]:
-    """Power iteration on the Gram operator B B^T of the smaller side.
+def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[float, float, int]:
+    """Power iteration on the Gram operator B B^T of the smaller side, for at
+    most DEFAULT_MAX_ITER steps.
 
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
@@ -923,25 +925,18 @@ def _lambda_matfree(
     x /= np.linalg.norm(x)
     prev = 0.0
     lam_sq = 0.0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         w = gram(x)
         lam_sq = float(x @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # x happened to be orthogonal to every nonzero eigenspace; restart
-            x = rng.standard_normal(len(side))
-            x /= np.linalg.norm(x)
-            prev = 0.0
-            continue
         if abs(lam_sq - prev) <= tol * max(abs(lam_sq), 1.0):
             lam = math.sqrt(lam_sq)
             residual = float(np.linalg.norm(w - lam_sq * x)) / (lam * math.sqrt(2))
             return lam, residual, iterations
         prev = lam_sq
-        x = w / norm
+        x = w / np.linalg.norm(w)
     lam = math.sqrt(max(lam_sq, 0.0))
     raise ConvergenceError(
-        f"power iteration did not reach tol {tol} in {max_iter} iterations "
+        f"power iteration did not reach tol {tol} in {DEFAULT_MAX_ITER} iterations "
         f"(best estimate {lam})",
         best=lam,
     )
@@ -952,7 +947,6 @@ def spectral_sensitivity(
     method: str = "auto",
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
@@ -971,7 +965,8 @@ def spectral_sensitivity(
     "auto" to pick the exact solve when a full dense adjacency would fit in
     MEMORY_BUDGET, the graph is a union of stars, or the census from the
     table finds only stars and two-layer stars (below), and matrix-free
-    otherwise. For matrix-free, iterations counts Gram steps. When no input
+    otherwise. For matrix-free, iterations counts Gram steps, at most
+    DEFAULT_MAX_ITER before ConvergenceError. When no input
     off the smaller side has two neighbours, as for haf(r), the graph is a
     union of stars centred on that side and B B^T is the diagonal of their
     degrees: matrix-free iterates on that diagonal, and the exact solve
@@ -994,7 +989,7 @@ def spectral_sensitivity(
                  or graph._table_census is not None)
         method = "dense" if exact else "matrix-free"
     if method == "matrix-free":
-        value, residual, iters = _lambda_matfree(graph, tol, seed, max_iter)
+        value, residual, iters = _lambda_matfree(graph, tol, seed)
         return SpectralResult(value, method, residual, iters)
     return SpectralResult(_lambda_exact(graph), method, 0.0, 0)
 
@@ -1120,7 +1115,7 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
         )
     if name == "lambda":
         # analytic reads the construction's closed form, so only it runs past the cap
-        target = fn if method == "analytic" else _table_of(fn, materialize_cap)
+        target = fn if method == "analytic" else SensitivityGraph(fn, materialize_cap)
         try:
             spec = spectral_sensitivity(target, method=method, tol=tol, seed=seed)
         except ConvergenceError as exc:

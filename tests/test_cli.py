@@ -333,6 +333,28 @@ class TestVerify:
         ids = [c["claim"] for c in json.loads(stdout)]
         assert "desens.or2.s1" in ids
 
+    @pytest.mark.parametrize("call, note", [
+        (0, "uc1 search on the base exhausted"),
+        (1, "uc1 search on the desensitized function exhausted"),
+    ])
+    def test_desens_uc1_exhausted_is_a_skip(self, capsys, monkeypatch, call, note):
+        # the base's search runs first, the desensitized function's second
+        calls, real = [], verify.uc1
+
+        def uc1(fn):
+            calls.append(fn)
+            if len(calls) - 1 == call:
+                return measures.Uc1Result("exhausted", None, 2, None, 2)
+            return real(fn)
+
+        monkeypatch.setattr(verify, "uc1", uc1)
+        code, stdout, _ = run(capsys, "verify", "desens")
+        assert code == 0
+        row = {c["claim"]: c for c in json.loads(stdout)}["desens.or2.uc1"]
+        assert row["status"] == "skipped" and row["computed"] is None
+        assert row["note"] == note
+        assert len(calls) == 2
+
     def test_maf_single_k(self, capsys):
         code, stdout, _ = run(capsys, "verify", "maf", "--k", "2")
         assert code == 0

@@ -286,7 +286,9 @@ def _uc1_by_candidates(fn, node_budget: int = 1_000_000) -> measures.Uc1Result:
 def _check_uc1(table: TruthTable, node_budget: int) -> None:
     """uc1 agrees with the reference wherever the reference finishes, is exact
     wherever it is, and every exact witness is a partition at the value."""
-    got = uc1(table, node_budget=node_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "UC_NODE_BUDGET", node_budget)
+        got = uc1(table)
     want = _uc1_by_candidates(table, node_budget=node_budget)
     if want.status == "exact":
         assert got.status == "exact"
@@ -323,16 +325,18 @@ class TestUc1:
         assert res.value == 0
         assert len(res.witness.certificates) == 0
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         # maf(3) needs 12 nodes below codimension n-1, starting at its degree 4
         f = maf(3)
         for budget in (1, 11):
-            res = uc1(f, node_budget=budget)
+            monkeypatch.setattr(measures, "UC_NODE_BUDGET", budget)
+            res = uc1(f)
             assert res.status == "exhausted"
             assert res.value is None
             assert res.lower_bound == 4
             assert res.nodes == budget + 1
-        assert uc1(f, node_budget=12).status == "exact"
+        monkeypatch.setattr(measures, "UC_NODE_BUDGET", 12)
+        assert uc1(f).status == "exact"
 
     def test_haf2(self):
         res = uc1(haf(2))
@@ -491,7 +495,7 @@ def test_table_kernels_are_pinned():
     assert coeffs.dtype == np.int32
     assert digest(coeffs) == (
         "e369f05ee741e6f699663c71d49187b535b060e88ffed44dfb6ab418de73d803")
-    cert = measures._cert_counts(tradeoff([2], [2]).table(), measures.CERT_SEARCH_CAP)
+    cert = measures._cert_counts(tradeoff([2], [2]).table())
     assert cert.dtype == np.int8
     assert digest(cert) == (
         "ba0aa487128ca24946e6aeb340b1cd6108f5663da67c8bd849e7f356d179d6c8")
@@ -505,7 +509,7 @@ BLOCKED_KERNELS = {
     "nondegenerate": (2, 1, lambda t: BooleanFunction.from_table(t).is_nondegenerate()),
     "census": (2, 7, measures._census_from_table),
     "subcube_colours": (3, 1, measures._subcube_colours),
-    "cert_counts": (3, 1, lambda t: measures._cert_counts(t, measures.CERT_SEARCH_CAP)),
+    "cert_counts": (3, 1, measures._cert_counts),
 }
 
 
@@ -1053,10 +1057,11 @@ class TestSpectral:
         with pytest.raises(ValueError):
             spectral_sensitivity(and2, method="analytic")
 
-    def test_convergence_error_carries_best(self):
+    def test_convergence_error_carries_best(self, monkeypatch):
         f = chaf([2, 2])
+        monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
-            spectral_sensitivity(f, method="matrix-free", max_iter=1)
+            spectral_sensitivity(f, method="matrix-free")
         assert exc.value.best is not None
 
     def test_auto_prefers_dense_when_small(self, and2):
@@ -1650,10 +1655,11 @@ def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
             mp.setattr(measures, "MEMORY_BUDGET", budget)
         mp.setattr(np.random, "default_rng", Recorder)
         mp.setattr(measures, "_smaller_side_rows", rows_spy)
+        mp.setattr(measures, "DEFAULT_MAX_ITER", max_iter)
         graph = SensitivityGraph(table)
         try:
             lam, _, steps = measures._lambda_matfree(
-                graph, measures.DEFAULT_TOL, measures.DEFAULT_SEED, max_iter)
+                graph, measures.DEFAULT_TOL, measures.DEFAULT_SEED)
         except ConvergenceError as exc:
             lam, steps = exc.best, max_iter + 1
     return lam, steps, starts, builds
@@ -1708,10 +1714,11 @@ class TestMatrixFreeSlices:
         graph = SensitivityGraph(table)
         table.sensitivity_counts
         monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
+        monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3)
 
         def steps():
             with pytest.raises(ConvergenceError):
-                measures._lambda_matfree(graph, 0.0, measures.DEFAULT_SEED, 3)
+                measures._lambda_matfree(graph, 0.0, measures.DEFAULT_SEED)
 
         _, peak = TestMemoryBudget.traced(steps)
         assert peak <= budget + 24 * len(table)
@@ -1793,7 +1800,7 @@ class TestStarOperator:
     @given(table=star_tables())
     def test_diagonal_iterates_as_b(self, table):
         assert is_star_graph(table)
-        args = measures.DEFAULT_TOL, measures.DEFAULT_SEED, measures.DEFAULT_MAX_ITER
+        args = measures.DEFAULT_TOL, measures.DEFAULT_SEED
         diag = measures._lambda_matfree(SensitivityGraph(table), *args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
@@ -1907,6 +1914,13 @@ class TestReports:
             got = [(e.value, e.witness) for e in report.entries]
             assert got == [(r.value, r.witness) for r in expected]
 
+    def test_uc1_exhausted_is_a_skip(self, monkeypatch):
+        # maf(3) needs 12 nodes below codimension n-1; at budget 1 the second stops it
+        monkeypatch.setattr(measures, "UC_NODE_BUDGET", 1)
+        (entry,) = compute_measures(maf(3), ["uc1"]).entries
+        assert (entry.value, entry.exact, entry.method) == (None, False, "exact-cover")
+        assert entry.skipped == "exhausted after 2 nodes (lower bound 4)"
+
     def test_cap_produces_skip_not_crash(self):
         f = haf(3)
         report = compute_measures(f, ["s0", "uc1"])
@@ -1962,3 +1976,50 @@ class TestReports:
         parsed = json.loads(text)
         assert parsed["arity"] == 2
         assert parsed["entries"][0]["name"] == "s1"
+
+
+# every measure that takes a cap, called on table t with cap c
+CAPPED_MEASURES = {
+    "s0": lambda t, c: s0(t, cap=c),
+    "s1": lambda t, c: s1(t, cap=c),
+    "s": lambda t, c: s(t, cap=c),
+    "degree": lambda t, c: degree(t, cap=c),
+    "mobius_coefficients": lambda t, c: mobius_coefficients(t, cap=c),
+    "SensitivityGraph": lambda t, c: SensitivityGraph(t, cap=c),
+    "c0": lambda t, c: c0(t, cap=c),
+    "c1": lambda t, c: c1(t, cap=c),
+    "certificate_complexity_at": lambda t, c: certificate_complexity_at(t, 0, cap=c),
+    "uc1": lambda t, c: uc1(t, cap=c),
+}
+
+
+class TestOneCapRule:
+    """Every measure refuses an input one past the cap it is passed, a table
+    and the function wrapping it alike, with one message and before any
+    per-axis pass runs."""
+
+    CAP = 4
+    MESSAGES = {
+        "c0": "certificate search capped at arity 4, got 5",
+        "c1": "certificate search capped at arity 4, got 5",
+        "certificate_complexity_at": "certificate search capped at arity 4, got 5",
+        "uc1": "exact cover search capped at arity 4, got 5",
+    }
+
+    @pytest.mark.parametrize("name", list(CAPPED_MEASURES))
+    def test_table_and_function_refused_alike(self, monkeypatch, name):
+        passes = []
+        for mod in (core, measures):
+            real = mod.axis_blocks
+            monkeypatch.setattr(mod, "axis_blocks",
+                                lambda *a, real=real: passes.append(a) or real(*a))
+        rng = np.random.default_rng(self.CAP)
+        table = TruthTable(self.CAP + 1, rng.integers(0, 2, 1 << self.CAP + 1, dtype=np.uint8))
+        messages = []
+        for fn in (table, BooleanFunction.from_table(table)):
+            with pytest.raises(CapExceeded) as exc:
+                CAPPED_MEASURES[name](fn, self.CAP)
+            messages.append(str(exc.value))
+        want = self.MESSAGES.get(name, "arity 5 exceeds materialization cap 4")
+        assert messages == [want, want]
+        assert passes == []
