@@ -32,8 +32,10 @@ from .core import (
 from .measures import (
     DEFAULT_SEED,
     DEFAULT_TOL,
+    GRAPH_EXPORT_CAP,
     ConvergenceError,
     SensitivityGraph,
+    _table_of,
     compute_measures,
     graph_dot_text,
     graph_edges_text,
@@ -315,9 +317,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     fn = load_function(args.fn)
-    if fn.arity > 16:
-        raise ValueError(f"graph export capped at arity 16, got {fn.arity}")
-    graph = SensitivityGraph(fn, cap=args.materialize_cap)
+    cap = min(args.materialize_cap, GRAPH_EXPORT_CAP)
+    graph = SensitivityGraph(_table_of(fn, cap, "graph export"))
     if args.format == "dot":
         text = graph_dot_text(graph, component=args.component)
     else:

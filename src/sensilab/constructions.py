@@ -5,17 +5,20 @@ family, its parameters, the predicted measure values where the family makes
 a claim, and (when small enough to materialize) the generating collection of
 1-certificates.
 
-Layout convention shared by the address-style families: the low positions
-hold one or more codeword sections, the high positions hold the data
-section, and the function returns a data bit selected by decoding the
-codeword sections.
+The address-style families (chaf and so haf, address, maf) are address
+functions f(c, d) = d[m(c)]: the low positions hold the address c (for chaf,
+one or more codeword sections), the high positions the data section d. Each
+lists m once, as (address, data bit) pairs; one builder makes the table from
+that list, its rows the data sections and its columns the addresses, and one
+constructor makes the 1-certificates, a member per pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,28 +113,44 @@ def _code_sections(orders: Sequence[int], budget: int) -> tuple[int, int]:
     return sum((1 << r) - 1 for r in orders), e
 
 
-def _chaf_certificates(codes: list[HammingCode], offsets: list[int], K: int, t: int):
-    """One certificate per data position: all codeword sections fixed to the
-    encoding of that position's mixed-radix digits, plus the data bit itself."""
-    if t > MAX_EAGER_CERTIFICATES:
-        return None
-    places = [1] * len(codes)
-    for i in range(len(codes) - 2, -1, -1):
-        places[i] = places[i + 1] * codes[i + 1].size
-    section_mask = sum(code.word_mask << off for code, off in zip(codes, offsets))
-    arity = K + t
-    certs = []
-    for m0 in range(t):
-        rem = m0
-        section = 0
-        for code, off, place in zip(codes, offsets, places):
-            digit, rem = divmod(rem, place)
-            section |= code.encode_index(digit) << off
-        data_bit = 1 << (K + m0)
-        certs.append(
-            PartialAssignment(arity, section_mask | data_bit, section | data_bit)
-        )
-    return CertificateCollection(1, tuple(certs), unambiguous=True)
+def _address_function(
+    name: str,
+    K: int,
+    t: int,
+    point: Callable[[int], int],
+    picks: Callable[[], Iterator[tuple[int, int | None]]],
+    n_picks: int,
+    **claims,
+) -> BooleanFunction:
+    """The address function f(c, d) = d[m(c)] on K address bits c (the low
+    positions) and t data bits d, with point as its evaluator.
+
+    picks() lists m as (address, data bit) pairs, data bit None where the
+    address forces 1; an address it does not list gives 0. The table builder
+    and the 1-certificates, one member per pair in picks() order, read that
+    one list, and only when in reach: the table when it is built, the
+    certificates when the n_picks pairs are at most MAX_EAGER_CERTIFICATES.
+    claims are the family's own ConstructionMeta fields.
+    """
+    arity = _check_budget(K + t)
+
+    def build() -> np.ndarray:  # rows: data sections; columns: addresses
+        table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
+        data = np.arange(1 << t)
+        for a, m in picks():
+            table[:, a] = 1 if m is None else (data >> m) & 1
+        return table.reshape(-1)
+
+    certs = None
+    if n_picks <= MAX_EAGER_CERTIFICATES:
+        # each member fixes the address bits and, unless forced, the data bit to 1
+        members = []
+        for a, m in picks():
+            bit = 0 if m is None else 1 << (K + m)
+            members.append(PartialAssignment(arity, ((1 << K) - 1) | bit, a | bit))
+        certs = CertificateCollection(1, tuple(members), unambiguous=True)
+    meta = ConstructionMeta(certificates=certs, codeword_len=K, data_len=t, **claims)
+    return BooleanFunction(arity, point, meta=meta, name=name, table_fn=build)
 
 
 def chaf(rs: Sequence[int]) -> BooleanFunction:
@@ -147,7 +166,6 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
         raise ValueError("need at least one code order")
     K, e = _code_sections(rs, MAX_CONSTRUCTION_ARITY)
     t = 1 << e
-    arity = _check_budget(K + t)
     codes = [HammingCode(r) for r in rs]
     offsets = [0]
     for code in codes[:-1]:
@@ -162,35 +180,20 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
             m0 = m0 * code.size + code.message_index(seg)
         return (x >> (K + m0)) & 1
 
-    def build() -> np.ndarray:  # rows: data sections; columns: codeword sections
-        # decode each of the 2^K section values once: a valid one takes data
-        # bit m0 of every row
-        sections = np.arange(1 << K, dtype=np.int64)
-        m0 = np.zeros(sections.shape, dtype=np.int64)
-        valid = np.ones(sections.shape, dtype=bool)
-        for code, off in zip(codes, offsets):
-            seg = (sections >> off) & code.word_mask
-            valid &= code.syndrome_batch(seg) == 0
-            m0 = m0 * code.size + code.message_index_batch(seg)
-        table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
-        data = np.arange(1 << t, dtype=np.int64)
-        for s in np.flatnonzero(valid).tolist():
-            table[:, s] = (data >> int(m0[s])) & 1
-        return table.reshape(-1)
+    def picks():  # data bit m0 at the sections encoding its mixed-radix digits
+        digits = itertools.product(*(range(code.size) for code in codes))
+        for m0, ds in enumerate(digits):
+            yield sum(c.encode_index(d) << off for c, d, off in zip(codes, ds, offsets)), m0
 
     s1 = K + 1
-    meta = ConstructionMeta(
+    return _address_function(
+        f"chaf({','.join(str(r) for r in rs)})", K, t, point, picks, t,
         family="chaf",
         params={"rs": list(rs)},
         predicted_s0=1,
         predicted_s1=s1,
         predicted_lambda_sq=s1,
-        certificates=_chaf_certificates(codes, offsets, K, t),
-        codeword_len=K,
-        data_len=t,
     )
-    name = f"chaf({','.join(str(r) for r in rs)})"
-    return BooleanFunction(arity, point, meta=meta, name=name, table_fn=build)
 
 
 def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> BooleanFunction:
@@ -206,39 +209,19 @@ def haf(r: int) -> BooleanFunction:
 
 def address_fn(k: int) -> BooleanFunction:
     """Plain address function on k + 2^k bits: output data bit number a,
-    where a is the integer read from the k address bits. Its table is built
-    by lookup, each row the bits of its data section."""
+    where a is the integer read from the k address bits."""
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"address width must be a positive integer, got {k!r}")
     _check_exponent(k, MAX_CONSTRUCTION_ARITY)
     t = 1 << k
-    arity = _check_budget(k + t)
-    amask = t - 1
 
     def point(x: int) -> int:
-        return (x >> (k + (x & amask))) & 1
+        return (x >> (k + (x & (t - 1)))) & 1
 
-    def build() -> np.ndarray:  # rows: data sections; columns: addresses
-        return ((np.arange(1 << t)[:, None] >> np.arange(t)) & 1).astype(np.uint8).reshape(-1)
-
-    certs = None
-    if t <= MAX_EAGER_CERTIFICATES:
-        certs = CertificateCollection(
-            1,
-            tuple(
-                PartialAssignment(arity, amask | (1 << (k + a)), a | (1 << (k + a)))
-                for a in range(t)
-            ),
-            unambiguous=True,
-        )
-    meta = ConstructionMeta(
-        family="address",
-        params={"k": k},
-        certificates=certs,
-        codeword_len=k,
-        data_len=t,
+    return _address_function(
+        f"address({k})", k, t, point, lambda: ((a, a) for a in range(t)), t,
+        family="address", params={"k": k},
     )
-    return BooleanFunction(arity, point, meta=meta, name=f"address({k})", table_fn=build)
 
 
 def _colex_rank(a: int) -> int:
@@ -259,8 +242,7 @@ def maf(k: int) -> BooleanFunction:
     Address weight above floor(k/2) forces 1, below forces 0; at exactly
     floor(k/2) the output is the data bit indexed by the address pattern's
     colex rank. Monotone because raising an address bit can only raise the
-    weight, and each weight-w pattern reads its own data bit. The table is
-    built by lookup, one column per address.
+    weight, and each weight-w pattern reads its own data bit.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"address width must be an integer >= 2, got {k!r}")
@@ -270,8 +252,6 @@ def maf(k: int) -> BooleanFunction:
             f"address width {k} gives a data section of C({k}, {w}) >= 2^{w} bits, "
             f"over the arity budget {MAX_CONSTRUCTION_ARITY}"
         )
-    m = math.comb(k, w)
-    arity = _check_budget(k + m)
     amask = (1 << k) - 1
 
     def point(x: int) -> int:
@@ -281,37 +261,17 @@ def maf(k: int) -> BooleanFunction:
             return 1 if wt > w else 0
         return (x >> (k + _colex_rank(a))) & 1
 
-    def build() -> np.ndarray:  # rows: data sections; columns: addresses
-        table = np.zeros((1 << m, 1 << k), dtype=np.uint8)
-        data = np.arange(1 << m)
+    def picks():  # weight-w addresses read their colex rank, heavier ones force 1
         for a in range(1 << k):
             wt = a.bit_count()
-            if wt > w:
-                table[:, a] = 1
-            elif wt == w:
-                table[:, a] = (data >> _colex_rank(a)) & 1
-        return table.reshape(-1)
+            if wt >= w:
+                yield a, _colex_rank(a) if wt == w else None
 
-    n_certs = m + sum(math.comb(k, j) for j in range(w + 1, k + 1))
-    certs = None
-    if n_certs <= MAX_EAGER_CERTIFICATES:
-        members = []
-        for a in range(1 << k):
-            wt = a.bit_count()
-            if wt > w:
-                members.append(PartialAssignment(arity, amask, a))
-            elif wt == w:
-                bit = 1 << (k + _colex_rank(a))
-                members.append(PartialAssignment(arity, amask | bit, a | bit))
-        certs = CertificateCollection(1, tuple(members), unambiguous=True)
-    meta = ConstructionMeta(
-        family="maf",
-        params={"k": k},
-        certificates=certs,
-        codeword_len=k,
-        data_len=m,
+    return _address_function(
+        f"maf({k})", k, math.comb(k, w), point, picks,
+        sum(math.comb(k, j) for j in range(w, k + 1)),
+        family="maf", params={"k": k},
     )
-    return BooleanFunction(arity, point, meta=meta, name=f"maf({k})", table_fn=build)
 
 
 def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFunction:

@@ -64,6 +64,8 @@ CENSUS_BYTES_PER_INPUT = 8
 # 2^(n-1) = 128 inputs, and the adjacency and labels would outweigh the solve
 _CLASS_SOLVE_ARITY = 8
 CERT_SEARCH_CAP = 16
+# export-graph writes no graph past this arity, whatever --materialize-cap says
+GRAPH_EXPORT_CAP = 16
 UC_EXACT_CAP = 8
 # nodes uc1's exact cover below codimension n-1 may visit before it reports
 # the search exhausted, read at call time
@@ -150,7 +152,7 @@ def certificate_complexity_at(
     table = _table_of(fn, cap, "certificate search")
     n = table.arity
     vals = table.values
-    fx = vals[x]
+    fx = table[x]
     mandatory = tuple(
         i for i in range(n) if vals[x ^ (1 << i)] != fx
     )

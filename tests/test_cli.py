@@ -536,6 +536,39 @@ class TestExportGraph:
         assert code == 2
         assert "capped" in err
 
+    @pytest.mark.parametrize("flag", [[], ["--materialize-cap", "20"]])
+    def test_17_input_table_is_refused_at_16(self, tmp_path, capsys, flag):
+        path = tmp_path / "r17.tt"
+        values = np.random.default_rng(17).integers(0, 2, 1 << 17, dtype=np.uint8)
+        TruthTable(17, values).save(str(path))
+        code, stdout, err = run(capsys, "export-graph", "--fn", str(path), "--format", "edges",
+                                *flag)
+        assert code == 2 and stdout == ""
+        assert "graph export capped at arity 16, got 17" in err
+
+    def test_lower_materialize_cap_is_read(self, tmp_path, capsys):
+        code, _, err = run(capsys, "export-graph", "--fn", write_and2(tmp_path),
+                           "--format", "edges", "--materialize-cap", "1")
+        assert code == 2
+        assert "graph export capped at arity 1, got 2" in err
+
+    def test_26_input_descriptor_is_refused_before_any_table(self, tmp_path, capsys,
+                                                             monkeypatch):
+        desc = tmp_path / "t.json"
+        desc.write_text('{"family": "tradeoff", "params": {"as": [2, 2], "bs": [2]}}\n')
+        calls = []
+        table = BooleanFunction.table
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.arity)
+            return table(self, *args, **kwargs)
+
+        monkeypatch.setattr(BooleanFunction, "table", spy)
+        code, _, err = run(capsys, "export-graph", "--fn", str(desc), "--format", "dot")
+        assert code == 2
+        assert "graph export capped at arity 16, got 26" in err
+        assert calls == []
+
 
 # runs sensilab's CLI on its arguments in this interpreter, then prints the
 # scipy modules it imported

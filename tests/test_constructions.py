@@ -383,7 +383,8 @@ def check_tradeoff_table(as_, bs_) -> None:
     """tradeoff(as_, bs_)'s lookup-built table equals its pin, and its point
     evaluator on every input up to arity 17, else on 2^16 sampled inputs.
     The point evaluator decodes each section through HammingCode.syndrome
-    and message_index, apart from the builder's section decode."""
+    and message_index; the builder encodes each data position's sections
+    through encode_index."""
     fn = tradeoff(as_, bs_)
     values = fn.table().values
     assert values.dtype == np.uint8
@@ -486,6 +487,69 @@ def test_lookup_tables_are_pinned(name, or2, or2_certs):
     fn = make((or2, or2_certs))
     assert fn.name == name
     assert hashlib.sha256(fn.table().values.tobytes()).hexdigest() == digest
+
+
+# (size, sha256 of the member strings joined by newlines, in order) of each
+# address family's certificate list, as the per-family certificate loops
+# listed them before one constructor read every family's picks; chaf's
+# members go by data position, address's and maf's by address
+CERTIFICATE_LISTS = {
+    "haf(2)": (lambda: haf(2), 2,
+               "f977c01d9bd1d882ab1a0cde2a0298353493fc3462b4371e307e01378b4d7ae1"),
+    "haf(3)": (lambda: haf(3), 16,
+               "6b3e118cb142fc1d9f9bc85757aa9333ffba11b52d378ce5d46831d0fa4fe57e"),
+    "haf(4)": (lambda: haf(4), 2048,
+               "dc292fe095c29c03fb90e8eefe33343eb62a2ea8d8bdacf33a03b6184211d0a2"),
+    "chaf(2,2)": (lambda: chaf([2, 2]), 4,
+                  "76634618c8252e971f80bd5a633211f668cfe183ea56ba11a4e4e4ab8e4c3274"),
+    "chaf(2,2,2)": (lambda: chaf([2, 2, 2]), 8,
+                    "bb44051db3f61dd4677e8934031d7f40a6a33b10f18145fade7b30a96b189247"),
+    "chaf([2]*12)": (lambda: chaf([2] * 12), 4096,
+                     "74bb092fed2c42531124c7d10fea21aae67efca86a1408d3edf97f1b9eea496b"),
+    "address(1)": (lambda: address_fn(1), 2,
+                   "40778441ef4c952cbc5de2f6234f59b6bf58b69bf7c016a0d4711fedd5a60894"),
+    "address(2)": (lambda: address_fn(2), 4,
+                   "12d3e1b4b3081e6da334f7df32437326f873c6f849cba8a2e522cc010c0acfe7"),
+    "address(3)": (lambda: address_fn(3), 8,
+                   "345482690f746436756d2d90f92cfbd8c0b2d60e519585af6641fb26f7eb8a0e"),
+    "address(4)": (lambda: address_fn(4), 16,
+                   "94f200de46ae31958127b3c9629bb75fa2645bc95b2c4b301c0a497afcc9ba3c"),
+    "address(12)": (lambda: address_fn(12), 4096,
+                    "a4ef14f2e07c259c253b4c09915f4e40127031ab67cc1108d5bf0d1668079394"),
+    "maf(2)": (lambda: maf(2), 3,
+               "fc2c4ce55e2ac84e4c90a3c5b83b9c5e6d846e9533f961495f45f07b4011b496"),
+    "maf(3)": (lambda: maf(3), 7,
+               "ff6b21a0286dc2cbccd58d2256e9f907045b7cb8aa7a1783ee76ed3cbe8cf4e2"),
+    "maf(4)": (lambda: maf(4), 11,
+               "1533a406413ac089197df744e4cef9c81ac1da4543f81a5a2d475644aff7f2f0"),
+    "maf(5)": (lambda: maf(5), 26,
+               "49e2ab4d2e9cd633fc1302ab147248a408ea45aeb33d56907acd0e15e8c041a7"),
+    "maf(6)": (lambda: maf(6), 42,
+               "4c89b8cbedbb2d2700bc90f8c5949ad1cfa61ad3622c4ffbb21d88a5feaf6b97"),
+    "maf(12)": (lambda: maf(12), 2510,
+                "55001acdf593c65c4913bfbf920d01ee1c5844e1ba6b606c7a203b46d5e8ecb9"),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_LISTS))
+def test_certificate_lists_are_pinned(name):
+    make, size, digest = CERTIFICATE_LISTS[name]
+    fn = make()
+    certs = fn.meta.certificates
+    assert certs.target_value == 1 and certs.unambiguous
+    assert len(certs) == size
+    text = "\n".join(c.to_string() for c in certs.certificates)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    if fn.arity <= 20:
+        assert certs.validation_error(fn) is None
+
+
+# the smallest instance of each family whose list passes MAX_EAGER_CERTIFICATES
+@pytest.mark.parametrize("make", [lambda: haf(5), lambda: chaf([2] * 13),
+                                  lambda: address_fn(13), lambda: maf(13)],
+                         ids=["haf(5)", "chaf([2]*13)", "address(13)", "maf(13)"])
+def test_certificate_lists_past_the_eager_limit_are_not_listed(make):
+    assert make().meta.certificates is None
 
 
 class TestTradeoff:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sensilab import core, measures
 from sensilab import (
+    ArityError,
     BooleanFunction,
     CapExceeded,
     ConvergenceError,
@@ -169,6 +170,14 @@ class TestCertificates:
         f = haf(3)
         with pytest.raises(CapExceeded, match="certificate search"):
             certificate_complexity_at(f, 0)
+
+    @pytest.mark.parametrize("x", [-1, 8, 1 << 70])
+    def test_input_out_of_range(self, x):
+        # as TruthTable[x]: no wrap to input 7 at -1, no numpy IndexError at 8
+        f = table_fn([0, 1, 1, 0, 1, 0, 0, 1])
+        for fn in (f, f.table()):
+            with pytest.raises(ArityError, match=f"input {x} out of range for arity 3"):
+                certificate_complexity_at(fn, x)
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("bit", [0, 1])
