@@ -147,7 +147,8 @@ def certificate_complexity_at(
     """Smallest codimension of a monochromatic subcube through x.
 
     Ties break toward lexicographically smaller fixed-position sets. Every
-    coordinate sensitive at x must be fixed, which prunes the search.
+    coordinate sensitive at x must be fixed, which prunes the search. An x
+    outside 0..2^n - 1 raises ArityError, as TruthTable[x] does.
     """
     table = _table_of(fn, cap, "certificate search")
     n = table.arity
