@@ -369,13 +369,12 @@ class PartialAssignment:
         return cls.from_entries(list(s))
 
     def to_string(self) -> str:
-        out = []
-        for j in range(self.arity):
-            if (self.mask >> j) & 1:
-                out.append("1" if (self.value >> j) & 1 else "0")
-            else:
-                out.append("*")
-        return "".join(out)
+        """One character per position, x1 first: its value where fixed, '*'
+        where free. Linear in arity: the binary digits of mask and value,
+        reversed, are the positions' fixed flags and values."""
+        fixed, bits = (np.frombuffer(format(v, f"0{self.arity}b").encode(), np.uint8)[::-1]
+                       for v in (self.mask, self.value))
+        return np.where(fixed == ord("1"), bits, ord("*")).tobytes().decode()
 
     @property
     def codim(self) -> int:

@@ -7,18 +7,18 @@ adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
 stored once, as the rows B of its smaller side, read straight from the
 table. Lambda is found by one exact dense eigensolve of Gram blocks on
 their smaller sides, the inputs grouped into the two parity classes up to
-arity 8 and into connected components past it, each chunk of groups reading
+arity 10 and into connected components past it, each chunk of groups reading
 its edges through edges(xs); by matrix-free power iteration on the Gram
 operator B B^T of the whole smaller side, B rebuilt on each step in runs
 that fit the memory budget when it does not fit whole; or from a
 construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
-matrix-free applies that diagonal and the exact solve past arity 8 reads
+matrix-free applies that diagonal and the exact solve past arity 10 reads
 lambda^2 as the largest degree, neither building B. When every component is
 a star or a two-layer star, as in the paper's constructions, degrees within
 two hops, read from the table, recognise them: the census and the exact
-solve past arity 8 read that, with no B or component labels.
+solve past arity 10 read that, with no B or component labels.
 scipy is imported on first use, by the paths that need it: B's CSR and the
 adjacency, component labels, uc1's perfect matching and classify_component.
 """
@@ -61,8 +61,8 @@ INDEX_BYTES_PER_INPUT = 56
 CENSUS_BYTES_PER_INPUT = 8
 # up to this arity the exact solve groups the inputs by parity class, labelled
 # from the table, not by component: a class's smaller side has at most
-# 2^(n-1) = 128 inputs, and the adjacency and labels would outweigh the solve
-_CLASS_SOLVE_ARITY = 8
+# 2^(n-1) = 512 inputs, and the adjacency and labels would outweigh the solve
+_CLASS_SOLVE_ARITY = 10
 CERT_SEARCH_CAP = 16
 # export-graph writes no graph past this arity, whatever --materialize-cap says
 GRAPH_EXPORT_CAP = 16

@@ -593,7 +593,9 @@ def fresh_cli(*argv: str) -> tuple[int, str, list[str]]:
 
 class TestScipyOnDemand:
     """scipy is imported only by the paths that need it: B's CSR and the
-    adjacency, component labels, uc1's matching and classify_component."""
+    adjacency, component labels, uc1's matching and classify_component. The
+    random lemma chain's tables are at most arity 10, where lambda is solved
+    by parity class."""
 
     @pytest.fixture
     def haf2_path(self, tmp_path):
@@ -605,7 +607,8 @@ class TestScipyOnDemand:
         ["verify", "theorem1", "--r", "3"],
         ["measure", "--fn", "HAF2", "--measures", "s0,s1,deg,c0,c1"],
         ["verify", "tradeoff", "--as", "2", "--bs", "2"],
-    ], ids=["theorem1", "measure", "tradeoff"])
+        ["verify", "lemmas", "--arities", "4,5,6,7,8,9,10", "--count", "20"],
+    ], ids=["theorem1", "measure", "tradeoff", "lemmas"])
     def test_runs_without_scipy(self, haf2_path, argv):
         code, _, modules = fresh_cli(*(haf2_path if a == "HAF2" else a for a in argv))
         assert code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sensilab import (
     ArityError,
@@ -218,6 +219,17 @@ class TestPartialAssignment:
     def test_points_enumerates_subcube(self):
         p = PartialAssignment.from_string("*1*")
         assert list(p.points()) == [2, 3, 6, 7]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+    def test_to_string_is_the_per_position_loop(self, case):
+        n, mask, value = case
+        p = PartialAssignment(n, mask, value & mask)
+        want = "".join("*" if not (mask >> j) & 1 else "1" if (p.value >> j) & 1 else "0"
+                       for j in range(n))
+        assert p.to_string() == want
+        assert PartialAssignment.from_string(want) == p
 
     def test_validation(self):
         with pytest.raises(ValueError):

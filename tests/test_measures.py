@@ -1311,9 +1311,9 @@ def named_tables(n: int) -> dict[str, TruthTable]:
 
 
 class TestParityClassSolve:
-    """The exact solve groups the inputs by parity class up to arity 8 and by
+    """The exact solve groups the inputs by parity class up to arity 10 and by
     component past it; both groupings must give the same value, and up to
-    arity 8 it builds nothing of the component index."""
+    arity 10 it builds nothing of the component index."""
 
     @staticmethod
     def both_paths(table):
@@ -1365,14 +1365,14 @@ class TestParityClassSolve:
         return calls["_smaller_side_rows"], calls["_cc"]
 
     @pytest.mark.parametrize("method", ["dense", "component-wise"])
-    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("n", [4, 8, 10])
     def test_small_tables_build_no_index(self, monkeypatch, method, n):
         table = TruthTable(n, np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8))
         assert self.index_builds(monkeypatch, table, method) == (0, 0)
 
     @pytest.mark.parametrize("method", ["dense", "component-wise"])
-    def test_arity_nine_builds_the_index_once(self, monkeypatch, method):
-        table = TruthTable(9, np.random.default_rng(9).integers(0, 2, 512, dtype=np.uint8))
+    def test_arity_eleven_builds_the_index_once(self, monkeypatch, method):
+        table = TruthTable(11, np.random.default_rng(11).integers(0, 2, 2048, dtype=np.uint8))
         assert self.index_builds(monkeypatch, table, method) == (1, 1)
 
 
@@ -1788,7 +1788,7 @@ DENSE_REFERENCE_INPUTS = 1 << 10
 class TestStarOperator:
     """When no input off the smaller side S has two neighbours, B B^T is
     diag(d_S): matrix-free iterates on it with no B, and the exact solve past
-    arity 8 reads lambda as sqrt(max d_S) with no labels or index."""
+    arity 10 reads lambda as sqrt(max d_S) with no labels or index."""
 
     @staticmethod
     def reference(table: TruthTable) -> float:
@@ -1820,7 +1820,7 @@ class TestStarOperator:
         assert abs(diag[2] - with_b[2]) <= 1
         assert diag[0] == pytest.approx(self.reference(table), abs=1e-9)
 
-    @pytest.mark.parametrize("n", [3, 6, 9])
+    @pytest.mark.parametrize("n", [3, 6, 9, 11])
     def test_one_larger_side_vertex_of_degree_two_builds_b(self, monkeypatch, n):
         # S is the 1-inputs 1, 2, 3; input 0 is their one common neighbour off S
         table = TruthTable(n, (np.isin(np.arange(1 << n), [1, 2, 3])).astype(np.uint8))
@@ -1833,8 +1833,9 @@ class TestStarOperator:
         ref = dense_reference_lambda(table)
         assert lam == pytest.approx(ref, abs=1e-6)
         # the components are a two-layer star (2, n - 1) centred on input 0 and
-        # a star on input 3, so past arity 8 the exact solve reads the census
-        # from the table and builds neither B nor labels
+        # a star on input 3, so past arity 10 the exact solve reads the census
+        # from the table, and up to it solves by parity class: neither builds
+        # B nor labels
         assert SensitivityGraph(table).census() == {
             ("star", n - 2): 1, ("two-layer-star", 2, n - 1): 1}
         calls = spy_calls(monkeypatch, ["_smaller_side_rows", "_cc"])
