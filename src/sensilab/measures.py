@@ -20,7 +20,7 @@ a star or a two-layer star, as in the paper's constructions, degrees within
 two hops, read from the table, recognise them: the census and the exact
 solve past arity 10 read that, with no B or component labels.
 scipy is imported on first use, by the paths that need it: B's CSR and the
-adjacency, component labels, uc1's perfect matching and classify_component.
+adjacency, component labels and classify_component.
 """
 
 from __future__ import annotations
@@ -242,6 +242,69 @@ class _Budget(Exception):
     pass
 
 
+def _cube_edge_matching(
+    values: np.ndarray, n: int, ones: np.ndarray
+) -> list[tuple[int, int]] | None:
+    """A perfect matching of the 1-inputs along cube edges, as sorted
+    (least input, x ^ y) pairs, or None when there is none.
+
+    Every cube edge joins an even-weight input to an odd-weight one. A greedy
+    pass matches what it can; each even input it leaves starts a depth-first
+    search for an augmenting path (Hopcroft & Karp, 1973), kept on an explicit
+    stack, that looks for a free neighbour of each input it reaches before
+    going deeper. An input with no augmenting path stays unmatched in every
+    maximum matching, so the first such input ends the search with None.
+    """
+    is_odd = np.bitwise_count(ones) & 1 == 1
+    even, odd = ones[~is_odd], ones[is_odd]
+    # uc1 tries c = n-1 only when deg <= n-1, so the top Mobius coefficient,
+    # +-(|even| - |odd|), is 0 and the sides are equal; kept for direct calls
+    if len(even) != len(odd):
+        return None
+    nbr = even[:, None] ^ (1 << np.arange(n))
+    hit = values[nbr] == 1
+    flat = nbr[hit].tolist()
+    ends = np.cumsum(hit.sum(axis=1)).tolist()
+    adj = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    owner: dict[int, int] = {}  # odd input -> index of its even mate
+    free = []
+    for u, ys in enumerate(adj):
+        y = next((y for y in ys if y not in owner), None)
+        if y is None:
+            free.append(u)
+        else:
+            owner[y] = u
+    for u in free:
+        # path[k] is an even input on the search path, todo[k] its neighbours
+        # not yet tried, and via[k] the odd input, matched to path[k + 1],
+        # that leads from path[k] to it. No input on the path has a free
+        # neighbour: u's were all taken by the greedy pass, and each input
+        # is checked before it is pushed, so every neighbour tried is matched
+        path, via, todo, seen = [u], [], [iter(adj[u])], set()
+        while todo:
+            y = next((y for y in todo[-1] if y not in seen), None)
+            if y is None:
+                path.pop()
+                todo.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(y)
+            e = owner[y]
+            z = next((z for z in adj[e] if z not in owner), None)
+            if z is not None:
+                # z is free: each even input on the path takes the odd input after it
+                owner.update(zip(via + [y, z], path + [e]))
+                break
+            path.append(e)
+            todo.append(iter(adj[e]))
+            via.append(y)
+        else:
+            return None
+    evens = even.tolist()
+    return sorted((min(evens[e], y), evens[e] ^ y) for y, e in owner.items())
+
+
 def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
     """Minimum over unambiguous 1-certificate covers of the max codimension.
 
@@ -249,9 +312,9 @@ def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
     c, so each c from max(c1, deg) up asks whether colour-1 subcubes of
     codimension exactly c partition the 1-inputs: by depth-first exact cover
     within UC_NODE_BUDGET nodes below n-1, by a perfect matching along cube
-    edges at n-1, and trivially at n. Such a partition writes f as a sum of
-    products of c literals, so no c below deg(f) has one. Witness members
-    have codimension c, by least input.
+    edges at n-1, found by augmenting paths, and trivially at n. Such a
+    partition writes f as a sum of products of c literals, so no c below
+    deg(f) has one. Witness members have codimension c, by least input.
     """
     table = _table_of(fn, cap, "exact cover search")
     n = table.arity
@@ -287,22 +350,6 @@ def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
 
         return dfs(zeros)
 
-    def matching() -> list[tuple[int, int]] | None:
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-
-        # every cube edge joins an even-weight input to an odd-weight one
-        is_odd = np.bitwise_count(ones) & 1 == 1
-        even, odd = ones[~is_odd], ones[is_odd]
-        nbr = even[:, None] ^ (1 << np.arange(n))
-        r, i = np.nonzero(table.values[nbr])
-        cols = np.searchsorted(odd, nbr[r, i])
-        edges = sp.csr_array((np.ones(len(r)), (r, cols)), shape=(len(even), len(odd)))
-        mate = maximum_bipartite_matching(edges, perm_type="column")
-        if len(even) != len(odd) or (mate < 0).any():
-            return None
-        return sorted((min(x, y), x ^ y) for x, y in zip(even.tolist(), odd[mate].tolist()))
-
     # no cover beats the plain certificate complexity of the hardest 1-input,
     # nor the degree: a cover of codimension c sums products of c literals
     start = max(int(_cert_counts(table)[ones].max()), degree(table))
@@ -310,7 +357,7 @@ def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
         if c == n:
             picked = [(j, 0) for j in ones.tolist()]
         elif c == n - 1:
-            picked = matching()
+            picked = _cube_edge_matching(table.values, n, ones)
         else:
             try:
                 picked = exact_cover(c)
@@ -551,12 +598,6 @@ class SensitivityGraph:
 
     def edge_count(self) -> int:
         return int(self.degree_counts().sum()) // 2
-
-    def has_edge(self, x: int, y: int) -> bool:
-        d = x ^ y
-        if d == 0 or d & (d - 1):
-            return False
-        return self.table[x] != self.table[y]
 
     def _star_degrees(self) -> np.ndarray | None:
         """S's degrees d_S when no input off S has two neighbours, else None.

@@ -593,9 +593,9 @@ def fresh_cli(*argv: str) -> tuple[int, str, list[str]]:
 
 class TestScipyOnDemand:
     """scipy is imported only by the paths that need it: B's CSR and the
-    adjacency, component labels, uc1's matching and classify_component. The
-    random lemma chain's tables are at most arity 10, where lambda is solved
-    by parity class."""
+    adjacency, component labels and classify_component. The random lemma
+    chain's tables are at most arity 10, where lambda is solved by parity
+    class, and uc1 finds its codimension n-1 cover by augmenting paths."""
 
     @pytest.fixture
     def haf2_path(self, tmp_path):
@@ -608,7 +608,8 @@ class TestScipyOnDemand:
         ["measure", "--fn", "HAF2", "--measures", "s0,s1,deg,c0,c1"],
         ["verify", "tradeoff", "--as", "2", "--bs", "2"],
         ["verify", "lemmas", "--arities", "4,5,6,7,8,9,10", "--count", "20"],
-    ], ids=["theorem1", "measure", "tradeoff", "lemmas"])
+        ["measure", "--fn", "HAF2", "--measures", "c0,c1,uc1"],
+    ], ids=["theorem1", "measure", "tradeoff", "lemmas", "uc1"])
     def test_runs_without_scipy(self, haf2_path, argv):
         code, _, modules = fresh_cli(*(haf2_path if a == "HAF2" else a for a in argv))
         assert code == 0
@@ -623,13 +624,13 @@ class TestScipyOnDemand:
         assert len(out.splitlines()) == 4
         assert "scipy.sparse.csgraph" in modules
 
-    def test_uc1_matching_imports_it(self, haf2_path):
+    def test_uc1_matching_needs_no_scipy(self, haf2_path):
         # haf(2), n = 5, has degree 4, so its cover is the matching at n - 1
         code, out, modules = fresh_cli("measure", "--fn", haf2_path, "--measures", "uc1")
         assert code == 0
         (entry,) = json.loads(out)["entries"]
         assert (entry["value"], entry["exact"]) == (4, True)
-        assert "scipy.sparse.csgraph" in modules
+        assert modules == []
 
 
 def test_importing_the_cli_loads_no_thread_pool():

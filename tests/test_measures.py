@@ -440,6 +440,81 @@ class TestUc1:
         assert [(m.mask, m.value) for m in res.witness.certificates] == [(0, 0)] * bit
 
 
+def _balanced_values(n: int, p_one: float, seed) -> np.ndarray:
+    """A random table's values with its surplus of even- or odd-weight
+    1-inputs set to 0, so both sides of the cube-edge matching are equal."""
+    rng = np.random.default_rng(seed)
+    values = (rng.random(1 << n) < p_one).astype(np.uint8)
+    is_odd = np.bitwise_count(np.arange(1 << n)) & 1 == 1
+    even = np.flatnonzero((values == 1) & ~is_odd)
+    odd = np.flatnonzero((values == 1) & is_odd)
+    surplus = len(even) - len(odd)
+    values[rng.choice(even if surplus > 0 else odd, abs(surplus), replace=False)] = 0
+    return values
+
+
+def _scipy_has_perfect_matching(values: np.ndarray, n: int) -> bool:
+    """scipy's maximum_bipartite_matching on the cube edges between the even-
+    and odd-weight 1-inputs covers them all: the reference verdict."""
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    ones = np.flatnonzero(values)
+    is_odd = np.bitwise_count(ones) & 1 == 1
+    even, odd = ones[~is_odd], ones[is_odd]
+    nbr = even[:, None] ^ (1 << np.arange(n))
+    r, i = np.nonzero(values[nbr])
+    edges = sp.csr_array((np.ones(len(r)), (r, np.searchsorted(odd, nbr[r, i]))),
+                         shape=(len(even), len(odd)))
+    return bool((maximum_bipartite_matching(edges, perm_type="column") >= 0).all())
+
+
+def _check_cube_edge_pairs(values: np.ndarray, n: int, pairs: list[tuple[int, int]]) -> None:
+    """pairs is sorted, each (least input, one-bit direction), and its edges
+    cover every 1-input exactly once and no 0-input."""
+    assert pairs == sorted(pairs)
+    x, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    assert (np.bitwise_count(d) == 1).all()
+    assert not (x & d).any()
+    assert (np.bincount(np.concatenate([x, x | d]), minlength=1 << n) == values).all()
+
+
+class TestCubeEdgeMatching:
+    """uc1's perfect matching at codimension n-1, against scipy's matching."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_agrees_with_scipy(self, n):
+        for p_one in (0.3, 0.5, 0.7, 0.9):
+            for k in range(4 if n <= 10 else 1):
+                values = _balanced_values(n, p_one, [32, n, int(100 * p_one), k])
+                pairs = measures._cube_edge_matching(values, n, np.flatnonzero(values))
+                assert (pairs is not None) == _scipy_has_perfect_matching(values, n)
+                if pairs is not None:
+                    _check_cube_edge_pairs(values, n, pairs)
+
+    def test_arity_15_runs_without_recursion(self):
+        # its augmenting paths run thousands of inputs deep, past Python's
+        # default recursion limit of 1000
+        values = _balanced_values(15, 0.9, [32, 15])
+        pairs = measures._cube_edge_matching(values, 15, np.flatnonzero(values))
+        assert pairs is not None
+        _check_cube_edge_pairs(values, 15, pairs)
+
+    @pytest.mark.parametrize("n,ones", [(3, [0b000, 0b111]), (2, [0b11]), (3, [0b001, 0b010])],
+                             ids=["no-edge", "one-side", "two-odd"])
+    def test_no_perfect_matching(self, n, ones):
+        values = np.zeros(1 << n, dtype=np.uint8)
+        values[ones] = 1
+        assert measures._cube_edge_matching(values, n, np.flatnonzero(values)) is None
+
+    def test_greedy_miss_is_augmented(self):
+        # the greedy pass gives 000 its first neighbour 001 and leaves 101,
+        # whose only neighbour is 001, so the search must move 000 to 010
+        values = np.zeros(8, dtype=np.uint8)
+        values[[0b000, 0b001, 0b010, 0b101]] = 1
+        pairs = measures._cube_edge_matching(values, 3, np.flatnonzero(values))
+        assert pairs == [(0b000, 0b010), (0b001, 0b100)]
+
+
 class TestDegree:
     def test_parity_is_full_degree(self, parity3):
         assert degree(parity3) == 3
@@ -600,8 +675,6 @@ class TestSensitivityGraph:
         g = SensitivityGraph(and2)
         assert g.edge_count() == 2
         assert g.edges().tolist() == [[0b01, 0b11], [0b10, 0b11]]
-        assert g.has_edge(0b01, 0b11)
-        assert not g.has_edge(0b00, 0b01)
 
     def test_degrees_match_sensitivities(self, parity3):
         g = SensitivityGraph(parity3)
