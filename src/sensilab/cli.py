@@ -50,25 +50,6 @@ _METHODS = {
 }
 
 
-def resolve_threads(flag: int | None, env: dict | None = None) -> int:
-    """--threads wins over SENSILAB_THREADS wins over all available."""
-    if flag is not None:
-        if flag < 1:
-            raise ValueError("--threads must be at least 1")
-        return flag
-    env = os.environ if env is None else env
-    raw = env.get("SENSILAB_THREADS")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"SENSILAB_THREADS={raw!r} is not an integer") from None
-        if value < 1:
-            raise ValueError("SENSILAB_THREADS must be at least 1")
-        return value
-    return os.cpu_count() or 1
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part != ""]
@@ -124,12 +105,11 @@ def _certificates(fn: BooleanFunction, path: str | None, label: str) -> Certific
 
 
 def _global_options(default) -> argparse.ArgumentParser:
-    """--seed, --tol, --threads and --materialize-cap, each defaulting to default."""
+    """--seed, --tol and --materialize-cap, each defaulting to default."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=lambda v: int(v, 0), default=default)
     positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
     common.add_argument("--tol", type=positive, default=default)
-    common.add_argument("--threads", type=int, default=default)
     cap = _checked(int, lambda v: v >= 0, "a non-negative integer")
     common.add_argument("--materialize-cap", type=cap, default=default, dest="materialize_cap")
     return common
@@ -258,10 +238,9 @@ def _cmd_verify(args) -> int:
         )
     elif suite == "simon":
         ns = [args.n] if args.n is not None else [2, 3, 4]
-        threads = resolve_threads(args.threads)
         claims = []
         for n in ns:
-            claims.extend(verify_mod.verify_simon(n, threads=threads))
+            claims.extend(verify_mod.verify_simon(n))
     elif suite == "subgraph":
         claims = verify_mod.verify_subgraph_lemma(
             args.n if args.n is not None else 3,

@@ -80,26 +80,11 @@ class HammingCode:
     def is_codeword(self, word: int) -> bool:
         return self.syndrome(word) == 0
 
-    def syndrome_batch(self, words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
-        s = np.zeros(words.shape, dtype=np.int64)
-        for j in range(self.r):
-            par = np.bitwise_count(words & self.group_masks[j]).astype(np.int64) & 1
-            s |= par << j
-        return s
-
     def message_index(self, word: int) -> int:
         """Data bits of an integer word, packed LSB-first."""
         idx = 0
         for q, p in enumerate(self.data_positions):
             idx |= ((word >> (p - 1)) & 1) << q
-        return idx
-
-    def message_index_batch(self, words: np.ndarray) -> np.ndarray:
-        words = np.asarray(words, dtype=np.int64)
-        idx = np.zeros(words.shape, dtype=np.int64)
-        for q, p in enumerate(self.data_positions):
-            idx |= ((words >> (p - 1)) & 1) << q
         return idx
 
     @cached_property

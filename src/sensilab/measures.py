@@ -1006,10 +1006,11 @@ def spectral_sensitivity(
     iteration on the Gram operator B B^T of the whole graph's smaller side,
     whose residual is ||A u - lambda u|| at the eigenvector estimate u it
     implies), "analytic" (closed form recorded by the construction), or
-    "auto" to pick the exact solve when a full dense adjacency would fit in
-    MEMORY_BUDGET, the graph is a union of stars, or the census from the
-    table finds only stars and two-layer stars (below), and matrix-free
-    otherwise. For matrix-free, iterations counts Gram steps, at most
+    "auto" to pick the exact solve at arity at most 13 (the test
+    8 * 4 ** arity <= MEMORY_BUDGET, the size of a dense adjacency the solve
+    never forms), when the graph is a union of stars, or when the census
+    from the table finds only stars and two-layer stars (below), and
+    matrix-free otherwise. For matrix-free, iterations counts Gram steps, at most
     DEFAULT_MAX_ITER before ConvergenceError. When no input
     off the smaller side has two neighbours, as for haf(r), the graph is a
     union of stars centred on that side and B B^T is the diagonal of their

@@ -79,7 +79,7 @@ def test_criterion_03_sensitivity_floor_exhaustive(capsys):
         for n in (2, 3):
             assert all(c.status == "pass" for c in verify_simon(n))
         by_id = {c.claim: c for c in verify_simon(2)}
-        assert by_id["thm2.n2.min"].computed == 3  # attained by AND2
+        assert by_id["thm2.n2.min"].computed == 3  # attained by NOR2, table 0x1
         t0 = time.perf_counter()
         assert all(c.status == "pass" for c in verify_simon(4))
         assert time.perf_counter() - t0 <= 60.0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sensilab import BooleanFunction, TruthTable, haf, measures, verify
-from sensilab.cli import main, resolve_threads
+from sensilab.cli import main
 from sensilab.measures import compute_measures
 from sensilab.constructions import FAMILIES
 
@@ -634,7 +634,7 @@ class TestScipyOnDemand:
 
 
 def test_importing_the_cli_loads_no_thread_pool():
-    # concurrent.futures pulls in logging; only verify simon's pool needs it
+    # concurrent.futures pulls in logging, which no command needs
     env = {**os.environ, "PYTHONPATH": SRC}
     probe = "import sys, sensilab.cli, sensilab.verify; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -706,61 +706,9 @@ class TestSweep:
         assert code == 2
 
 
-class TestThreads:
-    def test_flag_wins(self):
-        assert resolve_threads(3, {"SENSILAB_THREADS": "8"}) == 3
-
-    def test_env_used_when_no_flag(self):
-        assert resolve_threads(None, {"SENSILAB_THREADS": "2"}) == 2
-
-    def test_bad_env_raises(self):
-        with pytest.raises(ValueError):
-            resolve_threads(None, {"SENSILAB_THREADS": "many"})
-        with pytest.raises(ValueError):
-            resolve_threads(None, {"SENSILAB_THREADS": "0"})
-
-    def test_defaults_to_cpu_count(self):
-        assert resolve_threads(None, {}) >= 1
-
-    BAD = [({"SENSILAB_THREADS": "x"}, []), ({}, ["--threads", "0"])]
-
-    @staticmethod
-    def set_env(monkeypatch, env):
-        monkeypatch.delenv("SENSILAB_THREADS", raising=False)
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-
-    @pytest.mark.parametrize("env, flags", BAD)
-    def test_commands_that_never_read_threads_ignore_them(
-        self, tmp_path, capsys, monkeypatch, env, flags
-    ):
-        self.set_env(monkeypatch, env)
-        path = write_and2(tmp_path)
-        code, _, _ = run(
-            capsys, "sweep", "tradeoff", "--g-range", "0..1", "--ratio", "1:1", *flags
-        )
-        assert code == 0
-        code, _, _ = run(capsys, "measure", "--fn", path, "--measures", "s0", *flags)
-        assert code == 0
-
-    @pytest.mark.parametrize("env, flags", BAD)
-    def test_simon_rejects_bad_threads(self, capsys, monkeypatch, env, flags):
-        self.set_env(monkeypatch, env)
-        code, stdout, err = run(capsys, "verify", "simon", "--n", "2", *flags)
-        assert code == 2
-        assert stdout == ""
-        assert "THREADS" in err.upper()
-
-    def test_cli_env_integration(self, capsys, monkeypatch):
-        monkeypatch.setenv("SENSILAB_THREADS", "2")
-        code, stdout, _ = run(capsys, "verify", "simon", "--n", "2")
-        assert code == 0
-        assert json.loads(stdout)[0]["status"] == "pass"
-
-
 class TestGlobalOptions:
-    """--seed, --tol, --threads and --materialize-cap count before the
-    subcommand as after it, and the value after it wins."""
+    """--seed, --tol and --materialize-cap count before the subcommand as
+    after it, and the value after it wins."""
 
     def test_seed_and_tol_before_the_subcommand(self, tmp_path, capsys):
         path = write_and2(tmp_path)
@@ -787,16 +735,27 @@ class TestGlobalOptions:
         assert entry["value"] is None
         assert entry["skipped"].startswith("cap:")
 
-    def test_threads_before_the_subcommand(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ["--threads", "2", "verify", "simon", "--n", "2"],
+        ["verify", "simon", "--n", "2", "--threads", "2"],
+    ])
+    def test_threads_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("SENSILAB_THREADS", raising=False)
-        code, stdout, err = run(capsys, "--threads", "0", "verify", "simon", "--n", "2")
-        assert code == 2
-        assert stdout == ""
-        assert "THREADS" in err.upper()
-        code, _, _ = run(
-            capsys, "--threads", "0", "verify", "simon", "--n", "2", "--threads", "1"
-        )
-        assert code == 0
+        code, plain, _ = run(capsys, "verify", "simon", "--n", "2")
+        monkeypatch.setenv("SENSILAB_THREADS", "x")
+        code_env, with_env, _ = run(capsys, "verify", "simon", "--n", "2")
+        assert code == code_env == 0
+
+        def fields(out):
+            return [{k: v for k, v in r.items() if k != "runtime"} for r in json.loads(out)]
+
+        assert fields(with_env) == fields(plain)
 
     # each of these was accepted: --tol nan wrote "tolerance": NaN into the
     # report after power iteration ran to its limit, --tol -1 ran it to its

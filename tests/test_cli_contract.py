@@ -36,7 +36,6 @@ METHODS = sorted(cli._METHODS)
 GLOBAL_VALUES = {
     "--seed": (["0", "7", "0x5eed", str(1 << 70)], ["-1", "nan", "inf", "", "x"]),
     "--tol": (["1e-9", "1e-6", "0.5", "1e300"], ["0", "-1", "nan", "inf", "-inf", "1e-400", "x"]),
-    "--threads": (["1", "2", "100000"], ["0", "-1", "nan", "x"]),
     "--materialize-cap": (["0", "5", "26", "100000"], ["-1", "nan", "1.5"]),
 }
 

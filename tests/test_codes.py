@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from sensilab import HammingCode
@@ -74,14 +73,6 @@ class TestSyndrome:
         accepted = [w for w in range(1 << c.codeword_len) if c.is_codeword(w)]
         assert accepted == [w for w in range(1 << c.codeword_len) if c.syndrome(w) == 0]
         assert len(accepted) == 2 ** (2**r - r - 1)
-
-    def test_batch_matches_scalar(self):
-        c = HammingCode(3)
-        ws = np.arange(1 << c.codeword_len, dtype=np.int64)
-        batch = c.syndrome_batch(ws)
-        assert all(batch[w] == c.syndrome(int(w)) for w in ws)
-        idx = c.message_index_batch(ws)
-        assert all(idx[w] == c.message_index(int(w)) for w in ws)
 
 
 class TestDistance:

@@ -1,18 +1,23 @@
 import dataclasses
 import json
 import math
-import os
+import re
 import time
 
+import numpy as np
 import pytest
 
-from sensilab import cli, measures
+from sensilab import measures
 from sensilab import verify as verify_mod
 from sensilab import (
+    BooleanFunction,
+    TruthTable,
     all_pass,
     chaf,
     claims_to_csv,
     claims_to_json,
+    s0,
+    s1,
     tradeoff,
     verify_desensitization,
     verify_edge_bound,
@@ -121,49 +126,53 @@ class TestSimon:
         assert by_id["thm2.n4"].predicted == 3.0
         assert all_pass(claims)
 
-    def test_thread_invariance(self):
-        one = verify_simon(3, threads=1)
-        four = verify_simon(3, threads=4)
-        assert [(c.claim, c.computed) for c in one] == [
-            (c.claim, c.computed) for c in four
-        ]
+    # every field of every row but runtime
+    PINNED = {
+        2: [
+            ("thm2.n2", 3.0, 3, "ge", "pass",
+             "10 non-degenerate tables of 16; zero below the bound (0 violations); "
+             "minimum attained by table 0x1; n=1 excluded (log log 1 undefined)"),
+            ("thm2.n2.branch", 0, 0, "exact", "pass",
+             "tables with s > log n all satisfy the bound outright"),
+            ("thm2.n2.min", 3, 3, "exact", "pass",
+             "minimum 3 attained, e.g. by NOR (table 0x1)"),
+        ],
+        3: [
+            ("thm2.n3", 2.920513793267, 4, "ge", "pass",
+             "218 non-degenerate tables of 256; zero below the bound (0 violations); "
+             "minimum attained by table 0x1; n=1 excluded (log log 1 undefined)"),
+            ("thm2.n3.branch", 0, 0, "exact", "pass",
+             "tables with s > log n all satisfy the bound outright"),
+        ],
+        4: [
+            ("thm2.n4", 3.0, 4, "ge", "pass",
+             "64594 non-degenerate tables of 65536; zero below the bound (0 violations); "
+             "minimum attained by table 0x357; n=1 excluded (log log 1 undefined)"),
+            ("thm2.n4.branch", 0, 0, "exact", "pass",
+             "tables with s > log n all satisfy the bound outright"),
+        ],
+    }
 
-    @pytest.mark.parametrize("route", ["call", "flag", "env"])
-    def test_pool_never_asks_for_more_threads_than_cpus(self, monkeypatch, capsys, route):
-        # a fake pool records its size and runs its tasks inline, so no
-        # thread starts whatever size is asked for
-        import concurrent.futures
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pinned_rows(self, n):
+        rows = [(c.claim, c.predicted, c.computed, c.mode, c.status, c.note)
+                for c in verify_simon(n)]
+        assert rows == self.PINNED[n]
 
-        sizes = []
+    def test_n2_min_note_names_its_table(self):
+        (row,) = [c for c in verify_simon(2) if c.claim == "thm2.n2.min"]
+        hex_digits = re.search(r"table 0x([0-9a-f]+)", row.note).group(1)
+        table = TruthTable(2, np.array([(int(hex_digits, 16) >> x) & 1 for x in range(4)],
+                                       dtype=np.uint8))
+        fn = BooleanFunction.from_table(table)
+        assert fn.is_nondegenerate()
+        assert s0(fn).value + s1(fn).value == 3
+        # table 0x1 is 1 only at input 00
+        assert "NOR" in row.note and table.values.tolist() == [1, 0, 0, 0]
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", InlinePool, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        if route == "call":
-            assert all_pass(verify_simon(4, threads=100_000))
-        else:
-            argv = ["verify", "simon", "--n", "4"]
-            if route == "flag":
-                argv += ["--threads", "100000"]
-            else:
-                monkeypatch.setenv("SENSILAB_THREADS", "100000")
-            assert cli.main(argv) == 0
-            capsys.readouterr()
-        assert sizes == [3]
-        assert verify_simon(4, threads=2) and sizes == [3, 2]
+    def test_threads_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            verify_simon(2, threads=2)
 
     def test_notes_record_census(self):
         claims = verify_simon(2)
@@ -180,12 +189,14 @@ class TestSimon:
 
 class TestSubgraph:
     def test_exhaustive_small(self):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             claims = verify_subgraph_lemma(n)
             assert len(claims) == 1
             assert claims[0].claim == f"sub.n{n}"
             assert claims[0].computed == 0
             assert claims[0].status == "pass"
+            assert claims[0].note == (
+                f"all {(1 << (1 << n)) - 1} non-empty induced subgraphs of the {n}-cube")
 
     def test_sampled_is_deterministic(self):
         a = verify_subgraph_lemma(6, samples=2000, seed=42)
