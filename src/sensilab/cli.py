@@ -7,6 +7,7 @@ Exit codes: 0 success (and all claims passing), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -360,21 +361,31 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_COMMANDS = {"construct": _cmd_construct, "measure": _cmd_measure, "verify": _cmd_verify,
+             "export-graph": _cmd_export_graph, "sweep": _cmd_sweep}
+
+
+def _refuse_unknown_leading(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Exit 2 naming any unknown option before the subcommand, whose value argparse
+    would take for the subcommand; the full parse reports a malformed known one."""
+    scan = argparse.ArgumentParser(parents=[_global_options(None)], add_help=False,
+                                   exit_on_error=False)
+    scan.add_argument("-h", "--help", action="store_true")
+    try:
+        extras = scan.parse_known_args(itertools.takewhile(lambda a: a not in _COMMANDS, argv))[1]
+    except argparse.ArgumentError:
+        return
+    if unknown := [arg for arg in extras if arg.startswith("-")]:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    _refuse_unknown_leading(parser, argv)
     args = parser.parse_args(argv)
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "export-graph":
-            return _cmd_export_graph(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise AssertionError(args.command)
+        return _COMMANDS[args.command](args)
     # a RecursionError comes from a JSON file nested past the decoder's limit
     except (ValueError, OSError, ConvergenceError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,14 +4,14 @@ Everything here works on a BooleanFunction or a TruthTable. Exact measures
 (sensitivity, certificates, degree) come from full scans of the table;
 spectral sensitivity is the operator norm of the sensitivity graph's
 adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
-stored once, as the rows B of its smaller side, read straight from the
-table. Lambda is found by one exact dense eigensolve of Gram blocks on
-their smaller sides, the inputs grouped into the two parity classes up to
-arity 10 and into connected components past it, each chunk of groups reading
-its edges through edges(xs); by matrix-free power iteration on the Gram
-operator B B^T of the whole smaller side, B rebuilt on each step in runs
-that fit the memory budget when it does not fit whole; or from a
-construction's closed form.
+the rows B of its smaller side, read straight from the table by the path
+that needs them. Lambda is found by one exact dense eigensolve of Gram
+blocks on their smaller sides, the inputs grouped into the two parity
+classes up to arity 10 and into connected components past it, each chunk
+of groups reading its edges through edges(xs); by matrix-free power
+iteration on the Gram operator B B^T of the whole smaller side, B built
+once when it fits the memory budget and rebuilt on each step in runs that
+fit it otherwise; or from a construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free applies that diagonal and the exact solve past arity 10 reads
@@ -403,11 +403,15 @@ def _check_budget(nbytes: int, what: str) -> None:
         raise CapExceeded(f"{what} needs over {nbytes} bytes, budget {MEMORY_BUDGET}")
 
 
+def _csr_bytes(nnz: int, n_rows: int) -> int:
+    """Bytes of a 0/1 CSR with nnz stored entries and n_rows rows: float64
+    data and int32 indices per entry, an int32 pointer per row plus one."""
+    return 12 * nnz + 4 * (n_rows + 1)
+
+
 def _check_csr_budget(nnz: int, n_rows: int) -> None:
-    """Raise CapExceeded when a 0/1 CSR matrix with nnz stored entries and
-    n_rows rows would take more than MEMORY_BUDGET bytes: float64 data and
-    int32 indices per entry, an int32 pointer per row plus one."""
-    _check_budget(12 * nnz + 4 * (n_rows + 1), "sparse adjacency")
+    """Raise CapExceeded when _csr_bytes is over MEMORY_BUDGET."""
+    _check_budget(_csr_bytes(nnz, n_rows), "sparse adjacency")
 
 
 def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
@@ -560,21 +564,21 @@ class SensitivityGraph:
     """Graph on inputs with an edge where one flipped coordinate changes f.
 
     The vertex degree of x equals the sensitivity of f at x addressed by the
-    same integer encoding as the table. Each edge is stored once, in B: the
-    rows of the smaller side S (the 0-side on a tie; listed on first use),
-    read from the table once, unless no input off S has two neighbours: then
-    B B^T is the diagonal of S's degrees (_star_degrees), and the matrix-free
-    and exact solves read those instead. The census is read from the table by degrees
-    within two hops when every component is a star or a two-layer star
-    (_table_census, built once), and then the exact solve past arity
-    _CLASS_SOLVE_ARITY reads lambda from it. Otherwise adjacency(), a view
-    of B, gives component labels that sort into one component index, which
-    the census, that exact solve and every component query read. Up to that
-    arity the exact solve sorts the two parity classes into an index of the
-    same form and builds none of these. edges(xs) gathers
-    edges from the table at inputs of S, for the exact solve, components()
-    and export. meta is fn's construction metadata, which the analytic
-    spectral method reads (None for a table).
+    same integer encoding as the table. Every edge joins S, the smaller side
+    (the 0-side on a tie; listed on first use), to the other side. The graph
+    holds no rows B of S: matrix-free and adjacency() build their own. When
+    no input off S has two neighbours, B B^T is diag(d_S) (_star_degrees);
+    when every component is a star or a two-layer star, the census is read
+    from the table by degrees within two hops (_table_census, built once).
+    Either gives lambda^2 from the components' shapes (_shape_lambda_sq),
+    read by auto and by the exact solve past arity _CLASS_SOLVE_ARITY.
+    Otherwise adjacency() gives component labels that sort into one
+    component index, which the census, that exact solve and every component
+    query read. Up to that arity the exact solve sorts the two parity
+    classes into an index of the same form. edges(xs) gathers edges from the
+    table at inputs of S, for the exact solve, components() and export.
+    meta is fn's construction metadata, which the analytic spectral method
+    reads (None for a table).
     """
 
     def __init__(self, fn, cap: int = DEFAULT_TABLE_CAP):
@@ -582,7 +586,6 @@ class SensitivityGraph:
         self.arity = self.table.arity
         self.meta = getattr(fn, "meta", None)
         self._side_value = int(2 * self.table.ones_count() < len(self.table))
-        self._rows: sp.csr_matrix | None = None
         self._adj: sp.csr_matrix | None = None
         self._labels: np.ndarray | None = None
 
@@ -609,25 +612,19 @@ class SensitivityGraph:
             return None
         return counts[self._side]
 
-    def _side_rows(self) -> sp.csr_matrix:
-        """B, the rows of S, built once; CapExceeded over MEMORY_BUDGET."""
-        if self._rows is None:
-            _check_csr_budget(int(self.degree_counts()[self._side].sum()), len(self._side))
-            self._rows = _smaller_side_rows(self.table, self._side)
-        return self._rows
-
     def adjacency(self) -> sp.csr_matrix:
-        """The 2^n x 2^n 0/1 CSR over B's data and int32 indices, storing each
-        edge once: row x lists x's neighbours if x is in S and is empty
-        otherwise. scipy.sparse.csgraph reads it as undirected; A + A^T is
-        symmetric. CapExceeded over MEMORY_BUDGET: 12 E + 4 (2^n + 1) bytes.
+        """The 2^n x 2^n 0/1 CSR, built once over the data and int32 indices
+        of S's rows, storing each edge once: row x lists x's neighbours if x
+        is in S and is empty otherwise. scipy.sparse.csgraph reads it as
+        undirected; A + A^T is symmetric. CapExceeded over MEMORY_BUDGET:
+        12 E + 4 (2^n + 1) bytes.
         """
         if self._adj is None:
             import scipy.sparse as sp
 
             size = 1 << self.arity
             _check_csr_budget(self.edge_count(), size)
-            rows = self._side_rows()
+            rows = _smaller_side_rows(self.table, self._side)
             indptr = np.zeros(size + 1, dtype=np.int32)
             indptr[self._side + 1] = np.diff(rows.indptr)
             np.cumsum(indptr, out=indptr)
@@ -698,6 +695,20 @@ class SensitivityGraph:
         """The census read from the table by _census_from_table, built once;
         None when some component is other or it does not fit."""
         return _census_from_table(self.table)
+
+    @cached_property
+    def _shape_lambda_sq(self) -> int | None:
+        """lambda^2 from the components' shapes, with no B, built once: max d_S
+        for stars centred in S (_star_degrees, tested first, so they never run
+        the census), else the largest d of a star or a + b - 1 of a two-layer
+        star (two_layer_star_lambda) in the census from the table, else None."""
+        d = self._star_degrees()
+        if d is not None:
+            return int(d.max(initial=0))
+        shapes = self._table_census
+        if shapes is None:
+            return None
+        return max((k[1] if k[0] == "star" else k[1] + k[2] - 1 for k in shapes), default=0)
 
     def census(self) -> dict[tuple, int]:
         """Count of each component shape, keyed ("star", d), ("two-layer-star",
@@ -843,29 +854,21 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     |x| mod 2, so f(x) ^ (|x| mod 2) is the same at both ends of every edge:
     it splits the inputs into two parity classes, each a union of
     components. The solve groups the inputs by class up to arity
-    _CLASS_SOLVE_ARITY and by component past it, where a union of stars
-    K_1,d centred in S (_star_degrees) has lambda sqrt(max d), and a graph
-    whose census from the table holds only stars and two-layer stars (a, b)
-    has lambda^2 the largest d or a + b - 1, with no labels, index or
-    blocks. Chunks of groups are solved within MEMORY_BUDGET, a
-    group with sides m <= M counting 8 m (m + M) bytes for C and C C^T,
-    24 n m for its at most n m edges and 17 n + 1 per input in S for
-    gathering them (as edges(xs) checks), and a chunk's groups of one shape
-    are one eigvalsh batch.
+    _CLASS_SOLVE_ARITY and by component past it, unless lambda^2 can be
+    read from the components' shapes (_shape_lambda_sq): then there are no
+    labels, index or blocks. Chunks of groups are solved within
+    MEMORY_BUDGET, a group with sides m <= M counting 8 m (m + M) bytes for
+    C and C C^T, 24 n m for its at most n m edges and 17 n + 1 per input in
+    S for gathering them (as edges(xs) checks), and a chunk's groups of one
+    shape are one eigvalsh batch.
     """
     vals, n, s = graph.table.values, graph.arity, graph._side_value
     if n <= _CLASS_SOLVE_ARITY:
         parity = np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1
         verts, ptr = graph._index(parity ^ vals)
+    elif (lam_sq := graph._shape_lambda_sq) is not None:
+        return math.sqrt(lam_sq)
     else:
-        d = graph._star_degrees()
-        if d is not None:
-            return math.sqrt(int(d.max(initial=0)))
-        shapes = graph._table_census
-        if shapes is not None:
-            # a star's lambda^2 is d, a two-layer star's a + b - 1 (two_layer_star_lambda)
-            lam_sq = (k[1] if k[0] == "star" else k[1] + k[2] - 1 for k in shapes)
-            return math.sqrt(max(lam_sq, default=0))
         verts, ptr = graph._component_index
     runs = ptr[1:] - ptr[:-1]
     pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
@@ -903,10 +906,17 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
 
 
 def _gram_in_runs(table: TruthTable, side: np.ndarray):
-    """x -> B B^T x for the rows B of side, rebuilt on every call in
-    consecutive runs of side that fit MEMORY_BUDGET (one row at the least)."""
-    n = table.arity
-    ends = np.r_[0, (12 * table.sensitivity_counts[side].astype(np.int64) + 4 + 6 * n).cumsum()]
+    """x -> B B^T x for the rows B of side. B is built once and held when its
+    CSR fits MEMORY_BUDGET (_csr_bytes). Otherwise every call rebuilds it in
+    consecutive runs of side that fit at 12 bytes per entry and 4 + 6 n per
+    row (pointer, gather), one row at the least, adding 24 bytes per input
+    at most: a forward pass sums B_k^T x_k, and a backward pass, starting
+    from the run still held, takes the B_k y, so 2K - 1 builds for K runs."""
+    n, counts = table.arity, table.sensitivity_counts[side]
+    if _csr_bytes(int(counts.sum()), len(side)) <= MEMORY_BUDGET:
+        rows = _smaller_side_rows(table, side)
+        return lambda x: rows @ (rows.T @ x)
+    ends = np.r_[0, (12 * counts.astype(np.int64) + 4 + 6 * n).cumsum()]
     cuts = [0]
     while (lo := cuts[-1]) < len(side):
         cuts.append(max(int(ends.searchsorted(ends[lo] + MEMORY_BUDGET, "right")) - 1, lo + 1))
@@ -937,12 +947,8 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[flo
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
     |S|. When no input off S has two neighbours, B B^T is diag(d_S), S's
-    degrees, and a step is d_S x with no B. Otherwise B is the graph's own,
-    built once from the table. Over MEMORY_BUDGET, each step rebuilds it in
-    runs of S's rows that fit at 12 bytes per entry and 4 + 6 n per row
-    (pointer, gather), adding 24 bytes per input at most: a forward pass
-    sums B_k^T x_k, and a backward pass, starting from the run still held,
-    takes the B_k y, so 2K - 1 builds for K runs.
+    degrees, and a step is d_S x with no B. Otherwise _gram_in_runs owns B:
+    whole when it fits MEMORY_BUDGET, in runs rebuilt on each step when not.
     The residual comes free from the last product w = B B^T x: for the
     unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
     ||w - lambda^2 x|| / (lambda sqrt(2)).
@@ -952,17 +958,7 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[flo
         # a constant function: no edges
         return 0.0, 0.0, 0
     d = graph._star_degrees()
-    if d is not None:
-        def gram(x: np.ndarray) -> np.ndarray:
-            return d * x
-    else:
-        try:
-            rows = graph._side_rows()
-        except CapExceeded:
-            gram = _gram_in_runs(graph.table, side)
-        else:
-            def gram(x: np.ndarray) -> np.ndarray:
-                return rows @ (rows.T @ x)
+    gram = (lambda x: d * x) if d is not None else _gram_in_runs(graph.table, side)
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(side))
@@ -994,8 +990,9 @@ def spectral_sensitivity(
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
-    fn is a function, a table, or a SensitivityGraph, whose cached rows B,
-    census from the table and component labels every solver then reuses.
+    fn is a function, a table, or a SensitivityGraph, whose cached census,
+    lambda^2 from shapes, adjacency and component labels every solver then
+    reuses. Matrix-free builds its own B on each call.
 
     method: "dense" or "component-wise" (the same exact eigensolve of Gram
     blocks C C^T, where C joins a group's smaller side to its larger one:
@@ -1008,18 +1005,16 @@ def spectral_sensitivity(
     implies), "analytic" (closed form recorded by the construction), or
     "auto" to pick the exact solve at arity at most 13 (the test
     8 * 4 ** arity <= MEMORY_BUDGET, the size of a dense adjacency the solve
-    never forms), when the graph is a union of stars, or when the census
-    from the table finds only stars and two-layer stars (below), and
-    matrix-free otherwise. For matrix-free, iterations counts Gram steps, at most
-    DEFAULT_MAX_ITER before ConvergenceError. When no input
-    off the smaller side has two neighbours, as for haf(r), the graph is a
-    union of stars centred on that side and B B^T is the diagonal of their
-    degrees: matrix-free iterates on that diagonal, and the exact solve
-    past arity _CLASS_SOLVE_ARITY returns the square root of the largest
-    degree, neither building B. Past that arity the exact solve otherwise
-    reads the census from the table when it has one, as for the tradeoff
-    family: lambda^2 is the largest d of a star and a + b - 1 of a
-    two-layer star. The method labels are the same.
+    never forms) or when lambda^2 can be read from the components' shapes
+    (_shape_lambda_sq), and matrix-free otherwise. For matrix-free,
+    iterations counts Gram steps, at most DEFAULT_MAX_ITER before
+    ConvergenceError. Without B: when no input off the smaller side has two
+    neighbours, as for haf(r), matrix-free iterates on the diagonal B B^T of
+    the stars' degrees; past arity _CLASS_SOLVE_ARITY the exact solve reads
+    lambda^2 as their largest degree, or, from a census from the table of
+    stars and two-layer stars only, as for the tradeoff family, as the
+    largest d of a star and a + b - 1 of a two-layer star. The method
+    labels are the same.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)
@@ -1030,8 +1025,7 @@ def spectral_sensitivity(
         raise ValueError(f"unknown spectral method {method!r}")
     graph = fn if isinstance(fn, SensitivityGraph) else SensitivityGraph(fn)
     if method == "auto":
-        exact = (8 * 4 ** graph.arity <= MEMORY_BUDGET or graph._star_degrees() is not None
-                 or graph._table_census is not None)
+        exact = 8 * 4 ** graph.arity <= MEMORY_BUDGET or graph._shape_lambda_sq is not None
         method = "dense" if exact else "matrix-free"
     if method == "matrix-free":
         value, residual, iters = _lambda_matfree(graph, tol, seed)

@@ -22,7 +22,6 @@ from .core import BooleanFunction, CapExceeded, CertificateCollection, PartialAs
 from .constructions import desensitize, haf, maf, tradeoff, tradeoff_profile
 from .measures import (
     DEFAULT_SEED,
-    DEFAULT_TOL,
     MEMORY_BUDGET,
     UC_EXACT_CAP,
     SensitivityGraph,
@@ -34,6 +33,11 @@ from .measures import (
     spectral_sensitivity,
     uc1,
 )
+
+# a lambda claim is held to EXACT_TOL when its solve is exact; it and every
+# other claim held to a tolerance are held to CLAIM_TOL otherwise
+EXACT_TOL = 1e-9
+CLAIM_TOL = 1e-6
 
 # reference value for the k=2 monotone address function, from a dense solve
 MAF2_LAMBDA = 1.8477590650225735
@@ -118,13 +122,14 @@ class _Claims:
                                      round(self._lap(), 6), note=note))
 
     def add_lambda(
-        self, claim: str, predicted: float, spec: SpectralResult, tol: float, note: str = ""
+        self, claim: str, predicted: float, spec: SpectralResult, note: str = ""
     ) -> None:
-        """A within-tol claim on spec's lambda, held to 1e-9 when spec is exact
-        and to tol otherwise. The note ends "method=..., residual=..."."""
+        """A within-tol claim on spec's lambda, held to EXACT_TOL when spec is
+        exact, else to CLAIM_TOL. The note ends "method=..., residual=..."."""
         solve = f"method={spec.method}, residual={spec.residual:.3e}"
         note = f"{note}; {solve}" if note else solve
-        self.add(claim, predicted, spec.value, "within-tol", 1e-9 if spec.exact else tol, note)
+        tol = EXACT_TOL if spec.exact else CLAIM_TOL
+        self.add(claim, predicted, spec.value, "within-tol", tol, note)
 
 
 def all_pass(claims: Sequence[ClaimResult]) -> bool:
@@ -148,7 +153,6 @@ def claims_to_csv(claims: Sequence[ClaimResult]) -> str:
 def verify_theorem1(
     r: int,
     lambda_method: str = "auto",
-    tol: float = 1e-6,
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimResult]:
     """Profile of the single-code address function: s0 = 1, s1 = 2^r hit
@@ -176,7 +180,7 @@ def verify_theorem1(
     )
     claims.add("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact")
     spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
-    claims.add_lambda("thm1.lambda", math.sqrt(1 << r), spec, tol)
+    claims.add_lambda("thm1.lambda", math.sqrt(1 << r), spec)
     return claims.rows
 
 
@@ -331,22 +335,18 @@ def verify_edge_bound(fn: BooleanFunction, name: str | None = None) -> list[Clai
     return claims.rows
 
 
-def verify_lemma_chain(
-    fn, tol: float = 1e-6, name: str | None = None, method: str = "auto"
-) -> list[ClaimResult]:
-    """sqrt(s) <= lambda <= sqrt(s0*s1) and deg <= lambda^2."""
+def verify_lemma_chain(fn, name: str | None = None, method: str = "auto") -> list[ClaimResult]:
+    """sqrt(s) <= lambda <= sqrt(s0*s1) and deg <= lambda^2, to CLAIM_TOL."""
     claims = _Claims()
     label = name or getattr(fn, "name", "f")
     v0 = s0(fn).value
     v1 = s1(fn).value
     smax = max(v0, v1)
-    lam = spectral_sensitivity(fn, method=method, tol=DEFAULT_TOL).value
+    lam = spectral_sensitivity(fn, method=method).value
     deg = degree(fn)
-    claims.add(f"chain.{label}.sqrt_s_le_lambda", math.sqrt(smax), lam, "ge", tol=tol)
-    claims.add(
-        f"chain.{label}.lambda_le_sqrt_s0s1", math.sqrt(v0 * v1), lam, "le", tol=tol
-    )
-    claims.add(f"chain.{label}.deg_le_lambda_sq", lam * lam, deg, "le", tol=tol)
+    claims.add(f"chain.{label}.sqrt_s_le_lambda", math.sqrt(smax), lam, "ge", CLAIM_TOL)
+    claims.add(f"chain.{label}.lambda_le_sqrt_s0s1", math.sqrt(v0 * v1), lam, "le", CLAIM_TOL)
+    claims.add(f"chain.{label}.deg_le_lambda_sq", lam * lam, deg, "le", CLAIM_TOL)
     return claims.rows
 
 
@@ -354,10 +354,9 @@ def verify_lemma_chain_random(
     arities: Sequence[int] = tuple(range(4, 11)),
     count: int = 1000,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-6,
 ) -> list[ClaimResult]:
     """Random-function sweep of the lemma chain; one claim per arity counting
-    violations beyond tol, on count << n bytes of tables within MEMORY_BUDGET."""
+    violations beyond CLAIM_TOL, on count << n bytes of tables within MEMORY_BUDGET."""
     if count < 1:
         raise ValueError(f"need at least one random table per arity, got {count}")
     if not arities:
@@ -383,14 +382,14 @@ def verify_lemma_chain_random(
                 deg - lam * lam,
             )
             worst = max(worst, slack)
-            if slack > tol:
+            if slack > CLAIM_TOL:
                 violations += 1
         claims.add(
             f"chain.random.n{n}",
             0,
             violations,
             "exact",
-            tol=tol,
+            CLAIM_TOL,
             note=f"{count} random tables, seed {seed:#x}, worst slack {worst:.3e}",
         )
     return claims.rows
@@ -400,7 +399,6 @@ def verify_desensitization(
     fn: BooleanFunction,
     certs: CertificateCollection,
     name: str | None = None,
-    tol: float = 1e-6,
 ) -> list[ClaimResult]:
     """Triplication profile: s0 = 1, s1 = 3 * max codim of the collection,
     lambda = sqrt(s1), and the unambiguous certificate size at most triples."""
@@ -412,10 +410,8 @@ def verify_desensitization(
     claims.add(f"desens.{label}.s0", 1, s0(prime).value, "exact")
     target = 3 * certs.max_codim()
     claims.add(f"desens.{label}.s1", target, s1(prime).value, "exact")
-    claims.add_lambda(
-        f"desens.{label}.lambda", math.sqrt(target), spectral_sensitivity(prime), tol,
-        note="sqrt(s1) since s0=1",
-    )
+    claims.add_lambda(f"desens.{label}.lambda", math.sqrt(target), spectral_sensitivity(prime),
+                      note="sqrt(s1) since s0=1")
     claim = f"desens.{label}.uc1"
     if prime.arity > UC_EXACT_CAP:
         claims.skip(claim, None, "le",
@@ -437,7 +433,6 @@ def verify_desensitization(
 def verify_tradeoff(
     as_: Sequence[int],
     bs_: Sequence[int],
-    tol: float = 1e-6,
     lambda_method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimResult]:
@@ -456,7 +451,7 @@ def verify_tradeoff(
     # labels are built at most once
     graph = SensitivityGraph(fn)
     spec = spectral_sensitivity(graph, method=lambda_method, seed=seed)
-    claims.add_lambda("thm3.lambda", math.sqrt(profile["lambda_sq"]), spec, tol)
+    claims.add_lambda("thm3.lambda", math.sqrt(profile["lambda_sq"]), spec)
     try:
         shapes = graph.census()
     except CapExceeded as exc:
@@ -485,7 +480,7 @@ def verify_tradeoff(
     return claims.rows
 
 
-def verify_maf_proposition(k: int, tol: float = 1e-6) -> list[ClaimResult]:
+def verify_maf_proposition(k: int) -> list[ClaimResult]:
     """Monotone address function: degree at least k (exact integer Mobius,
     with the weight-threshold restriction hitting k exactly) and total
     sensitivity ceil(k/2) + 1."""
@@ -505,8 +500,6 @@ def verify_maf_proposition(k: int, tol: float = 1e-6) -> list[ClaimResult]:
     if k == 2:
         claims.add("maf.k2.s0", 2, s0(fn).value, "exact")
         claims.add("maf.k2.s1", 2, s1(fn).value, "exact")
-        claims.add_lambda(
-            "maf.k2.lambda", MAF2_LAMBDA, spectral_sensitivity(fn, method="dense"), tol,
-            note="reference value from a dense eigensolve",
-        )
+        claims.add_lambda("maf.k2.lambda", MAF2_LAMBDA, spectral_sensitivity(fn, method="dense"),
+                          note="reference value from a dense eigensolve")
     return claims.rows

@@ -745,6 +745,34 @@ class TestGlobalOptions:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    # argparse took the value after an unknown option before the subcommand
+    # for the subcommand: "argument command: invalid choice: '2'"
+    @pytest.mark.parametrize("argv, option", [
+        (["--threads", "2", "verify", "simon", "--n", "2"], "--threads"),
+        (["--threads=2", "verify", "simon", "--n", "2"], "--threads=2"),
+        (["-j", "2", "verify", "simon", "--n", "2"], "-j"),
+        (["--seed", "3", "--bogus", "x", "measure", "--fn", "FN", "--measures", "s0"],
+         "--bogus"),
+        (["--bogus", "measure", "--fn", "FN", "--measures", "s0"], "--bogus"),
+    ])
+    def test_unknown_option_before_the_subcommand_is_named(self, tmp_path, capsys, argv,
+                                                           option):
+        path = write_and2(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([path if a == "FN" else a for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
+        assert "invalid choice" not in captured.err
+
+    def test_negative_seed_before_the_subcommand(self, tmp_path, capsys):
+        code, stdout, _ = run(
+            capsys, "--seed", "-1", "measure", "--fn", write_and2(tmp_path), "--measures", "s0"
+        )
+        assert code == 0
+        assert json.loads(stdout)["seed"] == -1
+
     def test_threads_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("SENSILAB_THREADS", raising=False)
         code, plain, _ = run(capsys, "verify", "simon", "--n", "2")

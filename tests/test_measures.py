@@ -1207,16 +1207,29 @@ class TestSpectral:
             )
         assert graph.adjacency() is adj and graph._component_labels() is labels
 
-    def test_graph_reuses_the_matrix_free_rows(self, monkeypatch):
+    @pytest.mark.parametrize("table", [
+        tradeoff([2], [2]).table(),
+        TruthTable(9, np.random.default_rng(9).integers(0, 2, 1 << 9, dtype=np.uint8)),
+    ], ids=["tradeoff22", "random9"])
+    def test_matrix_free_builds_b_once_when_it_fits(self, monkeypatch, table):
+        # neither graph is a union of stars, so every Gram step applies B
+        assert SensitivityGraph(table)._star_degrees() is None
+        calls = spy_calls(monkeypatch, ["_smaller_side_rows"])
+        res = spectral_sensitivity(SensitivityGraph(table), method="matrix-free")
+        assert res.iterations > 1
+        assert calls["_smaller_side_rows"] == 1
+
+    def test_adjacency_builds_its_own_rows(self, monkeypatch):
         graph = SensitivityGraph(tradeoff([2], [2]))
         spectral_sensitivity(graph, method="matrix-free")
-        # a second fill of B would now fail
-        monkeypatch.setattr(measures, "_smaller_side_rows", None)
-        assert graph.census() == {("star", 3): 768, ("two-layer-star", 4, 4): 256}
-        assert spectral_sensitivity(graph, method="dense").value == pytest.approx(
-            math.sqrt(7), abs=1e-9
-        )
-        assert np.shares_memory(graph.adjacency().indices, graph._side_rows().indices)
+        calls = spy_calls(monkeypatch, ["_smaller_side_rows"])
+        adj = graph.adjacency()
+        assert graph.adjacency() is adj
+        assert calls["_smaller_side_rows"] == 1
+        # each edge stored once, in the row of its end in S
+        coo = adj.tocoo()
+        pairs = np.sort(np.c_[coo.row, coo.col], axis=1)
+        assert np.array_equal(pairs[np.lexsort(pairs.T[::-1])], graph.edges())
 
     def test_graph_keeps_construction_meta(self):
         f = tradeoff([2], [2])
@@ -1886,9 +1899,9 @@ class TestStarOperator:
         diag = measures._lambda_matfree(SensitivityGraph(table), *args)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
-            calls = spy_calls(mp, ["_side_rows"])
+            calls = spy_calls(mp, ["_smaller_side_rows"])
             with_b = measures._lambda_matfree(SensitivityGraph(table), *args)
-        assert calls["_side_rows"] == 1
+        assert calls["_smaller_side_rows"] == 1
         assert diag[0] == pytest.approx(with_b[0], rel=1e-12, abs=0)
         assert abs(diag[2] - with_b[2]) <= 1
         assert diag[0] == pytest.approx(self.reference(table), abs=1e-9)
@@ -1921,12 +1934,85 @@ class TestStarOperator:
     def test_star_tables_build_nothing(self, monkeypatch, method, name):
         table = STAR_TABLES[name]()
         assert table.arity >= 9
-        calls = spy_calls(
-            monkeypatch, ["_smaller_side_rows", "_side_rows", "_cc", "_component_index"])
+        calls = spy_calls(monkeypatch, ["_smaller_side_rows", "_cc", "_component_index"])
         res = spectral_sensitivity(table, method=method)
         assert calls == dict.fromkeys(calls, 0)
         assert res.method == method
         assert res.value == pytest.approx(self.reference(table), abs=1e-9)
+
+
+def planted_forest(n: int, j_and: int, j_or: int, shift: int) -> TruthTable:
+    """Stars and two-layer stars planted in two blocks 000 and 111 of three
+    high bits, at distance 3, all else 0, XOR-shifted by shift. Every 1-input
+    gains a leaf in each high direction. Block 000 holds AND of the first
+    j_and low bits: stars K_1,(j_and + 3). Block 111 holds OR of the first
+    j_or low bits: each of its 0-inputs centres a two-layer star
+    (j_or, 4), and each 1-input with two of those bits set a star K_1,3."""
+    low = np.arange(1 << (n - 3)) & ((1 << max(j_and, j_or)) - 1)
+    vals = np.zeros((8, 1 << (n - 3)), dtype=np.uint8)
+    vals[0b000] = (low & ((1 << j_and) - 1)) == (1 << j_and) - 1
+    vals[0b111] = (low & ((1 << j_or) - 1)) != 0
+    return TruthTable(n, vals.reshape(-1)[np.arange(1 << n) ^ shift])
+
+
+# tables whose lambda^2 is read from the shapes: STAR_TABLES past the
+# class-solve arity (desens-haf2 has arity 15), chaf(2,2) at arity 10,
+# tradeoff(2;2) at 13, and planted forests at 11..14
+SHAPE_TABLES = {
+    **{name: STAR_TABLES[name] for name in [
+        *(f"{name}{n}" for name in ("and", "or") for n in range(11, 17)), "desens-haf2"]},
+    "chaf22": STAR_TABLES["chaf22"],
+    "tradeoff22": lambda: tradeoff([2], [2]).table(),
+    **{f"planted{n}-{ja}-{jo}": lambda n=n, ja=ja, jo=jo: planted_forest(n, ja, jo, 0x2F5)
+       for n in range(11, 15) for ja, jo in [(2, 5), (6, 3)]},
+}
+
+
+class TestShapeLambda:
+    """SensitivityGraph._shape_lambda_sq, the one rule for lambda without B,
+    equals the exact solve by components, and auto solves exactly when it
+    applies or the arity is at most 13."""
+
+    @pytest.mark.parametrize("name", list(SHAPE_TABLES))
+    def test_equals_the_component_solve(self, monkeypatch, name):
+        table = SHAPE_TABLES[name]()
+        lam_sq = SensitivityGraph(table)._shape_lambda_sq
+        assert lam_sq is not None
+        # chaf(2,2) is under the class-solve arity: grouped by component too
+        monkeypatch.setattr(measures, "_CLASS_SOLVE_ARITY", 0)
+        monkeypatch.setattr(SensitivityGraph, "_shape_lambda_sq", property(lambda graph: None))
+        calls = spy_calls(monkeypatch, ["_cc"])
+        by_components = measures._lambda_exact(SensitivityGraph(table))
+        assert calls["_cc"] == 1
+        assert math.sqrt(lam_sq) == pytest.approx(by_components, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("n, j_and, j_or, want", [(11, 2, 5, 8), (14, 6, 3, 9)])
+    def test_planted_forest_reads_the_census(self, n, j_and, j_or, want):
+        graph = SensitivityGraph(planted_forest(n, j_and, j_or, 0x2F5))
+        assert graph._star_degrees() is None
+        assert {k[0] for k in graph._table_census} == {"star", "two-layer-star"}
+        assert graph._shape_lambda_sq == want
+
+    def test_stars_never_run_the_census(self, monkeypatch):
+        calls = spy_calls(monkeypatch, ["_census_from_table"])
+        assert SensitivityGraph(STAR_TABLES["and16"]())._shape_lambda_sq == 16
+        assert calls["_census_from_table"] == 0
+
+    @pytest.mark.parametrize("name", [*SHAPE_TABLES, "random13", "random14"])
+    def test_auto_is_exact_when_small_or_read_from_shapes(self, monkeypatch, name):
+        if name.startswith("random"):
+            n = int(name[6:])
+            table = TruthTable(n, np.random.default_rng(n).integers(0, 2, 1 << n, dtype=np.uint8))
+        else:
+            table = SHAPE_TABLES[name]()
+        graph = SensitivityGraph(table)
+        exact = table.arity <= 13 or graph._shape_lambda_sq is not None
+        # the solvers themselves are not run: only the choice is checked
+        monkeypatch.setattr(measures, "_lambda_exact", lambda graph: 0.0)
+        monkeypatch.setattr(measures, "_lambda_matfree", lambda graph, tol, seed: (0.0, 0.0, 0))
+        method = spectral_sensitivity(graph).method
+        assert method == ("dense" if exact else "matrix-free")
+        assert exact == (name != "random14")
 
 
 class TestTwoLayerStar:

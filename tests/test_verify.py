@@ -48,6 +48,28 @@ class TestPasses:
         assert not _passes(2.0, 2.1, "within-tol", 1e-9)
 
 
+class TestClaimTolerance:
+    """The suites hold claims to the module's two tolerances and take none."""
+
+    def test_tolerances(self, and2):
+        assert (verify_mod.CLAIM_TOL, verify_mod.EXACT_TOL) == (1e-6, 1e-9)
+        rows = verify_lemma_chain(and2, name="and2")
+        rows += verify_lemma_chain_random(arities=[4], count=2)
+        assert {c.tolerance for c in rows} == {verify_mod.CLAIM_TOL}
+
+    @pytest.mark.parametrize("suite, args", [
+        (verify_theorem1, (2,)),
+        (verify_lemma_chain, (None,)),
+        (verify_lemma_chain_random, ()),
+        (verify_desensitization, (None, None)),
+        (verify_tradeoff, ([2], [2])),
+        (verify_maf_proposition, (2,)),
+    ])
+    def test_suites_take_no_tol(self, suite, args):
+        with pytest.raises(TypeError, match="tol"):
+            suite(*args, tol=1e-3)
+
+
 class TestTheorem1:
     def test_r2_passes_with_expected_claims(self):
         claims = verify_theorem1(2)
