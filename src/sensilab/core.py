@@ -27,11 +27,13 @@ BATCH_ARITY_LIMIT = 63
 
 _HEX_RE = re.compile(r"[0-9a-f]+\Z")
 
-# axis_view transposes a pass whose run pairs are shorter than this: read
-# across the table, a pass re-reads it once per item of a pair. On uint8,
+# axis_view transposes a pass whose run pairs are shorter than both of these:
+# read across the table, a pass re-reads it once per item of a pair. On uint8,
 # int8 and int32 tables that paid up to 16-27 items and ran 1.5-13x slower
-# from 32 on, whatever the item size, so the limit counts items, not bytes.
+# from 32 on, so the limit counts items; on the scan's uint64 words a pair of
+# 16 (128 bytes) ran 3x faster untransposed (1.1 against 3.3 ms at n=23).
 _SHORT_PAIR_ITEMS = 32
+_SHORT_PAIR_BYTES = 128
 
 # axis_blocks keeps a pass's low directions in blocks of at most this many
 # bytes across its arrays: on a random n=26 table 1 MiB ran the scan (0.64 s)
@@ -74,9 +76,10 @@ def axis_view(a: np.ndarray, radix: int, i: int) -> np.ndarray:
     """The flat contiguous array a as a view (outer, radix, radix**i), with
     digit i of the index in base radix along axis 1.
 
-    When a run pair (radix**(i+1) items) is shorter than _SHORT_PAIR_ITEMS,
-    the view is transposed to (radix**i, radix, outer), so that the inner
-    loop runs along the long outer axis. Either way v[:, k] is digit value k.
+    When a run pair (radix**(i+1) items) is shorter than _SHORT_PAIR_ITEMS
+    items and _SHORT_PAIR_BYTES bytes, the view is transposed to
+    (radix**i, radix, outer), so that the inner loop runs along the long
+    outer axis. Either way v[:, k] is digit value k.
     Call ufuncs on it with order="A": that iterates the shape as given when
     an operand is strided, as every slice of a transposed view is, and keeps
     numpy's contiguous loop when a pair is the whole array. order="K",
@@ -85,7 +88,17 @@ def axis_view(a: np.ndarray, radix: int, i: int) -> np.ndarray:
     """
     run = radix**i
     v = a.reshape(-1, radix, run)
-    return v.T if run * radix < _SHORT_PAIR_ITEMS else v
+    pair = run * radix
+    return v.T if pair < _SHORT_PAIR_ITEMS and pair * a.itemsize < _SHORT_PAIR_BYTES else v
+
+
+def block_exponent(radix: int, arity: int, per_entry: int) -> int:
+    """The largest b whose blocks of radix**b entries of per_entry bytes each
+    hold at most _BLOCK_BYTES, or 0 when all radix**arity entries do."""
+    b = 0
+    while per_entry * radix**arity > _BLOCK_BYTES >= per_entry * radix ** (b + 1):
+        b += 1
+    return b
 
 
 def axis_blocks(radix: int, arity: int, *arrays: np.ndarray) -> Iterator:
@@ -95,10 +108,7 @@ def axis_blocks(radix: int, arity: int, *arrays: np.ndarray) -> Iterator:
     exponent whose blocks hold at most _BLOCK_BYTES across the arrays, or 0
     when the whole arrays fit. A block holds every pair along i < b, so a
     pass that updates only those pairs gets the same result either way."""
-    per_entry = arrays[0].itemsize * len(arrays)
-    b = 0
-    while per_entry * radix**arity > _BLOCK_BYTES >= per_entry * radix ** (b + 1):
-        b += 1
+    b = block_exponent(radix, arity, arrays[0].itemsize * len(arrays))
     steps = enumerate(repeat(arrays, arity - b), b)
     if b:
         size = radix**b
@@ -107,20 +117,65 @@ def axis_blocks(radix: int, arity: int, *arrays: np.ndarray) -> Iterator:
     return steps
 
 
+def group_lookup(entries: Iterable[int]) -> np.ndarray:
+    """A 256-word lookup table for by_groups from its 2048 entries, group by
+    group: word g holds, in its byte j, the result at entry j of the group
+    whose entry j is bit j of g (the group np.packbits(...,
+    bitorder="little") packs into g), as an unsigned byte. Built in Python,
+    so that an import runs no numpy loop."""
+    return np.frombuffer(bytes(v & 0xFF for v in entries), np.uint64)
+
+
+def by_groups(values: np.ndarray, lookup: np.ndarray) -> np.ndarray:
+    """lookup's word for each aligned 8-entry group of the 0/1 table values,
+    as a new uint8 array of max(len(values), 8) entries. A table under 8
+    entries is tiled first. Groups are packed into bytes and gathered
+    _BLOCK_BYTES / 8 entries at a time, so no full-length packed copy is
+    held: take widens each packed byte to an 8-byte index."""
+    if len(values) < 8:
+        values = np.tile(values, 8 // len(values))
+    out = np.empty(len(values), dtype=np.uint8)
+    words = out.view(np.uint64)
+    step = max(8, _BLOCK_BYTES // 8 & -8)
+    for lo in range(0, len(values), step):
+        packed = np.packbits(values[lo:lo + step], bitorder="little")
+        lookup.take(packed, out=words[lo // 8:lo // 8 + len(packed)], mode="clip")
+    return out
+
+
+def _scan_groups() -> np.ndarray:
+    """Each group's counts along directions 0, 1 and 2, the lookup table of
+    _sensitivity_scan: at entry j, how many of its neighbours j ^ 1, j ^ 2
+    and j ^ 4 hold the other value, the set bits of g (of ~g when entry j
+    is 1) among them."""
+    neighbours = [(1 << (j ^ 1)) | (1 << (j ^ 2)) | (1 << (j ^ 4)) for j in range(8)]
+    return group_lookup(((~g if g >> j & 1 else g) & neighbours[j]).bit_count()
+                        for g in range(256) for j in range(8))
+
+
+_SCAN_GROUPS = _scan_groups()
+
+
 def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
     """Per-input sensitivity of the table values, as a read-only uint8 array.
 
-    One diff per direction, f(x) ^ f(x with bit i flipped), added to the
-    counts: an input and its neighbour along a direction are sensitive to it
-    together. Each direction, from axis_blocks, goes through axis_view
-    (transposed for the first four, whose run pairs are shorter than 32).
+    Directions 0, 1 and 2 are read for each 8-entry group at once from a
+    256-word lookup table (by_groups). The rest run on uint64 views of the
+    table and the counts, 8 entries a word: one diff per direction,
+    f(x) ^ f(x with bit i flipped), added to the counts, as an input and its
+    neighbour along a direction are sensitive to it together. A byte's count
+    is at most arity <= 63, so the word adds never carry between entries.
+    Each word direction, from axis_blocks, goes through axis_view.
     """
-    counts = np.zeros(values.shape, dtype=np.uint8)
-    diff = np.empty_like(counts)
-    for i, (vals, dif, cnt) in axis_blocks(2, arity, values, diff, counts):
-        v = axis_view(vals, 2, i)
-        np.bitwise_xor(v, v[:, ::-1], out=axis_view(dif, 2, i), order="A")
-        cnt += dif
+    counts = by_groups(values, _SCAN_GROUPS)
+    if arity > 3:
+        words = counts.view(np.uint64)
+        diff = np.empty_like(words)
+        for i, (vals, dif, cnt) in axis_blocks(2, arity - 3, values.view(np.uint64), diff, words):
+            v = axis_view(vals, 2, i)
+            np.bitwise_xor(v, v[:, ::-1], out=axis_view(dif, 2, i), order="A")
+            cnt += dif
+    counts = counts[:len(values)]
     counts.flags.writeable = False
     return counts
 

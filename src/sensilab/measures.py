@@ -32,7 +32,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from .core import (
     TruthTable,
     axis_blocks,
     axis_view,
+    block_exponent,
+    by_groups,
+    group_lookup,
 )
 
 if TYPE_CHECKING:
@@ -75,6 +78,9 @@ DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0x5EED
 # Gram steps matrix-free power iteration may take, read at call time
 DEFAULT_MAX_ITER = 10000
+# entries of a Moebius block whose nonzero positions degree lists at once:
+# at most 256 KiB of int64 positions beside the block
+_DEGREE_CHUNK = 1 << 15
 
 
 class ConvergenceError(RuntimeError):
@@ -369,32 +375,118 @@ def uc1(fn, cap: int = UC_EXACT_CAP) -> Uc1Result:
             return Uc1Result("exact", c, c, witness, nodes)
 
 
+def _mobius_groups() -> np.ndarray:
+    """Each group's coefficients along directions 0, 1 and 2, the lookup
+    table of _mobius_blocks: the sum, over its entries t that are 1, of the
+    coefficients of entry t alone, (-1)^|s - t| at each s that contains t.
+    Groups 2^t .. 2^(t+1) - 1 are groups 0 .. 2^t - 1 with entry t added."""
+    coeffs = [0] * 8
+    for t in range(8):
+        unit = [(-1) ** (s ^ t).bit_count() if s & t == t else 0 for s in range(8)]
+        coeffs += [c + u for c, u in zip(coeffs, unit * (len(coeffs) // 8))]
+    return group_lookup(coeffs)
+
+
+_MOBIUS_GROUPS = _mobius_groups()
+
+
+def _mobius_pass(coeffs: np.ndarray, i: int) -> None:
+    """One in-place pass along direction i: the entries with bit i set less
+    their partners without it."""
+    v = axis_view(coeffs, 2, i)
+    hi = v[:, 1]
+    np.subtract(hi, v[:, 0], out=hi, order="A")
+
+
+def _mobius_blocks(table: TruthTable,
+                   out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, block) for consecutive blocks of 2^m entries that cover the
+    table: block holds the coefficients of the monomials lo + j, j < 2^m,
+    with the bits of j permuted, which keeps each one's weight |lo| + |j|.
+    It is a slice of the narrow table when every pass fits int16, else one
+    wide buffer reused for every block. With out, each block is also copied
+    into out[lo:lo + 2^m] in index order.
+
+    Directions 0, 1 and 2 come for each 8-entry group from a 256-word int8
+    lookup table (by_groups). After k passes an entry is at most 2^(k-1) in
+    magnitude, so the first 7 passes fit int8 and the first 15 int16. The
+    directions from m up run over the whole table, the highest first, on
+    int8 and then int16. Each block takes the rest, 3 .. m-1, in two phases
+    that both walk long runs: the highest of them that int16 still holds run
+    in place, and the copy into the wide dtype (int32 up to arity 31, int64
+    above) moves the others above those, where they run. m is the largest
+    block of the wide dtype within _BLOCK_BYTES, or the arity when the whole
+    table fits, but never under arity - 12, so that the whole-table passes
+    fit int16.
+    """
+    n = table.arity
+    wide = np.dtype(np.int32 if n <= 31 else np.int64)
+    m = max(block_exponent(2, n, wide.itemsize) or n, n - 12)
+    top = range(n - 1, max(m, 3) - 1, -1)
+    held = min(12 - len(top), max(m - 3, 0))  # the block's passes on int16
+    moved = max(m - 3, 0) - held
+    coeffs = by_groups(table.values, _MOBIUS_GROUPS).view(np.int8)[:len(table)]
+    for i in top[:4]:
+        _mobius_pass(coeffs, i)
+    if len(top) + held > 4:
+        # with out, the int16 passes run in the last 2 bytes per entry of its
+        # own, which a block copied into out reaches only once they are read
+        wider = np.empty(len(table), np.int16) if out is None else out.view(np.int16)[-len(table):]
+        np.copyto(wider, coeffs)
+        coeffs = wider
+    for i in top[4:]:
+        _mobius_pass(coeffs, i)
+    wide_block = np.empty(1 << m, dtype=wide) if moved else None
+    for lo in range(0, len(table), 1 << m):
+        block = coeffs[lo:lo + (1 << m)]
+        for i in range(m - held, m):
+            _mobius_pass(block, i)
+        if moved:
+            # bits 3 .. m-1 of j: the moved ones above the held ones in the
+            # wide block's memory, below them in the table's
+            np.copyto(wide_block.reshape(1 << moved, 1 << held, -1),
+                      block.reshape(1 << held, 1 << moved, -1).transpose(1, 0, 2))
+            block = wide_block
+            for i in range(3 + held, m):
+                _mobius_pass(block, i)
+        if out is not None:
+            np.copyto(out[lo:lo + len(block)].reshape(1 << held, 1 << moved, -1),
+                      block.reshape(1 << moved, 1 << held, -1).transpose(1, 0, 2))
+        yield lo, block
+
+
 def mobius_coefficients(fn, cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
     """Integer coefficients of the unique multilinear polynomial over Z.
 
     Entry S (as a bitmask) is the coefficient of the monomial prod of the
-    variables in S. The array is int32 up to arity 31, int64 above: after k
-    of the in-place passes every entry is an alternating sum of 2^k table
-    values, 2^(k-1) of each sign, so its magnitude is at most 2^(n-1).
-    Each pass, from axis_blocks, goes through axis_view (transposed for the
-    first four).
+    variables in S. The array is int32 up to arity 31, int64 above: every
+    entry is an alternating sum of 2^n table values, 2^(n-1) of each sign,
+    so its magnitude is at most 2^(n-1). _mobius_blocks copies its blocks
+    into it in index order.
     """
     table = _table_of(fn, cap)
-    coeffs = table.values.astype(np.int32 if table.arity <= 31 else np.int64)
-    for i, (c,) in axis_blocks(2, table.arity, coeffs):
-        v = axis_view(c, 2, i)
-        hi = v[:, 1]
-        np.subtract(hi, v[:, 0], out=hi, order="A")
+    coeffs = np.empty(len(table), dtype=np.int32 if table.arity <= 31 else np.int64)
+    for _ in _mobius_blocks(table, out=coeffs):
+        pass
     return coeffs
 
 
 def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
-    """Degree of the multilinear polynomial; 0 for constants."""
-    coeffs = mobius_coefficients(fn, cap)
-    nz = np.flatnonzero(coeffs)
-    if len(nz) == 0:
-        return 0
-    return int(np.bitwise_count(nz.astype(np.uint64)).max())
+    """Degree of the multilinear polynomial; 0 for constants.
+
+    Each block of _mobius_blocks is reduced as it is made, so the 2^n
+    coefficients are never held at once. A block from lo (a multiple of its
+    length) holds the monomial lo + j, of weight |lo| + |j|, at a position p
+    that permutes the bits of j, so |p| = |j|. Its nonzero positions are
+    listed _DEGREE_CHUNK at a time, and a chunk from start adds |start|.
+    """
+    deg = 0
+    for lo, block in _mobius_blocks(_table_of(fn, cap)):
+        for start in range(0, len(block), _DEGREE_CHUNK):
+            nonzero = np.flatnonzero(block[start:start + _DEGREE_CHUNK])
+            if len(nonzero):
+                deg = max(deg, (lo + start).bit_count() + int(np.bitwise_count(nonzero).max()))
+    return deg
 
 
 def _check_budget(nbytes: int, what: str) -> None:
@@ -606,9 +698,11 @@ class SensitivityGraph:
         """S's degrees d_S when no input off S has two neighbours, else None.
         For y, y' in S, entry (y, y') of B B^T counts their common neighbours,
         so B B^T is diag(d_S) exactly then: every component is a star K_1,d
-        centred in S. One masked max over the cached counts, on every call."""
+        centred in S. One max over the cached counts times the mask of the
+        inputs off S, on every call: a product and a plain max run several
+        times faster than a max with where=."""
         counts = self.degree_counts()
-        if np.max(counts, where=self.table.values != self._side_value, initial=0) > 1:
+        if (counts * (self.table.values != self._side_value)).max(initial=0) > 1:
             return None
         return counts[self._side]
 

@@ -585,10 +585,107 @@ def test_table_kernels_are_pinned():
         "ba0aa487128ca24946e6aeb340b1cd6108f5663da67c8bd849e7f356d179d6c8")
 
 
+def reference_scan(values: np.ndarray, n: int) -> np.ndarray:
+    """Per-input sensitivity, one direction at a time on int64 entries."""
+    v = values.astype(np.int64)
+    counts = np.zeros_like(v)
+    for i in range(n):
+        pair, cnt = v.reshape(-1, 2, 1 << i), counts.reshape(-1, 2, 1 << i)
+        diff = pair[:, 0] ^ pair[:, 1]
+        cnt[:, 0] += diff
+        cnt[:, 1] += diff
+    return counts
+
+
+def reference_mobius(values: np.ndarray, n: int) -> np.ndarray:
+    """Moebius coefficients, one direction at a time on int64 entries."""
+    coeffs = values.astype(np.int64)
+    for i in range(n):
+        pair = coeffs.reshape(-1, 2, 1 << i)
+        pair[:, 1] -= pair[:, 0]
+    return coeffs
+
+
+def check_table_kernels(table: TruthTable) -> None:
+    """The scan, mobius_coefficients (dtype included) and degree of table
+    equal the plain int64 references, which use no lookup table, no words
+    and no blocks."""
+    n = table.arity
+    counts = core._sensitivity_scan(table.values, n)
+    assert counts.dtype == np.uint8 and not counts.flags.writeable
+    assert np.array_equal(counts, reference_scan(table.values, n))
+    del counts
+    want = reference_mobius(table.values, n)
+    got = mobius_coefficients(table)
+    assert got.dtype == (np.int32 if n <= 31 else np.int64)
+    assert np.array_equal(got, want)
+    del got
+    nz = np.flatnonzero(want)
+    assert degree(table) == (int(np.bitwise_count(nz).max()) if len(nz) else 0)
+
+
+def parity_and_constants(n: int) -> dict[str, TruthTable]:
+    """Parity, whose coefficient of S is +-2^(|S|-1) and so reaches the int8
+    and int16 bounds after 7 and 15 passes, its complement and both
+    constants."""
+    parity = make_parity(n).table().values
+    return {"parity": TruthTable(n, parity), "complement": TruthTable(n, 1 - parity),
+            "zero": TruthTable(n, np.zeros(1 << n, np.uint8)),
+            "one": TruthTable(n, np.ones(1 << n, np.uint8))}
+
+
+class TestKernelsAgainstReference:
+    """The lookup-table scan, Moebius in narrow integers and the streamed
+    degree against one int64 pass per direction."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random_tables(self, n):
+        rng = np.random.default_rng([35, n])
+        for p in (0.1, 0.5, 0.9):
+            check_table_kernels(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_parity_and_constants(self, n):
+        for table in parity_and_constants(n).values():
+            check_table_kernels(table)
+
+    @pytest.mark.parametrize("n", [4, 11, 16])
+    def test_values_at_an_odd_address(self, n):
+        # the scan reads the table through a uint64 view, unaligned here
+        buf = np.empty((1 << n) + 1, dtype=np.uint8)
+        values = buf[1:]
+        values[:] = np.random.default_rng([35, n, 1]).integers(0, 2, 1 << n)
+        table = TruthTable(n, values)
+        assert table.values.ctypes.data % 2 == 1
+        check_table_kernels(table)
+
+    @pytest.mark.parametrize("n, m", [(16, 5), (17, 5), (18, 5), (20, 10)])
+    def test_wide_passes_in_small_blocks(self, monkeypatch, n, m):
+        # blocks of 2^m int32 entries (2^(n-12) at n = 18): the whole-table
+        # passes take directions from m up, and each block runs the rest,
+        # 3 .. m-1, its highest on int16 in place and the others (all of
+        # them at n = 17 and 18) moved up and run on int32; at n = 20 each
+        # phase takes several
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 4 << m)
+        check_table_kernels(parity_and_constants(n)["parity"])
+        rng = np.random.default_rng([35, n, 2])
+        check_table_kernels(TruthTable(n, rng.integers(0, 2, 1 << n, dtype=np.uint8)))
+
+    def test_degree_holds_no_coefficient_array(self):
+        # a block of int32 coefficients at a time, beside the int16 table:
+        # the 2^20 int32 coefficients alone would take 4 bytes per entry
+        table = TruthTable(20, np.random.default_rng(35).integers(0, 2, 1 << 20, dtype=np.uint8))
+        deg, peak = TestMemoryBudget.traced(lambda: degree(table))
+        assert deg == 20
+        assert peak < 4 * len(table)
+
+
 # every per-axis kernel on axis_blocks: its radix, the bytes per entry of the
-# arrays it hands the driver (the census's first round, the larger), and a run
+# arrays it hands the driver (the census's first round, the larger), and a
+# run. The scan hands it uint64 words, 8 table entries each, of three arrays;
+# Moebius's blocks are of int32 entries.
 BLOCKED_KERNELS = {
-    "scan": (2, 3, lambda t: core._sensitivity_scan(t.values, t.arity)),
+    "scan": (2, 24, lambda t: core._sensitivity_scan(t.values, t.arity)),
     "mobius": (2, 4, mobius_coefficients),
     "nondegenerate": (2, 1, lambda t: BooleanFunction.from_table(t).is_nondegenerate()),
     "census": (2, 7, measures._census_from_table),
