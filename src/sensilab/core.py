@@ -222,6 +222,25 @@ class TruthTable:
         """
         return _sensitivity_scan(self.values, self.arity)
 
+    @cached_property
+    def side_sensitivities(self) -> tuple[tuple[int, int | None], tuple[int, int | None]]:
+        """((s0, x0), (s1, x1)): the largest sensitivity over the 0-inputs
+        and over the 1-inputs, each with the least input attaining it, or
+        (0, None) for a side with no inputs. Computed on first use and kept.
+
+        One pass over the values and the cached counts makes one int8 key:
+        the count c at a 1-input and ~c = -(c + 1) at a 0-input (a count is
+        at most arity <= 63). Its argmax is the 1-side's largest count when
+        the key there is >= 0, its argmin the 0-side's when it is < 0.
+        """
+        key = np.subtract(self.values, 1, dtype=np.uint8)
+        np.bitwise_xor(key, self.sensitivity_counts, out=key)
+        key = key.view(np.int8)
+        x0, x1 = int(key.argmin()), int(key.argmax())
+        zero = (~int(key[x0]), x0) if key[x0] < 0 else (0, None)
+        one = (int(key[x1]), x1) if key[x1] >= 0 else (0, None)
+        return zero, one
+
     def to_hex(self) -> str:
         """Hex encoding, most-significant hex digit first, lowercase."""
         packed = np.packbits(self.values, bitorder="little").tobytes()

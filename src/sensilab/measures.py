@@ -8,10 +8,12 @@ the rows B of its smaller side, read straight from the table by the path
 that needs them. Lambda is found by one exact dense eigensolve of Gram
 blocks on their smaller sides, the inputs grouped into the two parity
 classes up to arity 10 and into connected components past it, each chunk
-of groups reading its edges through edges(xs); by matrix-free power
-iteration on the Gram operator B B^T of the whole smaller side, B built
-once when it fits the memory budget and rebuilt on each step in runs that
-fit it otherwise; or from a construction's closed form.
+of groups reading its edges through edges(xs), and a large block
+eigensolved only when Collatz-Wielandt bounds cannot rule it out; by
+matrix-free power iteration on the Gram operator B B^T of the whole
+smaller side, B built once when it fits the memory budget and rebuilt on
+each step in runs that fit it otherwise; or from a construction's closed
+form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free applies that diagonal and the exact solve past arity 10 reads
@@ -66,6 +68,26 @@ CENSUS_BYTES_PER_INPUT = 8
 # from the table, not by component: a class's smaller side has at most
 # 2^(n-1) = 512 inputs, and the adjacency and labels would outweigh the solve
 _CLASS_SOLVE_ARITY = 10
+# the exact solve bounds blocks of at least this many rows by Collatz-Wielandt
+# steps before it eigensolves any (_bounded_top); smaller ones go to one
+# eigvalsh batch per shape as before. On random tables, bounding the blocks of
+# about 64 rows at n = 8 ran 4% slower a table (0.365 against 0.350 ms), and
+# those of about 128 at n = 9 25% faster (0.83 against 1.10 ms)
+_BOUND_ROWS = 96
+# steps before the first eigensolve: with the first solve after one step, a
+# random n=10 table took 1.12 eigensolves on average, after three 1.02
+_LEAD_STEPS = 3
+# steps a bounded block takes at most, or one per 64 rows of the largest block
+# when that is more: a step costs about 4 m M flops against several m^3 for an
+# eigensolve, and the components of random n=13 tables took up to 32 steps
+_BOUND_STEPS = 16
+# a bounded block is dropped when its upper bound is below the best exact value
+# by more than this share of it. Each entry of the computed C (C^T x) sums at
+# most m + M nonnegative terms, so the bound is within about (m + M) 2^-53 of
+# its exact value, relatively; eigvalsh is backward stable, its top eigenvalue
+# within a modest multiple of m 2^-53 of the exact one. Both stay near 1e-12
+# for any block the budget admits, so no dropped block's eigvalsh exceeds best
+_BOUND_MARGIN = 1e-9
 CERT_SEARCH_CAP = 16
 # export-graph writes no graph past this arity, whatever --materialize-cap says
 GRAPH_EXPORT_CAP = 16
@@ -115,13 +137,12 @@ def sensitivity_at(fn: BooleanFunction, x: int) -> int:
     return sum(fn(x ^ (1 << i)) != fx for i in range(fn.arity))
 
 
-def _side_max(per_input: np.ndarray, table: TruthTable, b: int | None) -> SensSummary:
-    """Max of per_input over the inputs where f is b (all for None), least x."""
+def _side_max(per_input: np.ndarray, table: TruthTable, b: int) -> SensSummary:
+    """Max of per_input over the inputs where f is b, least x."""
     # count + 1 on the side, 0 off it, in the counts' own dtype: every count
     # is at most the arity, so + 1 cannot wrap, and a max of 0 is an empty side
     key = per_input + 1
-    if b is not None:
-        key *= table.values == b
+    key *= table.values == b
     x = int(key.argmax())
     if key[x] == 0:
         return SensSummary(0, None)
@@ -129,7 +150,15 @@ def _side_max(per_input: np.ndarray, table: TruthTable, b: int | None) -> SensSu
 
 
 def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
-    return _side_max(table.sensitivity_counts, table, b)
+    """s_b from the table's cached side pass; for None, s: the larger side,
+    and on a tie the smaller of the witnesses (an empty side has none)."""
+    sides = table.side_sensitivities
+    if b is not None:
+        return SensSummary(*sides[b])
+    (v0, x0), (v1, x1) = sides
+    if v0 != v1:
+        return SensSummary(*sides[v1 > v0])
+    return SensSummary(v0, min(x for x in (x0, x1) if x is not None))
 
 
 def s0(fn, cap: int = DEFAULT_TABLE_CAP) -> SensSummary:
@@ -698,13 +727,12 @@ class SensitivityGraph:
         """S's degrees d_S when no input off S has two neighbours, else None.
         For y, y' in S, entry (y, y') of B B^T counts their common neighbours,
         so B B^T is diag(d_S) exactly then: every component is a star K_1,d
-        centred in S. One max over the cached counts times the mask of the
-        inputs off S, on every call: a product and a plain max run several
-        times faster than a max with where=."""
-        counts = self.degree_counts()
-        if (counts * (self.table.values != self._side_value)).max(initial=0) > 1:
+        centred in S. The test reads s over the inputs off S from the table's
+        cached side pass (TruthTable.side_sensitivities), which s0 and s1
+        share."""
+        if self.table.side_sensitivities[1 - self._side_value][0] > 1:
             return None
-        return counts[self._side]
+        return self.degree_counts()[self._side]
 
     def adjacency(self) -> sp.csr_matrix:
         """The 2^n x 2^n 0/1 CSR, built once over the data and int32 indices
@@ -953,8 +981,17 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     labels, index or blocks. Chunks of groups are solved within
     MEMORY_BUDGET, a group with sides m <= M counting 8 m (m + M) bytes for
     C and C C^T, 24 n m for its at most n m edges and 17 n + 1 per input in
-    S for gathering them (as edges(xs) checks), and a chunk's groups of one
-    shape are one eigvalsh batch.
+    S for gathering them (as edges(xs) checks).
+
+    Only the largest top eigenvalue is reported, and best, the largest
+    found so far, is carried across chunks. In a chunk, the groups of one
+    shape with fewer than _BOUND_ROWS rows are one eigvalsh batch, solved
+    first. The larger blocks go to _bounded_top, which bounds each one by
+    Collatz-Wielandt steps on C and eigensolves only those whose upper
+    bound is not below best by more than _BOUND_MARGIN of it. A block is
+    solved by the same Gram product and eigvalsh as in a batch, and a
+    dropped one's eigvalsh could not have exceeded best, so lambda is bit
+    for bit what solving every block gives.
     """
     vals, n, s = graph.table.values, graph.arity, graph._side_value
     if n <= _CLASS_SOLVE_ARITY:
@@ -991,12 +1028,81 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
         blocks = np.zeros(ends[-1])
         blocks[cell] = 1.0
         cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
+        bounded = []
         for i, j in zip(cuts, cuts[1:]):
             m, big = divmod(int(keys[i]), len(verts))
             c = blocks[ends[i] - size[i]:ends[j - 1]].reshape(j - i, m, big)
-            best = max(best, float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max()))
-        del blocks, c, cell  # freed before the next chunk's
+            if m < _BOUND_ROWS:
+                best = max(best, _gram_top(c))
+            else:
+                bounded.append(c)
+        if bounded:
+            best = _bounded_top(bounded, best)
+        del blocks, c, cell, bounded  # freed before the next chunk's
     return math.sqrt(best)
+
+
+def _gram_top(c: np.ndarray) -> float:
+    """The largest top eigenvalue of the Gram blocks c c^T of a batch c."""
+    return float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max())
+
+
+def _bounded_top(batches: list[np.ndarray], best: float) -> float:
+    """max(best, _gram_top of each batch), eigensolving only the blocks that
+    Collatz-Wielandt bounds cannot rule out.
+
+    Each block C is stepped x <- C (C^T x) from the all-ones x, all blocks
+    of a batch at once while any of them is live, so no copy is made and a
+    block's Gram C C^T is formed only to be eigensolved. Every row of C has
+    an edge, so C C^T has a positive diagonal and x stays positive. With
+    y = C C^T x, the top eigenvalue then lies between the Rayleigh quotient
+    x.y / x.x (lo) and the largest ratio y_i / x_i (hi; Collatz 1942,
+    Wielandt 1950). After every step, a block whose hi is below best by
+    more than _BOUND_MARGIN of it is dropped. After _LEAD_STEPS steps the
+    live block with the largest lo is eigensolved, which sets best. The rest
+    step on, up to _BOUND_STEPS steps in all or one per 64 rows of the
+    largest block, and what is left is eigensolved one block at a time,
+    largest lo first, dropping as best grows.
+    """
+    live = [np.ones(len(c), dtype=bool) for c in batches]
+    xs = [np.ones(c.shape[:2]) for c in batches]
+    lo, hi = [None] * len(batches), [None] * len(batches)
+
+    def step() -> None:
+        for k, c in enumerate(batches):
+            if live[k].any():
+                x = xs[k]
+                y = (c @ (x[:, None] @ c).transpose(0, 2, 1))[:, :, 0]
+                hi[k] = (y / x).max(axis=1)
+                lo[k] = np.einsum("ij,ij->i", x, y) / np.einsum("ij,ij->i", x, x)
+                xs[k] = y / y.max(axis=1, keepdims=True)
+
+    def prune() -> bool:
+        for k in range(len(batches)):
+            live[k] &= hi[k] >= best - _BOUND_MARGIN * best
+        return any(b.any() for b in live)
+
+    def solve_top() -> None:
+        nonlocal best
+        top = [np.where(b, v, -math.inf) for b, v in zip(live, lo)]
+        k = max(range(len(batches)), key=lambda k: top[k].max())
+        i = int(top[k].argmax())
+        best = max(best, _gram_top(batches[k][i:i + 1]))
+        live[k][i] = False
+
+    left = True
+    for t in range(1, max(_BOUND_STEPS, max(c.shape[1] for c in batches) // 64) + 1):
+        step()
+        left = prune()
+        if left and t == _LEAD_STEPS:
+            solve_top()
+            left = prune()
+        if not left:
+            break
+    while left:
+        solve_top()
+        left = prune()
+    return best
 
 
 def _gram_in_runs(table: TruthTable, side: np.ndarray):
@@ -1093,10 +1199,13 @@ def spectral_sensitivity(
     the groups are the two parity classes f(x) ^ (|x| mod 2), each a union
     of components, up to arity _CLASS_SOLVE_ARITY, with no B, labels or
     component index, and the connected components past it; each chunk of
-    groups reads its edges through edges(xs)), "matrix-free" (power
-    iteration on the Gram operator B B^T of the whole graph's smaller side,
-    whose residual is ||A u - lambda u|| at the eigenvector estimate u it
-    implies), "analytic" (closed form recorded by the construction), or
+    groups reads its edges through edges(xs); blocks of _BOUND_ROWS rows
+    or more are first bounded by Collatz-Wielandt steps, and only those
+    that may hold the maximum are eigensolved, which leaves lambda bit for
+    bit the same), "matrix-free" (power iteration on the Gram operator
+    B B^T of the whole graph's smaller side, whose residual is
+    ||A u - lambda u|| at the eigenvector estimate u it implies),
+    "analytic" (closed form recorded by the construction), or
     "auto" to pick the exact solve at arity at most 13 (the test
     8 * 4 ** arity <= MEMORY_BUDGET, the size of a dense adjacency the solve
     never forms) or when lambda^2 can be read from the components' shapes

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -137,6 +138,23 @@ class TestSensitivityScan:
         assert [e.value for e in report.entries] == [1, 4, 4]
         edges = SensitivityGraph(f).edge_count()
         assert edges == sum(sensitivity_at(f, x) for x in range(32)) // 2
+        assert calls == [5]
+
+    def test_one_side_pass_per_table(self, monkeypatch):
+        # s0, s1, s and the star test all read TruthTable.side_sensitivities
+        calls = []
+        real = core.TruthTable.side_sensitivities.func
+
+        def spy(table):
+            calls.append(table.arity)
+            return real(table)
+
+        prop = cached_property(spy)
+        prop.__set_name__(core.TruthTable, "side_sensitivities")
+        monkeypatch.setattr(core.TruthTable, "side_sensitivities", prop)
+        table = haf(2).table()
+        assert [tuple(m(table)) for m in (s0, s1, s)] == [(1, 0), (4, 8), (4, 8)]
+        assert SensitivityGraph(table)._star_degrees() is not None
         assert calls == [5]
 
 
@@ -1557,6 +1575,74 @@ class TestParityClassSolve:
     def test_arity_eleven_builds_the_index_once(self, monkeypatch, method):
         table = TruthTable(11, np.random.default_rng(11).integers(0, 2, 2048, dtype=np.uint8))
         assert self.index_builds(monkeypatch, table, method) == (1, 1)
+
+
+class TestBoundedSolve:
+    """Blocks of at least _BOUND_ROWS rows are bounded by Collatz-Wielandt
+    steps before any is eigensolved, and only those the bounds cannot rule
+    out reach eigvalsh; lambda is bit for bit what solving every block gives."""
+
+    @staticmethod
+    def assert_bit_identical(table):
+        # 2^20 rows bounds no block; 0 bounds every block, with the default
+        # steps and with as few as the step rule allows, which leaves more
+        # blocks to eigensolve in order of their lower bounds
+        by = []
+        for rows, steps in ((1 << 20, None), (0, None), (0, 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measures, "_BOUND_ROWS", rows)
+                if steps:
+                    mp.setattr(measures, "_BOUND_STEPS", steps)
+                    mp.setattr(measures, "_LEAD_STEPS", steps)
+                by.append(spectral_sensitivity(table, method="dense").value)
+        assert by[1] == by[0] and by[2] == by[0]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bit_identical_on_random_tables(self, n, data):
+        self.assert_bit_identical(data.draw(random_tables(n)))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("name", ["and", "or", "parity", "constant"])
+    def test_bit_identical_on_named_tables(self, n, name):
+        self.assert_bit_identical(named_tables(n)[name])
+
+    @pytest.mark.parametrize("kind", ["random", "parity"])
+    def test_isomorphic_classes_both_reach_eigvalsh(self, monkeypatch, kind):
+        # f ignores x0, so x -> x ^ 1 maps one parity class onto the other,
+        # and their bounds never fall below the first solve's value; on
+        # parity of x1..x9 both classes are 9-cubes, whose bound is 81 at once
+        half = (np.random.default_rng(9).integers(0, 2, 512, dtype=np.uint8)
+                if kind == "random" else make_parity(9).table().values)
+        table = TruthTable(10, np.repeat(half, 2))
+        value, shapes = gram_batches(
+            monkeypatch, lambda: spectral_sensitivity(table, method="dense").value)
+        assert len(shapes) == 2 and shapes[0] == shapes[1]
+        assert shapes[0][0] == 1 and shapes[0][1] >= measures._BOUND_ROWS
+        assert value == pytest.approx(dense_reference_lambda(table), abs=1e-9)
+
+    def test_the_lower_class_is_pruned(self, monkeypatch):
+        table = TruthTable(10, np.random.default_rng(10).integers(0, 2, 1024, dtype=np.uint8))
+        # each class's smaller side and its lambda^2, from the dense reference
+        adj, cls = dense_reference_adjacency(table), parity_class(table)
+        classes = []
+        for c in (0, 1):
+            xs = np.flatnonzero((cls == c) & (table.sensitivity_counts > 0))
+            ones = int(table.values[xs].sum())
+            top = float(np.linalg.eigvalsh(adj[np.ix_(xs, xs)])[-1]) ** 2
+            classes.append((top, min(ones, len(xs) - ones)))
+        (low, _), (high, rows) = sorted(classes)
+        assert rows >= measures._BOUND_ROWS and low < 0.97 * high
+        grams = []
+        real = measures._gram_top
+        # the one place a Gram block is formed
+        monkeypatch.setattr(measures, "_gram_top", lambda c: grams.append(c.shape) or real(c))
+        value, shapes = gram_batches(
+            monkeypatch, lambda: spectral_sensitivity(table, method="dense").value)
+        assert shapes == [(1, rows, rows)]
+        assert len(grams) == 1 and grams[0][:2] == (1, rows)
+        assert value * value == pytest.approx(high, rel=1e-12)
 
 
 INDEX_PASSES = {
