@@ -57,6 +57,7 @@ class ConstructionMeta:
 
     family: str | None = None
     params: dict | None = None
+    predicted_arity: int | None = None
     predicted_s0: int | None = None
     predicted_s1: int | None = None
     predicted_lambda_sq: int | None = None
@@ -103,9 +104,10 @@ def _code_sections(orders: Sequence[int], budget: int) -> tuple[int, int]:
     for r in orders:
         if r < 2:
             raise ValueError(f"code order must be an integer >= 2, got {r!r}")
-        if r >= budget.bit_length():
+        if r >= budget.bit_length() or (1 << r) - r - 1 >= budget.bit_length():
+            size = f"(2^{r} - {r} - 1)" if r >= budget.bit_length() else (1 << r) - r - 1
             raise ValueError(
-                f"code order {r} gives a data section of 2^(2^{r} - {r} - 1) bits, "
+                f"code order {r} gives a data section of 2^{size} bits, "
                 f"over the arity budget {budget}"
             )
     e = sum((1 << r) - r - 1 for r in orders)
@@ -164,12 +166,13 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
     rs = [int(r) for r in rs]
     if not rs:
         raise ValueError("need at least one code order")
-    K, e = _code_sections(rs, MAX_CONSTRUCTION_ARITY)
-    t = 1 << e
+    predicted = _profile(rs, [], MAX_CONSTRUCTION_ARITY)
     codes = [HammingCode(r) for r in rs]
     offsets = [0]
     for code in codes[:-1]:
         offsets.append(offsets[-1] + code.codeword_len)
+    K = offsets[-1] + codes[-1].codeword_len
+    t = predicted["predicted_arity"] - K
 
     def point(x: int) -> int:
         m0 = 0
@@ -185,14 +188,9 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
         for m0, ds in enumerate(digits):
             yield sum(c.encode_index(d) << off for c, d, off in zip(codes, ds, offsets)), m0
 
-    s1 = K + 1
     return _address_function(
         f"chaf({','.join(str(r) for r in rs)})", K, t, point, picks, t,
-        family="chaf",
-        params={"rs": list(rs)},
-        predicted_s0=1,
-        predicted_s1=s1,
-        predicted_lambda_sq=s1,
+        family="chaf", params={"rs": list(rs)}, **predicted,
     )
 
 
@@ -387,6 +385,8 @@ def data_compose(outer: BooleanFunction, inner: BooleanFunction) -> BooleanFunct
 
 
 def _profile(as_: list[int], bs_: list[int], budget: int) -> dict:
+    """tradeoff(as_, bs_)'s closed forms, as ConstructionMeta's predicted_*
+    fields. Empty bs_ gives chaf over as_: s0 = 1, s1 = lambda^2 = K + 1."""
     if not as_:
         raise ValueError("need at least one outer code order")
     k_out, e_out = _code_sections(as_, budget)
@@ -397,17 +397,18 @@ def _profile(as_: list[int], bs_: list[int], budget: int) -> dict:
         s0 = sum(1 << b for b in bs_) - len(bs_) + 1
         arity = k_out + (1 << e_out) * (k_in + (1 << e_in))
     return {
-        "arity": _check_budget(arity, budget),
-        "s0": s0,
-        "s1": s1,
-        "lambda_sq": s0 + s1 - 1,
+        "predicted_arity": _check_budget(arity, budget),
+        "predicted_s0": s0,
+        "predicted_s1": s1,
+        "predicted_lambda_sq": s0 + s1 - 1,
     }
 
 
 def tradeoff_profile(as_: Sequence[int], bs_: Sequence[int]) -> dict:
-    """Closed-form predictions for tradeoff(as_, bs_), for any parameters
-    whose arity stays within MAX_PROFILE_ARITY."""
-    return _profile([int(a) for a in as_], [int(b) for b in bs_], MAX_PROFILE_ARITY)
+    """Closed-form predictions for tradeoff(as_, bs_) (arity, s0, s1 and
+    lambda_sq), for any parameters whose arity stays within MAX_PROFILE_ARITY."""
+    profile = _profile([int(a) for a in as_], [int(b) for b in bs_], MAX_PROFILE_ARITY)
+    return {k.removeprefix("predicted_"): v for k, v in profile.items()}
 
 
 def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
@@ -415,24 +416,16 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     by a negated chaf over bs_. Empty bs_ gives plain chaf over as_."""
     as_ = [int(a) for a in as_]
     bs_ = [int(b) for b in bs_]
-    profile = _profile(as_, bs_, MAX_CONSTRUCTION_ARITY)
-    params = {"as": as_, "bs": bs_}
+    predicted = _profile(as_, bs_, MAX_CONSTRUCTION_ARITY)
     tag = f"tradeoff({','.join(map(str, as_))};{','.join(map(str, bs_))})"
-    if not bs_:
-        base = chaf(as_)
-        return _relabelled(base, replace(base.meta, family="tradeoff", params=params), tag)
+    claims = dict(family="tradeoff", params={"as": as_, "bs": bs_}, **predicted)
     outer = chaf(as_)
-    inner = chaf(bs_).negate()
-    fn = data_compose(outer, inner)
-    assert fn.arity == profile["arity"]
+    if not bs_:
+        return _relabelled(outer, replace(outer.meta, **claims), tag)
+    fn = data_compose(outer, chaf(bs_).negate())
+    assert fn.arity == predicted["predicted_arity"]
     meta = ConstructionMeta(
-        family="tradeoff",
-        params=params,
-        predicted_s0=profile["s0"],
-        predicted_s1=profile["s1"],
-        predicted_lambda_sq=profile["lambda_sq"],
-        codeword_len=outer.meta.codeword_len,
-        data_len=outer.meta.data_len,
+        codeword_len=outer.meta.codeword_len, data_len=outer.meta.data_len, **claims
     )
     return _relabelled(fn, meta, tag)
 

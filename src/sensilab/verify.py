@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BooleanFunction, CapExceeded, CertificateCollection, PartialAssignment, TruthTable
-from .constructions import desensitize, haf, maf, tradeoff, tradeoff_profile
+from .constructions import desensitize, haf, maf, tradeoff
 from .measures import (
     DEFAULT_SEED,
     MEMORY_BUDGET,
@@ -150,37 +150,50 @@ def claims_to_csv(claims: Sequence[ClaimResult]) -> str:
     return buf.getvalue()
 
 
+def _profile_claims(claims: _Claims, prefix: str, fn: BooleanFunction,
+                    rows: Sequence[str] = ("arity", "s0", "s1", "lambda"),
+                    notes: dict | None = None, lambda_of=None, method: str = "auto",
+                    seed: int = DEFAULT_SEED) -> None:
+    """The named rows of fn's closed-form profile, in order, each predicted by
+    fn.meta: <prefix>.arity where meta predicts it, .s0 and .s1 exact, and
+    .lambda against sqrt(predicted_lambda_sq), solved on lambda_of (fn, or
+    its SensitivityGraph) by method. notes maps a row to its note."""
+    meta, notes = fn.meta, notes or {}
+    for row in rows:
+        claim, note = f"{prefix}.{row}", notes.get(row, "")
+        if row == "lambda":
+            spec = spectral_sensitivity(lambda_of or fn, method=method, seed=seed)
+            claims.add_lambda(claim, math.sqrt(meta.predicted_lambda_sq), spec, note)
+        elif row == "arity":
+            if meta.predicted_arity is not None:
+                claims.add(claim, meta.predicted_arity, fn.arity, "exact", note=note)
+        else:
+            value = (s0 if row == "s0" else s1)(fn).value
+            claims.add(claim, getattr(meta, f"predicted_{row}"), value, "exact", note=note)
+
+
 def verify_theorem1(
     r: int,
     lambda_method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> list[ClaimResult]:
-    """Profile of the single-code address function: s0 = 1, s1 = 2^r hit
-    exactly, arity formula, non-degeneracy, and lambda = sqrt(s1)."""
-    if r not in (2, 3):
-        raise ValueError(f"suite runs at r in {{2, 3}}, got {r}")
+    """Profile of the single-code address function, read from its meta:
+    s0 = 1, s1 = 2^r hit exactly, arity formula, non-degeneracy, and lambda =
+    sqrt(s1). Past the table cap, at r = 4 and 5, s0 raises CapExceeded."""
     claims = _Claims()
     fn = haf(r)
-    mlen = (1 << r) - r - 1
-    claims.add("thm1.arity", (1 << r) - 1 + (1 << mlen), fn.arity, "exact")
+    _profile_claims(claims, "thm1", fn, ("arity",))
     claims.add(
         "thm1.arity_bound",
-        1 << mlen,
+        fn.meta.data_len,
         fn.arity,
         "ge",
         note="arity grows at least as fast as the data section",
     )
-    claims.add("thm1.s0", 1, s0(fn).value, "exact")
-    claims.add(
-        "thm1.s1",
-        1 << r,
-        s1(fn).value,
-        "exact",
-        note="claimed as an upper bound; equality observed and asserted",
-    )
+    _profile_claims(claims, "thm1", fn, ("s0", "s1"), {
+        "s1": "claimed as an upper bound; equality observed and asserted"})
     claims.add("thm1.nondegenerate", True, fn.is_nondegenerate(), "exact")
-    spec = spectral_sensitivity(fn, method=lambda_method, seed=seed)
-    claims.add_lambda("thm1.lambda", math.sqrt(1 << r), spec)
+    _profile_claims(claims, "thm1", fn, ("lambda",), method=lambda_method, seed=seed)
     return claims.rows
 
 
@@ -407,11 +420,7 @@ def verify_desensitization(
     claims = _Claims()
     label = name or getattr(fn, "name", "f")
     prime = desensitize(fn, certs)
-    claims.add(f"desens.{label}.s0", 1, s0(prime).value, "exact")
-    target = 3 * certs.max_codim()
-    claims.add(f"desens.{label}.s1", target, s1(prime).value, "exact")
-    claims.add_lambda(f"desens.{label}.lambda", math.sqrt(target), spectral_sensitivity(prime),
-                      note="sqrt(s1) since s0=1")
+    _profile_claims(claims, f"desens.{label}", prime, notes={"lambda": "sqrt(s1) since s0=1"})
     claim = f"desens.{label}.uc1"
     if prime.arity > UC_EXACT_CAP:
         claims.skip(claim, None, "le",
@@ -443,15 +452,10 @@ def verify_tradeoff(
     MEMORY_BUDGET."""
     claims = _Claims()
     fn = tradeoff(as_, bs_)
-    profile = tradeoff_profile(as_, bs_)
-    claims.add("thm3.arity", profile["arity"], fn.arity, "exact")
-    claims.add("thm3.s0", profile["s0"], s0(fn).value, "exact")
-    claims.add("thm3.s1", profile["s1"], s1(fn).value, "exact")
     # lambda and the census read one graph, whose adjacency and component
     # labels are built at most once
     graph = SensitivityGraph(fn)
-    spec = spectral_sensitivity(graph, method=lambda_method, seed=seed)
-    claims.add_lambda("thm3.lambda", math.sqrt(profile["lambda_sq"]), spec)
+    _profile_claims(claims, "thm3", fn, lambda_of=graph, method=lambda_method, seed=seed)
     try:
         shapes = graph.census()
     except CapExceeded as exc:
@@ -466,16 +470,13 @@ def verify_tradeoff(
         note=f"component shapes: {census}",
     )
     if bs_:
-        want = ("two-layer-star", profile["s0"], profile["s1"])
+        want = ("two-layer-star", fn.meta.predicted_s0, fn.meta.predicted_s1)
         claims.add(
             "thm3.fig1",
             1,
             shapes.get(want, 0),
             "ge",
-            note=(
-                f"two-layer stars with center degree {profile['s0']} and "
-                f"middle degree {profile['s1']}"
-            ),
+            note=f"two-layer stars with center degree {want[1]} and middle degree {want[2]}",
         )
     return claims.rows
 

@@ -483,6 +483,19 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("r, reason", [
+        ("4", "materialization cap 26"),
+        ("5", "materialization cap 26"),
+        ("1", "code order must be an integer >= 2, got 1"),
+        ("9", "code order 9 gives a data section of 2^502 bits"),
+    ])
+    def test_theorem1_refusals_name_their_limit(self, capsys, r, reason):
+        # haf(4) and haf(5) are built, then refused at the table cap; orders 1
+        # and 9 are refused by the construction
+        code, stdout, err = run_fast(capsys, "verify", "theorem1", "--r", r)
+        assert (code, stdout) == (2, "")
+        assert reason in err
+
 
 class TestExportGraph:
     def test_edges_stdout(self, tmp_path, capsys):

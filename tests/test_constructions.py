@@ -46,6 +46,7 @@ class TestHaf:
     def test_meta_predictions(self):
         f = haf(2)
         assert f.meta.family == "haf" and f.meta.params == {"r": 2}
+        assert f.meta.predicted_arity == 5
         assert f.meta.predicted_s0 == 1
         assert f.meta.predicted_s1 == 4
         assert f.meta.predicted_lambda_sq == 4
@@ -56,7 +57,7 @@ class TestHaf:
         neg = meta.negated()
         assert (neg.family, neg.params) == (None, None)
         assert (neg.predicted_s0, neg.predicted_s1) == (4, 1)
-        assert neg.predicted_lambda_sq == 4
+        assert (neg.predicted_arity, neg.predicted_lambda_sq) == (5, 4)
         assert (neg.codeword_len, neg.data_len, neg.certificates_validated) == (3, 2, True)
         assert neg.certificates == CertificateCollection(
             0, meta.certificates.certificates, unambiguous=True
@@ -593,6 +594,32 @@ class TestTradeoff:
         f = tradeoff([2], [2])
         assert s0(f).value == 4
         assert s1(f).value == 4
+
+    def test_profile_is_the_meta_on_every_instance_in_budget(self):
+        # outer orders 2..4 in up to 3 codes, inner orders 2..3 in up to 2:
+        # 230 of the 273 sequences fit the construction budget
+        outers = [list(p) for k in (1, 2, 3) for p in itertools.product((2, 3, 4), repeat=k)]
+        inners = [list(p) for k in (0, 1, 2) for p in itertools.product((2, 3), repeat=k)]
+        built = 0
+        for as_, bs_ in itertools.product(outers, inners):
+            try:
+                f = tradeoff(as_, bs_)
+            except ValueError:
+                continue
+            built += 1
+            meta = f.meta
+            assert tradeoff_profile(as_, bs_) == {
+                "arity": meta.predicted_arity,
+                "s0": meta.predicted_s0,
+                "s1": meta.predicted_s1,
+                "lambda_sq": meta.predicted_lambda_sq,
+            }, (as_, bs_)
+            assert meta.predicted_arity == f.arity and f._table is None
+            neg = meta.negated()
+            assert (neg.predicted_arity, neg.predicted_s0, neg.predicted_s1) == (
+                meta.predicted_arity, meta.predicted_s1, meta.predicted_s0
+            )
+        assert built == 230
 
 
 class TestDescriptors:

@@ -11,11 +11,16 @@ from sensilab import measures
 from sensilab import verify as verify_mod
 from sensilab import (
     BooleanFunction,
+    CapExceeded,
     TruthTable,
+    address_fn,
     all_pass,
     chaf,
     claims_to_csv,
     claims_to_json,
+    desensitize,
+    haf,
+    maf,
     s0,
     s1,
     tradeoff,
@@ -29,6 +34,7 @@ from sensilab import (
     verify_theorem1,
     verify_tradeoff,
 )
+from sensilab.constructions import FAMILIES
 from sensilab.verify import ClaimResult, _passes
 
 
@@ -119,8 +125,10 @@ class TestTheorem1:
             assert c.note.rpartition("; ")[2].startswith(f"method={method}, residual=")
 
     def test_rejects_large_r(self):
-        with pytest.raises(ValueError):
-            verify_theorem1(4)
+        # haf(4) and haf(5) are built; their first computed row is over the table cap
+        for r in (4, 5):
+            with pytest.raises(CapExceeded, match="cap 26"):
+                verify_theorem1(r)
 
 
 class TestSimon:
@@ -434,6 +442,109 @@ class TestMafProposition:
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             verify_maf_proposition(5)
+
+
+# every field of each suite's rows but runtime: (claim, predicted, computed,
+# mode, status, tolerance, note)
+PINNED_ROWS = {
+    "theorem1(2)": (lambda fx: verify_theorem1(2), [
+        ("thm1.arity", 5, 5, "exact", "pass", None, ""),
+        ("thm1.arity_bound", 2, 5, "ge", "pass", None,
+         "arity grows at least as fast as the data section"),
+        ("thm1.s0", 1, 1, "exact", "pass", None, ""),
+        ("thm1.s1", 4, 4, "exact", "pass", None,
+         "claimed as an upper bound; equality observed and asserted"),
+        ("thm1.nondegenerate", True, True, "exact", "pass", None, ""),
+        ("thm1.lambda", 2.0, 2.0, "within-tol", "pass", 1e-9, "method=dense, residual=0.000e+00"),
+    ]),
+    "theorem1(3)": (lambda fx: verify_theorem1(3), [
+        ("thm1.arity", 23, 23, "exact", "pass", None, ""),
+        ("thm1.arity_bound", 16, 23, "ge", "pass", None,
+         "arity grows at least as fast as the data section"),
+        ("thm1.s0", 1, 1, "exact", "pass", None, ""),
+        ("thm1.s1", 8, 8, "exact", "pass", None,
+         "claimed as an upper bound; equality observed and asserted"),
+        ("thm1.nondegenerate", True, True, "exact", "pass", None, ""),
+        ("thm1.lambda", math.sqrt(8), math.sqrt(8), "within-tol", "pass", 1e-9,
+         "method=dense, residual=0.000e+00"),
+    ]),
+    "tradeoff(2;2)": (lambda fx: verify_tradeoff([2], [2]), [
+        ("thm3.arity", 13, 13, "exact", "pass", None, ""),
+        ("thm3.s0", 4, 4, "exact", "pass", None, ""),
+        ("thm3.s1", 4, 4, "exact", "pass", None, ""),
+        ("thm3.lambda", math.sqrt(7), math.sqrt(7), "within-tol", "pass", 1e-9,
+         "method=dense, residual=0.000e+00"),
+        ("thm3.census", 0, 0, "exact", "pass", None,
+         "component shapes: 768 x ('star', 3), 256 x ('two-layer-star', 4, 4)"),
+        ("thm3.fig1", 1, 256, "ge", "pass", None,
+         "two-layer stars with center degree 4 and middle degree 4"),
+    ]),
+    "tradeoff(2;2,2)": (lambda fx: verify_tradeoff([2], [2, 2]), [
+        ("thm3.arity", 23, 23, "exact", "pass", None, ""),
+        ("thm3.s0", 7, 7, "exact", "pass", None, ""),
+        ("thm3.s1", 4, 4, "exact", "pass", None, ""),
+        ("thm3.lambda", math.sqrt(10), math.sqrt(10), "within-tol", "pass", 1e-9,
+         "method=dense, residual=0.000e+00"),
+        ("thm3.census", 0, 0, "exact", "pass", None,
+         "component shapes: 1572864 x ('star', 3), 65536 x ('two-layer-star', 7, 4)"),
+        ("thm3.fig1", 1, 65536, "ge", "pass", None,
+         "two-layer stars with center degree 7 and middle degree 4"),
+    ]),
+    "tradeoff(2,2;)": (lambda fx: verify_tradeoff([2, 2], []), [
+        ("thm3.arity", 10, 10, "exact", "pass", None, ""),
+        ("thm3.s0", 1, 1, "exact", "pass", None, ""),
+        ("thm3.s1", 7, 7, "exact", "pass", None, ""),
+        ("thm3.lambda", math.sqrt(7), math.sqrt(7), "within-tol", "pass", 1e-9,
+         "method=dense, residual=0.000e+00"),
+        ("thm3.census", 0, 0, "exact", "pass", None, "component shapes: 32 x ('star', 7)"),
+    ]),
+    "desens(or2)": (lambda fx: verify_desensitization(fx["or2"], fx["or2_certs"], name="or2"), [
+        ("desens.or2.s0", 1, 1, "exact", "pass", None, ""),
+        ("desens.or2.s1", 6, 6, "exact", "pass", None, ""),
+        ("desens.or2.lambda", math.sqrt(6), math.sqrt(6), "within-tol", "pass", 1e-9,
+         "sqrt(s1) since s0=1; method=dense, residual=0.000e+00"),
+        ("desens.or2.uc1", 6, 6, "le", "pass", None, "UC1 of the base is 2"),
+    ]),
+    "desens(haf2)": (lambda fx: verify_desensitization(haf(2), haf(2).meta.certificates,
+                                                       name="haf2"), [
+        ("desens.haf2.s0", 1, 1, "exact", "pass", None, ""),
+        ("desens.haf2.s1", 12, 12, "exact", "pass", None, ""),
+        ("desens.haf2.lambda", math.sqrt(12), math.sqrt(12), "within-tol", "pass", 1e-9,
+         "sqrt(s1) since s0=1; method=dense, residual=0.000e+00"),
+        ("desens.haf2.uc1", None, None, "le", "skipped", None,
+         "desensitized arity 15 is over the exact uc1 cap 8"),
+    ]),
+}
+
+
+class TestProfileClaims:
+    """The closed-form rows every profiled construction writes from its meta."""
+
+    def test_every_profiled_family_instance_passes(self, or2, or2_certs):
+        fns = [haf(2), chaf([2, 2]), tradeoff([2], []), tradeoff([2], [2]), tradeoff([2, 2], []),
+               desensitize(or2, or2_certs), desensitize(haf(2), haf(2).meta.certificates)]
+        # the families left out make no prediction
+        rest = [maf(2), address_fn(1)]
+        assert {f.meta.family for f in fns} | {f.meta.family for f in rest} == set(FAMILIES)
+        assert all(f.meta.predicted_s0 is None for f in rest)
+        for f in fns:
+            assert f.arity <= 20
+            claims = verify_mod._Claims()
+            verify_mod._profile_claims(claims, "p", f)
+            rows = ["p.s0", "p.s1", "p.lambda"]
+            if f.meta.family != "desensitized":
+                assert f.meta.predicted_arity == f.arity
+                rows.insert(0, "p.arity")
+            assert [c.claim for c in claims.rows] == rows
+            assert all(c.status == "pass" for c in claims.rows), f.name
+
+    @pytest.mark.parametrize("run", list(PINNED_ROWS))
+    def test_pinned_rows(self, run, or2, or2_certs):
+        suite, want = PINNED_ROWS[run]
+        rows = suite({"or2": or2, "or2_certs": or2_certs})
+        got = [(c.claim, c.predicted, c.computed, c.mode, c.status, c.tolerance, c.note)
+               for c in rows]
+        assert got == want
 
 
 class TestClaimRuntimes:
