@@ -166,13 +166,19 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
     rs = [int(r) for r in rs]
     if not rs:
         raise ValueError("need at least one code order")
-    predicted = _profile(rs, [], MAX_CONSTRUCTION_ARITY)
+    return _chaf(rs, family="chaf", params={"rs": list(rs)},
+                 **_profile(rs, [], MAX_CONSTRUCTION_ARITY))
+
+
+def _chaf(rs: list[int], name: str | None = None, **claims) -> BooleanFunction:
+    """chaf over rs, whose orders _profile has checked, named name (chaf's
+    own by default), with claims as its ConstructionMeta fields."""
     codes = [HammingCode(r) for r in rs]
     offsets = [0]
     for code in codes[:-1]:
         offsets.append(offsets[-1] + code.codeword_len)
     K = offsets[-1] + codes[-1].codeword_len
-    t = predicted["predicted_arity"] - K
+    t = math.prod(code.size for code in codes)
 
     def point(x: int) -> int:
         m0 = 0
@@ -188,10 +194,8 @@ def chaf(rs: Sequence[int]) -> BooleanFunction:
         for m0, ds in enumerate(digits):
             yield sum(c.encode_index(d) << off for c, d, off in zip(codes, ds, offsets)), m0
 
-    return _address_function(
-        f"chaf({','.join(str(r) for r in rs)})", K, t, point, picks, t,
-        family="chaf", params={"rs": list(rs)}, **predicted,
-    )
+    name = name or f"chaf({','.join(str(r) for r in rs)})"
+    return _address_function(name, K, t, point, picks, t, **claims)
 
 
 def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> BooleanFunction:
@@ -419,10 +423,11 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     predicted = _profile(as_, bs_, MAX_CONSTRUCTION_ARITY)
     tag = f"tradeoff({','.join(map(str, as_))};{','.join(map(str, bs_))})"
     claims = dict(family="tradeoff", params={"as": as_, "bs": bs_}, **predicted)
-    outer = chaf(as_)
+    # the codes' closed forms are all in predicted, so the chafs take none
     if not bs_:
-        return _relabelled(outer, replace(outer.meta, **claims), tag)
-    fn = data_compose(outer, chaf(bs_).negate())
+        return _chaf(as_, tag, **claims)
+    outer = _chaf(as_)
+    fn = data_compose(outer, _chaf(bs_).negate())
     assert fn.arity == predicted["predicted_arity"]
     meta = ConstructionMeta(
         codeword_len=outer.meta.codeword_len, data_len=outer.meta.data_len, **claims

@@ -7,9 +7,10 @@ adjacency matrix. Every edge joins a 0-input to a 1-input, so the graph is
 the rows B of its smaller side, read straight from the table by the path
 that needs them. Lambda is found by one exact dense eigensolve of Gram
 blocks on their smaller sides, the inputs grouped into the two parity
-classes up to arity 10 and into connected components past it, each chunk
-of groups reading its edges through edges(xs), and a large block
-eigensolved only when Collatz-Wielandt bounds cannot rule it out; by
+classes up to arity 10 and into connected components past it, each block
+built from its group's two vertex lists by the graph's adjacency(rows,
+cols), and a large block eigensolved only when Collatz-Wielandt bounds
+cannot rule it out; by
 matrix-free power iteration on the Gram operator B B^T of the whole
 smaller side, B built once when it fits the memory budget and rebuilt on
 each step in runs that fit it otherwise; or from a construction's closed
@@ -687,7 +688,9 @@ class SensitivityGraph:
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. Every edge joins S, the smaller side
     (the 0-side on a tie; listed on first use), to the other side. The graph
-    holds no rows B of S: matrix-free and adjacency() build their own. When
+    holds no rows B of S: matrix-free and adjacency() build their own, and
+    adjacency(rows, cols) builds a dense block from two input lists alone,
+    for the exact solve. When
     no input off S has two neighbours, B B^T is diag(d_S) (_star_degrees);
     when every component is a star or a two-layer star, the census is read
     from the table by degrees within two hops (_table_census, built once).
@@ -695,9 +698,9 @@ class SensitivityGraph:
     read by auto and by the exact solve past arity _CLASS_SOLVE_ARITY.
     Otherwise adjacency() gives component labels that sort into one
     component index, which the census, that exact solve and every component
-    query read. Up to that arity the exact solve sorts the two parity
-    classes into an index of the same form. edges(xs) gathers edges from the
-    table at inputs of S, for the exact solve, components() and export.
+    query read. Up to that arity the exact solve reads the two parity
+    classes' sides from the table, with no index. edges(xs) gathers edges
+    from the table at inputs of S, for components() and export.
     meta is fn's construction metadata, which the analytic spectral method
     reads (None for a table).
     """
@@ -734,13 +737,32 @@ class SensitivityGraph:
             return None
         return self.degree_counts()[self._side]
 
-    def adjacency(self) -> sp.csr_matrix:
-        """The 2^n x 2^n 0/1 CSR, built once over the data and int32 indices
-        of S's rows, storing each edge once: row x lists x's neighbours if x
-        is in S and is empty otherwise. scipy.sparse.csgraph reads it as
-        undirected; A + A^T is symmetric. CapExceeded over MEMORY_BUDGET:
-        12 E + 4 (2^n + 1) bytes.
+    def adjacency(self, rows: np.ndarray | None = None,
+                  cols: np.ndarray | None = None) -> sp.csr_matrix | np.ndarray:
+        """With no arguments, the 2^n x 2^n 0/1 CSR, built once over the data
+        and int32 indices of S's rows, storing each edge once: row x lists x's
+        neighbours if x is in S and is empty otherwise. scipy.sparse.csgraph
+        reads it as undirected; A + A^T is symmetric. CapExceeded over
+        MEMORY_BUDGET: 12 E + 4 (2^n + 1) bytes.
+
+        With input lists rows and cols, the dense float64 0/1 block
+        A[rows][:, cols], read from the inputs alone with no CSR; 2-D lists
+        give one block per pair of rows, (k, m, M) for (k, m) and (k, M).
+        Inputs are adjacent when they differ in one bit and f differs there,
+        so an entry is bitwise_count(x ^ y) == 1 once each input carries two
+        tag bits above bit n, set on a row of value 1 and a column of value
+        0: a pair of equal values then differs in both. The block holds the
+        uint8 counts beside it, 9 bytes a cell; the xor of the tagged inputs
+        is freed before the block is allocated.
         """
+        if rows is not None or cols is not None:
+            if rows is None or cols is None:
+                raise ValueError("adjacency takes both rows and cols, or neither")
+            vals, tag = self.table.values, np.uint64(3 << self.arity)
+            x = rows.astype(np.uint64) | vals[rows] * tag
+            y = cols.astype(np.uint64) | (vals[cols] ^ 1) * tag
+            count = np.bitwise_count(x[..., :, None] ^ y[..., None, :])
+            return np.equal(count, 1, out=np.empty(count.shape))
         if self._adj is None:
             import scipy.sparse as sp
 
@@ -793,24 +815,19 @@ class SensitivityGraph:
             self._labels = _cc(self.adjacency(), directed=False)[1]
         return self._labels
 
-    def _index(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(verts, ptr) for a label of every input, each label a union of
-        components: the int32 vertices with edges sorted by (label, value, id).
-        Group g's 0-inputs are verts[ptr[2g]:ptr[2g+1]], its 1-inputs the next
-        run; every edge joins the two, so a group with edges has both."""
+    @cached_property
+    def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(verts, ptr), built once: the int32 vertices with edges sorted by
+        (component, value, id), the components numbered by smallest vertex as
+        scipy labels them. Component g's 0-inputs are verts[ptr[2g]:ptr[2g+1]],
+        its 1-inputs the next run; every edge joins the two."""
         x = self.degree_counts().nonzero()[0]
-        key = (labels[x].astype(np.int64) << 1 | self.table.values[x]) << 32 | x
+        key = (self._component_labels()[x].astype(np.int64) << 1 | self.table.values[x]) << 32 | x
         key.sort()
         group = key >> 32
         starts = np.ones(len(key) + 1, dtype=bool)
         np.not_equal(group[1:], group[:-1], out=starts[1:-1])
         return key.astype(np.int32), starts.nonzero()[0].astype(np.int32)
-
-    @cached_property
-    def _component_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The index of the components, built once, numbered by smallest
-        vertex as scipy labels them."""
-        return self._index(self._component_labels())
 
     @cached_property
     def _table_census(self) -> dict[tuple, int] | None:
@@ -867,8 +884,7 @@ def _chunks(cost: np.ndarray, verts: np.ndarray, ptr: np.ndarray, what: str):
     while lo < len(ends):
         hi = int(ends.searchsorted(ends[lo] - cost[lo] + MEMORY_BUDGET, side="right"))
         if hi == lo:
-            raise CapExceeded(f"component with {ptr[2 * lo + 2] - ptr[2 * lo]} vertices exceeds "
-                              f"the {what} budget of {MEMORY_BUDGET} bytes")
+            raise _over_budget(ptr[2 * lo + 2] - ptr[2 * lo], what)
         yield lo, hi, verts[ptr[2 * lo]:ptr[2 * hi]], ptr[2 * lo:2 * hi + 1] - ptr[2 * lo]
         lo = hi
 
@@ -976,70 +992,106 @@ def _lambda_exact(graph: SensitivityGraph) -> float:
     |x| mod 2, so f(x) ^ (|x| mod 2) is the same at both ends of every edge:
     it splits the inputs into two parity classes, each a union of
     components. The solve groups the inputs by class up to arity
-    _CLASS_SOLVE_ARITY and by component past it, unless lambda^2 can be
-    read from the components' shapes (_shape_lambda_sq): then there are no
-    labels, index or blocks. Chunks of groups are solved within
-    MEMORY_BUDGET, a group with sides m <= M counting 8 m (m + M) bytes for
-    C and C C^T, 24 n m for its at most n m edges and 17 n + 1 per input in
-    S for gathering them (as edges(xs) checks).
+    _CLASS_SOLVE_ARITY (_class_batches) and by component past it
+    (_component_batches), unless lambda^2 can be read from the components'
+    shapes (_shape_lambda_sq): then there are no labels, index or blocks.
+    Each block C is built from its group's two vertex lists by
+    graph.adjacency(rows, cols), a batch of groups of one shape at once.
+    Chunks of groups are solved within MEMORY_BUDGET, a group with sides
+    m <= M counting _block_bytes(m, M): C and C C^T, and adjacency's
+    uint8 count per cell.
 
     Only the largest top eigenvalue is reported, and best, the largest
-    found so far, is carried across chunks. In a chunk, the groups of one
-    shape with fewer than _BOUND_ROWS rows are one eigvalsh batch, solved
-    first. The larger blocks go to _bounded_top, which bounds each one by
+    found so far, is carried across chunks. In a chunk, the batches with
+    fewer than _BOUND_ROWS rows are each one eigvalsh batch, solved first.
+    The larger blocks go to _bounded_top, which bounds each one by
     Collatz-Wielandt steps on C and eigensolves only those whose upper
     bound is not below best by more than _BOUND_MARGIN of it. A block is
     solved by the same Gram product and eigvalsh as in a batch, and a
     dropped one's eigvalsh could not have exceeded best, so lambda is bit
     for bit what solving every block gives.
     """
-    vals, n, s = graph.table.values, graph.arity, graph._side_value
-    if n <= _CLASS_SOLVE_ARITY:
-        parity = np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1
-        verts, ptr = graph._index(parity ^ vals)
+    if graph.arity <= _CLASS_SOLVE_ARITY:
+        chunks = _class_batches(graph)
     elif (lam_sq := graph._shape_lambda_sq) is not None:
         return math.sqrt(lam_sq)
     else:
-        verts, ptr = graph._component_index
-    runs = ptr[1:] - ptr[:-1]
-    pair, other = runs.reshape(-1, 2), runs.reshape(-1, 2)[:, ::-1]
-    small, large = np.minimum(*pair.T).astype(np.int64), np.maximum(*pair.T)
-    # entry (x, y) of a block is at w[x] + w[y]: a vertex's position in its run,
-    # times the other run's length if its run, the smaller (0 on a tie), is rows;
-    # each chunk adds its blocks' offsets at its inputs in S
-    w = np.empty(len(vals), dtype=np.int32)
-    w[verts] = (np.arange(len(verts), dtype=np.int32) - ptr[:-1].repeat(runs)) * (
-        other ** (pair - other < (1, 0))).repeat(runs)
-    shape, best = small * len(verts) + large, 0.0
-    cost = 8 * small * (small + large + 3 * n) + (17 * n + 1) * pair[:, s].astype(np.int64)
-    for lo, hi, xs, _ in _chunks(cost, verts, ptr, "dense solve"):
-        # the chunk's blocks end to end, stably sorted by shape: a shape's are one batch
-        order = shape[lo:hi].argsort(kind="stable")
-        keys, size = shape[lo:hi][order], (small[lo:hi] * large[lo:hi])[order]
-        ends = size.cumsum()
-        base = np.empty(hi - lo, dtype=np.int32)
-        base[order] = ends - size
-        xs = xs[vals[xs] == s]
-        w[xs] += base.repeat(pair[lo:hi, s])
-        e = graph.edges(xs)
-        cell = w[e[:, 0]]
-        cell += w[e[:, 1]]
-        del e
-        blocks = np.zeros(ends[-1])
-        blocks[cell] = 1.0
-        cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
+        chunks = _component_batches(graph)
+    best = 0.0
+    for chunk in chunks:
         bounded = []
-        for i, j in zip(cuts, cuts[1:]):
-            m, big = divmod(int(keys[i]), len(verts))
-            c = blocks[ends[i] - size[i]:ends[j - 1]].reshape(j - i, m, big)
-            if m < _BOUND_ROWS:
+        for rows, cols in chunk:
+            c = graph.adjacency(rows, cols)
+            if rows.shape[1] < _BOUND_ROWS:
                 best = max(best, _gram_top(c))
             else:
                 bounded.append(c)
         if bounded:
             best = _bounded_top(bounded, best)
-        del blocks, c, cell, bounded  # freed before the next chunk's
+        c = bounded = None  # freed before the next chunk's
     return math.sqrt(best)
+
+
+def _block_bytes(m, big):
+    """Bytes the exact solve counts for a group with sides m <= big: C and
+    C C^T in float64, and adjacency(rows, cols)'s uint8 count per cell."""
+    return 8 * m * (m + big) + m * big
+
+
+def _over_budget(size: int, what: str) -> CapExceeded:
+    return CapExceeded(f"component with {size} vertices exceeds "
+                       f"the {what} budget of {MEMORY_BUDGET} bytes")
+
+
+def _class_batches(graph: SensitivityGraph) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The parity classes as chunks of (rows, cols) batches, read from the
+    table with no sort: a class's sides are its inputs with an edge of value
+    0 and of value 1, in input order, and its rows the smaller side (the
+    0-side on a tie). The classes are taken in shape order, and two of one
+    shape are one batch, when both fit MEMORY_BUDGET together; otherwise
+    each is a chunk of its own. CapExceeded when a class alone does not fit.
+    """
+    vals = graph.table.values
+    x = graph.degree_counts().nonzero()[0]
+    parity = np.bitwise_count(np.arange(len(vals), dtype=np.uint32)) & 1
+    key = ((parity ^ vals) << 1 | vals)[x]
+    groups = []
+    for zero, one in ((x[key == 0], x[key == 1]), (x[key == 2], x[key == 3])):
+        if len(zero):  # a class with edges has both sides
+            groups.append((zero, one) if len(zero) <= len(one) else (one, zero))
+    groups.sort(key=lambda g: (len(g[0]), len(g[1])))
+    shapes = [(len(rows), len(cols)) for rows, cols in groups]
+    cost = [_block_bytes(m, big) for m, big in shapes]
+    for (m, big), c in zip(shapes, cost):
+        if c > MEMORY_BUDGET:
+            raise _over_budget(m + big, "dense solve")
+    if sum(cost) > MEMORY_BUDGET:
+        return [[(rows[None], cols[None])] for rows, cols in groups]
+    if len(shapes) == 2 and shapes[0] == shapes[1]:
+        return [[tuple(np.stack(side) for side in zip(*groups))]]
+    return [[(rows[None], cols[None]) for rows, cols in groups]]
+
+
+def _component_batches(graph: SensitivityGraph):
+    """The connected components as chunks of (rows, cols) batches, read
+    from the component index: each chunk's components fit MEMORY_BUDGET
+    (_chunks), and those of one shape, in shape order, are one batch whose
+    lists are gathered from their runs."""
+    verts, ptr = graph._component_index
+    runs = (ptr[1:] - ptr[:-1]).reshape(-1, 2)
+    small, large = runs.min(axis=1).astype(np.int64), runs.max(axis=1)
+    # the 1-inputs are the rows where they are the smaller side
+    ones = runs[:, 0] > runs[:, 1]
+    row_at = ptr[:-1:2] + np.where(ones, runs[:, 0], 0)
+    col_at = ptr[:-1:2] + np.where(ones, 0, runs[:, 0])
+    shape = small * len(verts) + large
+    for lo, hi, _, _ in _chunks(_block_bytes(small, large), verts, ptr, "dense solve"):
+        order = lo + shape[lo:hi].argsort(kind="stable")
+        keys = shape[order]
+        cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), hi - lo]
+        yield [(verts[row_at[g, None] + np.arange(small[g[0]])],
+                verts[col_at[g, None] + np.arange(large[g[0]])])
+               for g in (order[i:j] for i, j in zip(cuts, cuts[1:]))]
 
 
 def _gram_top(c: np.ndarray) -> float:
@@ -1198,13 +1250,14 @@ def spectral_sensitivity(
     blocks C C^T, where C joins a group's smaller side to its larger one:
     the groups are the two parity classes f(x) ^ (|x| mod 2), each a union
     of components, up to arity _CLASS_SOLVE_ARITY, with no B, labels or
-    component index, and the connected components past it; each chunk of
-    groups reads its edges through edges(xs); blocks of _BOUND_ROWS rows
-    or more are first bounded by Collatz-Wielandt steps, and only those
-    that may hold the maximum are eigensolved, which leaves lambda bit for
-    bit the same), "matrix-free" (power iteration on the Gram operator
-    B B^T of the whole graph's smaller side, whose residual is
-    ||A u - lambda u|| at the eigenvector estimate u it implies),
+    component index, and the connected components past it; each block is
+    built from its group's two vertex lists by adjacency(rows, cols);
+    blocks of _BOUND_ROWS rows or more are first bounded by
+    Collatz-Wielandt steps, and only those that may hold the maximum are
+    eigensolved, which leaves lambda bit for bit the same), "matrix-free"
+    (power iteration on the Gram operator B B^T of the whole graph's
+    smaller side, whose residual is ||A u - lambda u|| at the eigenvector
+    estimate u it implies),
     "analytic" (closed form recorded by the construction), or
     "auto" to pick the exact solve at arity at most 13 (the test
     8 * 4 ** arity <= MEMORY_BUDGET, the size of a dense adjacency the solve

@@ -786,6 +786,36 @@ class TestBlockedPasses:
 
 
 class TestSensitivityGraph:
+    @pytest.mark.parametrize("n", range(1, 11))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_adjacency_blocks_from_vertex_lists(self, n, data):
+        table = data.draw(random_tables(n))
+        ref, graph = dense_reference_adjacency(table), SensitivityGraph(table)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # any inputs, repeats and both values included, in one list
+        k, m, big = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (0, 12), (0, 12)))
+        rows, cols = rng.integers(0, 1 << n, (k, m)), rng.integers(0, 1 << n, (k, big))
+        block = graph.adjacency(rows[0], cols[0])
+        assert block.dtype == np.float64
+        assert np.array_equal(block, ref[np.ix_(rows[0], cols[0])])
+        batch = graph.adjacency(rows, cols)
+        assert batch.shape == (k, m, big)
+        for i in range(k):
+            assert np.array_equal(batch[i], ref[np.ix_(rows[i], cols[i])])
+        # every input against every other, in a shuffled order
+        xs = rng.permutation(1 << n)
+        assert np.array_equal(graph.adjacency(xs, xs), ref[np.ix_(xs, xs)])
+        # the exact solve's blocks: a side of each value, in input order
+        zeros, ones = (np.flatnonzero(table.values == v) for v in (0, 1))
+        assert np.array_equal(graph.adjacency(zeros, ones), ref[np.ix_(zeros, ones)])
+
+    def test_adjacency_takes_both_lists_or_neither(self, and2):
+        graph = SensitivityGraph(and2)
+        with pytest.raises(ValueError, match="both rows and cols"):
+            graph.adjacency(np.arange(4))
+        assert graph.adjacency().shape == (4, 4)
+
     def test_and2_edges(self, and2):
         g = SensitivityGraph(and2)
         assert g.edge_count() == 2
@@ -1482,17 +1512,56 @@ class TestGramSolve:
         assert value == pytest.approx(math.sqrt(7), abs=1e-9)
 
     def test_budget_counts_the_gram_solve(self, monkeypatch):
-        # the 512-vertex component of parity on 9 inputs, sides 256 and 256,
-        # 256 of them in S, counts 8 * 256 * (256 + 256 + 3 * 9)
-        # + (17 * 9 + 1) * 256 = 1 143 296 bytes; a 512 x 512 adjacency block
-        # would take 2 097 152
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_143_295)
+        # parity on 9 inputs is one parity class of 512 inputs, sides 256 and
+        # 256: C and C C^T take 8 * 256 * (256 + 256) = 1 048 576 bytes and
+        # adjacency(rows, cols)'s uint8 count per cell 256 * 256 = 65 536, so
+        # the class counts 1 114 112; a 512 x 512 adjacency block would take
+        # 2 097 152
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_114_111)
         with pytest.raises(CapExceeded, match="component with 512 vertices"):
             spectral_sensitivity(make_parity(9), method="component-wise")
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_143_296)
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_114_112)
         res = spectral_sensitivity(make_parity(9), method="component-wise")
         assert res.value == pytest.approx(9.0, abs=1e-9)
         assert res.method == "component-wise"
+
+    def test_classes_that_fit_only_alone_are_solved_in_turn(self, monkeypatch):
+        table = TruthTable(10, np.random.default_rng(10).integers(0, 2, 1024, dtype=np.uint8))
+        calls, real = [], measures._bounded_top
+        monkeypatch.setattr(measures, "_bounded_top",
+                            lambda batches, best: calls.append(len(batches)) or real(batches, best))
+        want = spectral_sensitivity(table, method="dense").value
+        assert calls == [2]
+        # its classes have sides 238, 261 and 251, 274, counting 1 012 214
+        # and 1 122 974 bytes: at the larger count each is a chunk of its own
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_122_974)
+        assert spectral_sensitivity(table, method="dense").value == want
+        assert calls == [2, 1, 1]
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1_122_973)
+        with pytest.raises(CapExceeded, match="component with 525 vertices"):
+            spectral_sensitivity(table, method="dense")
+
+    @pytest.mark.parametrize("name", ["parity9", "parity10", "random10"])
+    def test_class_solve_peaks_within_its_count(self, name):
+        table = {
+            "parity9": lambda: make_parity(9).table(),
+            "parity10": lambda: make_parity(10).table(),
+            "random10": lambda: TruthTable(
+                10, np.random.default_rng(10).integers(0, 2, 1024, dtype=np.uint8)),
+        }[name]()
+        table.sensitivity_counts  # scanned first, so the trace holds only the solve
+        # each class with edges, sides m <= M, counts 8 m (m + M) + m M, and
+        # both are held at once when they fit the budget together
+        count, cls = 0, parity_class(table)
+        for c in (0, 1):
+            xs = (cls == c) & (table.sensitivity_counts > 0)
+            ones = int(table.values[xs].sum())
+            m, big = sorted((int(xs.sum()) - ones, ones))
+            count += 8 * m * (m + big) + m * big
+        graph = SensitivityGraph(table)
+        got, peak = TestMemoryBudget.traced(lambda: measures._lambda_exact(graph))
+        assert got == pytest.approx(dense_reference_lambda(table), abs=1e-9)
+        assert peak <= count
 
 
 def parity_class(table: TruthTable) -> np.ndarray:

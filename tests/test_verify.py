@@ -290,6 +290,17 @@ class TestLemmaChain:
         assert all(c.computed == 0 for c in claims)
         assert all("slack" in c.note for c in claims)
 
+    def test_random_notes_are_pinned(self):
+        # the worst slack of 50 tables per arity, to the digit: a cheap guard
+        # that the exact solve keeps lambda bit for bit (n = 4 reads a
+        # rounding of lambda's last bits)
+        claims = verify_lemma_chain_random(arities=range(4, 11), count=50)
+        assert [c.note.rpartition(" ")[2] for c in claims] == [
+            "4.441e-16", "-4.322e-01", "-6.403e-01", "-1.022e+00",
+            "-1.652e+00", "-2.057e+00", "-2.463e+00",
+        ]
+        assert all(c.note.startswith("50 random tables, seed 0x5eed,") for c in claims)
+
     def test_random_is_seeded(self):
         a = verify_lemma_chain_random(arities=[4], count=20, seed=5)
         b = verify_lemma_chain_random(arities=[4], count=20, seed=5)
