@@ -205,8 +205,9 @@ def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> Boole
 
 def haf(r: int) -> BooleanFunction:
     """Single-code address function: chaf with one section of order r."""
-    fn = chaf([r])
-    return _relabelled(fn, replace(fn.meta, family="haf", params={"r": int(r)}), f"haf({r})")
+    r = int(r)
+    return _chaf([r], f"haf({r})", family="haf", params={"r": r},
+                 **_profile([r], [], MAX_CONSTRUCTION_ARITY))
 
 
 def address_fn(k: int) -> BooleanFunction:

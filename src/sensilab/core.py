@@ -180,6 +180,22 @@ def _sensitivity_scan(values: np.ndarray, arity: int) -> np.ndarray:
     return counts
 
 
+def side_maxima(counts: np.ndarray, values: np.ndarray) -> tuple[tuple, tuple]:
+    """((m0, x0), (m1, x1)): the largest of the one-byte per-input counts
+    (each at most 127) where values is 0 and where it is 1, each with the
+    least input attaining it, or (0, None) for a side with no inputs. One
+    pass makes one int8 key: the count c at a 1-input and ~c = -(c + 1) at a
+    0-input. Its argmax is the 1-side's largest count when the key there is
+    >= 0, its argmin the 0-side's when it is < 0."""
+    key = np.subtract(values, 1, dtype=np.uint8)
+    np.bitwise_xor(key, counts.view(np.uint8), out=key)
+    key = key.view(np.int8)
+    x0, x1 = int(key.argmin()), int(key.argmax())
+    zero = (~int(key[x0]), x0) if key[x0] < 0 else (0, None)
+    one = (int(key[x1]), x1) if key[x1] >= 0 else (0, None)
+    return zero, one
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """Dense truth table of a Boolean function.
@@ -224,22 +240,8 @@ class TruthTable:
 
     @cached_property
     def side_sensitivities(self) -> tuple[tuple[int, int | None], tuple[int, int | None]]:
-        """((s0, x0), (s1, x1)): the largest sensitivity over the 0-inputs
-        and over the 1-inputs, each with the least input attaining it, or
-        (0, None) for a side with no inputs. Computed on first use and kept.
-
-        One pass over the values and the cached counts makes one int8 key:
-        the count c at a 1-input and ~c = -(c + 1) at a 0-input (a count is
-        at most arity <= 63). Its argmax is the 1-side's largest count when
-        the key there is >= 0, its argmin the 0-side's when it is < 0.
-        """
-        key = np.subtract(self.values, 1, dtype=np.uint8)
-        np.bitwise_xor(key, self.sensitivity_counts, out=key)
-        key = key.view(np.int8)
-        x0, x1 = int(key.argmin()), int(key.argmax())
-        zero = (~int(key[x0]), x0) if key[x0] < 0 else (0, None)
-        one = (int(key[x1]), x1) if key[x1] >= 0 else (0, None)
-        return zero, one
+        """((s0, x0), (s1, x1)): side_maxima of the sensitivity counts, kept."""
+        return side_maxima(self.sensitivity_counts, self.values)
 
     def to_hex(self) -> str:
         """Hex encoding, most-significant hex digit first, lowercase."""

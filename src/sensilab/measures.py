@@ -51,6 +51,7 @@ from .core import (
     block_exponent,
     by_groups,
     group_lookup,
+    side_maxima,
 )
 
 if TYPE_CHECKING:
@@ -136,18 +137,6 @@ def sensitivity_at(fn: BooleanFunction, x: int) -> int:
     """Number of coordinates whose flip changes fn at x."""
     fx = fn(x)
     return sum(fn(x ^ (1 << i)) != fx for i in range(fn.arity))
-
-
-def _side_max(per_input: np.ndarray, table: TruthTable, b: int) -> SensSummary:
-    """Max of per_input over the inputs where f is b, least x."""
-    # count + 1 on the side, 0 off it, in the counts' own dtype: every count
-    # is at most the arity, so + 1 cannot wrap, and a max of 0 is an empty side
-    key = per_input + 1
-    key *= table.values == b
-    x = int(key.argmax())
-    if key[x] == 0:
-        return SensSummary(0, None)
-    return SensSummary(int(key[x]) - 1, x)
 
 
 def _sens_side(table: TruthTable, b: int | None) -> SensSummary:
@@ -248,15 +237,15 @@ def _cert_counts(table: TruthTable) -> np.ndarray:
 
 
 def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
-    """Max certificate complexity over 0-inputs."""
+    """Max certificate complexity over 0-inputs, with the least witness."""
     table = _table_of(fn, cap, "certificate search")
-    return _side_max(_cert_counts(table), table, 0)
+    return SensSummary(*side_maxima(_cert_counts(table), table.values)[0])
 
 
 def c1(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
-    """Max certificate complexity over 1-inputs."""
+    """Max certificate complexity over 1-inputs, with the least witness."""
     table = _table_of(fn, cap, "certificate search")
-    return _side_max(_cert_counts(table), table, 1)
+    return SensSummary(*side_maxima(_cert_counts(table), table.values)[1])
 
 
 @dataclass(frozen=True)
@@ -519,6 +508,9 @@ def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
     return deg
 
 
+_GATHER = 1 << 22  # neighbour slots _side_neighbours gathers at once
+
+
 def _check_budget(nbytes: int, what: str) -> None:
     """Raise CapExceeded when what would take more than MEMORY_BUDGET bytes."""
     if nbytes > MEMORY_BUDGET:
@@ -536,33 +528,35 @@ def _check_csr_budget(nnz: int, n_rows: int) -> None:
     _check_budget(_csr_bytes(nnz, n_rows), "sparse adjacency")
 
 
+def _side_neighbours(table: TruthTable, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices): each input of side's neighbours across an edge,
+    side[i]'s in direction order at indices[indptr[i]:indptr[i + 1]], as
+    int32 lists read from the table with no scipy. The inputs all have one
+    value. Lengths are the cached sensitivities, so callers can check the
+    size against MEMORY_BUDGET first; beside the lists, the gather holds a
+    chunk of at most _GATHER neighbour slots at 10 bytes each (the int32
+    neighbours, their values, the mask and those kept)."""
+    vals, n = table.values, table.arity
+    indptr = np.zeros(len(side) + 1, dtype=np.int32)
+    np.cumsum(table.sensitivity_counts[side], out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    flips = np.int32(1) << np.arange(n, dtype=np.int32)
+    step = max(1, _GATHER // n)
+    for lo in range(0, len(side), step):
+        hi = min(lo + step, len(side))
+        nbr = side[lo:hi, None].astype(np.int32) ^ flips
+        indices[indptr[lo]:indptr[hi]] = nbr[vals[nbr] != vals[side[lo]]]
+    return indptr, indices
+
+
 def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
     """Rows of the sensitivity graph's adjacency on the inputs side, which
-    all have one value, as a len(side) x 2^n CSR read from the table.
-
-    Row lengths are the inputs' sensitivities, so callers can check the size
-    against MEMORY_BUDGET first. Rows list neighbours in direction order.
-    """
+    all have one value, as a len(side) x 2^n CSR over _side_neighbours."""
     import scipy.sparse as sp
 
-    vals, n = table.values, table.arity
-    lengths = table.sensitivity_counts[side]
-    nnz = int(lengths.sum())
-    indptr = np.zeros(len(side) + 1, dtype=np.int32)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.empty(nnz, dtype=np.int32)
-    if nnz:
-        b = vals[side[0]]
-        flips = np.int32(1) << np.arange(n, dtype=np.int32)
-        # about 2^22 neighbours gathered per chunk; row-major is CSR order
-        step = max(1, (1 << 22) // n)
-        for lo in range(0, len(side), step):
-            hi = min(lo + step, len(side))
-            nbr = side[lo:hi, None].astype(np.int32) ^ flips
-            indices[indptr[lo]:indptr[hi]] = nbr[vals[nbr] != b]
-    return sp.csr_matrix(
-        (np.ones(nnz), indices, indptr), shape=(len(side), len(vals))
-    )
+    indptr, indices = _side_neighbours(table, side)
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(len(side), len(table.values)))
 
 
 def _cc(graph: sp.csr_matrix, directed: bool) -> tuple[int, np.ndarray]:
@@ -776,32 +770,26 @@ class SensitivityGraph:
         return self._adj
 
     def edges(self, xs: np.ndarray | None = None) -> np.ndarray:
-        """The edges as an (E, 2) int64 array with x < y, sorted, gathered
-        from the table at S's inputs without B: all of them, or those whose
-        end in S is one of the inputs xs. CapExceeded over MEMORY_BUDGET. It
-        holds 24 bytes per edge at the end (the sorted key and the result)
-        and, while gathering, a chunk's 17 bytes per (input, direction)
-        beside the keys so far; the check counts both."""
+        """The edges as an (E, 2) int64 array with x < y, sorted, from
+        _side_neighbours at S's inputs, without B: all of them, or those whose
+        end in S is one of the inputs xs. CapExceeded over MEMORY_BUDGET, as
+        counted: 24 bytes per edge (the sorted key and the result; before
+        them, the lists, each edge's end in S and its key), the gather's
+        chunk and S's row pointers."""
         vals, n = self.table.values, self.arity
         side = self._side if xs is None else xs[vals[xs] == self._side_value]
-        flips = np.int64(1) << np.arange(n, dtype=np.int64)
-        # about 2^20 neighbours gathered per chunk; an edge's sort key is its
-        # smaller end above its larger end, 2n bits (arity <= 31)
-        step = max(1, (1 << 20) // max(n, 1))
-        edge_count = int(self.degree_counts()[side].sum())
-        _check_budget(24 * edge_count + (17 * n + 1) * min(step, len(side)), "edge list")
-        parts = [np.empty(0, dtype=np.int64)]
-        for lo in range(0, len(side), step):
-            x = side[lo:lo + step, None]
-            key = x ^ flips
-            hit = vals[key] != vals[x]
-            np.bitwise_and(x, ~flips, out=key)
-            key <<= n
-            key |= x
-            key |= flips
-            parts.append(key[hit])
-        key = np.concatenate(parts)
-        del parts
+        degrees = self.degree_counts()[side]
+        _check_budget(24 * int(degrees.sum()) + 10 * min(_GATHER, n * len(side))
+                      + 4 * (len(side) + 1), "edge list")
+        y = _side_neighbours(self.table, side)[1]
+        x = np.repeat(side, degrees)
+        # an edge's sort key is its smaller end x & y above its larger end
+        # x | y, 2n bits (arity <= 31)
+        key = np.bitwise_and(x, y, dtype=np.int64)
+        key <<= n
+        key |= x
+        key |= y
+        del x, y
         key.sort()
         e = np.empty((len(key), 2), dtype=np.int64)
         np.right_shift(key, n, out=e[:, 0])

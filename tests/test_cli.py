@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sensilab import BooleanFunction, TruthTable, haf, measures, verify
+from sensilab import BooleanFunction, TruthTable, constructions, haf, measures, verify
+from sensilab.core import ArityError, CertificateCollection, PartialAssignment
 from sensilab.cli import main
 from sensilab.measures import compute_measures
 from sensilab.constructions import FAMILIES
@@ -606,9 +608,10 @@ def fresh_cli(*argv: str) -> tuple[int, str, list[str]]:
 
 class TestScipyOnDemand:
     """scipy is imported only by the paths that need it: B's CSR and the
-    adjacency, component labels and classify_component. The random lemma
-    chain's tables are at most arity 10, where lambda is solved by parity
-    class, and uc1 finds its codimension n-1 cover by augmenting paths."""
+    adjacency, component labels and classify_component. The edge list is
+    gathered from the table with no CSR. The random lemma chain's tables are
+    at most arity 10, where lambda is solved by parity class, and uc1 finds
+    its codimension n-1 cover by augmenting paths."""
 
     @pytest.fixture
     def haf2_path(self, tmp_path):
@@ -622,7 +625,8 @@ class TestScipyOnDemand:
         ["verify", "tradeoff", "--as", "2", "--bs", "2"],
         ["verify", "lemmas", "--arities", "4,5,6,7,8,9,10", "--count", "20"],
         ["measure", "--fn", "HAF2", "--measures", "c0,c1,uc1"],
-    ], ids=["theorem1", "measure", "tradeoff", "lemmas", "uc1"])
+        ["export-graph", "--fn", "HAF2", "--format", "edges"],
+    ], ids=["theorem1", "measure", "tradeoff", "lemmas", "uc1", "edges"])
     def test_runs_without_scipy(self, haf2_path, argv):
         code, _, modules = fresh_cli(*(haf2_path if a == "HAF2" else a for a in argv))
         assert code == 0
@@ -717,6 +721,65 @@ class TestSweep:
             capsys, "sweep", "tradeoff", "--g-range", "0..1", "--ratio", "0:1"
         )
         assert code == 2
+
+
+class TestRefusals:
+    """Refusals no other test reaches: the CLI exits 2 with its message on
+    stderr and nothing on stdout, and the library raises with it."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["construct", "tradeoff", "--as", "2,x", "--bs", "2", "--out", "OUT"],
+         "argument --as: expected comma-separated integers, got '2,x'"),
+        (["measure", "--fn", "f.txt", "--measures", "s0"],
+         "error: unrecognized function file 'f.txt' (expected .tt or .json)"),
+        (["construct", "desensitized", "--base", "HAF2", "--certs", "DICT", "--out", "OUT"],
+         "error: certificate file must be a JSON list of 0/1/* strings"),
+        (["construct", "desensitized", "--base", "HAF2", "--certs", "ARITY3", "--out", "OUT"],
+         "error: certificate '**1' has arity 3, function has 5"),
+        (["construct", "desensitized", "--certs", "ARITY3", "--out", "OUT"],
+         "error: desensitized needs --base"),
+        (["sweep", "tradeoff", "--g-range", "0..1", "--ratio", "2"],
+         "error: ratio must look like l:m, got '2'"),
+        (["sweep", "tradeoff", "--g-range=-1..0", "--ratio", "1:1"],
+         "error: g must be non-negative (code orders start at 2)"),
+    ], ids=["as", "fn-suffix", "certs-dict", "certs-arity", "no-base", "ratio", "g-range"])
+    def test_cli(self, tmp_path, capsys, argv, message):
+        files = {"OUT": tmp_path / "out.json", "HAF2": tmp_path / "haf2.json",
+                 "DICT": tmp_path / "dict.json", "ARITY3": tmp_path / "arity3.json"}
+        files["HAF2"].write_text(json.dumps({"family": "haf", "params": {"r": 2}}))
+        files["DICT"].write_text(json.dumps({"certificates": ["**1"]}))
+        files["ARITY3"].write_text(json.dumps(["**1"]))
+        try:
+            code = main([str(files[a]) if a in files else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert not files["OUT"].exists()
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: constructions.tradeoff([]), ValueError, "need at least one outer code order"),
+        (lambda: constructions.from_descriptor([]), ValueError,
+         "descriptor must be a JSON object"),
+        (lambda: constructions.desensitize(haf(2), CertificateCollection(1, (), True)),
+         ValueError, "certificate collection is empty"),
+        (lambda: constructions.desensitize(haf(2), CertificateCollection(
+            1, (PartialAssignment.from_string("**1"),), True)),
+         ArityError, "certificate arity 3 != function arity 5"),
+        (lambda: haf(2).restrict(PartialAssignment.from_string("**1")), ArityError,
+         "assignment arity 3 != function arity 5"),
+        (lambda: verify.verify_subgraph_lemma(0), ValueError, "cube dimension must be positive"),
+        (lambda: measures.two_layer_star_adjacency(0, 1), ValueError,
+         "star parameters must be at least 1"),
+        (lambda: measures.s0("x"), TypeError,
+         "expected BooleanFunction or TruthTable, got str"),
+    ], ids=["tradeoff", "descriptor", "desensitize-empty", "desensitize-arity", "restrict",
+            "subgraph", "star", "s0"])
+    def test_library(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
 
 
 class TestGlobalOptions:

@@ -167,6 +167,14 @@ class TestChaf:
         assert got.tolist() == [f._point(int(x)) for x in xs]
         assert 0 < got.sum() < len(xs)
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_haf_is_chaf_over_one_code(self, r):
+        f, g = haf(r), chaf([r])
+        assert (f.name, f.arity) == (f"haf({r})", g.arity)
+        assert f.meta == replace(g.meta, family="haf", params={"r": r})
+        assert f.meta.certificates == g.meta.certificates
+        assert np.array_equal(f.table().values, g.table().values)
+
     def test_haf3_table_is_pinned(self):
         values = haf(3).table().values
         assert hashlib.sha256(values.tobytes()).hexdigest() == (

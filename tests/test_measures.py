@@ -403,6 +403,9 @@ class TestUc1:
                    [(15, 3), (15, 5), (15, 6), (15, 7), (15, 9), (15, 11), (15, 13),
                     (15, 14), (15, 15), (23, 18), (39, 36)]),
         "address(2)": ("exact", 3, 3, 5, [(7, 4), (11, 9), (19, 18), (35, 35)]),
+        # backtracks: 4's first cube, {4, 6, 12, 14}, leaves 5 none of
+        # codimension 2, so the search takes {4, 5, 6, 7}, then {8, 10, 12, 14}
+        "55f0": ("exact", 2, 2, 4, [(12, 4), (9, 8)]),
         5: ("exact", 5, 5, 0, "ones"),
         6: ("exact", 6, 6, 0, "ones"),
         7: ("exact", 7, 7, 0, "ones"),
@@ -415,7 +418,8 @@ class TestUc1:
             rng = np.random.default_rng([0, key])
             fn = TruthTable(key, rng.integers(0, 2, 1 << key, dtype=np.uint8))
         else:
-            fn = {"haf(2)": haf(2), "maf(3)": maf(3), "address(2)": address_fn(2)}[key]
+            fn = {"haf(2)": haf(2), "maf(3)": maf(3), "address(2)": address_fn(2),
+                  "55f0": TruthTable.from_hex(4, "55f0")}[key]
         res = uc1(fn)
         table = fn if isinstance(fn, TruthTable) else fn.table()
         members = [(m.mask, m.value) for m in res.witness.certificates]
@@ -424,7 +428,9 @@ class TestUc1:
         got = (res.status, res.value, res.lower_bound, res.nodes, members)
         assert got == self.PINNED[key]
 
-    @pytest.mark.parametrize("fn", [haf(2), maf(3), address_fn(2)], ids=["haf2", "maf3", "address2"])
+    @pytest.mark.parametrize("fn", [
+        haf(2), maf(3), address_fn(2), BooleanFunction.from_table(TruthTable.from_hex(4, "55f0")),
+    ], ids=["haf2", "maf3", "address2", "55f0"])
     def test_named_functions_match_the_reference(self, fn):
         _check_uc1(fn.table(), 1_000_000)
 

@@ -301,6 +301,15 @@ class TestLemmaChain:
         ]
         assert all(c.note.startswith("50 random tables, seed 0x5eed,") for c in claims)
 
+    def test_random_counts_violations(self, monkeypatch):
+        # lambda + 1 breaks lambda <= sqrt(s0 s1) on each of these tables
+        real = verify_mod.spectral_sensitivity
+        monkeypatch.setattr(verify_mod, "spectral_sensitivity", lambda table, **kw: (
+            dataclasses.replace(real(table, **kw), value=real(table, **kw).value + 1)))
+        (claim,) = verify_lemma_chain_random(arities=[4], count=20)
+        assert (claim.status, claim.predicted, claim.computed) == ("fail", 0, 20)
+        assert float(claim.note.rpartition(" ")[2]) > 0
+
     def test_random_is_seeded(self):
         a = verify_lemma_chain_random(arities=[4], count=20, seed=5)
         b = verify_lemma_chain_random(arities=[4], count=20, seed=5)
