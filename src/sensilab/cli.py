@@ -122,10 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="constructions, measures, and verification for Boolean function sensitivity",
         parents=[_global_options(None)],
     )
-    parser.set_defaults(seed=DEFAULT_SEED, tol=DEFAULT_TOL, materialize_cap=DEFAULT_TABLE_CAP)
-    # the global options are accepted after the subcommand too; there they set
-    # nothing unless given, so a value given before the subcommand survives,
-    # and one given after it wins
+    # --tol and --materialize-cap stay None unless given, so that verify, which
+    # reads neither, can refuse them; the commands that read them fill in the
+    # defaults. The global options are accepted after the subcommand too; there
+    # they set nothing unless given, so a value given before the subcommand
+    # survives, and one given after it wins
+    parser.set_defaults(seed=DEFAULT_SEED)
     common = _global_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,7 +198,7 @@ def _cmd_construct(args) -> int:
 
     out = args.out
     if out.endswith(".tt"):
-        fn.table(args.materialize_cap).save(out)
+        fn.table(_materialize_cap(args)).save(out)
     elif out.endswith(".json"):
         with open(out, "w") as fh:
             json.dump(to_descriptor(fn), fh, indent=2, allow_nan=False)
@@ -207,6 +209,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _materialize_cap(args) -> int:
+    return DEFAULT_TABLE_CAP if args.materialize_cap is None else args.materialize_cap
+
+
 def _cmd_measure(args) -> int:
     fn = load_function(args.fn)
     names = [part for part in args.measures.split(",") if part]
@@ -214,9 +220,9 @@ def _cmd_measure(args) -> int:
         fn,
         names,
         method=_METHODS[args.method],
-        tol=args.tol,
+        tol=DEFAULT_TOL if args.tol is None else args.tol,
         seed=args.seed,
-        materialize_cap=args.materialize_cap,
+        materialize_cap=_materialize_cap(args),
         source=args.fn,
     )
     print(report.to_json())
@@ -225,6 +231,9 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
+    for flag, value in (("--tol", args.tol), ("--materialize-cap", args.materialize_cap)):
+        if value is not None:
+            raise ValueError(f"verify does not read {flag}")
     if args.method is not None and suite not in ("theorem1", "tradeoff") and (
         suite != "lemmas" or args.fn is None
     ):
@@ -297,7 +306,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     fn = load_function(args.fn)
-    cap = min(args.materialize_cap, GRAPH_EXPORT_CAP)
+    cap = min(_materialize_cap(args), GRAPH_EXPORT_CAP)
     graph = SensitivityGraph(_table_of(fn, cap, "graph export"))
     if args.format == "dot":
         text = graph_dot_text(graph, component=args.component)

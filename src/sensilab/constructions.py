@@ -8,9 +8,10 @@ a claim, and (when small enough to materialize) the generating collection of
 The address-style families (chaf and so haf, address, maf) are address
 functions f(c, d) = d[m(c)]: the low positions hold the address c (for chaf,
 one or more codeword sections), the high positions the data section d. Each
-lists m once, as (address, data bit) pairs; one builder makes the table from
-that list, its rows the data sections and its columns the addresses, and one
-constructor makes the 1-certificates, a member per pair.
+describes m once, as a read map from an address to the data bit it reads or
+to a constant; the point evaluator, the table builder (rows the data
+sections, columns the addresses) and the 1-certificates, a member per
+address that does not force 0, all derive from it.
 """
 
 from __future__ import annotations
@@ -119,28 +120,43 @@ def _address_function(
     name: str,
     K: int,
     t: int,
-    point: Callable[[int], int],
-    picks: Callable[[], Iterator[tuple[int, int | None]]],
-    n_picks: int,
+    read: Callable[[int], int],
+    picks: Callable[[], Iterator[tuple[int, int]]] | None = None,
     **claims,
 ) -> BooleanFunction:
     """The address function f(c, d) = d[m(c)] on K address bits c (the low
-    positions) and t data bits d, with point as its evaluator.
+    positions) and t data bits d, with m given by read.
 
-    picks() lists m as (address, data bit) pairs, data bit None where the
-    address forces 1; an address it does not list gives 0. The table builder
-    and the 1-certificates, one member per pair in picks() order, read that
-    one list, and only when in reach: the table when it is built, the
-    certificates when the n_picks pairs are at most MAX_EAGER_CERTIFICATES.
-    claims are the family's own ConstructionMeta fields.
+    read(a) is the data bit that address a reads, -1 where a forces 0 or -2
+    where it forces 1; the point evaluator is read at x's address. picks()
+    lists the (address, read) pairs whose read is not -1: by default the
+    scan of read over the 2^K addresses in address order, or a family's own
+    listing of t pairs, one per data bit, where 2^K is out of reach. The
+    table builder and the 1-certificates, one member per pair in picks()
+    order, read that one list, and only when in reach: the table when it is
+    built, the certificates when the pairs listed (at most 2^K for the scan)
+    are at most MAX_EAGER_CERTIFICATES. claims are the family's own
+    ConstructionMeta fields.
     """
     arity = _check_budget(K + t)
+    amask = (1 << K) - 1
+    if picks is None:
+        n_picks = 1 << K
+
+        def picks():
+            return ((a, m) for a in range(1 << K) if (m := read(a)) != -1)
+    else:
+        n_picks = t
+
+    def point(x: int) -> int:
+        m = read(x & amask)
+        return (x >> (K + m)) & 1 if m >= 0 else -1 - m
 
     def build() -> np.ndarray:  # rows: data sections; columns: addresses
         table = np.zeros((1 << t, 1 << K), dtype=np.uint8)
         data = np.arange(1 << t)
         for a, m in picks():
-            table[:, a] = 1 if m is None else (data >> m) & 1
+            table[:, a] = 1 if m < 0 else (data >> m) & 1
         return table.reshape(-1)
 
     certs = None
@@ -148,8 +164,8 @@ def _address_function(
         # each member fixes the address bits and, unless forced, the data bit to 1
         members = []
         for a, m in picks():
-            bit = 0 if m is None else 1 << (K + m)
-            members.append(PartialAssignment(arity, ((1 << K) - 1) | bit, a | bit))
+            bit = 0 if m < 0 else 1 << (K + m)
+            members.append(PartialAssignment(arity, amask | bit, a | bit))
         certs = CertificateCollection(1, tuple(members), unambiguous=True)
     meta = ConstructionMeta(certificates=certs, codeword_len=K, data_len=t, **claims)
     return BooleanFunction(arity, point, meta=meta, name=name, table_fn=build)
@@ -180,14 +196,14 @@ def _chaf(rs: list[int], name: str | None = None, **claims) -> BooleanFunction:
     K = offsets[-1] + codes[-1].codeword_len
     t = math.prod(code.size for code in codes)
 
-    def point(x: int) -> int:
+    def read(a: int) -> int:  # the mixed-radix message index, -1 off the code
         m0 = 0
         for code, off in zip(codes, offsets):
-            seg = (x >> off) & code.word_mask
+            seg = (a >> off) & code.word_mask
             if code.syndrome(seg):
-                return 0
+                return -1
             m0 = m0 * code.size + code.message_index(seg)
-        return (x >> (K + m0)) & 1
+        return m0
 
     def picks():  # data bit m0 at the sections encoding its mixed-radix digits
         digits = itertools.product(*(range(code.size) for code in codes))
@@ -195,12 +211,7 @@ def _chaf(rs: list[int], name: str | None = None, **claims) -> BooleanFunction:
             yield sum(c.encode_index(d) << off for c, d, off in zip(codes, ds, offsets)), m0
 
     name = name or f"chaf({','.join(str(r) for r in rs)})"
-    return _address_function(name, K, t, point, picks, t, **claims)
-
-
-def _relabelled(fn: BooleanFunction, meta: ConstructionMeta, name: str) -> BooleanFunction:
-    """fn's evaluator and table builder under new meta and a new name."""
-    return BooleanFunction(fn.arity, fn._point, meta=meta, name=name, table_fn=fn._table_fn)
+    return _address_function(name, K, t, read, picks, **claims)
 
 
 def haf(r: int) -> BooleanFunction:
@@ -216,15 +227,8 @@ def address_fn(k: int) -> BooleanFunction:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"address width must be a positive integer, got {k!r}")
     _check_exponent(k, MAX_CONSTRUCTION_ARITY)
-    t = 1 << k
-
-    def point(x: int) -> int:
-        return (x >> (k + (x & (t - 1)))) & 1
-
-    return _address_function(
-        f"address({k})", k, t, point, lambda: ((a, a) for a in range(t)), t,
-        family="address", params={"k": k},
-    )
+    return _address_function(f"address({k})", k, 1 << k, lambda a: a,
+                             family="address", params={"k": k})
 
 
 def _colex_rank(a: int) -> int:
@@ -255,26 +259,13 @@ def maf(k: int) -> BooleanFunction:
             f"address width {k} gives a data section of C({k}, {w}) >= 2^{w} bits, "
             f"over the arity budget {MAX_CONSTRUCTION_ARITY}"
         )
-    amask = (1 << k) - 1
 
-    def point(x: int) -> int:
-        a = x & amask
+    def read(a: int) -> int:  # weight w reads its colex rank; heavier forces 1
         wt = a.bit_count()
-        if wt != w:
-            return 1 if wt > w else 0
-        return (x >> (k + _colex_rank(a))) & 1
+        return _colex_rank(a) if wt == w else -2 if wt > w else -1
 
-    def picks():  # weight-w addresses read their colex rank, heavier ones force 1
-        for a in range(1 << k):
-            wt = a.bit_count()
-            if wt >= w:
-                yield a, _colex_rank(a) if wt == w else None
-
-    return _address_function(
-        f"maf({k})", k, math.comb(k, w), point, picks,
-        sum(math.comb(k, j) for j in range(w, k + 1)),
-        family="maf", params={"k": k},
-    )
+    return _address_function(f"maf({k})", k, math.comb(k, w), read,
+                             family="maf", params={"k": k})
 
 
 def desensitize(fn: BooleanFunction, certs: CertificateCollection) -> BooleanFunction:
@@ -433,7 +424,7 @@ def tradeoff(as_: Sequence[int], bs_: Sequence[int] = ()) -> BooleanFunction:
     meta = ConstructionMeta(
         codeword_len=outer.meta.codeword_len, data_len=outer.meta.data_len, **claims
     )
-    return _relabelled(fn, meta, tag)
+    return BooleanFunction(fn.arity, fn._point, meta=meta, name=tag, table_fn=fn._table_fn)
 
 
 def _desensitized(base: BooleanFunction, certificates: list[str]) -> BooleanFunction:

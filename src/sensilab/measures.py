@@ -516,6 +516,7 @@ def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
 
 
 _GATHER = 1 << 22  # neighbour slots _side_neighbours gathers at once
+_EDGE_CHUNK = 1 << 16  # neighbour slots, and keys, that edges() handles at once
 # bytes numpy may hold beside a pass's arrays: its iterator buffers and the
 # int64 copies it indexes by, made np.getbufsize() = 8192 items at a time,
 # and the small objects of the pass
@@ -539,21 +540,22 @@ def _check_csr_budget(nnz: int, n_rows: int) -> None:
     _check_budget(_csr_bytes(nnz, n_rows), "sparse adjacency")
 
 
-def _side_neighbours(table: TruthTable, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _side_neighbours(table: TruthTable, side: np.ndarray, out: np.ndarray | None = None,
+                     slots: int = _GATHER) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices): each input of side's neighbours across an edge,
     side[i]'s in direction order at indices[indptr[i]:indptr[i + 1]], as
-    int32 lists read from the table with no scipy. The inputs all have one
-    value. Lengths are the cached sensitivities, so callers can check the
-    size against MEMORY_BUDGET first; beside the lists, the gather holds a
-    chunk of at most _GATHER neighbour slots at 10 bytes each (the int32
-    neighbours, their values, the mask and those kept), and numpy's buffers
-    (_NUMPY_BYTES)."""
+    int32 lists read from the table with no scipy, the indices written into
+    out when given. The inputs all have one value. Lengths are the cached
+    sensitivities, so callers can check the size against MEMORY_BUDGET
+    first; beside the lists, the gather holds a chunk of at most slots
+    neighbour slots at 10 bytes each (the int32 neighbours, their values,
+    the mask and those kept), and numpy's buffers (_NUMPY_BYTES)."""
     vals, n = table.values, table.arity
     indptr = np.zeros(len(side) + 1, dtype=np.int32)
     np.cumsum(table.sensitivity_counts[side], out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32) if out is None else out
     flips = np.int32(1) << np.arange(n, dtype=np.int32)
-    step = max(1, _GATHER // n)
+    step = max(1, slots // n)
     for lo in range(0, len(side), step):
         hi = min(lo + step, len(side))
         nbr = side[lo:hi, None].astype(np.int32) ^ flips
@@ -792,34 +794,46 @@ class SensitivityGraph:
     def edges(self, xs: np.ndarray | None = None) -> np.ndarray:
         """The edges as an (E, 2) int64 array with x < y, sorted, from
         _side_neighbours at S's inputs, without B: all of them, or those whose
-        end in S is one of the inputs xs. CapExceeded over MEMORY_BUDGET, as
-        counted: S's inputs and their degrees, 9 bytes each, and numpy's
-        _NUMPY_BYTES beside the larger of two phases. The gather holds 4
-        bytes per edge, its chunk and S's row pointers; after it, each edge's
-        two ends take 16 bytes, made into its key in place, and the sorted
-        keys and the result 24."""
+        end in S is one of the inputs xs. The result's own 16 bytes per edge
+        hold every phase: its second half takes the ends y in S's order, its
+        first half the ends x, and the sort keys are made in the second half
+        and sorted there. The rows are then written from the front a chunk at
+        a time, each chunk's keys copied out first, so a row never overwrites
+        a key not yet read. A chunk is a quarter of the edges, kept between
+        1024 and _EDGE_CHUNK slots. CapExceeded over MEMORY_BUDGET, as
+        counted: S's inputs and their degrees, 9 bytes each, the result, S's
+        row pointers, the gather's chunk at 10 bytes a slot (which bounds the
+        chunks of x and of the keys too) and numpy's _NUMPY_BYTES."""
         vals, n = self.table.values, self.arity
         side = self._side if xs is None else xs[vals[xs] == self._side_value]
         degrees = self.degree_counts()[side]
         edges = int(degrees.sum())
-        gather = 4 * edges + 10 * min(_GATHER, n * len(side)) + 4 * (len(side) + 1)
-        _check_budget(9 * len(side) + max(24 * edges, gather) + _NUMPY_BYTES, "edge list")
-        y = _side_neighbours(self.table, side)[1].astype(np.int64)
-        x = np.repeat(side.astype(np.int64, copy=False), degrees)
+        chunk = min(_EDGE_CHUNK, max(1 << 10, edges // 4))
+        held = 16 * edges + 4 * (len(side) + 1) + 10 * min(chunk, n * len(side))
+        _check_budget(9 * len(side) + held + _NUMPY_BYTES, "edge list")
+        e = np.empty((edges, 2), dtype=np.int64)
+        x, key = e.reshape(2, edges)  # views of the two halves of e's memory
+        ptr = _side_neighbours(self.table, side, out=key, slots=chunk)[0]
+        step = max(1, chunk // n)
+        for lo in range(0, len(side), step):
+            hi = min(lo + step, len(side))
+            x[ptr[lo]:ptr[hi]] = np.repeat(side[lo:hi], degrees[lo:hi])
         # an edge's sort key is its smaller end x & y above its larger end
-        # x | y, 2n bits (arity <= 31), made in place: the ends differ in one
-        # bit, x ^ y, so y | (x ^ y) is x | y, and that less the bit is x & y
-        x ^= y
-        y |= x
-        x ^= y
+        # x | y, 2n bits (arity <= 31), made in place over the ends y in key:
+        # the ends differ in one bit, x ^ y, so y | (x ^ y) is x | y, and that
+        # less the bit is x & y
+        x ^= key
+        key |= x
+        x ^= key
         x <<= n
-        x |= y
-        key = x
-        del x, y
+        key |= x
         key.sort()
-        e = np.empty((len(key), 2), dtype=np.int64)
-        np.right_shift(key, n, out=e[:, 0])
-        np.bitwise_and(key, (1 << n) - 1, out=e[:, 1])
+        buf = np.empty(min(chunk, edges), dtype=np.int64)
+        for lo in range(0, edges, chunk):
+            k = buf[:min(chunk, edges - lo)]
+            k[:] = key[lo:lo + chunk]
+            np.right_shift(k, n, out=e[lo:lo + chunk, 0])
+            np.bitwise_and(k, (1 << n) - 1, out=e[lo:lo + chunk, 1])
         return e
 
     def _component_labels(self) -> np.ndarray:

@@ -429,6 +429,28 @@ class TestVerify:
         assert err == (f"error: verify {suite} does not read --method; "
                        "only theorem1, tradeoff and lemmas --fn do\n")
 
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("flag, value, suite", [
+        ("--tol", "1e-3", ["theorem1", "--method", "matfree"]),
+        ("--materialize-cap", "5", ["tradeoff"]),
+        ("--materialize-cap", "26", ["maf", "--k", "2"]),
+    ])
+    def test_no_suite_reads_tol_or_the_cap(self, capsys, monkeypatch, where, flag, value, suite):
+        # refused before any suite runs, given before the subcommand or after it
+        monkeypatch.setattr(verify, "verify_theorem1", None)
+        monkeypatch.setattr(verify, "verify_tradeoff", None)
+        argv = ([flag, value, "verify", *suite] if where == "before"
+                else ["verify", *suite, flag, value])
+        code, stdout, err = run_fast(capsys, *argv)
+        assert (code, stdout, err) == (2, "", f"error: verify does not read {flag}\n")
+
+    def test_verify_still_reads_the_seed(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "verify_subgraph_lemma",
+                            lambda n, **kw: calls.append(kw["seed"]) or [])
+        code, _, _ = run(capsys, "--seed", "5", "verify", "subgraph")
+        assert code == 0 and calls == [5]
+
     def test_lemmas_reject_zero_count(self, capsys):
         code, stdout, err = run(
             capsys, "verify", "lemmas", "--arities", "4", "--count", "0"

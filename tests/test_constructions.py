@@ -561,6 +561,34 @@ def test_certificate_lists_past_the_eager_limit_are_not_listed(make):
     assert make().meta.certificates is None
 
 
+# the largest listed instance of each family, all past the table: the
+# certificate list (chaf's own codeword listing, the scan of the read map for
+# address and maf) against the point evaluator
+@pytest.mark.parametrize("make", [lambda: haf(4), lambda: address_fn(12),
+                                  lambda: maf(12), lambda: chaf([2] * 12)],
+                         ids=["haf(4)", "address(12)", "maf(12)", "chaf([2]*12)"])
+def test_listing_agrees_with_the_evaluator_past_the_table(make):
+    fn = make()
+    K, t = fn.meta.codeword_len, fn.meta.data_len
+    data = ((1 << t) - 1) << K
+    listed = set()
+    for c in fn.meta.certificates.certificates:
+        a, bit = c.value & ((1 << K) - 1), c.value & data
+        listed.add(a)
+        if bit:  # a reads this data bit and no other
+            assert bit.bit_count() == 1
+            assert (fn(a | bit), fn(a), fn(a | data ^ bit)) == (1, 0, 0)
+        else:  # a forces 1
+            assert fn(a) == 1
+    assert len(listed) == len(fn.meta.certificates)
+    # an address not listed gives 0 with every data bit set
+    rng = np.random.default_rng(0)
+    addresses = range(1 << K) if K <= 16 else map(int, rng.integers(0, 1 << K, 4096))
+    unlisted = [a for a in addresses if a not in listed]
+    assert len(unlisted) >= (0 if fn.meta.family == "address" else 1000)
+    assert all(fn(a | data) == 0 for a in unlisted)
+
+
 class TestTradeoff:
     def test_profile_closed_forms(self):
         assert tradeoff_profile([2], [2]) == {

@@ -940,6 +940,27 @@ class TestSensitivityGraph:
         assert np.array_equal(got, want)
         assert peak <= budget
 
+    @pytest.mark.parametrize("name", ["parity", "random"])
+    def test_edges_hold_the_result_and_a_chunk(self, monkeypatch, name):
+        # the keys are made and sorted in the result's own memory and the rows
+        # written from them a chunk at a time, so beside the result's 16 bytes
+        # per edge only a chunk, S's row pointers and their degrees are held:
+        # a budget of 21 bytes per edge passes, where holding the sorted keys
+        # whole beside the result took 24 and its check counted as much
+        n = 16
+        table = (make_parity(n).table() if name == "parity" else
+                 TruthTable(n, (np.random.default_rng(n).random(1 << n) < 0.5).astype(np.uint8)))
+        graph = SensitivityGraph(table)
+        want = graph.edges()
+        edges, side = len(want), len(graph._side)
+        budget = 21 * edges
+        assert 9 * side + 24 * edges > budget
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
+        got, peak = TestMemoryBudget.traced(graph.edges)
+        assert np.array_equal(got, want)
+        assert peak <= 16 * edges + 10 * measures._EDGE_CHUNK + 9 * side + measures._NUMPY_BYTES
+        assert peak < 20 * edges
+
     @pytest.mark.parametrize("n", range(1, 11))
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(data=st.data())
