@@ -122,12 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="constructions, measures, and verification for Boolean function sensitivity",
         parents=[_global_options(None)],
     )
-    # --tol and --materialize-cap stay None unless given, so that verify, which
-    # reads neither, can refuse them; the commands that read them fill in the
-    # defaults. The global options are accepted after the subcommand too; there
-    # they set nothing unless given, so a value given before the subcommand
-    # survives, and one given after it wins
-    parser.set_defaults(seed=DEFAULT_SEED)
+    # the global options stay None unless given, so that a command which does
+    # not read one can refuse it; the commands that read them fill in the
+    # defaults. They are accepted after the subcommand too; there they set
+    # nothing unless given, so a value given before the subcommand survives,
+    # and one given after it wins
     common = _global_options(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -213,6 +212,18 @@ def _materialize_cap(args) -> int:
     return DEFAULT_TABLE_CAP if args.materialize_cap is None else args.materialize_cap
 
 
+def _seed(args) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
+def _refuse_unread(args, *flags: str) -> None:
+    """ValueError naming the first of the global options flags that was
+    given to a command which does not read it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{args.command} does not read {flag}")
+
+
 def _cmd_measure(args) -> int:
     fn = load_function(args.fn)
     names = [part for part in args.measures.split(",") if part]
@@ -221,7 +232,7 @@ def _cmd_measure(args) -> int:
         names,
         method=_METHODS[args.method],
         tol=DEFAULT_TOL if args.tol is None else args.tol,
-        seed=args.seed,
+        seed=_seed(args),
         materialize_cap=_materialize_cap(args),
         source=args.fn,
     )
@@ -231,9 +242,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    for flag, value in (("--tol", args.tol), ("--materialize-cap", args.materialize_cap)):
-        if value is not None:
-            raise ValueError(f"verify does not read {flag}")
+    _refuse_unread(args, "--tol", "--materialize-cap")
+    seed = _seed(args)
     if args.method is not None and suite not in ("theorem1", "tradeoff") and (
         suite != "lemmas" or args.fn is None
     ):
@@ -244,7 +254,7 @@ def _cmd_verify(args) -> int:
         claims = verify_mod.verify_theorem1(
             args.r if args.r is not None else 2,
             lambda_method=method,
-            seed=args.seed,
+            seed=seed,
         )
     elif suite == "simon":
         ns = [args.n] if args.n is not None else [2, 3, 4]
@@ -255,7 +265,7 @@ def _cmd_verify(args) -> int:
         claims = verify_mod.verify_subgraph_lemma(
             args.n if args.n is not None else 3,
             samples=args.samples,
-            seed=args.seed,
+            seed=seed,
         )
     elif suite == "lemmas":
         if args.fn is not None:
@@ -268,7 +278,7 @@ def _cmd_verify(args) -> int:
             # the suite's own defaults stand for flags not given
             given = {"arities": args.arities, "count": args.count}
             claims = verify_mod.verify_lemma_chain_random(
-                seed=args.seed, **{k: v for k, v in given.items() if v is not None}
+                seed=seed, **{k: v for k, v in given.items() if v is not None}
             )
     elif suite == "desens":
         if args.fn is not None:
@@ -291,7 +301,7 @@ def _cmd_verify(args) -> int:
     elif suite == "tradeoff":
         as_ = args.as_ if args.as_ is not None else [2]
         bs_ = args.bs_ if args.bs_ is not None else [2]
-        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=args.seed)
+        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=seed)
     else:
         ks = [args.k] if args.k is not None else [2, 3, 4]
         claims = []
@@ -345,6 +355,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def _cmd_sweep(args) -> int:
+    _refuse_unread(args, "--tol", "--materialize-cap", "--seed")
     gs = _parse_range(args.g_range)
     l, m = _parse_ratio(args.ratio)
     lines = ["n,s0,s1,lambda_sq,c_hat"]

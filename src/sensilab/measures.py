@@ -205,42 +205,83 @@ def certificate_complexity_at(
     raise AssertionError("full assignment is always a certificate")
 
 
-def _subcube_colours(table: TruthTable) -> np.ndarray:
-    """f's value on every subcube where f is constant, 2 where it is not.
+# the set of values f takes on a subcube, as bits. The mixed set, 96, exceeds
+# either one-value set plus any codimension up to n <= 31, and no pushed-down
+# entry passes 96 + 31 = 127, so _cert_counts works on the int8 sets as they are
+_HAS_0, _HAS_1 = 32, 64
 
-    Shape (3,)*n: axis k is variable n-k, index 2 leaves it free (*). Built
-    in place one variable at a time, in axis_blocks' cache-sized blocks,
-    through axis_view (transposed for the first three), holding the set of
-    values f takes on each subcube as bits, 1 for 0 and 2 for 1: a * entry
-    is the OR of its halves, and one on a later variable is rewritten at
-    that variable's step. Minus 1, the sets {0}, {1}, {0, 1} are 0, 1, 2.
+
+def _subcube_rows() -> np.ndarray:
+    """The value sets of the 27 subcubes over x1..x3 of each 8-entry group,
+    row g for the group np.packbits(..., bitorder="little") packs into g, in
+    _subcube_colours' order (digit j of the column is variable j+1, 2 is *).
+    Built in Python, the rows of 2^k-entry groups from those of their two
+    halves: the lower half's subcubes, the upper half's, then the unions of
+    the two, the subcubes with the new variable free."""
+    rows = [[_HAS_0], [_HAS_1]]
+    for _ in range(3):
+        rows = [lo + hi + [a | b for a, b in zip(lo, hi)] for hi in rows for lo in rows]
+    return np.frombuffer(bytes(itertools.chain.from_iterable(rows)), np.int8).reshape(256, 27)
+
+
+_SUBCUBE_ROWS = _subcube_rows()
+
+
+def _subcube_sets(table: TruthTable) -> np.ndarray:
+    """The set of values f takes on every subcube, of bits _HAS_0 and
+    _HAS_1, as an int8 array of shape (3,)*n: axis k is variable n-k, index
+    2 leaves it free (*). Each row of 27 over x1..x3 whose other variables
+    are all fixed is read from _SUBCUBE_ROWS; then, in axis_blocks'
+    cache-sized blocks, a * entry of each variable from x4 on is the OR of
+    its halves. Every entry is written: a * entry last at its outermost free
+    variable's step, from halves complete by then. A table under 8 entries
+    is tiled first, and its sets are those of the tiled function with the
+    added variables fixed at 0.
     """
     n = table.arity
-    col = np.zeros((3,) * n, dtype=np.int8)
-    col[(slice(2),) * n] = table.values.reshape((2,) * n) + 1
+    if n < 3:
+        row = _SUBCUBE_ROWS[np.packbits(np.tile(table.values, 8 >> n), bitorder="little")[0]]
+        return row.reshape(3, 3, 3)[(0,) * (3 - n)].copy()
+    col = np.empty((3,) * n, dtype=np.int8)
+    rows = col.reshape((3,) * (n - 3) + (27,))[(slice(2),) * (n - 3)]
+    rows[...] = _SUBCUBE_ROWS[np.packbits(table.values, bitorder="little")].reshape(rows.shape)
     for i, (c,) in axis_blocks(3, n, col.reshape(-1)):
-        v = axis_view(c, 3, i)
-        np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
+        if i >= 3:
+            v = axis_view(c, 3, i)
+            np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
+    return col
+
+
+def _subcube_colours(table: TruthTable) -> np.ndarray:
+    """f's value on every subcube where f is constant, 2 where it is not,
+    in _subcube_sets' shape: the sets {0}, {1}, {0, 1} as 0, 1, 2."""
+    col = _subcube_sets(table)
+    col >>= 5
     col -= 1
     return col
 
 
 def _cert_counts(table: TruthTable) -> np.ndarray:
-    """C(f, x) for every input x, in table order. One pass per variable,
-    from axis_blocks through axis_view, as in _subcube_colours.
+    """C(f, x) for every input x, in table order.
+
+    Pushing min(fixed + 1, free) down each variable leaves, at x, the least
+    set plus codimension over the subcubes through x: the monochromatic
+    ones' set, f(x)'s, plus C(f, x), as a mixed set is larger than that
+    whatever its codimension; the low five bits are C(f, x). The variables
+    go from the outermost in, each step on the entries with every variable
+    done so far fixed, as no later step reads a done variable's * entries:
+    step k updates 2^(k+1) 3^(n-k-1) entries, about 2 3^n in all.
     """
     n = table.arity
-    # 0 on monochromatic subcubes, 64 (above any codimension) on mixed ones;
-    # pushing min(fixed + 1, free) down each variable leaves C(f, x) at x
-    col = _subcube_colours(table)
-    col >>= 1
-    col *= 64
-    for i, (c,) in axis_blocks(3, n, col.reshape(-1)):
-        v = axis_view(c, 3, i)
-        fixed = v[:, :2]
-        np.add(fixed, 1, out=fixed, order="A")
-        np.minimum(fixed, v[:, 2:], out=fixed, order="A")
-    return col[(slice(2),) * n].reshape(-1)
+    col = _subcube_sets(table)
+    for k in range(n):
+        done = (slice(2),) * k
+        fixed, free = col[done + (slice(2),)], col[done + (slice(2, 3),)]
+        np.add(fixed, 1, out=fixed)
+        np.minimum(fixed, free, out=fixed)
+    counts = col[(slice(2),) * n].reshape(-1)
+    counts &= _HAS_0 - 1
+    return counts
 
 
 def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
@@ -1240,20 +1281,29 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[flo
     d = graph._star_degrees()
     gram = (lambda x: d * x) if d is not None else _gram_in_runs(graph.table, side)
 
+    # by numpy's own loop, not BLAS's ddot and dnrm2, so that no bit depends on
+    # the BLAS thread count: with two threads those moved haf(3)'s residual
+    # from 0.0 to 4.4e-16
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.einsum("i,i->", a, b))
+
+    def norm(a: np.ndarray) -> float:
+        return math.sqrt(dot(a, a))
+
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(len(side))
-    x /= np.linalg.norm(x)
+    x /= norm(x)
     prev = 0.0
     lam_sq = 0.0
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         w = gram(x)
-        lam_sq = float(x @ w)
+        lam_sq = dot(x, w)
         if abs(lam_sq - prev) <= tol * max(abs(lam_sq), 1.0):
             lam = math.sqrt(lam_sq)
-            residual = float(np.linalg.norm(w - lam_sq * x)) / (lam * math.sqrt(2))
+            residual = norm(w - lam_sq * x) / (lam * math.sqrt(2))
             return lam, residual, iterations
         prev = lam_sq
-        x = w / np.linalg.norm(w)
+        x = w / norm(w)
     lam = math.sqrt(max(lam_sq, 0.0))
     raise ConvergenceError(
         f"power iteration did not reach tol {tol} in {DEFAULT_MAX_ITER} iterations "

@@ -450,6 +450,9 @@ class TestVerify:
                             lambda n, **kw: calls.append(kw["seed"]) or [])
         code, _, _ = run(capsys, "--seed", "5", "verify", "subgraph")
         assert code == 0 and calls == [5]
+        # the default, which the parser leaves unset, is filled in by the suite
+        code, _, _ = run(capsys, "verify", "subgraph")
+        assert code == 0 and calls == [5, measures.DEFAULT_SEED]
 
     def test_lemmas_reject_zero_count(self, capsys):
         code, stdout, err = run(
@@ -723,6 +726,19 @@ class TestSweep:
         assert code == 0
         assert out.read_text() == "n,s0,s1,lambda_sq,c_hat\n5,1,4,4,0.2\n"
 
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "1e-3"), ("--materialize-cap", "0"), ("--seed", "5"),
+    ])
+    def test_global_options_are_refused(self, tmp_path, capsys, where, flag, value):
+        # the sweep is closed-form: it reads none of them, and writes nothing
+        out = tmp_path / "sweep.csv"
+        sweep = ["sweep", "tradeoff", "--g-range", "0..0", "--ratio", "1:1", "--out", str(out)]
+        argv = [flag, value, *sweep] if where == "before" else [*sweep, flag, value]
+        code, stdout, err = run_fast(capsys, *argv)
+        assert (code, stdout, err) == (2, "", f"error: sweep does not read {flag}\n")
+        assert not out.exists()
+
     def test_bad_range_is_exit_2(self, capsys):
         code, _, err = run(
             capsys, "sweep", "tradeoff", "--g-range", "1-3", "--ratio", "1:1"
@@ -836,6 +852,9 @@ class TestGlobalOptions:
         )
         assert code == 0
         assert json.loads(stdout)["seed"] == 9
+        code, stdout, _ = run(capsys, "measure", "--fn", path, "--measures", "s0")
+        assert code == 0
+        assert json.loads(stdout)["seed"] == measures.DEFAULT_SEED
 
     def test_materialize_cap_before_the_subcommand(self, tmp_path, capsys):
         desc = tmp_path / "haf2.json"

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import cached_property
 
@@ -206,20 +209,50 @@ class TestCertificates:
             want = (0, 0) if b == bit else (0, None)
             assert cert_side(t) == want == sens_side(t)
 
+    @staticmethod
+    def check_colours(table: TruthTable) -> None:
+        n = table.arity
+        col = measures._subcube_colours(table)
+        assert (col.dtype, col.shape) == (np.int8, (3,) * n)
+        col = col.reshape(-1)
+        for t in range(3**n):
+            # base-3 digit j of the flat index is variable j+1; 2 is *
+            digits = [t // 3**j % 3 for j in range(n)]
+            cube = PartialAssignment.from_entries(
+                ["*" if d == 2 else d for d in digits])
+            seen = set(table.values[cube.points()].tolist())
+            assert col[t] == (seen.pop() if len(seen) == 1 else 2)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_subcube_colours_match_enumeration(self, n):
         rng = np.random.default_rng([13, n])
-        tables = [TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8))
-                  for p in (0.0, 0.2, 0.5, 0.8, 1.0)]
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+            self.check_colours(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_subcube_colours_below_one_lookup_group(self, n):
+        # every table on fewer than the lookup's 8-entry groups, which it
+        # tiles into one
+        for code in range(1 << (1 << n)):
+            self.check_colours(TruthTable(n, np.array(core.point_bits(code, 1 << n), np.uint8)))
+
+    @pytest.mark.parametrize("case", [
+        *(f"random{n}" for n in range(1, 9)), "haf2", "address2", "maf3"])
+    def test_counts_match_pointwise_search_at_every_input(self, case):
+        # every input, not only the side maxima c0 and c1 report
+        if case.startswith("random"):
+            n = int(case[6:])
+            rng = np.random.default_rng([43, n])
+            tables = [TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8))
+                      for p in (0.0, 0.2, 0.5, 0.8, 1.0)]
+        else:
+            tables = [{"haf2": lambda: haf(2), "address2": lambda: address_fn(2),
+                       "maf3": lambda: maf(3)}[case]().table()]
         for table in tables:
-            col = measures._subcube_colours(table).reshape(-1)
-            for t in range(3**n):
-                # base-3 digit j of the flat index is variable j+1; 2 is *
-                digits = [t // 3**j % 3 for j in range(n)]
-                cube = PartialAssignment.from_entries(
-                    ["*" if d == 2 else d for d in digits])
-                seen = set(table.values[cube.points()].tolist())
-                assert col[t] == (seen.pop() if len(seen) == 1 else 2)
+            counts = measures._cert_counts(table)
+            assert (counts.dtype, counts.shape) == (np.int8, (len(table),))
+            want = [certificate_complexity_at(table, x)[0] for x in range(len(table))]
+            assert counts.tolist() == want
 
     @pytest.mark.parametrize("side", [c0, c1])
     def test_cap_applies_before_any_work(self, side):
@@ -1926,6 +1959,15 @@ class TestMemoryBudget:
         assert graph.census() == {("other",): 1}
 
 
+# matrix-free lambda on haf(3) in a fresh interpreter: value, residual and
+# steps, as reprs
+MATFREE_PROBE = (
+    "from sensilab import haf, spectral_sensitivity; "
+    "r = spectral_sensitivity(haf(3), method='matrix-free'); "
+    "print(repr(r.value), repr(r.residual), r.iterations)"
+)
+
+
 def replayed_residual(table: TruthTable, side: int, seed: int, tol: float) -> float:
     """||A u - lambda u|| for the vector u = [x; B^T x / lambda] / sqrt(2) at
     which matrix-free stops, replayed on dense matrices built independently:
@@ -1953,6 +1995,24 @@ def replayed_residual(table: TruthTable, side: int, seed: int, tol: float) -> fl
 class TestMatrixFreeGram:
     """Matrix-free iterates B B^T on vectors over the smaller side (the 0-side
     on a tie), with the CSR rows or with products from the table."""
+
+    def test_blas_threads_do_not_move_a_bit(self):
+        # haf(3)'s 2^19-entry iterates: BLAS's threaded ddot/dnrm2 read a
+        # residual of 0.0 with one thread and 4.36e-16 with two
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", MATFREE_PROBE], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        value, residual, iterations = outs[0].split()
+        assert float(value) == pytest.approx(math.sqrt(8), abs=1e-12)
+        assert float(residual) < 1e-12 and int(iterations) >= 1
 
     CASES = {
         "and6": (TruthTable(6, (np.arange(64) == 63).astype(np.uint8)), 1, 1),
