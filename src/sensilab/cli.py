@@ -1,7 +1,9 @@
 """Command-line surface: construct, measure, verify, export-graph, sweep.
 
 Exit codes: 0 success (and all claims passing), 1 verification failure,
-2 input error.
+2 input error. A flag given to a command that reads it nowhere, or to a
+verify suite or construct family that does not read it, is an input error:
+_READS is the one table of which flags each of them reads.
 """
 
 from __future__ import annotations
@@ -48,6 +50,32 @@ _METHODS = {
     "matfree": "matrix-free",
     "components": "component-wise",
     "analytic": "analytic",
+}
+
+
+# The global options each command reads (under ""), and the flags each verify
+# suite ("<suite> --fn" when given a function file) and construct family reads.
+# A flag under none of a command's keys, such as --csv or --out, is read by all.
+_READS = {
+    "construct": {"": ("--materialize-cap",)} | {
+        name: tuple("--certs" if key == "certificates" else f"--{key}" for key, _ in family.params)
+        for name, family in FAMILIES.items()
+    },
+    "measure": {"": ("--seed", "--tol", "--materialize-cap")},
+    "verify": {
+        "": (),
+        "theorem1": ("--r", "--method", "--seed"),
+        "simon": ("--n",),
+        "subgraph": ("--n", "--samples", "--seed"),
+        "lemmas": ("--arities", "--count", "--seed"),
+        "desens": (),
+        "tradeoff": ("--as", "--bs", "--method", "--seed"),
+        "maf": ("--k",),
+        "lemmas --fn": ("--fn", "--method"),
+        "desens --fn": ("--fn", "--certs"),
+    },
+    "export-graph": {"": ("--materialize-cap",)},
+    "sweep": {"": ()},
 }
 
 
@@ -136,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--rs", type=_int_list)
     p.add_argument("--k", type=int)
-    p.add_argument("--as", dest="as", type=_int_list)
-    p.add_argument("--bs", dest="bs", type=_int_list)
+    p.add_argument("--as", type=_int_list)
+    p.add_argument("--bs", type=_int_list)
     p.add_argument("--base", help="function file the desensitized family wraps")
     p.add_argument("--certs", help="JSON list of 0/1/* strings for desensitized")
     p.add_argument("--out", required=True)
@@ -148,15 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(_METHODS), default="auto")
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=["theorem1", "simon", "subgraph", "lemmas", "desens", "tradeoff", "maf"],
-    )
+    p.add_argument("suite", choices=[key for key in _READS["verify"] if key and " " not in key])
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--as", dest="as_", type=_int_list)
-    p.add_argument("--bs", dest="bs_", type=_int_list)
+    p.add_argument("--as", type=_int_list)
+    p.add_argument("--bs", type=_int_list)
     p.add_argument("--samples", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--arities", type=_checked(_int_list, lambda v: min(v, default=1) >= 1,
@@ -216,14 +241,6 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
-def _refuse_unread(args, *flags: str) -> None:
-    """ValueError naming the first of the global options flags that was
-    given to a command which does not read it."""
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"{args.command} does not read {flag}")
-
-
 def _cmd_measure(args) -> int:
     fn = load_function(args.fn)
     names = [part for part in args.measures.split(",") if part]
@@ -242,13 +259,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    _refuse_unread(args, "--tol", "--materialize-cap")
     seed = _seed(args)
-    if args.method is not None and suite not in ("theorem1", "tradeoff") and (
-        suite != "lemmas" or args.fn is None
-    ):
-        raise ValueError(f"verify {suite} does not read --method; "
-                         "only theorem1, tradeoff and lemmas --fn do")
     method = _METHODS[args.method or "auto"]
     if suite == "theorem1":
         claims = verify_mod.verify_theorem1(
@@ -299,8 +310,8 @@ def _cmd_verify(args) -> int:
             )
             claims = verify_mod.verify_desensitization(fn, certs, name="or2")
     elif suite == "tradeoff":
-        as_ = args.as_ if args.as_ is not None else [2]
-        bs_ = args.bs_ if args.bs_ is not None else [2]
+        as_ = vars(args)["as"] if vars(args)["as"] is not None else [2]
+        bs_ = args.bs if args.bs is not None else [2]
         claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=seed)
     else:
         ks = [args.k] if args.k is not None else [2, 3, 4]
@@ -355,7 +366,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def _cmd_sweep(args) -> int:
-    _refuse_unread(args, "--tol", "--materialize-cap", "--seed")
     gs = _parse_range(args.g_range)
     l, m = _parse_ratio(args.ratio)
     lines = ["n,s0,s1,lambda_sq,c_hat"]
@@ -410,12 +420,30 @@ def _joined_ranges(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse_unread(args) -> None:
+    """ValueError naming the first flag in _READS that was given and that
+    neither the command nor its verify suite or construct family reads."""
+    reads = _READS[args.command]
+    key = vars(args).get("suite") or vars(args).get("family", "")
+    if f"{key} --fn" in reads and args.fn is not None:
+        key += " --fn"
+    read = reads[""] + reads.get(key, ())
+    for flag in dict.fromkeys(("--tol", "--materialize-cap", "--seed") + sum(reads.values(), ())):
+        if flag in read or getattr(args, flag[2:].replace("-", "_")) is None:
+            continue
+        if not (readers := [k for k, flags in reads.items() if flag in flags]):
+            raise ValueError(f"{args.command} does not read {flag}")
+        only = ", ".join(readers[:-1]) + " and " * (len(readers) > 1) + readers[-1]
+        raise ValueError(f"{args.command} {key} does not read {flag}; only {only} do")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     _refuse_unknown_leading(parser, argv)
     args = parser.parse_args(_joined_ranges(argv))
     try:
+        _refuse_unread(args)
         return _COMMANDS[args.command](args)
     # a RecursionError comes from a JSON file nested past the decoder's limit
     except (ValueError, OSError, ConvergenceError, RecursionError) as exc:

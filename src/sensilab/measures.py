@@ -1438,6 +1438,8 @@ def compute_measures(
     """Evaluate the requested measures, recording a skip reason instead of
     failing when a measure's cap rules the function out. Every name is
     checked before any measure runs."""
+    if not names:
+        raise ValueError(f"no measure named; valid: {', '.join(_MEASURE_NAMES)}")
     for name in names:
         if name not in _MEASURE_NAMES:
             raise ValueError(

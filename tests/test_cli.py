@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sensilab import BooleanFunction, TruthTable, constructions, haf, measures, verify
+from sensilab import BooleanFunction, TruthTable, cli, constructions, haf, measures, verify
 from sensilab.core import ArityError, CertificateCollection, PartialAssignment
 from sensilab.cli import main
 from sensilab.measures import compute_measures
@@ -279,6 +279,14 @@ class TestMeasure:
         path = write_and2(tmp_path)
         code, _, err = run(capsys, "measure", "--fn", path, "--measures", "zz")
         assert code == 2
+
+    @pytest.mark.parametrize("names", ["", ","])
+    def test_no_measure_named_is_exit_2(self, tmp_path, capsys, names):
+        # this printed a report with no entries and exited 0
+        code, stdout, err = run(capsys, "measure", "--fn", write_and2(tmp_path),
+                                "--measures", names)
+        assert (code, stdout) == (2, "")
+        assert err == "error: no measure named; valid: s0, s1, s, deg, lambda, c0, c1, uc1\n"
 
 
 class TestVerify:
@@ -833,6 +841,58 @@ class TestRefusals:
     def test_library(self, call, error, message):
         with pytest.raises(error, match=re.escape(message)):
             call()
+
+
+class TestUnreadFlags:
+    """A flag given where the command, verify suite or construct family does
+    not read it exits 2 before anything runs; each of these exited 0."""
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("argv", [
+        ["construct", "haf", "--r", "2", "--out", "OUT"],
+        ["export-graph", "--fn", "FN", "--format", "edges"],
+    ], ids=["construct", "export-graph"])
+    def test_tol_and_seed(self, tmp_path, capsys, monkeypatch, where, argv):
+        given = ["--tol", "1e-3", "--seed", "5"]
+        self.refused(tmp_path, capsys, monkeypatch,
+                     given + argv if where == "before" else argv + given,
+                     f"{argv[0]} does not read --tol")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "desens", "--certs", "CERTS"],
+         "verify desens does not read --certs; only desens --fn do"),
+        (["verify", "lemmas", "--fn", "FN", "--count", "5"],
+         "verify lemmas --fn does not read --count; only lemmas do"),
+        (["verify", "simon", "--n", "2", "--seed", "5"],
+         "verify simon does not read --seed; only theorem1, subgraph, lemmas and tradeoff do"),
+        (["construct", "haf", "--r", "2", "--k", "7", "--out", "OUT"],
+         "construct haf does not read --k; only maf and address do"),
+        (["construct", "desensitized", "--base", "FN", "--r", "2", "--out", "OUT"],
+         "construct desensitized does not read --r; only haf do"),
+    ], ids=["desens-certs", "lemmas-fn-count", "simon-seed", "haf-k", "desensitized-r"])
+    def test_suite_or_family(self, tmp_path, capsys, monkeypatch, argv, message):
+        self.refused(tmp_path, capsys, monkeypatch, argv, message)
+
+    def refused(self, tmp_path, capsys, monkeypatch, argv, message):
+        # no command runs: dispatching would call None
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS))
+        files = {"FN": write_and2(tmp_path), "CERTS": str(tmp_path / "c.json"),
+                 "OUT": str(tmp_path / "out.tt")}
+        code, stdout, err = run(capsys, *[files.get(a, a) for a in argv])
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not os.path.exists(files["OUT"])
+
+    def test_read_flags_still_run(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "--seed", "5", "verify", "subgraph")
+        assert code == 0
+        base = tmp_path / "or2.tt"
+        TruthTable(2, np.array([0, 1, 1, 1], dtype=np.uint8)).save(str(base))
+        certs = tmp_path / "c.json"
+        certs.write_text('["1*", "01"]')
+        out = tmp_path / "d.tt"
+        code, stdout, _ = run(capsys, "construct", "desensitized", "--base", str(base),
+                              "--certs", str(certs), "--out", str(out))
+        assert code == 0 and out.exists()
 
 
 class TestGlobalOptions:

@@ -6,9 +6,12 @@ past their bounds, measure lists, every suite with and without --method, and
 small .tt and .json files, some of them malformed. Each argv runs through
 cli.main in this process with its output captured. The exit code must be 0, 1
 or 2 (argparse's SystemExit(2) counts as 2) and no other exception may
-escape. Stdout must be what was asked for: strict JSON, CSV, DOT or edge
-text. Exit 1 may come only when some claim's status is "fail". Every example
-must end within the deadline.
+escape. A flag the drawn command, suite or family does not read, by the
+grammar's own lists, must exit 2 with a message that names it (or argparse's
+usage, when it refuses some other part first), and no other flag may be
+refused as unread. Stdout must be what was asked for: strict JSON, CSV, DOT
+or edge text. Exit 1 may come only when some claim's status is "fail". Every
+example must end within the deadline.
 
 The grammar bounds the work, not the parsing: function files have arity at
 most 10, --samples is at most 10^4, --count at most 50 and r is 2 or 3. Every
@@ -154,6 +157,30 @@ CONSTRUCT_FLAGS = {
     "maf": [("--k", ["2", "3", "4"], ["1", "0", "-1", str(1 << 40), "x"])],
     "address": [("--k", ["1", "2", "3"], ["0", "-1", str(1 << 40), "x"])],
 }
+# the flags each command reads wherever it runs, and those each verify suite
+# ("<suite> --fn": given a function file) and construct family reads besides
+COMMAND_READS = {
+    "construct": ["--materialize-cap", "--out"],
+    "measure": [*GLOBAL_VALUES, "--fn", "--measures", "--method"],
+    "verify": ["--csv"],
+    "export-graph": ["--materialize-cap", "--fn", "--format", "--component", "--out"],
+    "sweep": ["--g-range", "--ratio", "--out"],
+}
+SUITE_READS = {
+    "theorem1": ["--r", "--method", "--seed"], "simon": ["--n"],
+    "subgraph": ["--n", "--samples", "--seed"], "lemmas": ["--arities", "--count", "--seed"],
+    "desens": [], "tradeoff": ["--as", "--bs", "--method", "--seed"], "maf": ["--k"],
+    "lemmas --fn": ["--fn", "--method"], "desens --fn": ["--fn", "--certs"],
+}
+FAMILY_READS = {family: [flag for flag, *_ in flags] for family, flags in CONSTRUCT_FLAGS.items()}
+FAMILY_READS |= {"tradeoff": ["--as", "--bs"], "desensitized": ["--base", "--certs"]}
+# a value argparse takes for each flag some suite or family reads
+FLAG_VALUES = {
+    "--seed": "0", "--tol": "1e-6", "--materialize-cap": "5", "--r": "2", "--rs": "2",
+    "--n": "2", "--k": "2", "--as": "2", "--bs": "2", "--samples": "1", "--count": "1",
+    "--arities": "4", "--method": "auto", "--fn": "f.tt", "--certs": "c.json", "--base": "b.tt",
+}
+
 TRADEOFF_PARAMS = (
     [["--as", "2"], ["--as", "2", "--bs", ""], ["--as", "2,2", "--bs", ""], ["--as", "2", "--bs", "2"]],
     [[], ["--as", ""], ["--as", "1"], ["--as", "2", "--bs", "1"], ["--as", "40", "--bs", ""],
@@ -178,7 +205,7 @@ def construct_argv(draw):
             argv += ["--certs", draw(cert_files(values))]
     if not refused(draw):
         argv += ["--out", out_part(draw, ["o.tt", "o.json"])]
-    return argv, "construct"
+    return argv, "construct", COMMAND_READS["construct"] + FAMILY_READS.get(family, [])
 
 
 @st.composite
@@ -190,15 +217,15 @@ def measure_argv(draw):
     # a uc1 search on a random table of arity 6..8 may spend its whole node budget
     fn, _ = draw(function_files(max_n=5 if "uc1" in names else 10))
     argv = ["measure", "--fn", fn, "--measures", ",".join(names)]
-    return argv + optional(draw, "--method", METHODS, ["bogus"]), "json"
+    return argv + optional(draw, "--method", METHODS, ["bogus"]), "json", COMMAND_READS["measure"]
 
 
 @st.composite
 def verify_argv(draw):
-    suite = pick(draw, ["theorem1", "simon", "subgraph", "lemmas", "desens", "tradeoff", "maf"],
-                 ["bogus"])
+    suite = pick(draw, [key for key in SUITE_READS if " " not in key], ["bogus"])
     argv = ["verify", suite]
-    reads_method = suite in ("theorem1", "tradeoff")
+    # --fn picks the suite's "<suite> --fn" reads where it has them
+    key = suite
     if suite == "theorem1":
         # r = 3 builds haf(3), a table of arity 23, in about a quarter of a second
         argv += optional(draw, "--r", ["2", "2", "2", "3"], ["1", "4", "-1", "x"])
@@ -214,7 +241,7 @@ def verify_argv(draw):
     elif suite in ("lemmas", "desens") and draw(st.booleans()):
         fn, values = draw(function_files(max_n=10 if suite == "lemmas" else 6))
         argv += ["--fn", fn]
-        reads_method = suite == "lemmas"
+        key = f"{suite} --fn"
         if suite == "desens" and (values is None or draw(st.booleans())):
             argv += ["--certs", draw(cert_files(values))]
     elif suite == "lemmas":
@@ -231,13 +258,12 @@ def verify_argv(draw):
                       ["--as", "40", "--bs", ""], ["--as", "2,x"], ["--as", "3", "--bs", "2"]])
     elif suite == "maf":
         argv += optional(draw, "--k", ["2", "3", "4"], ["1", "5", "x"])
-    if reads_method:
+    reads = COMMAND_READS["verify"] + SUITE_READS.get(key, [])
+    if "--method" in reads:
         argv += optional(draw, "--method", METHODS, ["bogus"])
-    elif refused(draw):
-        argv += ["--method", draw(st.sampled_from(METHODS))]
     if draw(st.integers(0, 4)) == 0:
         argv += ["--csv", out_part(draw, ["c.csv"])]
-    return argv, "claims"
+    return argv, "claims", reads + ["--fn"] * (f"{suite} --fn" in SUITE_READS)
 
 
 @st.composite
@@ -249,7 +275,7 @@ def export_argv(draw):
     argv += optional(draw, "--component", ["0", "1"], ["-1", "99", "x"])
     if draw(st.integers(0, 3)) == 0:
         argv += ["--out", out_part(draw, ["g.txt"])]
-    return argv, "graph"
+    return argv, "graph", COMMAND_READS["export-graph"]
 
 
 @st.composite
@@ -263,13 +289,13 @@ def sweep_argv(draw):
                                  ["0:1", "1:-1", "a:b", "1", str(1 << 20) + ":0"])]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--out", out_part(draw, ["s.csv"])]
-    return argv, "csv"
+    return argv, "csv", COMMAND_READS["sweep"]
 
 
 @st.composite
 def argvs(draw):
-    argv, kind = draw(st.one_of(verify_argv(), measure_argv(), construct_argv(), export_argv(),
-                                sweep_argv()))
+    argv, kind, reads = draw(st.one_of(verify_argv(), measure_argv(), construct_argv(),
+                                       export_argv(), sweep_argv()))
     # each global option is given a quarter of the time, before the
     # subcommand or after it
     for flag, (accepted, refusals) in GLOBAL_VALUES.items():
@@ -277,7 +303,15 @@ def argvs(draw):
         if where != "none":
             given = [flag, pick(draw, accepted, refusals)]
             argv = given + argv if where == "before" else argv + given
-    return argv, kind
+    # about one time in eight, a flag that some other suite or family reads
+    per_key = {"verify": SUITE_READS, "construct": FAMILY_READS}.get(argv[0], {})
+    others = [flag for flag in dict.fromkeys([*GLOBAL_VALUES, *sum(per_key.values(), [])])
+              if flag not in reads]
+    if others and refused(draw):
+        flag = draw(st.sampled_from(others))
+        argv = argv + [flag, FLAG_VALUES[flag]]
+    given = [part for part in argv if isinstance(part, str) and part.startswith("--")]
+    return argv, kind, [flag for flag in given if flag not in reads]
 
 
 def materialize(argv, root):
@@ -335,13 +369,13 @@ def check_stdout(kind, argv, code, out):
 # found by this test: JSON nested past the recursion limit ended in a
 # RecursionError traceback, and a table header of n = 2^40 asked for a
 # 128 GiB integer before its hex digits were counted
-@example(case=(["measure", "--fn", ("file", "f.json", DEEP), "--measures", "s0"], "json"))
+@example(case=(["measure", "--fn", ("file", "f.json", DEEP), "--measures", "s0"], "json", []))
 @example(case=(["verify", "desens", "--fn", ("file", "f.tt", b"n=2\ne\n"),
-                "--certs", ("file", "c.json", DEEP)], "claims"))
+                "--certs", ("file", "c.json", DEEP)], "claims", []))
 @example(case=(["measure", "--fn", ("file", "f.tt", b"n=%d\n0\n" % (1 << 40)), "--measures", "s0"],
-               "json"))
+               "json", []))
 def test_cli_contract(case):
-    argv, kind = case
+    argv, kind, unread = case
     with tempfile.TemporaryDirectory() as root:
         args = materialize(argv, root)
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -356,6 +390,11 @@ def test_cli_contract(case):
         assert kind == "claims"
     if code == 2:
         assert err.strip(), "a refusal says why"
+    if unread:
+        assert code == 2
+        assert err.startswith("usage:") or any(f"does not read {f}" in err for f in unread), err
+    else:
+        assert "does not read" not in err, err
     if out:
         check_stdout(kind, args, code, out)
     elif code == 0:

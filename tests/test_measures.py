@@ -2538,6 +2538,11 @@ class TestReports:
         with pytest.raises(ValueError):
             compute_measures(and2, ["zz"])
 
+    def test_no_measure_named(self, and2):
+        # an empty list printed a report with no entries
+        with pytest.raises(ValueError, match="no measure named; valid: s0, s1, s, deg, lambda"):
+            compute_measures(and2, [])
+
     def test_unknown_measure_rejected_before_any_is_computed(self, and2, monkeypatch):
         calls = []
         real = measures.s0
