@@ -54,10 +54,11 @@ _METHODS = {
 
 
 # The global options each command reads (under ""), and the flags each verify
-# suite ("<suite> --fn" when given a function file) and construct family reads.
-# A flag under none of a command's keys, such as --csv or --out, is read by all.
+# suite ("<suite> --fn" when given a function file) and construct family reads,
+# and those construct reads when it writes a table ("--out .tt"). A flag under
+# none of a command's keys, such as --csv or --out, is read by all.
 _READS = {
-    "construct": {"": ("--materialize-cap",)} | {
+    "construct": {"": (), "--out .tt": ("--materialize-cap",)} | {
         name: tuple("--certs" if key == "certificates" else f"--{key}" for key, _ in family.params)
         for name, family in FAMILIES.items()
     },
@@ -428,6 +429,8 @@ def _refuse_unread(args) -> None:
     if f"{key} --fn" in reads and args.fn is not None:
         key += " --fn"
     read = reads[""] + reads.get(key, ())
+    if (vars(args).get("out") or "").endswith(".tt"):
+        read += reads.get("--out .tt", ())
     for flag in dict.fromkeys(("--tol", "--materialize-cap", "--seed") + sum(reads.values(), ())):
         if flag in read or getattr(args, flag[2:].replace("-", "_")) is None:
             continue

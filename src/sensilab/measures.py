@@ -34,7 +34,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -112,6 +112,8 @@ DEFAULT_MAX_ITER = 10000
 # entries of a Moebius block whose nonzero positions degree lists at once:
 # at most 256 KiB of int64 positions beside the block
 _DEGREE_CHUNK = 1 << 15
+# codes _cert_counts looks up per take, which widens them to 8-byte indices
+_TAKE_CHUNK = 1 << 17
 
 
 class ConvergenceError(RuntimeError):
@@ -205,81 +207,76 @@ def certificate_complexity_at(
     raise AssertionError("full assignment is always a certificate")
 
 
-# the set of values f takes on a subcube, as bits. The mixed set, 96, exceeds
-# either one-value set plus any codimension up to n <= 31, and no pushed-down
-# entry passes 96 + 31 = 127, so _cert_counts works on the int8 sets as they are
-_HAS_0, _HAS_1 = 32, 64
+# a subcube's value set is _HAS_0 times 1 for {0}, 2 for {1} and 3 for {0, 1}.
+# The mixed set, 96, exceeds either one-value set plus any codimension up to
+# n <= 31, and no set + codimension pushed down passes 96 + 31 = 127, an int8
+_HAS_0 = 32
 
 
-def _subcube_rows() -> np.ndarray:
-    """The value sets of the 27 subcubes over x1..x3 of each 8-entry group,
-    row g for the group np.packbits(..., bitorder="little") packs into g, in
-    _subcube_colours' order (digit j of the column is variable j+1, 2 is *).
-    Built in Python, the rows of 2^k-entry groups from those of their two
-    halves: the lower half's subcubes, the upper half's, then the unions of
-    the two, the subcubes with the new variable free."""
-    rows = [[_HAS_0], [_HAS_1]]
-    for _ in range(3):
-        rows = [lo + hi + [a | b for a, b in zip(lo, hi)] for hi in rows for lo in rows]
-    return np.frombuffer(bytes(itertools.chain.from_iterable(rows)), np.int8).reshape(256, 27)
-
-
-_SUBCUBE_ROWS = _subcube_rows()
-
-
-def _subcube_sets(table: TruthTable) -> np.ndarray:
-    """The set of values f takes on every subcube, of bits _HAS_0 and
-    _HAS_1, as an int8 array of shape (3,)*n: axis k is variable n-k, index
-    2 leaves it free (*). Each row of 27 over x1..x3 whose other variables
-    are all fixed is read from _SUBCUBE_ROWS; then, in axis_blocks'
-    cache-sized blocks, a * entry of each variable from x4 on is the OR of
-    its halves. Every entry is written: a * entry last at its outermost free
-    variable's step, from halves complete by then. A table under 8 entries
-    is tiled first, and its sets are those of the tiled function with the
-    added variables fixed at 0.
-    """
-    n = table.arity
-    if n < 3:
-        row = _SUBCUBE_ROWS[np.packbits(np.tile(table.values, 8 >> n), bitorder="little")[0]]
-        return row.reshape(3, 3, 3)[(0,) * (3 - n)].copy()
-    col = np.empty((3,) * n, dtype=np.int8)
-    rows = col.reshape((3,) * (n - 3) + (27,))[(slice(2),) * (n - 3)]
-    rows[...] = _SUBCUBE_ROWS[np.packbits(table.values, bitorder="little")].reshape(rows.shape)
-    for i, (c,) in axis_blocks(3, n, col.reshape(-1)):
-        if i >= 3:
-            v = axis_view(c, 3, i)
-            np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
-    return col
-
-
-def _subcube_colours(table: TruthTable) -> np.ndarray:
-    """f's value on every subcube where f is constant, 2 where it is not,
-    in _subcube_sets' shape: the sets {0}, {1}, {0, 1} as 0, 1, 2."""
-    col = _subcube_sets(table)
-    col >>= 5
-    col -= 1
-    return col
+@cache
+def _corner_lookup() -> np.ndarray:
+    """A 65 536-word lookup table for _cert_counts, built on first use. A
+    code's low byte marks the corners of an 8-entry group over x1..x3 that
+    hold a 0 and its high byte those that hold a 1; byte j of its word is the
+    least set + codimension over the 27 subcubes on x1..x3 through corner j.
+    Only the 3^8 codes that mark each corner at least once are reachable,
+    and only their words are filled: digit j of k < 3^8 in base 3 gives
+    corner j the set {0}, {1} or {0, 1}, as digit 0, 1 or 2."""
+    digits = np.arange(3**8)[:, None] // 3 ** np.arange(8) % 3
+    codes = ((digits != 1) << np.arange(8) | (digits != 0) << np.arange(8, 16)).sum(axis=1)
+    sets = _HAS_0 * (digits + 1)
+    best = np.full((3**8, 8), 127, dtype=np.int8)
+    for free in range(8):
+        for base in (b for b in range(8) if not b & free):
+            corners = [base | s for s in range(8) if s & free == s]
+            val = np.bitwise_or.reduce(sets[:, corners], axis=1) + 3 - free.bit_count()
+            best[:, corners] = np.minimum(best[:, corners], val[:, None])
+    words = np.zeros(1 << 16, dtype=np.uint64)
+    words[codes] = best.view(np.uint64).reshape(-1)
+    return words
 
 
 def _cert_counts(table: TruthTable) -> np.ndarray:
     """C(f, x) for every input x, in table order.
 
-    Pushing min(fixed + 1, free) down each variable leaves, at x, the least
-    set plus codimension over the subcubes through x: the monochromatic
-    ones' set, f(x)'s, plus C(f, x), as a mixed set is larger than that
-    whatever its codimension; the low five bits are C(f, x). The variables
-    go from the outermost in, each step on the entries with every variable
-    done so far fixed, as no later step reads a done variable's * entries:
-    step k updates 2^(k+1) 3^(n-k-1) entries, about 2 3^n in all.
+    Each aligned 8-entry group becomes a 16-bit code, g << 8 | (g ^ 0xFF)
+    for its packed byte g, of the corners that hold a 0 and a 1. A table
+    under 8 entries is tiled first; its first 2^n counts are f's, as a
+    least certificate never fixes a variable f ignores. In a (3,)*(n-3)
+    array of codes, axis k is variable n-k and index 2 leaves it free (*):
+    axis_blocks' OR pass over x4..xn writes each * entry, last at its
+    outermost free variable's step, as the union of halves complete by
+    then. One take from _corner_lookup then gives, at each corner of each
+    subcube on x4..xn, the least set plus codimension over the subcubes on
+    x1..x3.
+    Pushing min(fixed + 1, free) down each outer variable leaves, at x, the
+    least over every subcube through x: the monochromatic ones' set, f(x)'s,
+    plus C(f, x), as a mixed set is larger than that whatever its
+    codimension; the low five bits are C(f, x). The variables go from the
+    outermost in, each step on the entries with every variable done so far
+    fixed, as no later step reads a done variable's * entries: about
+    2 3^(n-3) rows of 8 in all.
     """
     n = table.arity
-    col = _subcube_sets(table)
-    for k in range(n):
+    m = max(n - 3, 0)
+    values = table.values if n >= 3 else np.tile(table.values, 8 >> n)
+    g = np.packbits(values, bitorder="little").astype(np.uint16)
+    codes = np.empty((3,) * m, dtype=np.uint16)
+    codes[(slice(2),) * m] = (g << 8 | g ^ 0xFF).reshape((2,) * m)
+    flat = codes.reshape(-1)
+    for i, (c,) in axis_blocks(3, m, flat):
+        v = axis_view(c, 3, i)
+        np.bitwise_or(v[:, 0], v[:, 1], out=v[:, 2], order="A")
+    col = np.empty(codes.shape + (8,), dtype=np.int8)
+    words, lookup = col.reshape(-1).view(np.uint64), _corner_lookup()
+    for lo in range(0, len(flat), _TAKE_CHUNK):
+        lookup.take(flat[lo:lo + _TAKE_CHUNK], out=words[lo:lo + _TAKE_CHUNK], mode="clip")
+    for k in range(m):
         done = (slice(2),) * k
         fixed, free = col[done + (slice(2),)], col[done + (slice(2, 3),)]
         np.add(fixed, 1, out=fixed)
         np.minimum(fixed, free, out=fixed)
-    counts = col[(slice(2),) * n].reshape(-1)
+    counts = col[(slice(2),) * m].reshape(-1)[:1 << n]
     counts &= _HAS_0 - 1
     return counts
 

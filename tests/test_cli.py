@@ -163,6 +163,18 @@ class TestConstruct:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_descriptor_output_refuses_the_cap(self, tmp_path, capsys, where):
+        # a descriptor holds no table, so construct reads no cap for it;
+        # haf(3) at cap 0 exited 0 with h3.json written
+        out = tmp_path / "h3.json"
+        cap = ["--materialize-cap", "0"]
+        argv = ["construct", "haf", "--r", "3", "--out", str(out)]
+        code, stdout, err = run(capsys, *(cap + argv if where == "before" else argv + cap))
+        assert (code, stdout, err) == (2, "", "error: construct haf does not read "
+                                              "--materialize-cap; only --out .tt do\n")
+        assert not out.exists()
+
 
 class TestMeasure:
     def test_basic_report(self, tmp_path, capsys):

@@ -160,7 +160,7 @@ CONSTRUCT_FLAGS = {
 # the flags each command reads wherever it runs, and those each verify suite
 # ("<suite> --fn": given a function file) and construct family reads besides
 COMMAND_READS = {
-    "construct": ["--materialize-cap", "--out"],
+    "construct": ["--out"],
     "measure": [*GLOBAL_VALUES, "--fn", "--measures", "--method"],
     "verify": ["--csv"],
     "export-graph": ["--materialize-cap", "--fn", "--format", "--component", "--out"],
@@ -203,9 +203,13 @@ def construct_argv(draw):
         argv += ["--base", base]
         if draw(st.booleans()):
             argv += ["--certs", draw(cert_files(values))]
+    reads = COMMAND_READS["construct"] + FAMILY_READS.get(family, [])
     if not refused(draw):
-        argv += ["--out", out_part(draw, ["o.tt", "o.json"])]
-    return argv, "construct", COMMAND_READS["construct"] + FAMILY_READS.get(family, [])
+        out = out_part(draw, ["o.tt", "o.json"])
+        argv += ["--out", out]
+        # only a table file reads the cap
+        reads += ["--materialize-cap"] * out[1].endswith(".tt")
+    return argv, "construct", reads
 
 
 @st.composite

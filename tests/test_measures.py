@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -209,32 +210,63 @@ class TestCertificates:
             want = (0, 0) if b == bit else (0, None)
             assert cert_side(t) == want == sens_side(t)
 
-    @staticmethod
-    def check_colours(table: TruthTable) -> None:
-        n = table.arity
-        col = measures._subcube_colours(table)
-        assert (col.dtype, col.shape) == (np.int8, (3,) * n)
-        col = col.reshape(-1)
-        for t in range(3**n):
-            # base-3 digit j of the flat index is variable j+1; 2 is *
-            digits = [t // 3**j % 3 for j in range(n)]
-            cube = PartialAssignment.from_entries(
-                ["*" if d == 2 else d for d in digits])
-            seen = set(table.values[cube.points()].tolist())
-            assert col[t] == (seen.pop() if len(seen) == 1 else 2)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_subcube_colours_match_enumeration(self, n):
-        rng = np.random.default_rng([13, n])
-        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
-            self.check_colours(TruthTable(n, (rng.random(1 << n) < p).astype(np.uint8)))
-
     @pytest.mark.parametrize("n", [1, 2])
-    def test_subcube_colours_below_one_lookup_group(self, n):
+    def test_counts_below_one_lookup_group(self, n):
         # every table on fewer than the lookup's 8-entry groups, which it
         # tiles into one
         for code in range(1 << (1 << n)):
-            self.check_colours(TruthTable(n, np.array(core.point_bits(code, 1 << n), np.uint8)))
+            table = TruthTable(n, np.array(core.point_bits(code, 1 << n), np.uint8))
+            want = [certificate_complexity_at(table, x)[0] for x in range(1 << n)]
+            assert measures._cert_counts(table).tolist() == want
+
+    def test_lookup_words_match_the_27_subcubes(self):
+        # each reachable code: every corner holds a 0, a 1 or both; byte j of
+        # its word, the least set + codimension over the subcubes on x1..x3
+        # through corner j, a mixed set counting 96
+        words = measures._corner_lookup()
+        assert (words.dtype, words.shape) == (np.uint64, (1 << 16,))
+        cubes = [(free, base) for free in range(8) for base in range(8) if not base & free]
+        seen = 0
+        for states in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=8):
+            code = sum(z << j | o << (8 + j) for j, (z, o) in enumerate(states))
+            best = [127] * 8
+            for free, base in cubes:
+                corners = [base | s for s in range(8) if s & free == s]
+                zero = any(states[c][0] for c in corners)
+                one = any(states[c][1] for c in corners)
+                value = 32 * zero + 64 * one + 3 - free.bit_count()
+                for c in corners:
+                    best[c] = min(best[c], value)
+            assert int(words[code]).to_bytes(8, "little") == bytes(best)
+            seen += 1
+        assert seen == 3**8
+
+    @pytest.mark.parametrize("n", range(9, 13))
+    def test_counts_match_pointwise_search_at_sampled_inputs(self, n):
+        # past the every-input cases below: random, constant and haf(2)'s
+        # table on the lowest five variables or on the highest five, the
+        # other variables irrelevant
+        rng = np.random.default_rng([47, n])
+        haf2 = haf(2).table().values
+        tables = [rng.integers(0, 2, 1 << n, dtype=np.uint8), np.zeros(1 << n, np.uint8),
+                  np.ones(1 << n, np.uint8), np.tile(haf2, 1 << (n - 5)),
+                  np.repeat(haf2, 1 << (n - 5))]
+        for values in tables:
+            table = TruthTable(n, values)
+            counts = measures._cert_counts(table)
+            assert (counts.dtype, counts.shape) == (np.int8, (1 << n,))
+            for x in rng.integers(0, 1 << n, 16).tolist() + [0, (1 << n) - 1]:
+                assert counts[x] == certificate_complexity_at(table, x)[0]
+
+    def test_importing_the_cli_builds_no_lookup(self):
+        # the lookup is built by the first certificate count, not at import
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = ("import sensilab.cli, sensilab.verify; from sensilab import measures; "
+                 "print(measures._corner_lookup.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
 
     @pytest.mark.parametrize("case", [
         *(f"random{n}" for n in range(1, 9)), "haf2", "address2", "maf3"])
@@ -281,6 +313,22 @@ class TestCertificates:
                 assert got.witness is None
 
 
+def _colour_1_subcubes(table: TruthTable) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, values) of every subcube on which the table is all 1: for each
+    mask of fixed variables, the AND over the free ones."""
+    n = table.arity
+    cube = table.values.reshape((2,) * n).astype(bool)  # axis k is variable n - k
+    xs = np.arange(1 << n)
+    masks, values = [], []
+    for mask in range(1 << n):
+        free = tuple(n - 1 - i for i in range(n) if not mask >> i & 1)
+        ones = np.broadcast_to(cube.all(axis=free, keepdims=True), cube.shape).reshape(-1)
+        hits = xs[ones & (xs & ~mask == 0)].tolist()
+        masks += [mask] * len(hits)
+        values += hits
+    return np.array(masks, dtype=np.int64), np.array(values, dtype=np.int64)
+
+
 def _uc1_by_candidates(fn, node_budget: int = 1_000_000) -> measures.Uc1Result:
     """Reference uc1: the depth-first exact cover over every colour-1 subcube
     of codimension at most c that the one-codimension decision replaced."""
@@ -290,10 +338,7 @@ def _uc1_by_candidates(fn, node_budget: int = 1_000_000) -> measures.Uc1Result:
     if len(ones) == 0:
         return measures.Uc1Result("exact", 0, 0, core.CertificateCollection(1, (), True), 0)
     full = (1 << len(ones)) - 1
-    cubes = np.flatnonzero(measures._subcube_colours(table) == 1)
-    digits = cubes[:, None] // 3 ** np.arange(n) % 3
-    weights = 1 << np.arange(n)
-    masks, values = (digits != 2) @ weights, (digits == 1) @ weights
+    masks, values = _colour_1_subcubes(table)
     codims = np.bitwise_count(masks)
     order = np.lexsort((values, masks, codims))
     codims, masks, values = codims[order], masks[order], values[order]
@@ -753,14 +798,14 @@ def slab_spy(monkeypatch) -> list[bool]:
 # every per-axis kernel on axis_blocks: its radix, the bytes per entry of the
 # arrays it hands the driver (the census's first round, the larger), and a
 # run. The scan hands it uint64 words, 8 table entries each, of three arrays;
-# Moebius's blocks are of int32 entries.
+# Moebius's blocks are of int32 entries, the certificate OR pass's of uint16
+# codes, one per 8-entry group.
 BLOCKED_KERNELS = {
     "scan": (2, 24, lambda t: core._sensitivity_scan(t.values, t.arity)),
     "mobius": (2, 4, mobius_coefficients),
     "nondegenerate": (2, 1, lambda t: BooleanFunction.from_table(t).is_nondegenerate()),
     "census": (2, 7, measures._census_from_table),
-    "subcube_colours": (3, 1, measures._subcube_colours),
-    "cert_counts": (3, 1, measures._cert_counts),
+    "cert_counts": (3, 2, measures._cert_counts),
 }
 
 
@@ -862,14 +907,14 @@ class TestBlockedPasses:
         if kernel == "census":
             assert blocked is not None
 
-    # a table of arity 10 gives the radix-3 kernels 3^10 = 59 049 entries,
-    # more than the radix-2 ones get at 14; past it, blocks of 3 entries
-    # come by the million and an example takes seconds
-    @pytest.mark.parametrize("kernel", ["subcube_colours", "cert_counts"])
+    # a table of arity 13 gives the certificate OR pass 3^10 = 59 049 codes,
+    # more entries than the radix-2 kernels get at 14; past it, blocks of 3
+    # entries come by the million and an example takes seconds
+    @pytest.mark.parametrize("kernel", ["cert_counts"])
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_radix_3_kernels(self, kernel, data):
-        table = data.draw(random_tables(data.draw(st.sampled_from(range(1, 11)))))
+        table = data.draw(random_tables(data.draw(st.sampled_from(range(1, 14)))))
         assert_identical(*blocked_and_whole(kernel, table, data.draw(st.integers(1, 3))))
 
     @pytest.mark.parametrize("b", [1, 2, 3])
