@@ -350,6 +350,8 @@ def _parse_range(text: str) -> range:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"range must look like a..b with integers, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"range must look like a..b with a <= b, got {text!r}")
     return range(lo, hi + 1)
 
 

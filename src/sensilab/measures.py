@@ -97,9 +97,13 @@ _BOUND_STEPS = 16
 # within a modest multiple of m 2^-53 of the exact one. Both stay near 1e-12
 # for any block the budget admits, so no dropped block's eigvalsh exceeds best
 _BOUND_MARGIN = 1e-9
+# certificate_complexity_at's search tries fixed-position sets one at a time,
+# bounded by time, not bytes: on haf(3) (n = 23) it took 13 s at an input
+# with C(f, x) = 5 and 34 s at one with C(f, x) = 4 on a 2-vCPU Xeon
 CERT_SEARCH_CAP = 16
 # export-graph writes no graph past this arity, whatever --materialize-cap says
 GRAPH_EXPORT_CAP = 16
+# uc1's exact cover is bounded by search nodes, not bytes
 UC_EXACT_CAP = 8
 # nodes uc1's exact cover below codimension n-1 may visit before it reports
 # the search exhausted, read at call time
@@ -281,16 +285,32 @@ def _cert_counts(table: TruthTable) -> np.ndarray:
     return counts
 
 
-def c0(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
-    """Max certificate complexity over 0-inputs, with the least witness."""
-    table = _table_of(fn, cap, "certificate search")
-    return SensSummary(*side_maxima(_cert_counts(table), table.values)[0])
+def _cert_bytes(n: int) -> int:
+    """Bytes c0 and c1 hold beside an arity-n table: 3^(n-3) uint16 codes
+    and rows of 8 int8 counts; two 2^n-byte arrays at once, of the packed
+    groups' temporaries, the counts and side_maxima's key; one take's int64
+    indices; and the corner lookup with its build's temporaries (1.5 MB)."""
+    return 10 * 3 ** max(n - 3, 0) + (2 << n) + 8 * _TAKE_CHUNK + (2 << 20)
 
 
-def c1(fn, cap: int = CERT_SEARCH_CAP) -> SensSummary:
-    """Max certificate complexity over 1-inputs, with the least witness."""
-    table = _table_of(fn, cap, "certificate search")
-    return SensSummary(*side_maxima(_cert_counts(table), table.values)[1])
+def _cert_side(fn, cap: int, b: int) -> SensSummary:
+    # _table_of refuses other types, and arities past cap, by name
+    if isinstance(fn, (TruthTable, BooleanFunction)) and fn.arity <= cap:
+        _check_budget(_cert_bytes(fn.arity), "certificate counts")
+    table = _table_of(fn, cap)
+    return SensSummary(*side_maxima(_cert_counts(table), table.values)[b])
+
+
+def c0(fn, cap: int = DEFAULT_TABLE_CAP) -> SensSummary:
+    """Max certificate complexity over 0-inputs, with the least witness.
+    CapExceeded past cap, or when _cert_bytes is over MEMORY_BUDGET."""
+    return _cert_side(fn, cap, 0)
+
+
+def c1(fn, cap: int = DEFAULT_TABLE_CAP) -> SensSummary:
+    """Max certificate complexity over 1-inputs, with the least witness.
+    CapExceeded past cap, or when _cert_bytes is over MEMORY_BUDGET."""
+    return _cert_side(fn, cap, 1)
 
 
 @dataclass(frozen=True)
@@ -1464,16 +1484,13 @@ def compute_measures(
 
 def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
     n = fn.arity
-    if name in ("s0", "s1", "s"):
-        res = {"s0": s0, "s1": s1, "s": s}[name](fn, cap=materialize_cap)
+    if name in ("s0", "s1", "s", "c0", "c1"):
+        res = {"s0": s0, "s1": s1, "s": s, "c0": c0, "c1": c1}[name](fn, cap=materialize_cap)
         bits = _bin_label(res.witness, n) if res.witness is not None else None
-        return MeasureEntry(name, res.value, True, res.witness, bits, "scan")
+        return MeasureEntry(name, res.value, True, res.witness, bits,
+                            "search" if name[0] == "c" else "scan")
     if name == "deg":
         return MeasureEntry(name, degree(fn, cap=materialize_cap), True, method="mobius")
-    if name in ("c0", "c1"):
-        res = {"c0": c0, "c1": c1}[name](fn, cap=min(materialize_cap, CERT_SEARCH_CAP))
-        bits = _bin_label(res.witness, n) if res.witness is not None else None
-        return MeasureEntry(name, res.value, True, res.witness, bits, "search")
     if name == "uc1":
         res = uc1(fn, cap=min(materialize_cap, UC_EXACT_CAP))
         if res.status == "exact":

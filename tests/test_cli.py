@@ -249,6 +249,16 @@ class TestMeasure:
             assert entry["value"] is None
             assert entry["skipped"].startswith("cap:")
 
+    def test_certificates_past_the_budget_are_skipped(self, tmp_path, capsys):
+        # n = 20: the counts need 10 3^17 bytes and more, over MEMORY_BUDGET
+        path = tmp_path / "r20.tt"
+        TruthTable(20, np.random.default_rng(20).integers(0, 2, 1 << 20, dtype=np.uint8)).save(str(path))
+        code, stdout, _ = run_fast(capsys, "measure", "--fn", str(path), "--measures", "c0,c1")
+        assert code == 0
+        want = "cap: certificate counts needs over 1296644510 bytes, budget 536870912"
+        assert [(e["name"], e["value"], e["skipped"]) for e in json.loads(stdout)["entries"]] == [
+            ("c0", None, want), ("c1", None, want)]
+
     def test_materialize_cap_applies_to_lambda(self, tmp_path, capsys):
         path = tmp_path / "r5.tt"
         rng = np.random.default_rng(5)
@@ -360,12 +370,12 @@ class TestVerify:
         (1, "uc1 search on the desensitized function exhausted"),
     ])
     def test_desens_uc1_exhausted_is_a_skip(self, capsys, monkeypatch, call, note):
-        # the base's search runs first, the desensitized function's second
+        # call 0 is the base's search (arity 2), 1 the desensitized function's (arity 6)
         calls, real = [], verify.uc1
 
         def uc1(fn):
             calls.append(fn)
-            if len(calls) - 1 == call:
+            if fn.arity == (2, 6)[call]:
                 return measures.Uc1Result("exhausted", None, 2, None, 2)
             return real(fn)
 
@@ -376,6 +386,11 @@ class TestVerify:
         assert row["status"] == "skipped" and row["computed"] is None
         assert row["note"] == note
         assert len(calls) == 2
+
+    def test_maf_past_the_table_cap_is_exit_2(self, capsys):
+        code, stdout, err = run_fast(capsys, "verify", "maf", "--k", "7")
+        assert (code, stdout) == (2, "")
+        assert err == "error: arity 42 exceeds materialization cap 26\n"
 
     def test_maf_single_k(self, capsys):
         code, stdout, _ = run(capsys, "verify", "maf", "--k", "2")
@@ -723,12 +738,14 @@ class TestSweep:
         assert code == 0
         assert stdout.splitlines()[1] == "26,4,7,10,0.36363636363636365"
 
-    def test_empty_range_is_header_only(self, capsys):
-        code, stdout, _ = run(
-            capsys, "sweep", "tradeoff", "--g-range", "1..0", "--ratio", "1:1"
+    @pytest.mark.parametrize("text", ["1..0", "3..2"])
+    def test_reversed_range_is_exit_2(self, capsys, text):
+        # an empty sweep would print the header alone and exit 0
+        code, stdout, err = run(
+            capsys, "sweep", "tradeoff", "--g-range", text, "--ratio", "1:1"
         )
-        assert code == 0
-        assert stdout == "n,s0,s1,lambda_sq,c_hat\n"
+        assert (code, stdout) == (2, "")
+        assert err == f"error: range must look like a..b with a <= b, got {text!r}\n"
 
     def test_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -848,8 +865,10 @@ class TestRefusals:
          "star parameters must be at least 1"),
         (lambda: measures.s0("x"), TypeError,
          "expected BooleanFunction or TruthTable, got str"),
+        (lambda: measures.c0("x"), TypeError,
+         "expected BooleanFunction or TruthTable, got str"),
     ], ids=["tradeoff", "descriptor", "desensitize-empty", "desensitize-arity", "restrict",
-            "subgraph", "star", "s0"])
+            "subgraph", "star", "s0", "c0"])
     def test_library(self, call, error, message):
         with pytest.raises(error, match=re.escape(message)):
             call()

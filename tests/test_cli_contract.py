@@ -261,7 +261,7 @@ def verify_argv(draw):
                      [["--as", ""], ["--as", "1"], ["--as", "2", "--bs", "1"],
                       ["--as", "40", "--bs", ""], ["--as", "2,x"], ["--as", "3", "--bs", "2"]])
     elif suite == "maf":
-        argv += optional(draw, "--k", ["2", "3", "4"], ["1", "5", "x"])
+        argv += optional(draw, "--k", ["2", "3", "4", "5"], ["1", "7", "x"])
     reads = COMMAND_READS["verify"] + SUITE_READS.get(key, [])
     if "--method" in reads:
         argv += optional(draw, "--method", METHODS, ["bogus"])
@@ -286,8 +286,8 @@ def export_argv(draw):
 def sweep_argv(draw):
     argv = ["sweep", pick(draw, ["tradeoff"], ["bogus"])]
     if not refused(draw):
-        argv += ["--g-range", pick(draw, ["0..2", "0..0", "2..0", "1..3"],
-                                   ["-1..1", "a..b", "0..100", "1", "0..1..2"])]
+        argv += ["--g-range", pick(draw, ["0..2", "0..0", "1..3"],
+                                   ["-1..1", "a..b", "0..100", "1", "0..1..2", "2..0"])]
     if not refused(draw):
         argv += ["--ratio", pick(draw, ["1:0", "1:1", "2:1"],
                                  ["0:1", "1:-1", "a:b", "1", str(1 << 20) + ":0"])]

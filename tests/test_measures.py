@@ -287,10 +287,60 @@ class TestCertificates:
             assert counts.tolist() == want
 
     @pytest.mark.parametrize("side", [c0, c1])
-    def test_cap_applies_before_any_work(self, side):
-        # neither side builds the 3^17 subcube array, whichever is empty
-        t = TruthTable(17, np.ones(1 << 17, dtype=np.uint8))
-        with pytest.raises(CapExceeded, match="certificate search capped at arity 16"):
+    def test_cap_applies_before_any_work(self, monkeypatch, side):
+        # one byte under what the counts hold at n = 10 refuses before the
+        # table is built or any pass runs; exactly that much runs
+        t = TruthTable(10, np.random.default_rng(10).integers(0, 2, 1 << 10, dtype=np.uint8))
+        fn, want = BooleanFunction.from_table(t), side(t)
+        built, passes = [], []
+        monkeypatch.setattr(BooleanFunction, "table",
+                            lambda self, *a, real=BooleanFunction.table: built.append(a) or real(self, *a))
+        monkeypatch.setattr(measures, "axis_blocks",
+                            lambda *a, real=measures.axis_blocks: passes.append(a) or real(*a))
+        need = measures._cert_bytes(10)
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(CapExceeded, match=f"certificate counts needs over {need} bytes"):
+            side(fn)
+        assert built == [] and passes == []
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", need)
+        assert side(fn) == want
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_peak_within_the_count(self, n):
+        # the lookup's first build included
+        t = TruthTable(n, np.random.default_rng([17, n]).integers(0, 2, 1 << n, dtype=np.uint8))
+        measures._corner_lookup.cache_clear()
+        tracemalloc.start()
+        try:
+            c0(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= measures._cert_bytes(n)
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_peak_within_the_terms_that_grow(self, n):
+        # where the codes, rows and 2^n arrays dominate: with the lookup
+        # built beforehand, the peak fits the count less the lookup's 2 MiB
+        t = TruthTable(n, np.random.default_rng([17, n]).integers(0, 2, 1 << n, dtype=np.uint8))
+        measures._corner_lookup()
+        tracemalloc.start()
+        try:
+            c0(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= measures._cert_bytes(n) - (2 << 20)
+
+    def test_pinned_at_arity_17(self):
+        t = TruthTable(17, np.random.default_rng(17).integers(0, 2, 1 << 17, dtype=np.uint8))
+        assert (tuple(c0(t)), tuple(c1(t))) == ((16, 3508), (16, 5246))
+
+    @pytest.mark.parametrize("side", [c0, c1])
+    def test_refused_past_the_budget_by_its_bytes(self, side):
+        # n = 20 counts 10 3^17 bytes and more, past the 512 MiB budget
+        t = TruthTable(20, np.zeros(1 << 20, dtype=np.uint8))
+        with pytest.raises(CapExceeded, match="certificate counts needs over 1296644510 bytes"):
             side(t)
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -2655,8 +2705,6 @@ class TestOneCapRule:
 
     CAP = 4
     MESSAGES = {
-        "c0": "certificate search capped at arity 4, got 5",
-        "c1": "certificate search capped at arity 4, got 5",
         "certificate_complexity_at": "certificate search capped at arity 4, got 5",
         "uc1": "exact cover search capped at arity 4, got 5",
     }

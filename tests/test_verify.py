@@ -358,12 +358,33 @@ class TestDesensitization:
         assert all_pass(claims)
         uc = claims[-1]
         assert uc.claim == "desens.and3.uc1" and uc.status == "skipped"
-        assert uc.computed is None and "over the exact uc1 cap 8" in uc.note
+        assert uc.computed is None
+        assert uc.note == "uc1 refused: exact cover search capped at arity 8, got 9"
+
+    def test_or7_decision_list(self):
+        # OR_7's 1-inputs split by their lowest set bit: max codim 7, s1 21
+        from sensilab import CertificateCollection, PartialAssignment
+
+        or7 = BooleanFunction.from_table(
+            TruthTable(7, (np.arange(1 << 7) != 0).astype(np.uint8)), name="or7")
+        certs = CertificateCollection(1, tuple(
+            PartialAssignment.from_string("0" * i + "1" + "*" * (6 - i)) for i in range(7)),
+            unambiguous=True)
+        claims = verify_desensitization(or7, certs)
+        assert all_pass(claims)
+        by_id = {c.claim: c for c in claims}
+        assert by_id["desens.or7.s1"].computed == 21
+        lam = by_id["desens.or7.lambda"]
+        assert lam.status == "pass" and lam.tolerance == 1e-9
+        assert lam.computed == pytest.approx(math.sqrt(21), abs=1e-9)
+        uc = by_id["desens.or7.uc1"]
+        assert uc.status == "skipped"
+        assert uc.note == "uc1 refused: exact cover search capped at arity 8, got 21"
 
     def test_rejects_oversize(self):
-        f = chaf([2, 2])  # arity 10, tripled 30 > 20
+        f = chaf([2, 2])  # arity 10, tripled 30, past the table cap
         claims_needed = f.meta.certificates
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceeded, match="arity 30 exceeds materialization cap 26"):
             verify_desensitization(f, claims_needed, name="big")
 
 
@@ -459,9 +480,21 @@ class TestMafProposition:
             assert by_id[f"maf.k{k}.s"].computed == s_expected
             assert f"maf.k{k}.lambda" not in by_id
 
+    def test_k5(self):
+        claims = verify_maf_proposition(5)
+        assert all_pass(claims)
+        by_id = {c.claim: c.computed for c in claims}
+        assert by_id == {"maf.k5.deg": 6, "maf.k5.threshold_deg": 5, "maf.k5.s": 4}
+
     def test_rejects_large_k(self):
-        with pytest.raises(ValueError):
-            verify_maf_proposition(5)
+        # maf(7) has arity 42, past the table cap
+        with pytest.raises(CapExceeded, match="arity 42 exceeds materialization cap 26"):
+            verify_maf_proposition(7)
+
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_rejects_k_below_2(self, k):
+        with pytest.raises(ValueError, match="suite runs at k >= 2"):
+            verify_maf_proposition(k)
 
 
 # every field of each suite's rows but runtime: (claim, predicted, computed,
@@ -532,7 +565,7 @@ PINNED_ROWS = {
         ("desens.haf2.lambda", math.sqrt(12), math.sqrt(12), "within-tol", "pass", 1e-9,
          "sqrt(s1) since s0=1; method=dense, residual=0.000e+00"),
         ("desens.haf2.uc1", None, None, "le", "skipped", None,
-         "desensitized arity 15 is over the exact uc1 cap 8"),
+         "uc1 refused: exact cover search capped at arity 8, got 15"),
     ]),
 }
 
