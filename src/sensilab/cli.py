@@ -33,7 +33,6 @@ from .core import (
     TruthTable,
 )
 from .measures import (
-    DEFAULT_SEED,
     DEFAULT_TOL,
     GRAPH_EXPORT_CAP,
     ConvergenceError,
@@ -62,15 +61,15 @@ _READS = {
         name: tuple("--certs" if key == "certificates" else f"--{key}" for key, _ in family.params)
         for name, family in FAMILIES.items()
     },
-    "measure": {"": ("--seed", "--tol", "--materialize-cap")},
+    "measure": {"": ("--tol", "--materialize-cap")},
     "verify": {
         "": (),
-        "theorem1": ("--r", "--method", "--seed"),
+        "theorem1": ("--r", "--method"),
         "simon": ("--n",),
         "subgraph": ("--n", "--samples", "--seed"),
         "lemmas": ("--arities", "--count", "--seed"),
         "desens": (),
-        "tradeoff": ("--as", "--bs", "--method", "--seed"),
+        "tradeoff": ("--as", "--bs", "--method"),
         "maf": ("--k",),
         "lemmas --fn": ("--fn", "--method"),
         "desens --fn": ("--fn", "--certs"),
@@ -137,7 +136,8 @@ def _certificates(fn: BooleanFunction, path: str | None, label: str) -> Certific
 def _global_options(default) -> argparse.ArgumentParser:
     """--seed, --tol and --materialize-cap, each defaulting to default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=lambda v: int(v, 0), default=default)
+    seed = _checked(lambda v: int(v, 0), lambda v: v >= 0, "a non-negative integer")
+    common.add_argument("--seed", type=seed, default=default)
     positive = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
     common.add_argument("--tol", type=positive, default=default)
     cap = _checked(int, lambda v: v >= 0, "a non-negative integer")
@@ -238,10 +238,6 @@ def _materialize_cap(args) -> int:
     return DEFAULT_TABLE_CAP if args.materialize_cap is None else args.materialize_cap
 
 
-def _seed(args) -> int:
-    return DEFAULT_SEED if args.seed is None else args.seed
-
-
 def _cmd_measure(args) -> int:
     fn = load_function(args.fn)
     names = [part for part in args.measures.split(",") if part]
@@ -250,7 +246,6 @@ def _cmd_measure(args) -> int:
         names,
         method=_METHODS[args.method],
         tol=DEFAULT_TOL if args.tol is None else args.tol,
-        seed=_seed(args),
         materialize_cap=_materialize_cap(args),
         source=args.fn,
     )
@@ -260,14 +255,11 @@ def _cmd_measure(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    seed = _seed(args)
+    seed = verify_mod.DEFAULT_SEED if args.seed is None else args.seed
     method = _METHODS[args.method or "auto"]
     if suite == "theorem1":
-        claims = verify_mod.verify_theorem1(
-            args.r if args.r is not None else 2,
-            lambda_method=method,
-            seed=seed,
-        )
+        claims = verify_mod.verify_theorem1(args.r if args.r is not None else 2,
+                                            lambda_method=method)
     elif suite == "simon":
         ns = [args.n] if args.n is not None else [2, 3, 4]
         claims = []
@@ -313,7 +305,7 @@ def _cmd_verify(args) -> int:
     elif suite == "tradeoff":
         as_ = vars(args)["as"] if vars(args)["as"] is not None else [2]
         bs_ = args.bs if args.bs is not None else [2]
-        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method, seed=seed)
+        claims = verify_mod.verify_tradeoff(as_, bs_, lambda_method=method)
     else:
         ks = [args.k] if args.k is not None else [2, 3, 4]
         claims = []

@@ -12,9 +12,10 @@ built from its group's two vertex lists by the graph's adjacency(rows,
 cols), and a large block eigensolved only when Collatz-Wielandt bounds
 cannot rule it out; by
 matrix-free power iteration on the Gram operator B B^T of the whole
-smaller side, B built once when it fits the memory budget and rebuilt on
-each step in runs that fit it otherwise; or from a construction's closed
-form.
+smaller side from the all-ones vector, B built once when it fits the memory
+budget and rebuilt on each step in runs that fit it otherwise, stopped by
+the exact solve's Collatz-Wielandt step (_cw_step); or from a
+construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free applies that diagonal and the exact solve past arity 10 reads
@@ -61,7 +62,8 @@ if TYPE_CHECKING:
 # CSR of its rows, an edge list, or one chunk of the temporaries of components
 # (or parity classes), summed per one
 MEMORY_BUDGET = 512 << 20
-# bytes per input that the component index and its readers' bookkeeping add
+# bytes per input with an edge that the component index and its readers'
+# bookkeeping add, counted before the labels (the index: 41 on a perfect matching)
 INDEX_BYTES_PER_INPUT = 56
 # bytes per input the census from the table holds at once: four uint8 arrays
 # and two of scratch, which axis_blocks makes one block past 1 MiB. Its tally
@@ -110,7 +112,6 @@ UC_EXACT_CAP = 8
 UC_NODE_BUDGET = 1_000_000
 
 DEFAULT_TOL = 1e-9
-DEFAULT_SEED = 0x5EED
 # Gram steps matrix-free power iteration may take, read at call time
 DEFAULT_MAX_ITER = 10000
 # entries of a Moebius block whose nonzero positions degree lists at once:
@@ -121,7 +122,8 @@ _TAKE_CHUNK = 1 << 17
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration hit its iteration budget before reaching tolerance."""
+    """Matrix-free's bracket [lo, hi] on lambda^2 did not close to tol within
+    DEFAULT_MAX_ITER steps; best is sqrt(lo), a lower bound on lambda."""
 
     def __init__(self, message: str, best: float):
         super().__init__(message)
@@ -896,8 +898,13 @@ class SensitivityGraph:
 
     def _component_labels(self) -> np.ndarray:
         """Connected-component label of every vertex, isolated ones included,
-        numbered from 0; computed once from the adjacency."""
+        numbered from 0; computed once from the adjacency, after CapExceeded
+        if the int32 labels, _NUMPY_BYTES and the larger of scipy's transposed
+        copy of the adjacency and the index do not fit MEMORY_BUDGET."""
         if self._labels is None:
+            size, active = len(self.table.values), np.count_nonzero(self.degree_counts())
+            held = max(_csr_bytes(self.edge_count(), size), INDEX_BYTES_PER_INPUT * active)
+            _check_budget(4 * size + held + _NUMPY_BYTES, "component labels")
             self._labels = _cc(self.adjacency(), directed=False)[1]
         return self._labels
 
@@ -1185,6 +1192,18 @@ def _gram_top(c: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(c @ c.transpose(0, 2, 1))[:, -1].max())
 
 
+def _cw_step(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, next x) of a Collatz-Wielandt step from y = G x, along the
+    last axis, for symmetric nonnegative G and x >= 0: the Rayleigh quotient
+    x.y / x.x, at most G's top eigenvalue; the largest y_i / x_i over
+    x_i > 0, at least the top eigenvalue of any component of G that x is
+    positive on (Collatz 1942, Wielandt 1950); and y / max y. Sums run in
+    numpy's loop, not BLAS, so no bit depends on the BLAS thread count."""
+    ratio = np.divide(y, x, out=np.zeros_like(y), where=x > 0)
+    lo = np.einsum("...i,...i->...", x, y) / np.einsum("...i,...i->...", x, x)
+    return lo, ratio.max(axis=-1), y / y.max(axis=-1, keepdims=True)
+
+
 def _bounded_top(batches: list[np.ndarray], best: float) -> float:
     """max(best, _gram_top of each batch), eigensolving only the blocks that
     Collatz-Wielandt bounds cannot rule out.
@@ -1192,10 +1211,8 @@ def _bounded_top(batches: list[np.ndarray], best: float) -> float:
     Each block C is stepped x <- C (C^T x) from the all-ones x, all blocks
     of a batch at once while any of them is live, so no copy is made and a
     block's Gram C C^T is formed only to be eigensolved. Every row of C has
-    an edge, so C C^T has a positive diagonal and x stays positive. With
-    y = C C^T x, the top eigenvalue then lies between the Rayleigh quotient
-    x.y / x.x (lo) and the largest ratio y_i / x_i (hi; Collatz 1942,
-    Wielandt 1950). After every step, a block whose hi is below best by
+    an edge, so x stays positive and _cw_step's [lo, hi] holds the block's
+    top eigenvalue. After every step, a block whose hi is below best by
     more than _BOUND_MARGIN of it is dropped. After _LEAD_STEPS steps the
     live block with the largest lo is eigensolved, which sets best. The rest
     step on, up to _BOUND_STEPS steps in all or one per 64 rows of the
@@ -1209,11 +1226,8 @@ def _bounded_top(batches: list[np.ndarray], best: float) -> float:
     def step() -> None:
         for k, c in enumerate(batches):
             if live[k].any():
-                x = xs[k]
-                y = (c @ (x[:, None] @ c).transpose(0, 2, 1))[:, :, 0]
-                hi[k] = (y / x).max(axis=1)
-                lo[k] = np.einsum("ij,ij->i", x, y) / np.einsum("ij,ij->i", x, x)
-                xs[k] = y / y.max(axis=1, keepdims=True)
+                y = (c @ (xs[k][:, None] @ c).transpose(0, 2, 1))[:, :, 0]
+                lo[k], hi[k], xs[k] = _cw_step(xs[k], y)
 
     def prune() -> bool:
         for k in range(len(batches)):
@@ -1277,9 +1291,9 @@ def _gram_in_runs(table: TruthTable, side: np.ndarray):
     return gram
 
 
-def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[float, float, int]:
-    """Power iteration on the Gram operator B B^T of the smaller side, for at
-    most DEFAULT_MAX_ITER steps.
+def _lambda_matfree(graph: SensitivityGraph, tol: float) -> tuple[float, float, int]:
+    """Power iteration on the Gram operator B B^T of the smaller side, from
+    the all-ones vector, for at most DEFAULT_MAX_ITER steps.
 
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
@@ -1287,9 +1301,13 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[flo
     |S|. When no input off S has two neighbours, B B^T is diag(d_S), S's
     degrees, and a step is d_S x with no B. Otherwise _gram_in_runs owns B:
     whole when it fits MEMORY_BUDGET, in runs rebuilt on each step when not.
-    The residual comes free from the last product w = B B^T x: for the
-    unit vector u = [x; B^T x / lambda] / sqrt(2), ||A u - lambda u|| is
-    ||w - lambda^2 x|| / (lambda sqrt(2)).
+    The all-ones start overlaps every component's Perron vector. A step is
+    _cw_step's bracket [lo, hi] on lambda^2: the top component's entries,
+    the largest 1, never underflow (a smaller one's may), so hi bounds it.
+    It stops once hi - lo <= tol * hi and returns sqrt(lo). The residual
+    comes free from the last product w = B B^T x: for the unit vector
+    u = [x; B^T x / lambda] / (sqrt(2) ||x||), ||A u - lambda u|| is
+    ||w - lambda^2 x|| / (lambda sqrt(2) ||x||).
     """
     side = graph._side
     if len(side) == 0:
@@ -1298,30 +1316,16 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float, seed: int) -> tuple[flo
     d = graph._star_degrees()
     gram = (lambda x: d * x) if d is not None else _gram_in_runs(graph.table, side)
 
-    # by numpy's own loop, not BLAS's ddot and dnrm2, so that no bit depends on
-    # the BLAS thread count: with two threads those moved haf(3)'s residual
-    # from 0.0 to 4.4e-16
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.einsum("i,i->", a, b))
-
-    def norm(a: np.ndarray) -> float:
-        return math.sqrt(dot(a, a))
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(len(side))
-    x /= norm(x)
-    prev = 0.0
-    lam_sq = 0.0
+    x = np.ones(len(side))
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         w = gram(x)
-        lam_sq = dot(x, w)
-        if abs(lam_sq - prev) <= tol * max(abs(lam_sq), 1.0):
-            lam = math.sqrt(lam_sq)
-            residual = norm(w - lam_sq * x) / (lam * math.sqrt(2))
+        lo, hi, nxt = _cw_step(x, w)
+        if hi - lo <= tol * hi:
+            lam, r = math.sqrt(lo), w - lo * x
+            residual = math.sqrt(np.einsum("i,i->", r, r) / (2 * np.einsum("i,i->", x, x))) / lam
             return lam, residual, iterations
-        prev = lam_sq
-        x = w / norm(w)
-    lam = math.sqrt(max(lam_sq, 0.0))
+        x = nxt
+    lam = math.sqrt(lo)
     raise ConvergenceError(
         f"power iteration did not reach tol {tol} in {DEFAULT_MAX_ITER} iterations "
         f"(best estimate {lam})",
@@ -1333,7 +1337,6 @@ def spectral_sensitivity(
     fn,
     method: str = "auto",
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
 ) -> SpectralResult:
     """Operator norm of the sensitivity graph's adjacency matrix.
 
@@ -1351,8 +1354,9 @@ def spectral_sensitivity(
     Collatz-Wielandt steps, and only those that may hold the maximum are
     eigensolved, which leaves lambda bit for bit the same), "matrix-free"
     (power iteration on the Gram operator B B^T of the whole graph's
-    smaller side, whose residual is ||A u - lambda u|| at the eigenvector
-    estimate u it implies),
+    smaller side from the all-ones vector, returning sqrt(lo) once
+    _cw_step's bracket [lo, hi] on lambda^2 has hi - lo <= tol * hi; its
+    residual is ||A u - lambda u|| at the eigenvector estimate u it implies),
     "analytic" (closed form recorded by the construction), or
     "auto" to pick the exact solve at arity at most 13 (the test
     8 * 4 ** arity <= MEMORY_BUDGET, the size of a dense adjacency the solve
@@ -1379,7 +1383,7 @@ def spectral_sensitivity(
         exact = 8 * 4 ** graph.arity <= MEMORY_BUDGET or graph._shape_lambda_sq is not None
         method = "dense" if exact else "matrix-free"
     if method == "matrix-free":
-        value, residual, iters = _lambda_matfree(graph, tol, seed)
+        value, residual, iters = _lambda_matfree(graph, tol)
         return SpectralResult(value, method, residual, iters)
     return SpectralResult(_lambda_exact(graph), method, 0.0, 0)
 
@@ -1432,7 +1436,6 @@ class MeasureReport:
     source: str
     arity: int
     tolerance: float
-    seed: int
     runtime: float
     entries: list[MeasureEntry]
 
@@ -1448,7 +1451,6 @@ def compute_measures(
     names: Sequence[str],
     method: str = "auto",
     tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
     materialize_cap: int = DEFAULT_TABLE_CAP,
     source: str = "",
 ) -> MeasureReport:
@@ -1466,7 +1468,7 @@ def compute_measures(
     entries: list[MeasureEntry] = []
     for name in names:
         try:
-            entries.append(_one_measure(fn, name, method, tol, seed, materialize_cap))
+            entries.append(_one_measure(fn, name, method, tol, materialize_cap))
         except CapExceeded as exc:
             entries.append(
                 MeasureEntry(name, None, None, skipped=f"cap: {exc}")
@@ -1476,13 +1478,12 @@ def compute_measures(
         source=source,
         arity=fn.arity,
         tolerance=tol,
-        seed=seed,
         runtime=round(runtime, 6),
         entries=entries,
     )
 
 
-def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
+def _one_measure(fn, name, method, tol, materialize_cap) -> MeasureEntry:
     n = fn.arity
     if name in ("s0", "s1", "s", "c0", "c1"):
         res = {"s0": s0, "s1": s1, "s": s, "c0": c0, "c1": c1}[name](fn, cap=materialize_cap)
@@ -1506,7 +1507,7 @@ def _one_measure(fn, name, method, tol, seed, materialize_cap) -> MeasureEntry:
         # analytic reads the construction's closed form, so only it runs past the cap
         target = fn if method == "analytic" else SensitivityGraph(fn, materialize_cap)
         try:
-            spec = spectral_sensitivity(target, method=method, tol=tol, seed=seed)
+            spec = spectral_sensitivity(target, method=method, tol=tol)
         except ConvergenceError as exc:
             return MeasureEntry(
                 name,

@@ -487,7 +487,7 @@ class TestVerify:
         assert code == 0 and calls == [5]
         # the default, which the parser leaves unset, is filled in by the suite
         code, _, _ = run(capsys, "verify", "subgraph")
-        assert code == 0 and calls == [5, measures.DEFAULT_SEED]
+        assert code == 0 and calls == [5, verify.DEFAULT_SEED]
 
     def test_lemmas_reject_zero_count(self, capsys):
         code, stdout, err = run(
@@ -895,12 +895,20 @@ class TestUnreadFlags:
         (["verify", "lemmas", "--fn", "FN", "--count", "5"],
          "verify lemmas --fn does not read --count; only lemmas do"),
         (["verify", "simon", "--n", "2", "--seed", "5"],
-         "verify simon does not read --seed; only theorem1, subgraph, lemmas and tradeoff do"),
+         "verify simon does not read --seed; only subgraph and lemmas do"),
         (["construct", "haf", "--r", "2", "--k", "7", "--out", "OUT"],
          "construct haf does not read --k; only maf and address do"),
         (["construct", "desensitized", "--base", "FN", "--r", "2", "--out", "OUT"],
          "construct desensitized does not read --r; only haf do"),
-    ], ids=["desens-certs", "lemmas-fn-count", "simon-seed", "haf-k", "desensitized-r"])
+        # matrix-free starts from the all-ones vector: nothing of lambda is seeded
+        (["measure", "--fn", "FN", "--measures", "lambda", "--seed", "5"],
+         "measure does not read --seed"),
+        (["verify", "theorem1", "--seed", "5"],
+         "verify theorem1 does not read --seed; only subgraph and lemmas do"),
+        (["verify", "tradeoff", "--seed", "5"],
+         "verify tradeoff does not read --seed; only subgraph and lemmas do"),
+    ], ids=["desens-certs", "lemmas-fn-count", "simon-seed", "haf-k", "desensitized-r",
+            "measure-seed", "theorem1-seed", "tradeoff-seed"])
     def test_suite_or_family(self, tmp_path, capsys, monkeypatch, argv, message):
         self.refused(tmp_path, capsys, monkeypatch, argv, message)
 
@@ -930,22 +938,27 @@ class TestGlobalOptions:
     """--seed, --tol and --materialize-cap count before the subcommand as
     after it, and the value after it wins."""
 
-    def test_seed_and_tol_before_the_subcommand(self, tmp_path, capsys):
+    def test_seed_and_tol_before_the_subcommand(self, tmp_path, capsys, monkeypatch):
         path = write_and2(tmp_path)
         code, stdout, _ = run(
-            capsys, "--seed", "7", "--tol", "1e-3", "measure", "--fn", path, "--measures", "s0"
+            capsys, "--tol", "1e-3", "measure", "--fn", path, "--measures", "s0"
         )
         assert code == 0
-        report = json.loads(stdout)
-        assert (report["seed"], report["tolerance"]) == (7, 1e-3)
+        assert json.loads(stdout)["tolerance"] == 1e-3
         code, stdout, _ = run(
-            capsys, "--seed", "7", "measure", "--seed", "9", "--fn", path, "--measures", "s0"
+            capsys, "--tol", "1e-3", "measure", "--tol", "1e-4", "--fn", path, "--measures", "s0"
         )
         assert code == 0
-        assert json.loads(stdout)["seed"] == 9
-        code, stdout, _ = run(capsys, "measure", "--fn", path, "--measures", "s0")
-        assert code == 0
-        assert json.loads(stdout)["seed"] == measures.DEFAULT_SEED
+        assert json.loads(stdout)["tolerance"] == 1e-4
+        # the lemma chain's random tables read the seed
+        seeds = []
+        monkeypatch.setattr(verify, "verify_lemma_chain_random",
+                            lambda **kw: seeds.append(kw["seed"]) or [])
+        for argv in (["--seed", "7", "verify", "lemmas"],
+                     ["--seed", "7", "verify", "lemmas", "--seed", "9"],
+                     ["verify", "lemmas"]):
+            assert run(capsys, *argv)[0] == 0
+        assert seeds == [7, 9, verify.DEFAULT_SEED]
 
     def test_materialize_cap_before_the_subcommand(self, tmp_path, capsys):
         desc = tmp_path / "haf2.json"
@@ -989,12 +1002,17 @@ class TestGlobalOptions:
         assert f"unrecognized arguments: {option}" in captured.err
         assert "invalid choice" not in captured.err
 
-    def test_negative_seed_before_the_subcommand(self, tmp_path, capsys):
-        code, stdout, _ = run(
-            capsys, "--seed", "-1", "measure", "--fn", write_and2(tmp_path), "--measures", "s0"
-        )
-        assert code == 0
-        assert json.loads(stdout)["seed"] == -1
+    def test_negative_seed_before_the_subcommand(self, capsys):
+        # refused where it is parsed, with the option named, before or after
+        # the subcommand; numpy's own refusal named none
+        lemmas = ["verify", "lemmas", "--arities", "4", "--count", "2"]
+        for argv in (["--seed", "-1", *lemmas], [*lemmas, "--seed", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert captured.err.endswith(
+                "error: argument --seed: expected a non-negative integer, got '-1'\n")
 
     def test_threads_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.delenv("SENSILAB_THREADS", raising=False)

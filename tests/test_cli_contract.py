@@ -34,8 +34,7 @@ from sensilab.core import TruthTable
 
 METHODS = sorted(cli._METHODS)
 
-# each global option's values: (accepted, refused); a refused --seed is
-# refused where a random stream is drawn from it
+# each global option's values: (accepted, refused)
 GLOBAL_VALUES = {
     "--seed": (["0", "7", "0x5eed", str(1 << 70)], ["-1", "nan", "inf", "", "x"]),
     "--tol": (["1e-9", "1e-6", "0.5", "1e300"], ["0", "-1", "nan", "inf", "-inf", "1e-400", "x"]),
@@ -161,15 +160,15 @@ CONSTRUCT_FLAGS = {
 # ("<suite> --fn": given a function file) and construct family reads besides
 COMMAND_READS = {
     "construct": ["--out"],
-    "measure": [*GLOBAL_VALUES, "--fn", "--measures", "--method"],
+    "measure": ["--tol", "--materialize-cap", "--fn", "--measures", "--method"],
     "verify": ["--csv"],
     "export-graph": ["--materialize-cap", "--fn", "--format", "--component", "--out"],
     "sweep": ["--g-range", "--ratio", "--out"],
 }
 SUITE_READS = {
-    "theorem1": ["--r", "--method", "--seed"], "simon": ["--n"],
+    "theorem1": ["--r", "--method"], "simon": ["--n"],
     "subgraph": ["--n", "--samples", "--seed"], "lemmas": ["--arities", "--count", "--seed"],
-    "desens": [], "tradeoff": ["--as", "--bs", "--method", "--seed"], "maf": ["--k"],
+    "desens": [], "tradeoff": ["--as", "--bs", "--method"], "maf": ["--k"],
     "lemmas --fn": ["--fn", "--method"], "desens --fn": ["--fn", "--certs"],
 }
 FAMILY_READS = {family: [flag for flag, *_ in flags] for family, flags in CONSTRUCT_FLAGS.items()}

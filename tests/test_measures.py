@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -1516,7 +1517,9 @@ class TestSpectral:
             spectral_sensitivity(and2, method="analytic")
 
     def test_convergence_error_carries_best(self, monkeypatch):
-        f = chaf([2, 2])
+        # tradeoff(2;2)'s bracket takes 13 steps to close; chaf(2,2)'s closes
+        # in one
+        f = tradeoff([2], [2])
         monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc:
             spectral_sensitivity(f, method="matrix-free")
@@ -1731,7 +1734,8 @@ class TestGramSolve:
 
     def test_batches_split_under_a_small_budget(self, monkeypatch):
         graph = SensitivityGraph(tradeoff([2], [2]))
-        graph.adjacency()  # the sparse matrix (110 kB) is built under the full budget
+        # the sparse matrix (110 kB) and the labels are built under the full budget
+        graph._component_labels()
         monkeypatch.setattr(measures, "MEMORY_BUDGET", 10_000)
         value, shapes = gram_batches(monkeypatch, lambda: measures._lambda_exact(graph))
         # 768 stars with one 1-input and three 0-inputs, 256 two-layer stars
@@ -2053,6 +2057,39 @@ class TestMemoryBudget:
         monkeypatch.setattr(measures, "MEMORY_BUDGET", 64 * 64)
         assert graph.census() == {("other",): 1}
 
+    # past arity 10, with no census from the table or star operator, every
+    # reader of the component index
+    LABEL_READERS = {
+        "component-wise": lambda graph: spectral_sensitivity(graph, method="component-wise"),
+        "census": lambda graph: graph.census(),
+        "components": lambda graph: graph.components(),
+        "export": lambda graph: graph_edges_text(graph, component=0),
+    }
+
+    @pytest.mark.parametrize("reader", list(LABEL_READERS))
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_labels_count_their_bytes_first(self, monkeypatch, table, reader):
+        # the labels step's count: the int32 labels and numpy's allowance,
+        # beside scipy's transposed CSR and then the index, the larger
+        tt = self.TABLES[table]()
+        monkeypatch.setattr(measures, "_census_from_table", lambda table: None)
+        monkeypatch.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
+        graph = SensitivityGraph(tt)
+        index = measures.INDEX_BYTES_PER_INPUT * np.count_nonzero(tt.sensitivity_counts)
+        csr = measures._csr_bytes(graph.edge_count(), len(tt))
+        count = 4 * len(tt) + max(csr, index) + measures._NUMPY_BYTES
+        calls = spy_calls(monkeypatch, ["_cc"])
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", count - 1)
+        with pytest.raises(CapExceeded, match=f"component labels needs over {count} bytes"):
+            self.LABEL_READERS[reader](graph)
+        assert calls["_cc"] == 0
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", count)
+        graph.adjacency()  # counted on its own, before the labels
+        import scipy.sparse.csgraph  # noqa: F401 (imported outside the trace)
+        _, peak = self.traced(lambda: graph._component_index)
+        assert calls["_cc"] == 1 and peak <= count
+        self.LABEL_READERS[reader](graph)
+
 
 # matrix-free lambda on haf(3) in a fresh interpreter: value, residual and
 # steps, as reprs
@@ -2063,27 +2100,29 @@ MATFREE_PROBE = (
 )
 
 
-def replayed_residual(table: TruthTable, side: int, seed: int, tol: float) -> float:
-    """||A u - lambda u|| for the vector u = [x; B^T x / lambda] / sqrt(2) at
-    which matrix-free stops, replayed on dense matrices built independently:
-    x is the last iterate of power iteration on B B^T from the same start."""
+def replayed_residual(table: TruthTable, side: int, tol: float) -> float:
+    """||A u - lambda u|| for the unit vector u = [x; B^T x / lambda] /
+    (sqrt(2) ||x||) at which matrix-free stops, replayed on dense matrices
+    built independently: x is the last iterate of power iteration on B B^T
+    from the all-ones vector, rescaled to a largest entry of 1, at the first
+    step whose largest ratio (B B^T x)_i / x_i over x_i > 0 is within tol of
+    it of the Rayleigh quotient, lambda^2."""
     a = dense_reference_adjacency(table)
     xs = np.arange(len(table))
     rows, cols = xs[table.values == side], xs[table.values != side]
     b = a[np.ix_(rows, cols)]
-    x = np.random.default_rng(seed).standard_normal(len(rows))
-    x /= np.linalg.norm(x)
-    prev = 0.0
+    x = np.ones(len(rows))
     while True:
         w = b @ (b.T @ x)
-        lam_sq = float(x @ w)
-        if abs(lam_sq - prev) <= tol * max(lam_sq, 1.0):
+        lam_sq = float(x @ w) / float(x @ x)
+        hi = max(w[i] / x[i] for i in np.flatnonzero(x > 0))
+        if hi - lam_sq <= tol * hi:
             break
-        prev, x = lam_sq, w / np.linalg.norm(w)
+        x = w / w.max()
     lam = math.sqrt(lam_sq)
     u = np.zeros(len(xs))
     u[rows], u[cols] = x, b.T @ x / lam
-    u /= math.sqrt(2)
+    u /= math.sqrt(2) * np.linalg.norm(x)
     return float(np.linalg.norm(a @ u - lam * u))
 
 
@@ -2105,48 +2144,114 @@ class TestMatrixFreeGram:
                                  capture_output=True, text=True, check=True, timeout=120)
             outs.append(run.stdout)
         assert outs[0] == outs[1]
-        value, residual, iterations = outs[0].split()
-        assert float(value) == pytest.approx(math.sqrt(8), abs=1e-12)
-        assert float(residual) < 1e-12 and int(iterations) >= 1
+        # the all-ones start is the stars' Perron vector: one step closes the
+        # bracket at lambda^2 = 8
+        assert outs[0].split() == ["2.8284271247461903", "0.0", "1"]
 
     CASES = {
-        "and6": (TruthTable(6, (np.arange(64) == 63).astype(np.uint8)), 1, 1),
-        "or6": (TruthTable(6, (np.arange(64) != 0).astype(np.uint8)), 0, 1),
-        # the stop rule leaves ||A u - lambda u|| near sqrt(tol) on parity at
-        # n >= 4 (2.5e-5 at n=5), as the eigenvector recovery it replaced did
-        "parity3": (make_parity(3).table(), 0, 4),
-        "chaf22": (chaf([2, 2]).table(), 1, 32),
+        "and6": (TruthTable(6, (np.arange(64) == 63).astype(np.uint8)), 1),
+        "or6": (TruthTable(6, (np.arange(64) != 0).astype(np.uint8)), 0),
+        "parity3": (make_parity(3).table(), 0),
+        "chaf22": (chaf([2, 2]).table(), 1),
+        # the cases above close in one step, from the all-ones start; maf(2)
+        # takes 12
+        "maf2": (maf(2).table(), 0),
     }
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["csr", "table"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_against_dense_reference(self, monkeypatch, case, sparse):
-        table, side, length = self.CASES[case]
+        table, side = self.CASES[case]
+        assert np.array_equal(smaller_side(table), np.flatnonzero(table.values == side))
         if not sparse:
             monkeypatch.setattr(measures, "MEMORY_BUDGET", 0)
             with pytest.raises(CapExceeded, match="sparse adjacency"):
                 SensitivityGraph(table).adjacency()
-        starts = []
-        make_rng = np.random.default_rng
-
-        class Recorder:
-            def __init__(self, seed):
-                self.rng = make_rng(seed)
-
-            def standard_normal(self, size):
-                starts.append(size)
-                return self.rng.standard_normal(size)
-
-        monkeypatch.setattr(np.random, "default_rng", Recorder)
         res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
         monkeypatch.undo()
-        assert starts == [length]
         assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
         assert res.residual < 1e-5
         assert res.residual == pytest.approx(
-            replayed_residual(table, side, measures.DEFAULT_SEED, 1e-9),
+            replayed_residual(table, side, 1e-9),
             rel=1e-6, abs=1e-12,
         )
+
+
+@st.composite
+def matrix_free_tables(draw):
+    """Tables at n = 1..12: constants, random tables, and random tables with
+    one input and all its neighbours set to the smaller side's value, so
+    that the smaller side has an input with no edge."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["constant", "random", "isolated"]))
+    if kind == "constant":
+        return TruthTable(n, np.full(1 << n, draw(st.integers(0, 1)), dtype=np.uint8))
+    table = draw(random_tables(n))
+    if kind == "random":
+        return table
+    vals = table.values.copy()
+    x = draw(st.integers(0, (1 << n) - 1))
+    vals[x ^ np.r_[0, 1 << np.arange(n)]] = int(2 * table.ones_count() < len(table))
+    return TruthTable(n, vals)
+
+
+def bracketed_matrix_free(table: TruthTable, tol: float = measures.DEFAULT_TOL):
+    """_lambda_matfree on table's graph: its result (None when it raised
+    ConvergenceError), and its last step's bracket and vector: (lo, hi, x)."""
+    last = []
+    step = measures._cw_step
+
+    def spy(x, y):
+        out = step(x, y)
+        last[:] = [(float(out[0]), float(out[1]), x)]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_cw_step", spy)
+        try:
+            res = measures._lambda_matfree(SensitivityGraph(table), tol)
+        except ConvergenceError:
+            res = None
+    return res, (last[0] if last else None)
+
+
+class TestMatrixFreeBracket:
+    """Each matrix-free step brackets lambda^2 in [lo, hi], the Rayleigh
+    quotient and the largest Collatz-Wielandt ratio, and matrix-free returns
+    only once hi - lo <= tol * hi."""
+
+    # the dense solve's own rounding, relatively
+    ROUNDING = 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(table=matrix_free_tables())
+    def test_bracket_holds_the_dense_lambda(self, table):
+        dense = spectral_sensitivity(table, method="dense").value ** 2
+        res, bracket = bracketed_matrix_free(table)
+        if bracket is None:
+            assert res == (0.0, 0.0, 0) and dense == 0.0
+            return
+        lo, hi, _ = bracket
+        assert lo <= dense * (1 + self.ROUNDING) and dense <= hi * (1 + self.ROUNDING)
+        if res is not None:
+            assert hi - lo <= measures.DEFAULT_TOL * hi
+            assert res[0] == math.sqrt(lo)
+            # ||B B^T x - lo x||^2 <= lo (lambda^2 - lo) ||x||^2 for the PSD B B^T
+            assert res[1] <= math.sqrt(hi * measures.DEFAULT_TOL / 2) * (1 + self.ROUNDING)
+
+    def test_underflow_keeps_the_bracket(self, monkeypatch):
+        # two components, with lambda^2 9.084 and 4.618: the smaller one's
+        # entries shrink about twofold a step and underflow to 0 within the
+        # first 1100 or so, while the larger one's bracket stays an ulp wide,
+        # so at tol 0 every step runs
+        table = TruthTable.from_hex(5, "200b0201")
+        dense = spectral_sensitivity(table, method="dense").value ** 2
+        monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res, (lo, hi, x) = bracketed_matrix_free(table, tol=0.0)
+        assert res is None and (x == 0).any()
+        assert lo <= dense * (1 + self.ROUNDING) and dense <= hi * (1 + self.ROUNDING)
 
 
 def smaller_side(table: TruthTable) -> np.ndarray:
@@ -2229,8 +2334,7 @@ class TestSmallerSideRows:
         side = smaller_side(table)
         nnz = int(table.sensitivity_counts[side].sum())
         budget = 12 * nnz + 4 * (len(side) + 1) + slack
-        lam, _, starts, builds = matrix_free_run(table, budget, measures.DEFAULT_MAX_ITER)
-        assert starts == [len(side)]
+        lam, _, builds = matrix_free_run(table, budget, measures.DEFAULT_MAX_ITER)
         assert (len(builds) > 1) == (path == "slices")
         assert lam == pytest.approx(math.sqrt(7), abs=1e-6)
 
@@ -2238,18 +2342,10 @@ class TestSmallerSideRows:
 def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
     """_lambda_matfree on a new graph of table, under budget (None keeps
     MEMORY_BUDGET): lambda and its Gram steps, or the best estimate and
-    max_iter + 1 when it does not converge; the start vectors' lengths; and
-    the length of every run of S that _smaller_side_rows was called with."""
-    starts, builds = [], []
-    make_rng, rows = np.random.default_rng, measures._smaller_side_rows
-
-    class Recorder:
-        def __init__(self, seed):
-            self.rng = make_rng(seed)
-
-        def standard_normal(self, size):
-            starts.append(size)
-            return self.rng.standard_normal(size)
+    max_iter + 1 when it does not converge; and the length of every run of S
+    that _smaller_side_rows was called with."""
+    builds = []
+    rows = measures._smaller_side_rows
 
     def rows_spy(table, side):
         builds.append(len(side))
@@ -2258,16 +2354,14 @@ def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(measures, "MEMORY_BUDGET", budget)
-        mp.setattr(np.random, "default_rng", Recorder)
         mp.setattr(measures, "_smaller_side_rows", rows_spy)
         mp.setattr(measures, "DEFAULT_MAX_ITER", max_iter)
         graph = SensitivityGraph(table)
         try:
-            lam, _, steps = measures._lambda_matfree(
-                graph, measures.DEFAULT_TOL, measures.DEFAULT_SEED)
+            lam, _, steps = measures._lambda_matfree(graph, measures.DEFAULT_TOL)
         except ConvergenceError as exc:
             lam, steps = exc.best, max_iter + 1
-    return lam, steps, starts, builds
+    return lam, steps, builds
 
 
 class TestMatrixFreeSlices:
@@ -2292,10 +2386,9 @@ class TestMatrixFreeSlices:
         budget = data.draw(st.sampled_from(budgets))
         # with no input off S of degree 2 or more, B B^T is diagonal: no B
         diagonal = is_star_graph(table)
-        lam, steps, starts, builds = matrix_free_run(table, None, self.STEPS)
-        assert (starts, builds) == ([len(side)], [] if diagonal else [len(side)])
-        got, got_steps, got_starts, got_builds = matrix_free_run(table, budget, self.STEPS)
-        assert got_starts == [len(side)]
+        lam, steps, builds = matrix_free_run(table, None, self.STEPS)
+        assert builds == ([] if diagonal else [len(side)])
+        got, got_steps, got_builds = matrix_free_run(table, budget, self.STEPS)
         assert got == pytest.approx(lam, rel=1e-12, abs=0)
         assert abs(got_steps - steps) <= 1
         if diagonal:
@@ -2323,7 +2416,7 @@ class TestMatrixFreeSlices:
 
         def steps():
             with pytest.raises(ConvergenceError):
-                measures._lambda_matfree(graph, 0.0, measures.DEFAULT_SEED)
+                measures._lambda_matfree(graph, 0.0)
 
         _, peak = TestMemoryBudget.traced(steps)
         assert peak <= budget + 24 * len(table)
@@ -2405,12 +2498,11 @@ class TestStarOperator:
     @given(table=star_tables())
     def test_diagonal_iterates_as_b(self, table):
         assert is_star_graph(table)
-        args = measures.DEFAULT_TOL, measures.DEFAULT_SEED
-        diag = measures._lambda_matfree(SensitivityGraph(table), *args)
+        diag = measures._lambda_matfree(SensitivityGraph(table), measures.DEFAULT_TOL)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
             calls = spy_calls(mp, ["_smaller_side_rows"])
-            with_b = measures._lambda_matfree(SensitivityGraph(table), *args)
+            with_b = measures._lambda_matfree(SensitivityGraph(table), measures.DEFAULT_TOL)
         assert calls["_smaller_side_rows"] == 1
         assert diag[0] == pytest.approx(with_b[0], rel=1e-12, abs=0)
         assert abs(diag[2] - with_b[2]) <= 1
@@ -2424,8 +2516,8 @@ class TestStarOperator:
         assert np.array_equal(smaller_side(table), [1, 2, 3])
         assert degrees[0] == 2 and np.sort(degrees[table.values == 0])[-2] == 1
         assert SensitivityGraph(table)._star_degrees() is None
-        lam, _, starts, builds = matrix_free_run(table, None, measures.DEFAULT_MAX_ITER)
-        assert (starts, builds) == ([3], [3])
+        lam, _, builds = matrix_free_run(table, None, measures.DEFAULT_MAX_ITER)
+        assert builds == [3]
         ref = dense_reference_lambda(table)
         assert lam == pytest.approx(ref, abs=1e-6)
         # the components are a two-layer star (2, n - 1) centred on input 0 and
@@ -2540,7 +2632,7 @@ class TestShapeLambda:
         exact = table.arity <= 13 or graph._shape_lambda_sq is not None
         # the solvers themselves are not run: only the choice is checked
         monkeypatch.setattr(measures, "_lambda_exact", lambda graph: 0.0)
-        monkeypatch.setattr(measures, "_lambda_matfree", lambda graph, tol, seed: (0.0, 0.0, 0))
+        monkeypatch.setattr(measures, "_lambda_matfree", lambda graph, tol: (0.0, 0.0, 0))
         method = spectral_sensitivity(graph).method
         assert method == ("dense" if exact else "matrix-free")
         assert exact == (name != "random14")
@@ -2571,7 +2663,6 @@ class TestReports:
             "source",
             "arity",
             "tolerance",
-            "seed",
             "runtime",
             "entries",
         ]
@@ -2668,7 +2759,7 @@ class TestReports:
         ]
         assert report.to_json() == (
             '{\n  "source": "and2",\n  "arity": 2,\n  "tolerance": 1e-09,\n'
-            '  "seed": 24301,\n  "runtime": 0.125,\n  "entries": [\n'
+            '  "runtime": 0.125,\n  "entries": [\n'
             + ",\n".join(entries)
             + "\n  ]\n}"
         )
