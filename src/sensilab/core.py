@@ -154,15 +154,18 @@ def group_lookup(entries: Iterable[int]) -> np.ndarray:
     return np.frombuffer(bytes(v & 0xFF for v in entries), np.uint64)
 
 
-def by_groups(values: np.ndarray, lookup: np.ndarray) -> np.ndarray:
+def by_groups(values: np.ndarray, lookup: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """lookup's word for each aligned 8-entry group of the 0/1 table values,
-    as a new uint8 array of max(len(values), 8) entries. A table under 8
-    entries is tiled first. Groups are packed into bytes and gathered
-    _BLOCK_BYTES / 8 entries at a time, so no full-length packed copy is
-    held: take widens each packed byte to an 8-byte index."""
+    as a uint8 array of max(len(values), 8) entries: out, a contiguous
+    one-byte array of that length whose address is a multiple of 8, when
+    given, else a new array. A table under 8 entries is tiled first. Groups
+    are packed into bytes and gathered _BLOCK_BYTES / 8 entries at a time,
+    so no full-length packed copy is held: take widens each packed byte to
+    an 8-byte index."""
     if len(values) < 8:
         values = np.tile(values, 8 // len(values))
-    out = np.empty(len(values), dtype=np.uint8)
+    if out is None:
+        out = np.empty(len(values), dtype=np.uint8)
     words = out.view(np.uint64)
     step = max(8, _BLOCK_BYTES // 8 & -8)
     for lo in range(0, len(values), step):

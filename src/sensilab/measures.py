@@ -12,17 +12,21 @@ built from its group's two vertex lists by the graph's adjacency(rows,
 cols), and a large block eigensolved only when Collatz-Wielandt bounds
 cannot rule it out; by
 matrix-free power iteration on the Gram operator B B^T of the whole
-smaller side from the all-ones vector, B built once when it fits the memory
+smaller side from the all-ones vector, B's columns numbered over the other
+side's inputs with an edge, B built once when it and B^T x fit the memory
 budget and rebuilt on each step in runs that fit it otherwise, stopped by
 the exact solve's Collatz-Wielandt step (_cw_step); or from a
 construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
-matrix-free applies that diagonal and the exact solve past arity 10 reads
-lambda^2 as the largest degree, neither building B. When every component is
-a star or a two-layer star, as in the paper's constructions, degrees within
-two hops, read from the table, recognise them: the census and the exact
-solve past arity 10 read that, with no B or component labels.
+matrix-free steps on that side's degree histogram, at most n + 1 entries,
+and the exact solve past arity 10 reads lambda^2 as the largest degree,
+from the table's cached side pass, neither building B nor listing the side.
+When every component is a star or a two-layer star, as in the paper's
+constructions, degrees within two hops, read from the table, recognise them:
+the census and the exact solve past arity 10 read that, with no B or
+component labels. The Moebius passes behind degree hold 2 bytes per entry
+and one block.
 scipy is imported on first use, by the paths that need it: B's CSR and the
 adjacency, component labels and classify_component.
 """
@@ -117,6 +121,10 @@ DEFAULT_MAX_ITER = 10000
 # entries of a Moebius block whose nonzero positions degree lists at once:
 # at most 256 KiB of int64 positions beside the block
 _DEGREE_CHUNK = 1 << 15
+# table entries a chunked pass reads at once: _mobius_blocks' widening copies,
+# and _star_degrees and _ColumnRank, at most 10 bytes each of temporaries, as
+# bincount widens the degrees it counts to 8-byte integers
+_TABLE_CHUNK = 1 << 16
 # codes _cert_counts looks up per take, which widens them to 8-byte indices
 _TAKE_CHUNK = 1 << 17
 
@@ -504,21 +512,32 @@ def _mobius_blocks(table: TruthTable,
     block of the wide dtype within _BLOCK_BYTES, or the arity when the whole
     table fits, but never under arity - 12, so that the whole-table passes
     fit int16.
+
+    The table is held in one buffer of 2 bytes per entry, or in the last 2
+    bytes per entry of out's own: the int8 phase runs in its upper half and
+    widens forward into all of it, _TABLE_CHUNK entries a copy. Entries
+    lo .. hi - 1 end at byte 2 hi of the buffer, and the int8 entries from
+    hi on start at byte 2^n + hi, so no copy overtakes the source still to
+    be read, and numpy makes each without a temporary. Only the last two
+    chunks overlap their own source, which numpy copies on its slower
+    overlapping path. A block copied into out likewise reaches the int16
+    entries only once they are read.
     """
-    n = table.arity
+    n, size = table.arity, len(table)
     wide = np.dtype(np.int32 if n <= 31 else np.int64)
     m = max(block_exponent(2, n, wide.itemsize) or n, n - 12)
     top = range(n - 1, max(m, 3) - 1, -1)
     held = min(12 - len(top), max(m - 3, 0))  # the block's passes on int16
     moved = max(m - 3, 0) - held
-    coeffs = by_groups(table.values, _MOBIUS_GROUPS).view(np.int8)[:len(table)]
+    # by_groups fills 8 entries at the least, so a table under 8 takes 8 bytes
+    buf = np.empty(max(2 * size, 8), np.int8) if out is None else out.view(np.int8)
+    coeffs = by_groups(table.values, _MOBIUS_GROUPS, out=buf[-max(size, 8):])[:size]
     for i in top[:4]:
         _mobius_pass(coeffs, i)
     if len(top) + held > 4:
-        # with out, the int16 passes run in the last 2 bytes per entry of its
-        # own, which a block copied into out reaches only once they are read
-        wider = np.empty(len(table), np.int16) if out is None else out.view(np.int16)[-len(table):]
-        np.copyto(wider, coeffs)
+        wider = buf[-2 * size:].view(np.int16)
+        for lo in range(0, size, _TABLE_CHUNK):
+            np.copyto(wider[lo:lo + _TABLE_CHUNK], coeffs[lo:lo + _TABLE_CHUNK])
         coeffs = wider
     for i in top[4:]:
         _mobius_pass(coeffs, i)
@@ -564,19 +583,25 @@ def degree(fn, cap: int = DEFAULT_TABLE_CAP) -> int:
     coefficients are never held at once. A block from lo (a multiple of its
     length) holds the monomial lo + j, of weight |lo| + |j|, at a position p
     that permutes the bits of j, so |p| = |j|. Its nonzero positions are
-    listed _DEGREE_CHUNK at a time, and a chunk from start adds |start|.
+    listed _DEGREE_CHUNK at a time and reduced to their uint8 weights before
+    the next chunk is listed, and a chunk from start adds |start|. Beside
+    _mobius_blocks' 2 bytes per entry and one block, degree holds one
+    chunk's int64 positions and weights, 9 bytes per entry of a chunk.
     """
     deg = 0
     for lo, block in _mobius_blocks(_table_of(fn, cap)):
         for start in range(0, len(block), _DEGREE_CHUNK):
-            nonzero = np.flatnonzero(block[start:start + _DEGREE_CHUNK])
-            if len(nonzero):
-                deg = max(deg, (lo + start).bit_count() + int(np.bitwise_count(nonzero).max()))
+            weights = np.bitwise_count(np.flatnonzero(block[start:start + _DEGREE_CHUNK]))
+            if len(weights):
+                deg = max(deg, (lo + start).bit_count() + int(weights.max()))
     return deg
 
 
-_GATHER = 1 << 22  # neighbour slots _side_neighbours gathers at once
-_EDGE_CHUNK = 1 << 16  # neighbour slots, and keys, that edges() handles at once
+# neighbour slots _side_neighbours gathers at once for B's rows, and at most
+# for edges(), which also takes its keys that many at a time
+_EDGE_CHUNK = 1 << 16
+# B's column indices _ColumnRank numbers at once, under 28 bytes each of temporaries
+_RANK_CHUNK = 1 << 12
 # bytes numpy may hold beside a pass's arrays: its iterator buffers and the
 # int64 copies it indexes by, made np.getbufsize() = 8192 items at a time,
 # and the small objects of the pass
@@ -601,7 +626,7 @@ def _check_csr_budget(nnz: int, n_rows: int) -> None:
 
 
 def _side_neighbours(table: TruthTable, side: np.ndarray, out: np.ndarray | None = None,
-                     slots: int = _GATHER) -> tuple[np.ndarray, np.ndarray]:
+                     slots: int = _EDGE_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices): each input of side's neighbours across an edge,
     side[i]'s in direction order at indices[indptr[i]:indptr[i + 1]], as
     int32 lists read from the table with no scipy, the indices written into
@@ -623,14 +648,52 @@ def _side_neighbours(table: TruthTable, side: np.ndarray, out: np.ndarray | None
     return indptr, indices
 
 
-def _smaller_side_rows(table: TruthTable, side: np.ndarray) -> sp.csr_matrix:
+class _ColumnRank:
+    """The inputs of one value that have an edge, numbered 0 .. count - 1 in
+    input order: B's columns when the value is the other side's. One bit
+    per input marks them, in 64-bit words, and through[w] counts the marked
+    inputs in words 0 .. w, so a marked input y is number through[y >> 6]
+    less the marked bits of its word from y's own up. The two arrays take
+    nbytes, a quarter of a byte per input; they are filled from the table
+    and its cached counts _TABLE_CHUNK entries at a time."""
+
+    def __init__(self, table: TruthTable, value: int):
+        vals, d = table.values, table.sensitivity_counts
+        self.words = np.zeros(-(-len(vals) // 64), dtype="<u8")
+        bits = self.words.view(np.uint8)
+        for lo in range(0, len(vals), _TABLE_CHUNK):
+            marked = np.equal(vals[lo:lo + _TABLE_CHUNK], value)
+            marked &= d[lo:lo + _TABLE_CHUNK] != 0
+            packed = np.packbits(marked, bitorder="little")
+            bits[lo // 8:lo // 8 + len(packed)] = packed
+        self.through = np.cumsum(np.bitwise_count(self.words), dtype=np.int64)
+        self.count = int(self.through[-1])
+        self.nbytes = self.words.nbytes + self.through.nbytes
+
+    def number(self, ys: np.ndarray) -> None:
+        """Replace the marked int32 inputs ys by their numbers, in place,
+        _RANK_CHUNK at a time."""
+        for lo in range(0, len(ys), _RANK_CHUNK):
+            y = ys[lo:lo + _RANK_CHUNK]
+            w = y >> 6
+            word = self.words[w]
+            word >>= (y & 63).astype(np.uint64)
+            np.subtract(self.through[w], np.bitwise_count(word), out=y, casting="unsafe")
+
+
+def _smaller_side_rows(table: TruthTable, side: np.ndarray,
+                       columns: _ColumnRank | None = None) -> sp.csr_matrix:
     """Rows of the sensitivity graph's adjacency on the inputs side, which
-    all have one value, as a len(side) x 2^n CSR over _side_neighbours."""
+    all have one value, as a CSR over _side_neighbours: len(side) x 2^n, or
+    len(side) x columns.count with each neighbour numbered by columns."""
     import scipy.sparse as sp
 
     indptr, indices = _side_neighbours(table, side)
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                         shape=(len(side), len(table.values)))
+    width = len(table.values)
+    if columns is not None:
+        columns.number(indices)
+        width = columns.count
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(side), width))
 
 
 def _cc(graph: sp.csr_matrix, directed: bool) -> tuple[int, np.ndarray]:
@@ -767,7 +830,8 @@ class SensitivityGraph:
     holds no rows B of S: matrix-free and adjacency() build their own, and
     adjacency(rows, cols) builds a dense block from two input lists alone,
     for the exact solve. When
-    no input off S has two neighbours, B B^T is diag(d_S) (_star_degrees);
+    no input off S has two neighbours (_stars), B B^T is diag(d_S), which
+    matrix-free steps on as S's degree histogram (_star_degrees);
     when every component is a star or a two-layer star, the census is read
     from the table by degrees within two hops (_table_census, built once).
     Either gives lambda^2 from the components' shapes (_shape_lambda_sq),
@@ -792,7 +856,8 @@ class SensitivityGraph:
     @cached_property
     def _side(self) -> np.ndarray:
         """S's inputs, listed on first use: the census from the table, the
-        star test on a non-star graph and the parity-class solve skip it."""
+        star test, every lambda of a star graph and the parity-class solve
+        skip it."""
         return np.flatnonzero(self.table.values == self._side_value)
 
     def degree_counts(self) -> np.ndarray:
@@ -802,16 +867,30 @@ class SensitivityGraph:
     def edge_count(self) -> int:
         return int(self.degree_counts().sum()) // 2
 
-    def _star_degrees(self) -> np.ndarray | None:
-        """S's degrees d_S when no input off S has two neighbours, else None.
-        For y, y' in S, entry (y, y') of B B^T counts their common neighbours,
-        so B B^T is diag(d_S) exactly then: every component is a star K_1,d
-        centred in S. The test reads s over the inputs off S from the table's
-        cached side pass (TruthTable.side_sensitivities), which s0 and s1
-        share."""
-        if self.table.side_sensitivities[1 - self._side_value][0] > 1:
+    def _stars(self) -> bool:
+        """Whether no input off S has two neighbours. For y, y' in S, entry
+        (y, y') of B B^T counts their common neighbours, so B B^T is
+        diag(d_S) exactly then: every component is a star K_1,d centred in
+        S. The test reads s over the inputs off S from the table's cached
+        side pass (TruthTable.side_sensitivities), which s0 and s1 share."""
+        return self.table.side_sensitivities[1 - self._side_value][0] <= 1
+
+    def _star_degrees(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """S's degree histogram when _stars holds, else None: the distinct
+        degrees of S's inputs, ascending, and how many inputs have each, at
+        most n + 1 pairs and none for an empty S. It is counted from the
+        table and its cached counts _TABLE_CHUNK entries at a time, with no
+        list of S: a mask picks a chunk's degrees on S, and only those are
+        counted."""
+        if not self._stars():
             return None
-        return self.degree_counts()[self._side]
+        vals, d, n = self.table.values, self.degree_counts(), self.arity
+        hist = np.zeros(n + 1, dtype=np.int64)
+        for lo in range(0, len(vals), _TABLE_CHUNK):
+            on_side = np.equal(vals[lo:lo + _TABLE_CHUNK], self._side_value)
+            hist += np.bincount(d[lo:lo + _TABLE_CHUNK][on_side], minlength=n + 1)
+        degrees = np.flatnonzero(hist)
+        return degrees, hist[degrees]
 
     def adjacency(self, rows: np.ndarray | None = None,
                   cols: np.ndarray | None = None) -> sp.csr_matrix | np.ndarray:
@@ -931,12 +1010,12 @@ class SensitivityGraph:
     @cached_property
     def _shape_lambda_sq(self) -> int | None:
         """lambda^2 from the components' shapes, with no B, built once: max d_S
-        for stars centred in S (_star_degrees, tested first, so they never run
-        the census), else the largest d of a star or a + b - 1 of a two-layer
-        star (two_layer_star_lambda) in the census from the table, else None."""
-        d = self._star_degrees()
-        if d is not None:
-            return int(d.max(initial=0))
+        for stars centred in S (_stars, tested first, so they never run the
+        census), read as s over S from the table's cached side pass, else the
+        largest d of a star or a + b - 1 of a two-layer star
+        (two_layer_star_lambda) in the census from the table, else None."""
+        if self._stars():
+            return self.table.side_sensitivities[self._side_value][0]
         shapes = self._table_census
         if shapes is None:
             return None
@@ -1257,36 +1336,49 @@ def _bounded_top(batches: list[np.ndarray], best: float) -> float:
     return best
 
 
-def _gram_in_runs(table: TruthTable, side: np.ndarray):
-    """x -> B B^T x for the rows B of side. B is built once and held when its
-    CSR fits MEMORY_BUDGET (_csr_bytes). Otherwise every call rebuilds it in
-    consecutive runs of side that fit at 12 bytes per entry and 4 + 6 n per
-    row (pointer, gather), one row at the least, adding 24 bytes per input
-    at most: a forward pass sums B_k^T x_k, and a backward pass, starting
-    from the run still held, takes the B_k y, so 2K - 1 builds for K runs."""
+def _gram_in_runs(graph: SensitivityGraph):
+    """x -> B B^T x for the rows B of S. B's columns are the other side's
+    inputs with an edge, numbered in input order by a _ColumnRank built
+    once, so B^T x has one entry per such input, not 2^n. The numbering is
+    monotonic: each sum runs in the order it would over all 2^n columns,
+    bit for bit.
+
+    B is built once and held when its CSR (_csr_bytes), B^T x and the rank
+    fit MEMORY_BUDGET. Otherwise every call rebuilds it in consecutive runs
+    of S that fit what the rank leaves of the budget, at 12 bytes per entry
+    and 4 + 6 n per row (pointer, gather), one row at the least: a forward
+    pass sums B_k^T x_k into y, and a backward pass, starting from the run
+    still held, writes the B_k y into the product, so 2K - 1 builds for K
+    runs. y and one B_k^T x_k, 8 bytes per column each, and the product
+    come on top of the runs."""
+    table, side = graph.table, graph._side
     n, counts = table.arity, table.sensitivity_counts[side]
-    if _csr_bytes(int(counts.sum()), len(side)) <= MEMORY_BUDGET:
-        rows = _smaller_side_rows(table, side)
+    columns = _ColumnRank(table, 1 - graph._side_value)
+    whole = _csr_bytes(int(counts.sum()), len(side)) + 8 * columns.count + columns.nbytes
+    if whole <= MEMORY_BUDGET:
+        rows = _smaller_side_rows(table, side, columns)
         return lambda x: rows @ (rows.T @ x)
     ends = np.r_[0, (12 * counts.astype(np.int64) + 4 + 6 * n).cumsum()]
-    cuts = [0]
+    room, cuts = MEMORY_BUDGET - columns.nbytes, [0]
     while (lo := cuts[-1]) < len(side):
-        cuts.append(max(int(ends.searchsorted(ends[lo] + MEMORY_BUDGET, "right")) - 1, lo + 1))
+        cuts.append(max(int(ends.searchsorted(ends[lo] + room, "right")) - 1, lo + 1))
     del ends  # not held through the steps
     runs = list(zip(cuts, cuts[1:]))
 
     def gram(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(len(table.values))
+        y = np.zeros(columns.count)
         for lo, hi in runs[:-1]:
-            y += _smaller_side_rows(table, side[lo:hi]).T @ x[lo:hi]
+            y += _smaller_side_rows(table, side[lo:hi], columns).T @ x[lo:hi]
         lo, hi = runs[-1]
-        held = _smaller_side_rows(table, side[lo:hi])
+        held = _smaller_side_rows(table, side[lo:hi], columns)
         y += held.T @ x[lo:hi]
         # back from the run still held; each B_k y is independent of the order
-        out = [held @ y]
+        w = np.empty(len(side))
+        w[lo:hi] = held @ y
         del held
-        out += [_smaller_side_rows(table, side[lo:hi]) @ y for lo, hi in runs[-2::-1]]
-        return np.concatenate(out[::-1])
+        for lo, hi in runs[-2::-1]:
+            w[lo:hi] = _smaller_side_rows(table, side[lo:hi], columns) @ y
+        return w
 
     return gram
 
@@ -1298,33 +1390,50 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float) -> tuple[float, float, 
     Every edge joins a 0-input to a 1-input, so with S the smaller of the two
     sides (the 0-side on a tie) the adjacency is [[0, B], [B^T, 0]] and
     lambda^2 is the top eigenvalue of B B^T, iterated on vectors of length
-    |S|. When no input off S has two neighbours, B B^T is diag(d_S), S's
-    degrees, and a step is d_S x with no B. Otherwise _gram_in_runs owns B:
-    whole when it fits MEMORY_BUDGET, in runs rebuilt on each step when not.
-    The all-ones start overlaps every component's Perron vector. A step is
-    _cw_step's bracket [lo, hi] on lambda^2: the top component's entries,
-    the largest 1, never underflow (a smaller one's may), so hi bounds it.
-    It stops once hi - lo <= tol * hi and returns sqrt(lo). The residual
-    comes free from the last product w = B B^T x: for the unit vector
-    u = [x; B^T x / lambda] / (sqrt(2) ||x||), ||A u - lambda u|| is
-    ||w - lambda^2 x|| / (lambda sqrt(2) ||x||).
-    """
-    side = graph._side
-    if len(side) == 0:
-        # a constant function: no edges
-        return 0.0, 0.0, 0
-    d = graph._star_degrees()
-    gram = (lambda x: d * x) if d is not None else _gram_in_runs(graph.table, side)
+    |S|. The all-ones start overlaps every component's Perron vector.
 
-    x = np.ones(len(side))
+    When no input off S has two neighbours, B B^T is diag(d_S), S's
+    degrees, and the iteration runs on S's degree histogram (_star_degrees),
+    at most n + 1 entries, with no B and no list of S: entry k stands for
+    the m_k inputs of degree d_k, and starts at sqrt(m_k), as the all-ones
+    vector on those inputs has norm sqrt(m_k). In exact arithmetic every
+    sum over S is then its sum over the histogram, m_k times each term, so
+    the Rayleigh quotient, the ratios, the residual, the bracket and the
+    steps are the all-ones run's; in floating point, where sqrt(m_k) is
+    rounded, lo and hi may each move by an ulp, and they are exact when
+    S's one degree is a power of two, as on haf(r). A constant function
+    has an empty histogram and returns zeros.
+    Otherwise _gram_in_runs owns B: whole when it fits MEMORY_BUDGET, in
+    runs rebuilt on each step when not.
+
+    A step is _cw_step's bracket [lo, hi] on lambda^2: the top component's
+    entries, the largest 1, never underflow (a smaller one's may), so hi
+    bounds it. It stops once hi - lo <= tol * hi and returns sqrt(lo). The
+    residual comes free from the last product w = B B^T x: for the unit
+    vector u = [x; B^T x / lambda] / (sqrt(2) ||x||), ||A u - lambda u|| is
+    ||w - lambda^2 x|| / (lambda sqrt(2) ||x||). Beside B, a step holds at
+    most four vectors over S: x, w and _cw_step's ratios and next x; the
+    last product is dropped before the next, and the residual is made in
+    the product's memory.
+    """
+    stars = graph._star_degrees()
+    if stars is None:
+        x, gram = np.ones(len(graph._side)), _gram_in_runs(graph)
+    else:
+        degrees, counts = stars
+        if not len(counts):
+            # a constant function: no edges
+            return 0.0, 0.0, 0
+        x, gram = np.sqrt(counts), (lambda x: degrees * x)
+
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
         w = gram(x)
         lo, hi, nxt = _cw_step(x, w)
         if hi - lo <= tol * hi:
-            lam, r = math.sqrt(lo), w - lo * x
+            lam, r = math.sqrt(lo), np.subtract(w, np.multiply(lo, x, out=nxt), out=w)
             residual = math.sqrt(np.einsum("i,i->", r, r) / (2 * np.einsum("i,i->", x, x))) / lam
             return lam, residual, iterations
-        x = nxt
+        x, w = nxt, None
     lam = math.sqrt(lo)
     raise ConvergenceError(
         f"power iteration did not reach tol {tol} in {DEFAULT_MAX_ITER} iterations "
@@ -1365,11 +1474,11 @@ def spectral_sensitivity(
     iterations counts Gram steps, at most DEFAULT_MAX_ITER before
     ConvergenceError. Without B: when no input off the smaller side has two
     neighbours, as for haf(r), matrix-free iterates on the diagonal B B^T of
-    the stars' degrees; past arity _CLASS_SOLVE_ARITY the exact solve reads
-    lambda^2 as their largest degree, or, from a census from the table of
-    stars and two-layer stars only, as for the tradeoff family, as the
-    largest d of a star and a + b - 1 of a two-layer star. The method
-    labels are the same.
+    the stars' degrees, as their histogram; past arity _CLASS_SOLVE_ARITY
+    the exact solve reads lambda^2 as their largest degree, or, from a
+    census from the table of stars and two-layer stars only, as for the
+    tradeoff family, as the largest d of a star and a + b - 1 of a
+    two-layer star. The method labels are the same.
     """
     if method == "analytic":
         meta = getattr(fn, "meta", None)

@@ -825,12 +825,95 @@ class TestKernelsAgainstReference:
         check_table_kernels(TruthTable(n, rng.integers(0, 2, 1 << n, dtype=np.uint8)))
 
     def test_degree_holds_no_coefficient_array(self):
-        # a block of int32 coefficients at a time, beside the int16 table:
-        # the 2^20 int32 coefficients alone would take 4 bytes per entry
+        # the int16 table, its int8 phase in the upper half of the same 2
+        # bytes per entry; a block of int32 coefficients at a time; one
+        # chunk's int64 nonzero positions and their uint8 weights; numpy's
+        # buffers. The 2^20 int32 coefficients alone would take 4 bytes per
+        # entry, and the int8 and int16 copies side by side took 3
         table = TruthTable(20, np.random.default_rng(35).integers(0, 2, 1 << 20, dtype=np.uint8))
         deg, peak = TestMemoryBudget.traced(lambda: degree(table))
         assert deg == 20
-        assert peak < 4 * len(table)
+        assert peak <= (2 * len(table) + core._BLOCK_BYTES + 9 * measures._DEGREE_CHUNK
+                        + measures._NUMPY_BYTES)
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_mobius_coefficients_hold_out_and_one_block(self, n):
+        # every phase runs in out's own memory: the int8 entries in its last
+        # byte per entry, widened into its last 2; only the int32 block that
+        # the block passes move up to is allocated beside it
+        table = TruthTable(n, np.random.default_rng([35, n]).integers(0, 2, 1 << n, dtype=np.uint8))
+        coeffs, peak = TestMemoryBudget.traced(lambda: mobius_coefficients(table))
+        assert np.array_equal(coeffs, reference_mobius(table.values, n))
+        assert peak <= 4 * len(table) + core._BLOCK_BYTES + measures._NUMPY_BYTES
+
+
+def pinned_tables():
+    """Two random tables at each n = 1..20, one fair and one with a tenth of
+    the entries 1."""
+    for n in range(1, 21):
+        rng = np.random.default_rng([53, n])
+        yield TruthTable(n, rng.integers(0, 2, 1 << n, dtype=np.uint8))
+        yield TruthTable(n, (rng.random(1 << n) < 0.1).astype(np.uint8))
+
+
+# every construction family up to arity 23, with the sha256 of its Moebius
+# coefficients (dtype, then bytes) and its degree
+PINNED_CONSTRUCTIONS = {
+    "haf2": (lambda: haf(2), "a644d3a21c873bab682d09d8a57090581f28ef1519c186b62e37281e437bc159", 4),
+    "haf3": (lambda: haf(3), "68183f0cf9c1353882d26165aeb5ac5a49b7161332c1e41c015d039f831e7935", 8),
+    "chaf22": (lambda: chaf([2, 2]),
+               "54911c9c759fd355375ca5ab79a496744969a70cec9e6152bdc7fd02e0f9140a", 7),
+    "chaf222": (lambda: chaf([2, 2, 2]),
+                "5508a6f41ca4a53ae3e76d3592f2fdc6092342504e922c3ec7b03963fc73f475", 10),
+    "address1": (lambda: address_fn(1),
+                 "b3967dbab89925b572f1ce54b9066cac65b140f3e0ba6493c688590ea23df575", 2),
+    "address2": (lambda: address_fn(2),
+                 "a0588b1060615342a92929885cde4aa0465473832741655a66a0e2c242e5c323", 3),
+    "address3": (lambda: address_fn(3),
+                 "e17d562f2fecd7a274ee49b568b52750b5323f6be69021ea94d48411c17213b8", 4),
+    "address4": (lambda: address_fn(4),
+                 "94b45bf629ba0ba378c53ec7ff3ccf9c9f9d5a1473d8b993529668d97149aa0e", 5),
+    "maf2": (lambda: maf(2), "296fb0739c2b08d2ef682af4b5e06eb5d74eefec1c69ab1d2487889c3b651246", 3),
+    "maf3": (lambda: maf(3), "c7b08a9225645b521ab53b7ac76c2f80110f89ecdf64afd41aa16d3a6015f9b3", 4),
+    "maf4": (lambda: maf(4), "5d31eee142769c5ff8bcd910433c69c405fc0e4dff3230060077be10881409dd", 5),
+    "maf5": (lambda: maf(5), "abad2cfd64a79ec85c89678afdbccda27e3a1017fd28eb2d2917c12b746042a7", 6),
+    "tradeoff22": (lambda: tradeoff([2], [2]),
+                   "baa90446700d2a35d490ec056c387e71d8950e95f12275af2204b9eb9d0350c1", 7),
+    "tradeoff2_22": (lambda: tradeoff([2], [2, 2]),
+                     "46ba00c91b76841f6a83d8be32b90021e2525f75aa9790b2c6a6c0948c6e558b", 10),
+    "desens-haf2": (lambda: desensitize(haf(2), uc1(haf(2)).witness),
+                    "2ab5fb32b474cd51911ccc32e3fbe2f332a24a6f093a7546b786cc5207ca5854", 12),
+}
+
+
+def mobius_digest(tables) -> tuple[str, list[int]]:
+    """sha256 over the tables' Moebius coefficients, each one's dtype and
+    then its bytes, and their degrees."""
+    h, degrees = hashlib.sha256(), []
+    for table in tables:
+        coeffs = mobius_coefficients(table)
+        h.update(coeffs.dtype.str.encode())
+        h.update(coeffs.tobytes())
+        del coeffs
+        degrees.append(degree(table))
+    return h.hexdigest(), degrees
+
+
+class TestMobiusPinned:
+    """Moebius coefficients and degree bit for bit as the int8 and int16
+    copies side by side gave them, before the int8 phase moved into the
+    int16 buffer: pins taken from that code."""
+
+    def test_random_tables(self):
+        assert mobius_digest(pinned_tables()) == (
+            "84165174aebe1ca2e5f8d234cbdefb61bbc14d68810437b2ba414353ebe87036",
+            [0, 0, 1, 2, 2, 3, 4, 0, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 9,
+             11, 11, 12, 12, 13, 13, 14, 14, 15, 15, 16, 16, 17, 17, 18, 18, 19, 19, 20, 20])
+
+    @pytest.mark.parametrize("name", list(PINNED_CONSTRUCTIONS))
+    def test_constructions(self, name):
+        make, want, deg = PINNED_CONSTRUCTIONS[name]
+        assert mobius_digest([make().table()]) == (want, [deg])
 
 
 def slab_spy(monkeypatch) -> list[bool]:
@@ -1061,7 +1144,7 @@ class TestSensitivityGraph:
         graph = SensitivityGraph(table)
         want = graph.edges()
         edges, side = len(want), len(graph._side)
-        gather = 4 * edges + 10 * min(measures._GATHER, n * side) + 4 * (side + 1)
+        gather = 4 * edges + 10 * min(measures._EDGE_CHUNK, n * side) + 4 * (side + 1)
         budget = 9 * side + max(24 * edges, gather) + measures._NUMPY_BYTES
         assert budget < 20 * edges + gather
         monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
@@ -1325,7 +1408,7 @@ def lambda_by(table: TruthTable, census: bool) -> float:
     each component that the labels give."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "_CLASS_SOLVE_ARITY", 0)
-        mp.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
+        mp.setattr(SensitivityGraph, "_stars", lambda graph: False)
         if not census:
             mp.setattr(measures, "_census_from_table", lambda table: None)
         return measures._lambda_exact(SensitivityGraph(table))
@@ -2073,7 +2156,7 @@ class TestMemoryBudget:
         # beside scipy's transposed CSR and then the index, the larger
         tt = self.TABLES[table]()
         monkeypatch.setattr(measures, "_census_from_table", lambda table: None)
-        monkeypatch.setattr(SensitivityGraph, "_star_degrees", lambda graph: None)
+        monkeypatch.setattr(SensitivityGraph, "_stars", lambda graph: False)
         graph = SensitivityGraph(tt)
         index = measures.INDEX_BYTES_PER_INPUT * np.count_nonzero(tt.sensitivity_counts)
         csr = measures._csr_bytes(graph.edge_count(), len(tt))
@@ -2175,6 +2258,33 @@ class TestMatrixFreeGram:
             replayed_residual(table, side, 1e-9),
             rel=1e-6, abs=1e-12,
         )
+
+
+class TestColumnRank:
+    """B's columns are the larger side's inputs with an edge, numbered in
+    input order, and B B^T x over them is bit for bit B B^T x over all 2^n
+    columns."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_numbers_and_products(self, n, data):
+        table = data.draw(random_tables(n))
+        side = smaller_side(table)
+        assume(0 < len(side) < len(table))
+        value = 1 - int(table.values[side[0]])
+        marked = (table.values == value) & (table.sensitivity_counts > 0)
+        columns = measures._ColumnRank(table, value)
+        assert columns.count == np.count_nonzero(marked)
+        ys = np.flatnonzero(marked).astype(np.int32)
+        columns.number(ys)
+        assert np.array_equal(ys, np.arange(columns.count))
+        whole = measures._smaller_side_rows(table, side)
+        numbered = measures._smaller_side_rows(table, side, columns)
+        assert numbered.shape == (len(side), columns.count)
+        assert (numbered != whole[:, np.flatnonzero(marked)]).nnz == 0
+        x = np.random.default_rng(n).random(len(side))
+        assert np.array_equal(numbered @ (numbered.T @ x), whole @ (whole.T @ x))
 
 
 @st.composite
@@ -2329,11 +2439,14 @@ class TestSmallerSideRows:
 
     @pytest.mark.parametrize("slack, path", [(-1, "slices"), (0, "csr")])
     def test_budget_boundary(self, slack, path):
-        # tradeoff(2;2) has two-layer stars, so its Gram operator is not diagonal
+        # tradeoff(2;2) has two-layer stars, so its Gram operator is not
+        # diagonal; B is held when its CSR, B^T x over the other side's
+        # inputs with an edge and their rank fit
         table = tradeoff([2], [2]).table()
         side = smaller_side(table)
         nnz = int(table.sensitivity_counts[side].sum())
-        budget = 12 * nnz + 4 * (len(side) + 1) + slack
+        columns = measures._ColumnRank(table, 1 - int(table.values[side[0]]))
+        budget = 12 * nnz + 4 * (len(side) + 1) + 8 * columns.count + columns.nbytes + slack
         lam, _, builds = matrix_free_run(table, budget, measures.DEFAULT_MAX_ITER)
         assert (len(builds) > 1) == (path == "slices")
         assert lam == pytest.approx(math.sqrt(7), abs=1e-6)
@@ -2347,9 +2460,9 @@ def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
     builds = []
     rows = measures._smaller_side_rows
 
-    def rows_spy(table, side):
+    def rows_spy(table, side, *columns):
         builds.append(len(side))
-        return rows(table, side)
+        return rows(table, side, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
@@ -2407,10 +2520,19 @@ class TestMatrixFreeSlices:
     @pytest.mark.parametrize("n, p", [(16, 0.5), (18, 0.3)])
     def test_peak_within_budget_and_24_bytes_per_input(self, monkeypatch, n, p, budget):
         # B takes 3.3 MB at n = 16 (within 4 MiB) and 12.3 MB at n = 18; every
-        # step allocates the same, so three show the peak
+        # step allocates the same, so three show the peak. Beside B (or its
+        # runs) and its rank, a step holds y and one B_k^T x_k over B's K
+        # columns, and x, the product and _cw_step's ratios, mask and next x
+        # over S: 8 max(|S| + 2 K, 3 |S| + K) bytes, or 33 |S|, at most 16.5
+        # per input as |S| <= 2^(n-1) and |S| + K <= 2^n, where the 24 per
+        # input of the name is what they took when y was 2^n long
         table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
         graph = SensitivityGraph(table)
-        table.sensitivity_counts
+        side = len(graph._side)
+        cols = np.count_nonzero((table.values != table.values[graph._side[0]])
+                                & (table.sensitivity_counts > 0))
+        vectors = max(8 * max(side + 2 * cols, 3 * side + cols), 33 * side)
+        assert vectors <= 16.5 * len(table)
         monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3)
 
@@ -2419,7 +2541,7 @@ class TestMatrixFreeSlices:
                 measures._lambda_matfree(graph, 0.0)
 
         _, peak = TestMemoryBudget.traced(steps)
-        assert peak <= budget + 24 * len(table)
+        assert peak <= budget + vectors + measures._NUMPY_BYTES
 
 
 def spy_calls(monkeypatch, names: list[str]) -> dict[str, int]:
@@ -2452,21 +2574,30 @@ STAR_TABLES = {
 
 
 @st.composite
-def star_tables(draw):
+def star_tables(draw, max_dim: int = 0):
     """A union of stars centred on the smaller side: a named table, or a
     random code of minimum distance 3 (its complement half the time), whose
-    every non-member has at most one member as a neighbour."""
+    every non-member has at most one member as a neighbour. A member is a
+    subcube of up to dims < n directions, dims drawn from 0..max_dim: a
+    subcube holds both inputs between any two of its members at distance
+    2, and its members of dimension k have degree n - k, so the smaller
+    side's degrees differ when the dimensions do. With max_dim 0 every
+    member is one input and the smaller side has one degree."""
     if draw(st.booleans()):
         return STAR_TABLES[draw(st.sampled_from(sorted(STAR_TABLES)))]()
     n = draw(st.integers(1, 12))
+    dims = draw(st.integers(0, min(max_dim, n - 1))) if max_dim else 0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     near = np.array([0] + [1 << i | 1 << j for i in range(n) for j in range(i + 1)])
     vals = np.zeros(1 << n, dtype=np.uint8)
     free = np.ones(1 << n, dtype=bool)
     for x in rng.permutation(1 << n)[:draw(st.integers(1, 1 << n))]:
-        if free[x]:
-            vals[x] = 1
-            free[x ^ near] = False
+        cube = np.array([x])
+        for i in rng.choice(n, rng.integers(0, dims + 1), replace=False) if dims else ():
+            cube = np.r_[cube, cube ^ (1 << int(i))]
+        if free[cube].all():
+            vals[cube] = 1
+            free[(cube[:, None] ^ near).ravel()] = False
     return TruthTable(n, vals ^ np.uint8(draw(st.integers(0, 1))))
 
 
@@ -2489,10 +2620,62 @@ class TestStarOperator:
 
     @pytest.mark.parametrize("name", list(STAR_TABLES))
     def test_tables_are_star_graphs(self, name):
+        # _star_degrees is S's degree histogram, counted with no list of S
         table = STAR_TABLES[name]()
         assert is_star_graph(table)
-        d = SensitivityGraph(table)._star_degrees()
-        assert np.array_equal(d, table.sensitivity_counts[smaller_side(table)])
+        graph = SensitivityGraph(table)
+        degrees, counts = graph._star_degrees()
+        want = np.unique(table.sensitivity_counts[smaller_side(table)], return_counts=True)
+        assert np.array_equal(degrees, want[0]) and np.array_equal(counts, want[1])
+        assert len(degrees) <= table.arity + 1
+        assert "_side" not in graph.__dict__
+
+    @pytest.mark.parametrize("name", ["dictator20", "haf3"])
+    def test_histogram_steps_allocate_a_chunk(self, name):
+        # the histogram is read _TABLE_CHUNK entries at a time, 10 bytes each
+        # (the mask, the codes and bincount's 8-byte copy of them), and the
+        # steps run on at most n + 1 entries: no list of S, no vector over it
+        if name == "haf3":
+            table = haf(3).table()
+        else:
+            table = TruthTable(20, (np.arange(1 << 20) & 1).astype(np.uint8))
+        table.side_sensitivities
+        graph = SensitivityGraph(table)
+        (lam, residual, steps), peak = TestMemoryBudget.traced(
+            lambda: measures._lambda_matfree(graph, measures.DEFAULT_TOL))
+        assert (lam, residual, steps) == ((math.sqrt(8), 0.0, 1) if name == "haf3" else (1.0, 0.0, 1))
+        assert peak <= 10 * measures._TABLE_CHUNK + 200 * (table.arity + 2)
+        assert "_side" not in graph.__dict__
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(table=star_tables(max_dim=2))
+    def test_histogram_brackets_as_the_all_ones_vector(self, table):
+        # started from sqrt(m_k), each step's Rayleigh quotient and largest
+        # ratio are those of d_S x from the all-ones vector over S, to rounding
+        brackets, step = [], measures._cw_step
+
+        def spy(x, y):
+            out = step(x, y)
+            brackets.append((float(out[0]), float(out[1])))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_cw_step", spy)
+            measures._lambda_matfree(SensitivityGraph(table), measures.DEFAULT_TOL)
+        d = table.sensitivity_counts[smaller_side(table)].astype(np.float64)
+        x, want = np.ones(len(d)), []
+        for _ in brackets:
+            lo, hi, x = step(x, d * x)
+            want.append((float(lo), float(hi)))
+        assert np.allclose(np.reshape(brackets, (-1, 2)), np.reshape(want, (-1, 2)),
+                           rtol=1e-12, atol=0)
+
+    def test_auto_on_haf3_lists_no_side(self):
+        # auto reads lambda^2 = s1 from the cached side pass
+        graph = SensitivityGraph(haf(3).table())
+        res = spectral_sensitivity(graph)
+        assert (res.value, res.method) == (math.sqrt(8), "dense")
+        assert "_side" not in graph.__dict__
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(table=star_tables())
