@@ -13,10 +13,9 @@ cols), and a large block eigensolved only when Collatz-Wielandt bounds
 cannot rule it out; by
 matrix-free power iteration on the Gram operator B B^T of the whole
 smaller side from the all-ones vector, B's columns numbered over the other
-side's inputs with an edge, B built once when it and B^T x fit the memory
-budget and rebuilt on each step in runs that fit it otherwise, stopped by
-the exact solve's Collatz-Wielandt step (_cw_step); or from a
-construction's closed form.
+side's inputs with an edge, B built once and held, or refused by its bytes
+before any row is gathered, stopped by the exact solve's Collatz-Wielandt
+step (_cw_step); or from a construction's closed form.
 When no input off the smaller side has two neighbours, every component is a
 star centred on that side: B B^T is then the diagonal of its degrees, so
 matrix-free steps on that side's degree histogram, at most n + 1 entries,
@@ -620,11 +619,6 @@ def _csr_bytes(nnz: int, n_rows: int) -> int:
     return 12 * nnz + 4 * (n_rows + 1)
 
 
-def _check_csr_budget(nnz: int, n_rows: int) -> None:
-    """Raise CapExceeded when _csr_bytes is over MEMORY_BUDGET."""
-    _check_budget(_csr_bytes(nnz, n_rows), "sparse adjacency")
-
-
 def _side_neighbours(table: TruthTable, side: np.ndarray, out: np.ndarray | None = None,
                      slots: int = _EDGE_CHUNK) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices): each input of side's neighbours across an edge,
@@ -827,9 +821,10 @@ class SensitivityGraph:
     The vertex degree of x equals the sensitivity of f at x addressed by the
     same integer encoding as the table. Every edge joins S, the smaller side
     (the 0-side on a tie; listed on first use), to the other side. The graph
-    holds no rows B of S: matrix-free and adjacency() build their own, and
-    adjacency(rows, cols) builds a dense block from two input lists alone,
-    for the exact solve. When
+    holds no rows B of S: adjacency() builds its own, and matrix-free its
+    own once a call, held through its steps or refused by its bytes before
+    S is listed; adjacency(rows, cols) builds a dense block from two input
+    lists alone, for the exact solve. When
     no input off S has two neighbours (_stars), B B^T is diag(d_S), which
     matrix-free steps on as S's degree histogram (_star_degrees);
     when every component is a star or a two-layer star, the census is read
@@ -856,8 +851,8 @@ class SensitivityGraph:
     @cached_property
     def _side(self) -> np.ndarray:
         """S's inputs, listed on first use: the census from the table, the
-        star test, every lambda of a star graph and the parity-class solve
-        skip it."""
+        star test, every lambda of a star graph, the parity-class solve and
+        matrix-free's refusal skip it."""
         return np.flatnonzero(self.table.values == self._side_value)
 
     def degree_counts(self) -> np.ndarray:
@@ -922,7 +917,7 @@ class SensitivityGraph:
             import scipy.sparse as sp
 
             size = 1 << self.arity
-            _check_csr_budget(self.edge_count(), size)
+            _check_budget(_csr_bytes(self.edge_count(), size), "sparse adjacency")
             rows = _smaller_side_rows(self.table, self._side)
             indptr = np.zeros(size + 1, dtype=np.int32)
             indptr[self._side + 1] = np.diff(rows.indptr)
@@ -1336,51 +1331,26 @@ def _bounded_top(batches: list[np.ndarray], best: float) -> float:
     return best
 
 
-def _gram_in_runs(graph: SensitivityGraph):
-    """x -> B B^T x for the rows B of S. B's columns are the other side's
-    inputs with an edge, numbered in input order by a _ColumnRank built
-    once, so B^T x has one entry per such input, not 2^n. The numbering is
-    monotonic: each sum runs in the order it would over all 2^n columns,
-    bit for bit.
+def _gram_operator(graph: SensitivityGraph):
+    """x -> B B^T x for the rows B of S, built once and held. B's columns
+    are the other side's inputs with an edge, numbered in input order by a
+    _ColumnRank, so B^T x has one entry per such input, not 2^n. The
+    numbering is monotonic: each sum runs in the order it would over all 2^n
+    columns, bit for bit.
 
-    B is built once and held when its CSR (_csr_bytes), B^T x and the rank
-    fit MEMORY_BUDGET. Otherwise every call rebuilds it in consecutive runs
-    of S that fit what the rank leaves of the budget, at 12 bytes per entry
-    and 4 + 6 n per row (pointer, gather), one row at the least: a forward
-    pass sums B_k^T x_k into y, and a backward pass, starting from the run
-    still held, writes the B_k y into the product, so 2K - 1 builds for K
-    runs. y and one B_k^T x_k, 8 bytes per column each, and the product
-    come on top of the runs."""
-    table, side = graph.table, graph._side
-    n, counts = table.arity, table.sensitivity_counts[side]
+    CapExceeded before S is listed or any row gathered, when this count is
+    over MEMORY_BUDGET: B's CSR (_csr_bytes over the E edges and |S| rows),
+    B^T x at 8 bytes a column, the rank, one gather chunk at 10 bytes a slot
+    (as edges() counts it) and numpy's _NUMPY_BYTES. The vectors over S and
+    the list of S come on top."""
+    table, n = graph.table, graph.arity
+    ones = table.ones_count()
+    size = ones if graph._side_value else len(table) - ones
     columns = _ColumnRank(table, 1 - graph._side_value)
-    whole = _csr_bytes(int(counts.sum()), len(side)) + 8 * columns.count + columns.nbytes
-    if whole <= MEMORY_BUDGET:
-        rows = _smaller_side_rows(table, side, columns)
-        return lambda x: rows @ (rows.T @ x)
-    ends = np.r_[0, (12 * counts.astype(np.int64) + 4 + 6 * n).cumsum()]
-    room, cuts = MEMORY_BUDGET - columns.nbytes, [0]
-    while (lo := cuts[-1]) < len(side):
-        cuts.append(max(int(ends.searchsorted(ends[lo] + room, "right")) - 1, lo + 1))
-    del ends  # not held through the steps
-    runs = list(zip(cuts, cuts[1:]))
-
-    def gram(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(columns.count)
-        for lo, hi in runs[:-1]:
-            y += _smaller_side_rows(table, side[lo:hi], columns).T @ x[lo:hi]
-        lo, hi = runs[-1]
-        held = _smaller_side_rows(table, side[lo:hi], columns)
-        y += held.T @ x[lo:hi]
-        # back from the run still held; each B_k y is independent of the order
-        w = np.empty(len(side))
-        w[lo:hi] = held @ y
-        del held
-        for lo, hi in runs[-2::-1]:
-            w[lo:hi] = _smaller_side_rows(table, side[lo:hi], columns) @ y
-        return w
-
-    return gram
+    _check_budget(_csr_bytes(graph.edge_count(), size) + 8 * columns.count + columns.nbytes
+                  + 10 * min(_EDGE_CHUNK, n * size) + _NUMPY_BYTES, "matrix-free B")
+    rows = _smaller_side_rows(table, graph._side, columns)
+    return lambda x: rows @ (rows.T @ x)
 
 
 def _lambda_matfree(graph: SensitivityGraph, tol: float) -> tuple[float, float, int]:
@@ -1403,8 +1373,9 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float) -> tuple[float, float, 
     rounded, lo and hi may each move by an ulp, and they are exact when
     S's one degree is a power of two, as on haf(r). A constant function
     has an empty histogram and returns zeros.
-    Otherwise _gram_in_runs owns B: whole when it fits MEMORY_BUDGET, in
-    runs rebuilt on each step when not.
+    Otherwise _gram_operator builds B once and holds it, or raises
+    CapExceeded, before any vector over S, when its count is over
+    MEMORY_BUDGET.
 
     A step is _cw_step's bracket [lo, hi] on lambda^2: the top component's
     entries, the largest 1, never underflow (a smaller one's may), so hi
@@ -1418,7 +1389,8 @@ def _lambda_matfree(graph: SensitivityGraph, tol: float) -> tuple[float, float, 
     """
     stars = graph._star_degrees()
     if stars is None:
-        x, gram = np.ones(len(graph._side)), _gram_in_runs(graph)
+        gram = _gram_operator(graph)
+        x = np.ones(len(graph._side))
     else:
         degrees, counts = stars
         if not len(counts):
@@ -1451,7 +1423,9 @@ def spectral_sensitivity(
 
     fn is a function, a table, or a SensitivityGraph, whose cached census,
     lambda^2 from shapes, adjacency and component labels every solver then
-    reuses. Matrix-free builds its own B on each call.
+    reuses. Matrix-free builds its own B once a call and holds it through
+    its steps, or raises CapExceeded, before S is listed, when B's count
+    (_gram_operator) is over MEMORY_BUDGET.
 
     method: "dense" or "component-wise" (the same exact eigensolve of Gram
     blocks C C^T, where C joins a group's smaller side to its larger one:

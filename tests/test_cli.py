@@ -259,6 +259,26 @@ class TestMeasure:
         assert [(e["name"], e["value"], e["skipped"]) for e in json.loads(stdout)["entries"]] == [
             ("c0", None, want), ("c1", None, want)]
 
+    def test_matrix_free_past_the_budget_is_refused_by_its_bytes(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # tradeoff(2;2) is not a union of stars, so matrix-free needs B; its
+        # count is over the patched budget: measure skips lambda, and the
+        # lemma chain, which cannot do without it, exits 2
+        path = tmp_path / "tradeoff22.tt"
+        constructions.tradeoff([2], [2]).table().save(str(path))
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", 1000)
+        code, stdout, _ = run(capsys, "measure", "--fn", str(path), "--measures", "lambda",
+                              "--method", "matfree")
+        assert code == 0
+        (entry,) = json.loads(stdout)["entries"]
+        assert entry["value"] is None
+        refusal = re.fullmatch(r"cap: (matrix-free B needs over \d+ bytes, budget 1000)",
+                               entry["skipped"])
+        assert refusal
+        code, stdout, err = run(capsys, "verify", "lemmas", "--fn", str(path),
+                                "--method", "matfree")
+        assert (code, stdout, err) == (2, "", f"error: {refusal[1]}\n")
+
     def test_materialize_cap_applies_to_lambda(self, tmp_path, capsys):
         path = tmp_path / "r5.tt"
         rng = np.random.default_rng(5)
@@ -521,8 +541,13 @@ class TestVerify:
         assert "--samples" in err and "--n" in err
 
     def test_tradeoff_census_refused_is_skipped_not_failed(self, capsys, monkeypatch):
+        # under this budget auto's lambda is matrix-free, whose B does not
+        # fit, so the suite stops with exit 2; the closed form's does not
         monkeypatch.setattr(measures, "MEMORY_BUDGET", measures.CENSUS_BYTES_PER_INPUT * 8192 - 1)
-        code, stdout, _ = run(capsys, "verify", "tradeoff", "--as", "2", "--bs", "2")
+        code, stdout, err = run(capsys, "verify", "tradeoff", "--as", "2", "--bs", "2")
+        assert (code, stdout) == (2, "") and err.startswith("error: matrix-free B needs over")
+        code, stdout, _ = run(capsys, "verify", "tradeoff", "--as", "2", "--bs", "2",
+                              "--method", "analytic")
         assert code == 0
         status = {c["claim"]: c["status"] for c in json.loads(stdout)}
         assert status["thm3.census"] == status["thm3.fig1"] == "skipped"

@@ -1662,7 +1662,7 @@ class TestSpectral:
         adj, labels = graph.adjacency(), graph._component_labels()
         # a second build of either would now fail
         monkeypatch.setattr(measures, "_cc", None)
-        monkeypatch.setattr(measures, "_check_csr_budget", None)
+        monkeypatch.setattr(measures, "_smaller_side_rows", None)
         for method in ("dense", "component-wise"):
             assert spectral_sensitivity(graph, method=method).value == pytest.approx(
                 math.sqrt(7), abs=1e-9
@@ -2211,7 +2211,8 @@ def replayed_residual(table: TruthTable, side: int, tol: float) -> float:
 
 class TestMatrixFreeGram:
     """Matrix-free iterates B B^T on vectors over the smaller side (the 0-side
-    on a tie), with the CSR rows or with products from the table."""
+    on a tie), with the CSR rows of B held, or on the stars' degree
+    histogram read from the table."""
 
     def test_blas_threads_do_not_move_a_bit(self):
         # haf(3)'s 2^19-entry iterates: BLAS's threaded ddot/dnrm2 read a
@@ -2247,9 +2248,15 @@ class TestMatrixFreeGram:
         table, side = self.CASES[case]
         assert np.array_equal(smaller_side(table), np.flatnonzero(table.values == side))
         if not sparse:
+            # with no budget, the stars step on their histogram from the
+            # table, and any other graph refuses B by its bytes
             monkeypatch.setattr(measures, "MEMORY_BUDGET", 0)
             with pytest.raises(CapExceeded, match="sparse adjacency"):
                 SensitivityGraph(table).adjacency()
+            if not is_star_graph(table):
+                with pytest.raises(CapExceeded, match="^matrix-free B needs over"):
+                    spectral_sensitivity(table, method="matrix-free", tol=1e-9)
+                monkeypatch.undo()
         res = spectral_sensitivity(table, method="matrix-free", tol=1e-9)
         monkeypatch.undo()
         assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
@@ -2258,6 +2265,25 @@ class TestMatrixFreeGram:
             replayed_residual(table, side, 1e-9),
             rel=1e-6, abs=1e-12,
         )
+
+    @pytest.mark.parametrize("n, p", [(16, 0.5), (18, 0.3)])
+    def test_peak_within_the_count_and_vectors_over_s(self, monkeypatch, n, p):
+        # B is built once and held; beside what its count names, a step
+        # holds x, the product and _cw_step's ratios, mask and next x over
+        # S, 33 bytes per input of S. Every step allocates the same, so
+        # three show the peak
+        table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
+        graph = SensitivityGraph(table)
+        count, side = matrix_free_count(table), len(graph._side)
+        assert count <= measures.MEMORY_BUDGET
+        monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3)
+
+        def steps():
+            with pytest.raises(ConvergenceError):
+                measures._lambda_matfree(graph, 0.0)
+
+        _, peak = TestMemoryBudget.traced(steps)
+        assert peak <= count + 33 * side
 
 
 class TestColumnRank:
@@ -2437,26 +2463,44 @@ class TestSmallerSideRows:
         assert calls == []
         assert res.value == pytest.approx(dense_reference_lambda(table), abs=1e-6)
 
-    @pytest.mark.parametrize("slack, path", [(-1, "slices"), (0, "csr")])
-    def test_budget_boundary(self, slack, path):
+    @pytest.mark.parametrize("slack, path", [(-1, "refused"), (0, "csr")])
+    def test_budget_boundary(self, monkeypatch, slack, path):
         # tradeoff(2;2) has two-layer stars, so its Gram operator is not
-        # diagonal; B is held when its CSR, B^T x over the other side's
-        # inputs with an edge and their rank fit
+        # diagonal: B is held at its count, and refused below it before S is
+        # listed or any row gathered
         table = tradeoff([2], [2]).table()
-        side = smaller_side(table)
-        nnz = int(table.sensitivity_counts[side].sum())
-        columns = measures._ColumnRank(table, 1 - int(table.values[side[0]]))
-        budget = 12 * nnz + 4 * (len(side) + 1) + 8 * columns.count + columns.nbytes + slack
-        lam, _, builds = matrix_free_run(table, budget, measures.DEFAULT_MAX_ITER)
-        assert (len(builds) > 1) == (path == "slices")
-        assert lam == pytest.approx(math.sqrt(7), abs=1e-6)
+        count = matrix_free_count(table)
+        graph = SensitivityGraph(table)
+        calls = spy_calls(monkeypatch, ["_smaller_side_rows"])
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", count + slack)
+        if path == "refused":
+            with pytest.raises(CapExceeded) as exc:
+                spectral_sensitivity(graph, method="matrix-free")
+            assert str(exc.value) == f"matrix-free B needs over {count} bytes, budget {count - 1}"
+            assert calls["_smaller_side_rows"] == 0 and "_side" not in graph.__dict__
+            return
+        res = spectral_sensitivity(graph, method="matrix-free")
+        # built once, for every one of its steps
+        assert calls["_smaller_side_rows"] == 1 and res.iterations == 13
+        assert res.value == pytest.approx(math.sqrt(7), abs=1e-6)
 
 
-def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
-    """_lambda_matfree on a new graph of table, under budget (None keeps
-    MEMORY_BUDGET): lambda and its Gram steps, or the best estimate and
-    max_iter + 1 when it does not converge; and the length of every run of S
-    that _smaller_side_rows was called with."""
+def matrix_free_count(table: TruthTable) -> int:
+    """The bytes matrix-free counts for a held B on table, a graph that is
+    not a union of stars: B's CSR over S's rows, B^T x over the other side's
+    inputs with an edge, their rank, one gather chunk of 10 bytes a slot and
+    numpy's buffers."""
+    side = smaller_side(table)
+    nnz = int(table.sensitivity_counts[side].sum())
+    columns = measures._ColumnRank(table, 1 - int(table.values[side[0]]))
+    return (12 * nnz + 4 * (len(side) + 1) + 8 * columns.count + columns.nbytes
+            + 10 * min(measures._EDGE_CHUNK, table.arity * len(side)) + measures._NUMPY_BYTES)
+
+
+def matrix_free_run(table: TruthTable):
+    """_lambda_matfree on a new graph of table: lambda, its Gram steps, and
+    the length of S at every call of _smaller_side_rows, one for each B
+    built."""
     builds = []
     rows = measures._smaller_side_rows
 
@@ -2465,83 +2509,9 @@ def matrix_free_run(table: TruthTable, budget: int | None, max_iter: int):
         return rows(table, side, *columns)
 
     with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(measures, "MEMORY_BUDGET", budget)
         mp.setattr(measures, "_smaller_side_rows", rows_spy)
-        mp.setattr(measures, "DEFAULT_MAX_ITER", max_iter)
-        graph = SensitivityGraph(table)
-        try:
-            lam, _, steps = measures._lambda_matfree(graph, measures.DEFAULT_TOL)
-        except ConvergenceError as exc:
-            lam, steps = exc.best, max_iter + 1
+        lam, _, steps = measures._lambda_matfree(SensitivityGraph(table), measures.DEFAULT_TOL)
     return lam, steps, builds
-
-
-class TestMatrixFreeSlices:
-    """Over MEMORY_BUDGET, each Gram step rebuilds B in consecutive runs of S
-    that fit the budget, one row at the least, and iterates as the whole B
-    does."""
-
-    # a bound on the steps keeps the slowest tables short; a run that does
-    # not converge is compared by its estimate after STEPS steps
-    STEPS = 200
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_slices_iterate_as_the_whole_rows(self, data):
-        n = data.draw(st.integers(2, 12))
-        table = data.draw(random_tables(n))
-        side = smaller_side(table)
-        assume(len(side) > 0)
-        whole = 12 * int(table.sensitivity_counts[side].sum()) + 4 * (len(side) + 1)
-        # budget 0 builds one row per run, 2 |S| - 1 builds a step: kept to n <= 8
-        budgets = [whole - 1, whole // 2, whole // 4] + [0] * (n <= 8)
-        budget = data.draw(st.sampled_from(budgets))
-        # with no input off S of degree 2 or more, B B^T is diagonal: no B
-        diagonal = is_star_graph(table)
-        lam, steps, builds = matrix_free_run(table, None, self.STEPS)
-        assert builds == ([] if diagonal else [len(side)])
-        got, got_steps, got_builds = matrix_free_run(table, budget, self.STEPS)
-        assert got == pytest.approx(lam, rel=1e-12, abs=0)
-        assert abs(got_steps - steps) <= 1
-        if diagonal:
-            assert got_builds == []
-            return
-        # each Gram step builds the runs of S forward, then back from the one
-        # still held; they split S in two or more, and in runs of one row at
-        # budget 0
-        grams = min(got_steps, self.STEPS)
-        runs = got_builds[:(len(got_builds) // grams + 1) // 2]
-        assert sum(runs) == len(side) and len(runs) >= min(2, len(side))
-        assert got_builds == (runs + runs[-2::-1]) * grams
-        assert budget > 0 or set(runs) == {1}
-
-    @pytest.mark.parametrize("budget", [1 << 20, 4 << 20])
-    @pytest.mark.parametrize("n, p", [(16, 0.5), (18, 0.3)])
-    def test_peak_within_budget_and_24_bytes_per_input(self, monkeypatch, n, p, budget):
-        # B takes 3.3 MB at n = 16 (within 4 MiB) and 12.3 MB at n = 18; every
-        # step allocates the same, so three show the peak. Beside B (or its
-        # runs) and its rank, a step holds y and one B_k^T x_k over B's K
-        # columns, and x, the product and _cw_step's ratios, mask and next x
-        # over S: 8 max(|S| + 2 K, 3 |S| + K) bytes, or 33 |S|, at most 16.5
-        # per input as |S| <= 2^(n-1) and |S| + K <= 2^n, where the 24 per
-        # input of the name is what they took when y was 2^n long
-        table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
-        graph = SensitivityGraph(table)
-        side = len(graph._side)
-        cols = np.count_nonzero((table.values != table.values[graph._side[0]])
-                                & (table.sensitivity_counts > 0))
-        vectors = max(8 * max(side + 2 * cols, 3 * side + cols), 33 * side)
-        assert vectors <= 16.5 * len(table)
-        monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
-        monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3)
-
-        def steps():
-            with pytest.raises(ConvergenceError):
-                measures._lambda_matfree(graph, 0.0)
-
-        _, peak = TestMemoryBudget.traced(steps)
-        assert peak <= budget + vectors + measures._NUMPY_BYTES
 
 
 def spy_calls(monkeypatch, names: list[str]) -> dict[str, int]:
@@ -2699,7 +2669,7 @@ class TestStarOperator:
         assert np.array_equal(smaller_side(table), [1, 2, 3])
         assert degrees[0] == 2 and np.sort(degrees[table.values == 0])[-2] == 1
         assert SensitivityGraph(table)._star_degrees() is None
-        lam, _, builds = matrix_free_run(table, None, measures.DEFAULT_MAX_ITER)
+        lam, _, builds = matrix_free_run(table)
         assert builds == [3]
         ref = dense_reference_lambda(table)
         assert lam == pytest.approx(ref, abs=1e-6)

@@ -425,9 +425,13 @@ class TestTradeoffSuite:
 
     def test_census_left_out_when_the_graph_is_over_budget(self, monkeypatch):
         # tradeoff(2;2)'s census from the table counts 8 bytes for each of its
-        # 8192 inputs, and its adjacency takes 110 kB
+        # 8192 inputs, and its adjacency takes 110 kB. The exact solve reads
+        # the same census or index, and matrix-free's B counts 430 kB, so
+        # only the closed form gives lambda under this budget
         monkeypatch.setattr(measures, "MEMORY_BUDGET", measures.CENSUS_BYTES_PER_INPUT * 8192 - 1)
-        claims = verify_tradeoff([2], [2])
+        with pytest.raises(CapExceeded, match="^matrix-free B needs over"):
+            verify_tradeoff([2], [2])
+        claims = verify_tradeoff([2], [2], lambda_method="analytic")
         by_id = {c.claim: c for c in claims}
         assert list(by_id) == [
             "thm3.arity", "thm3.s0", "thm3.s1", "thm3.lambda", "thm3.census", "thm3.fig1"
