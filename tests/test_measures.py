@@ -2266,24 +2266,40 @@ class TestMatrixFreeGram:
             rel=1e-6, abs=1e-12,
         )
 
+
+class TestMatrixFreeSlices:
+    """Under any MEMORY_BUDGET matrix-free holds B whole, or refuses it
+    before it lists S; either way its peak stays within the budget and 24
+    bytes per input."""
+
+    @pytest.mark.parametrize("budget", [1 << 20, 4 << 20, measures.MEMORY_BUDGET])
     @pytest.mark.parametrize("n, p", [(16, 0.5), (18, 0.3)])
-    def test_peak_within_the_count_and_vectors_over_s(self, monkeypatch, n, p):
-        # B is built once and held; beside what its count names, a step
-        # holds x, the product and _cw_step's ratios, mask and next x over
-        # S, 33 bytes per input of S. Every step allocates the same, so
-        # three show the peak
+    def test_peak_within_budget_and_24_bytes_per_input(self, monkeypatch, n, p, budget):
+        # B's count is 4.3 MB at n = 16 and 14.5 MB at n = 18: refused at 1
+        # and 4 MiB, held at the default budget. Held, a step holds beside
+        # what the count names x, the product and _cw_step's ratios, mask
+        # and next x over S, 33 bytes per input of S, at most 16.5 per input
+        # as |S| <= 2^(n-1). Every step allocates the same, so three show
+        # the peak
         table = TruthTable(n, (np.random.default_rng(n).random(1 << n) < p).astype(np.uint8))
         graph = SensitivityGraph(table)
         count, side = matrix_free_count(table), len(graph._side)
-        assert count <= measures.MEMORY_BUDGET
+        assert 33 * side <= 16.5 * len(table)
+        monkeypatch.setattr(measures, "MEMORY_BUDGET", budget)
         monkeypatch.setattr(measures, "DEFAULT_MAX_ITER", 3)
 
         def steps():
             with pytest.raises(ConvergenceError):
                 measures._lambda_matfree(graph, 0.0)
 
-        _, peak = TestMemoryBudget.traced(steps)
-        assert peak <= count + 33 * side
+        got, peak = TestMemoryBudget.traced(steps)
+        if count > budget:
+            # refused by its count, before any row is gathered
+            assert got is None and peak <= budget
+        else:
+            assert budget == measures.MEMORY_BUDGET
+            assert peak <= count + 33 * side
+        assert peak <= budget + 24 * len(table)
 
 
 class TestColumnRank:
